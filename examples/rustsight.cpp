@@ -615,6 +615,9 @@ int main(int argc, char **argv) {
                              Bad)) {
       if (Bad)
         return usage();
+    } else if (std::strncmp(argv[I], "--", 2) == 0) {
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[I]);
+      return usage();
     } else
       Inputs.emplace_back(argv[I]);
   }

@@ -40,10 +40,43 @@ const char *rs::engine::engineStatusName(EngineStatus S) {
   return "?";
 }
 
-AnalysisEngine::AnalysisEngine(EngineOptions Opts) : Opts(Opts) {}
+FileReport FileReport::skipped(std::string Path, std::string Reason) {
+  FileReport R;
+  R.Path = std::move(Path);
+  R.Status = EngineStatus::Skipped;
+  R.Reason = std::move(Reason);
+  return R;
+}
+
+std::vector<std::string>
+rs::engine::detectorNames(const AnalysisEngine::DetectorFactory &Factory) {
+  std::vector<std::string> Names;
+  for (const auto &D : Factory ? Factory() : detectors::makeAllDetectors())
+    Names.emplace_back(D->name());
+  return Names;
+}
+
+AnalysisEngine::AnalysisEngine(EngineOptions O)
+    : Opts(std::move(O)), Salt(cacheSalt(Opts, detectorNames())) {
+  if (!Opts.UseCache)
+    return;
+  sched::ResultCache::Options CO;
+  CO.MaxMemoryEntries = Opts.CacheMaxEntries;
+  CO.DiskDir = Opts.CacheDir;
+  Cache = std::make_unique<sched::ResultCache>(std::move(CO));
+  sched::SummaryDb::Options DO;
+  DO.DiskDir = Opts.CacheDir; // Shared root; addresses are salted apart.
+  DO.SchemaOverride = Opts.SummaryDbSchemaOverride;
+  SummaryDbPtr = std::make_unique<sched::SummaryDb>(std::move(DO));
+}
+
+void AnalysisEngine::setDetectorFactory(DetectorFactory F) {
+  Factory = std::move(F);
+  Salt = cacheSalt(Opts, detectorNames(Factory));
+}
 
 //===----------------------------------------------------------------------===//
-// Per-file pipeline
+// Per-file pipeline: load, then analyze
 //===----------------------------------------------------------------------===//
 
 void AnalysisEngine::runDetectors(const mir::Module &M, FileReport &R,
@@ -197,23 +230,114 @@ static void applySuppressions(std::string_view Source, FileReport &R) {
   R.Findings = std::move(Kept);
 }
 
-FileReport AnalysisEngine::analyzeSource(std::string_view Source,
-                                         std::string Name) {
-  return analyzeSourceImpl(Source, std::move(Name), /*StoreSnapshot=*/false,
-                           /*SnapKey=*/0, /*Fingerprint=*/0, /*Ext=*/nullptr);
+/// One file after the load step. Without a module the report is final (a
+/// cache hit or a Skipped status); with one, the report carries what the
+/// parse recovered from and the analyze step completes it.
+struct AnalysisEngine::LoadedFile {
+  FileReport Report;
+  std::string Source;
+  uint64_t Fp = 0;
+  std::optional<mir::Module> M;
+  /// M parsed without recovery (or came from a snapshot): only such a
+  /// module is snapshotted or joins the link.
+  bool Clean = false;
+};
+
+/// The containment boundary: runs \p Body and turns any escaping exception
+/// into a Skipped file. Whatever the detectors produced is dropped, so the
+/// report never mixes trustworthy and half-computed results.
+template <typename Fn> static void contained(FileReport &R, Fn &&Body) {
+  std::string Fault;
+  try {
+    Body();
+    return;
+  } catch (const std::exception &E) {
+    Fault = E.what();
+  } catch (...) {
+    Fault = "unknown exception";
+  }
+  R.Status = EngineStatus::Skipped;
+  R.Reason = "engine fault contained: " + Fault;
+  R.Detectors.clear();
+  R.Findings.clear();
+  R.Notices.clear();
+  R.SuppressedFindings = 0;
 }
 
-FileReport
-AnalysisEngine::analyzeSourceImpl(std::string_view Source, std::string Name,
-                                  bool StoreSnapshot, uint64_t SnapKey,
-                                  uint64_t Fingerprint,
-                                  const analysis::ExternalSummaries *Ext) {
-  FileReport R;
-  R.Path = std::move(Name);
+/// EngineOptions::MaxSummaryRounds, where 0 means the default of 8.
+static unsigned linkRounds(const EngineOptions &Opts) {
+  return Opts.MaxSummaryRounds ? Opts.MaxSummaryRounds : 8;
+}
+
+/// One module's summarize round inside the containment boundary: a fault
+/// leaves the module contributing nothing, and Complete = false keeps the
+/// run's summaries out of the summary DB.
+static analysis::ModuleSummaries
+summarizeContained(const mir::Module &M, uint32_t ModuleIdx,
+                   const analysis::ExternalSummaries &Env,
+                   const EngineOptions &Opts) {
   try {
+    return analysis::summarizeLinkedModule(M, ModuleIdx, Env,
+                                           linkRounds(Opts));
+  } catch (...) {
+    analysis::ModuleSummaries Lost;
+    Lost.ModuleIdx = ModuleIdx;
+    Lost.Complete = false;
+    return Lost;
+  }
+}
+
+AnalysisEngine::LoadedFile
+AnalysisEngine::load(const std::string &Path,
+                     std::optional<std::string_view> Source,
+                     std::optional<uint64_t> ReportDigest) {
+  LoadedFile L;
+  L.Report.Path = Path;
+  if (Source) {
+    L.Source = std::string(*Source);
+  } else {
+    std::error_code Ec;
+    // An ifstream on a directory reads as empty on some platforms, which
+    // would masquerade as a clean empty module.
+    if (std::filesystem::is_directory(Path, Ec)) {
+      L.Report = FileReport::skipped(Path, "is a directory");
+      return L;
+    }
+    std::ifstream In(Path);
+    if (!In) {
+      L.Report = FileReport::skipped(Path, "cannot open file");
+      return L;
+    }
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    L.Source = Buf.str();
+  }
+  L.Fp = fingerprintSource(L.Source);
+  if (ReportDigest)
+    if (std::optional<FileReport> Hit = lookupReport(L, *ReportDigest)) {
+      L.Report = std::move(*Hit);
+      return L;
+    }
+
+  // Report miss: a parsed-MIR snapshot (keyed by content only, not by the
+  // detector salt) lets the detectors run without lexing or parsing — the
+  // common case after a detector or option change. lookupBlobRef maps the
+  // envelope in place; the decoder's string table borrows the mapped bytes
+  // until the Module owns its data. A defective snapshot is a miss.
+  const uint64_t SnapKey = snapshotCacheKey(L.Fp);
+  if (Cache)
+    if (std::optional<sched::ResultCache::BlobRef> Blob =
+            Cache->lookupBlobRef(SnapKey))
+      if ((L.M = mir::snapshot::read(Blob->bytes(), &L.Fp))) {
+        L.Clean = true;
+        return L;
+      }
+
+  FileReport &R = L.Report;
+  contained(R, [&] {
     if (fault::shouldFail("engine.parse"))
       throw std::runtime_error("injected fault at probe engine.parse");
-    mir::ModuleParse P = mir::Parser::parseRecover(Source, R.Path);
+    mir::ModuleParse P = mir::Parser::parseRecover(L.Source, Path);
     for (const Error &E : P.Errors)
       R.ParseErrors.push_back(errorDiagnostic(diag::RuleId::ParseError, E));
     R.ItemsDropped = P.ItemsDropped;
@@ -221,7 +345,7 @@ AnalysisEngine::analyzeSourceImpl(std::string_view Source, std::string Name,
         P.M.structs().empty() && P.M.statics().empty()) {
       R.Status = EngineStatus::Skipped;
       R.Reason = "no parseable items: " + P.Errors.front().toString();
-      return R;
+      return;
     }
 
     if (fault::shouldFail("engine.verify"))
@@ -233,84 +357,87 @@ AnalysisEngine::analyzeSourceImpl(std::string_view Source, std::string Name,
             errorDiagnostic(diag::RuleId::VerifyError, E));
       R.Status = EngineStatus::Skipped;
       R.Reason = "verifier rejected module: " + VErr.front().toString();
-      return R;
+      return;
     }
 
     // Only a fully clean parse is worth snapshotting: a recovered parse
     // carries ParseErrors/ItemsDropped that a snapshot-served report could
-    // not reproduce.
-    if (StoreSnapshot && Cache && P.Errors.empty())
-      Cache->storeBlob(SnapKey, mir::snapshot::write(P.M, Fingerprint));
+    // not reproduce, and dropped items a linked summary must not pretend
+    // to cover.
+    const bool Clean = P.Errors.empty();
+    if (Cache && Clean)
+      Cache->storeBlob(SnapKey, mir::snapshot::write(P.M, L.Fp));
+    L.M = std::move(P.M);
+    L.Clean = Clean;
+  });
+  return L;
+}
 
-    runDetectors(P.M, R, Ext);
-    applySuppressions(Source, R);
-  } catch (const std::exception &E) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = std::string("engine fault contained: ") + E.what();
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
-  } catch (...) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "engine fault contained: unknown exception";
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
-  }
+uint64_t AnalysisEngine::reportKey(uint64_t Fp, uint64_t LinkDigest) const {
+  // A linked file folds its link digest into the key: a change to a callee
+  // body in another corpus file must invalidate this file's entry even
+  // though this file's bytes are unchanged. Leaf files (digest 0) keep
+  // sharing entries with per-file runs.
+  uint64_t Key = cacheKey(Fp, Salt);
+  return LinkDigest != 0 ? fnv1a64U64(LinkDigest, Key) : Key;
+}
+
+std::optional<FileReport>
+AnalysisEngine::lookupReport(const LoadedFile &L, uint64_t LinkDigest) {
+  if (!Cache)
+    return std::nullopt;
+  std::optional<std::string> Payload =
+      Cache->lookup(reportKey(L.Fp, LinkDigest));
+  if (!Payload)
+    return std::nullopt;
+  return deserializeFileReport(*Payload, L.Report.Path);
+}
+
+FileReport AnalysisEngine::analyze(LoadedFile L,
+                                   const analysis::ExternalSummaries *Env,
+                                   uint64_t LinkDigest) {
+  FileReport R = std::move(L.Report);
+  if (!L.M)
+    return R;
+  contained(R, [&] {
+    runDetectors(*L.M, R, Env);
+    applySuppressions(L.Source, R);
+  });
+  // Only clean results are cached: degraded/skipped outcomes depend on
+  // wall-clock budgets and embed path-bearing error text, neither of which
+  // belongs in a content-addressed entry.
+  if (Cache && R.Status == EngineStatus::Ok)
+    Cache->store(reportKey(L.Fp, LinkDigest), serializeFileReport(R));
   return R;
 }
 
-FileReport
-AnalysisEngine::analyzeParsedModule(const mir::Module &M,
-                                    std::string_view Source, std::string Name,
-                                    const analysis::ExternalSummaries *Ext) {
-  FileReport R;
-  R.Path = std::move(Name);
-  try {
-    runDetectors(M, R, Ext);
-    applySuppressions(Source, R);
-  } catch (const std::exception &E) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = std::string("engine fault contained: ") + E.what();
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
-  } catch (...) {
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "engine fault contained: unknown exception";
-    R.Detectors.clear();
-    R.Findings.clear();
-    R.Notices.clear();
-    R.SuppressedFindings = 0;
-  }
-  return R;
+FileReport AnalysisEngine::analyzeSource(std::string_view Source,
+                                         const std::string &Path) {
+  return analyze(load(Path, Source, 0), nullptr, 0);
 }
 
-FileReport AnalysisEngine::analyzeFile(const std::string &Path) {
-  std::error_code Ec;
-  if (std::filesystem::is_directory(Path, Ec)) {
-    // An ifstream on a directory reads as empty on some platforms, which
-    // would masquerade as a clean empty module.
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "is a directory";
-    return R;
-  }
-  std::ifstream In(Path);
-  if (!In) {
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "cannot open file";
-    return R;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return analyzeSource(Buf.str(), Path);
+FileReport AnalysisEngine::analyzeFile(const std::string &Path,
+                                       const analysis::ExternalSummaries *Env,
+                                       uint64_t LinkDigest) {
+  return analyze(load(Path, std::nullopt, LinkDigest), Env, LinkDigest);
+}
+
+std::optional<analysis::ModuleFacts>
+AnalysisEngine::collectFileFacts(const std::string &Path) {
+  LoadedFile L = load(Path, std::nullopt, std::nullopt);
+  if (!L.Clean)
+    return std::nullopt;
+  return analysis::collectModuleFacts(*L.M, Path);
+}
+
+std::optional<analysis::ModuleSummaries>
+AnalysisEngine::summarizeFileForLink(const std::string &Path,
+                                     uint32_t ModuleIdx,
+                                     const analysis::ExternalSummaries &Env) {
+  LoadedFile L = load(Path, std::nullopt, std::nullopt);
+  if (!L.Clean)
+    return std::nullopt;
+  return summarizeContained(*L.M, ModuleIdx, Env, Opts);
 }
 
 //===----------------------------------------------------------------------===//
@@ -742,448 +869,142 @@ rs::engine::deserializeWireFileReport(std::string_view Payload) {
 }
 
 //===----------------------------------------------------------------------===//
-// The parallel corpus driver
+// The link step and the corpus driver
 //===----------------------------------------------------------------------===//
 
-void AnalysisEngine::ensureCache() {
-  if (!Opts.UseCache) {
-    Cache.reset();
-    return;
-  }
-  if (Cache)
-    return;
-  sched::ResultCache::Options O;
-  O.MaxMemoryEntries = Opts.CacheMaxEntries;
-  O.DiskDir = Opts.CacheDir;
-  Cache = std::make_unique<sched::ResultCache>(std::move(O));
-}
-
-void AnalysisEngine::ensureSummaryDb() {
-  if (!Opts.UseCache) {
-    SummaryDbPtr.reset();
-    return;
-  }
-  if (SummaryDbPtr)
-    return;
-  sched::SummaryDb::Options O;
-  O.DiskDir = Opts.CacheDir; // Shared root; addresses are salted apart.
-  O.SchemaOverride = Opts.SummaryDbSchemaOverride;
-  SummaryDbPtr = std::make_unique<sched::SummaryDb>(std::move(O));
-}
-
-std::vector<std::string> AnalysisEngine::detectorNames() {
-  std::vector<std::string> Names;
-  std::vector<std::unique_ptr<detectors::Detector>> Detectors =
-      Factory ? Factory() : detectors::makeAllDetectors();
-  Names.reserve(Detectors.size());
-  for (const auto &D : Detectors)
-    Names.emplace_back(D->name());
-  return Names;
-}
-
-FileReport AnalysisEngine::analyzeFileThroughCache(const std::string &Path) {
-  ensureCache();
-  return analyzeFileCached(Path, cacheSalt(Opts, detectorNames()));
-}
-
-FileReport AnalysisEngine::analyzeFileThroughCacheLinked(
-    const std::string &Path, const analysis::ExternalSummaries &Env,
-    uint64_t LinkDigest) {
-  ensureCache();
-  return analyzeFileCached(Path, cacheSalt(Opts, detectorNames()), &Env,
-                           LinkDigest);
-}
-
-std::optional<analysis::ModuleFacts>
-AnalysisEngine::collectFileFacts(const std::string &Path) {
-  ensureCache();
-  std::optional<mir::Module> M = loadModuleForLink(Path, nullptr, nullptr);
-  if (!M)
-    return std::nullopt;
-  return analysis::collectModuleFacts(*M, Path);
-}
-
-std::optional<analysis::ModuleSummaries>
-AnalysisEngine::summarizeFileForLink(const std::string &Path,
-                                     uint32_t ModuleIdx,
-                                     const analysis::ExternalSummaries &Env) {
-  ensureCache();
-  std::optional<mir::Module> M = loadModuleForLink(Path, nullptr, nullptr);
-  if (!M)
-    return std::nullopt;
-  try {
-    return analysis::summarizeLinkedModule(
-        *M, ModuleIdx, Env,
-        Opts.MaxSummaryRounds ? Opts.MaxSummaryRounds : 8);
-  } catch (...) {
-    // Containment: a summarization fault degrades this module to "no
-    // contribution" rather than killing the run; the solver treats a
-    // missing round result as unchanged.
-    return std::nullopt;
-  }
-}
-
-FileReport AnalysisEngine::analyzeSourceThroughCache(std::string_view Source,
-                                                     const std::string &Path) {
-  ensureCache();
-  if (!Cache)
-    return analyzeSource(Source, Path);
-  uint64_t Fp = fingerprintSource(Source);
-  uint64_t Key = cacheKey(Fp, cacheSalt(Opts, detectorNames()));
-  if (std::optional<std::string> Payload = Cache->lookup(Key))
-    if (std::optional<FileReport> R = deserializeFileReport(*Payload, Path))
-      return std::move(*R);
-
-  // Report miss: try the parsed-MIR snapshot layer before touching the
-  // Lexer/Parser. A defective snapshot is a miss, never an error.
-  uint64_t SnapKey = snapshotCacheKey(Fp);
-  // lookupBlobRef maps the envelope in place; the snapshot decoder's
-  // string table borrows the mapped bytes until the Module owns its data.
-  if (std::optional<sched::ResultCache::BlobRef> Blob =
-          Cache->lookupBlobRef(SnapKey)) {
-    if (std::optional<mir::Module> M =
-            mir::snapshot::read(Blob->bytes(), &Fp)) {
-      FileReport R = analyzeParsedModule(*M, Source, Path, nullptr);
-      if (R.Status == EngineStatus::Ok)
-        Cache->store(Key, serializeFileReport(R));
-      return R;
-    }
-  }
-
-  FileReport R = analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/true,
-                                   SnapKey, Fp, /*Ext=*/nullptr);
-  if (R.Status == EngineStatus::Ok)
-    Cache->store(Key, serializeFileReport(R));
-  return R;
-}
-
-FileReport AnalysisEngine::analyzeFileCached(const std::string &Path,
-                                             uint64_t Salt,
-                                             const analysis::ExternalSummaries *Ext,
-                                             uint64_t LinkDigest) {
-  std::error_code Ec;
-  if (std::filesystem::is_directory(Path, Ec)) {
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "is a directory";
-    return R;
-  }
-  std::ifstream In(Path);
-  if (!In) {
-    FileReport R;
-    R.Path = Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "cannot open file";
-    return R;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Source = Buf.str();
-
-  if (!Cache) {
-    FileReport R = analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/false,
-                                     /*SnapKey=*/0, /*Fingerprint=*/0, Ext);
-    return R;
-  }
-
-  uint64_t Fp = fingerprintSource(Source);
-  // A linked file folds its link digest into the key: a change to a callee
-  // body in another corpus file must invalidate this file's entry even
-  // though this file's bytes are unchanged. Leaf files (digest 0) keep
-  // sharing entries with per-file runs.
-  uint64_t Key = cacheKey(Fp, Salt);
-  if (LinkDigest != 0)
-    Key = fnv1a64U64(LinkDigest, Key);
-  if (std::optional<std::string> Payload = Cache->lookup(Key))
-    if (std::optional<FileReport> R = deserializeFileReport(*Payload, Path))
-      return std::move(*R);
-
-  // Report miss: a parsed-MIR snapshot (keyed by content only, not by the
-  // detector salt) lets us run detectors without lexing or parsing — the
-  // common case after a detector or option change, and the whole point of
-  // the binary snapshot layer on a cold disk-warm corpus.
-  uint64_t SnapKey = snapshotCacheKey(Fp);
-  if (std::optional<sched::ResultCache::BlobRef> Blob =
-          Cache->lookupBlobRef(SnapKey)) {
-    if (std::optional<mir::Module> M =
-            mir::snapshot::read(Blob->bytes(), &Fp)) {
-      FileReport R = analyzeParsedModule(*M, Source, Path, Ext);
-      if (R.Status == EngineStatus::Ok)
-        Cache->store(Key, serializeFileReport(R));
-      return R;
-    }
-  }
-
-  FileReport R = analyzeSourceImpl(Source, Path, /*StoreSnapshot=*/true,
-                                   SnapKey, Fp, Ext);
-  // Only clean results are cached: degraded/skipped outcomes depend on
-  // wall-clock budgets and embed path-bearing error text, neither of which
-  // belongs in a content-addressed entry.
-  if (R.Status == EngineStatus::Ok)
-    Cache->store(Key, serializeFileReport(R));
-  return R;
-}
-
-std::optional<mir::Module>
-AnalysisEngine::loadModuleForLink(const std::string &Path,
-                                  std::string *SourceOut, uint64_t *FpOut) {
-  std::error_code Ec;
-  if (std::filesystem::is_directory(Path, Ec))
-    return std::nullopt;
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Source = Buf.str();
-  uint64_t Fp = fingerprintSource(Source);
-  uint64_t SnapKey = snapshotCacheKey(Fp);
-
-  std::optional<mir::Module> M;
-  if (Cache)
-    if (std::optional<sched::ResultCache::BlobRef> Blob =
-            Cache->lookupBlobRef(SnapKey))
-      M = mir::snapshot::read(Blob->bytes(), &Fp);
-  if (!M) {
-    try {
-      if (fault::shouldFail("engine.parse"))
-        throw std::runtime_error("injected fault at probe engine.parse");
-      mir::ModuleParse P = mir::Parser::parseRecover(Source, Path);
-      // Only a fully clean module joins the link: recovered parses carry
-      // dropped items a linked summary must not pretend to cover. Such
-      // files fall back to the per-file pipeline, which reports them with
-      // its usual recovery/skip statuses.
-      if (!P.Errors.empty())
-        return std::nullopt;
-      if (fault::shouldFail("engine.verify"))
-        throw std::runtime_error("injected fault at probe engine.verify");
-      std::vector<Error> VErr;
-      if (!mir::verifyModule(P.M, VErr))
-        return std::nullopt;
-      if (Cache)
-        Cache->storeBlob(SnapKey, mir::snapshot::write(P.M, Fp));
-      M = std::move(P.M);
-    } catch (...) {
-      return std::nullopt;
-    }
-  }
-  if (SourceOut)
-    *SourceOut = std::move(Source);
-  if (FpOut)
-    *FpOut = Fp;
-  return M;
-}
-
-CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths) {
-  auto Start = std::chrono::steady_clock::now();
-
-  std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
-
-  size_t Analyzable = 0;
-  for (const corpus::CorpusInput &In : Inputs)
-    Analyzable += In.SkipReason.empty();
-  bool Linked = Opts.WholeProgram == WholeProgramMode::On ||
-                (Opts.WholeProgram == WholeProgramMode::Auto && Analyzable > 1);
-  if (Linked)
-    return analyzeCorpusLinked(std::move(Inputs), Start);
-
-  CorpusReport Report;
-  Report.Files.resize(Inputs.size());
-
-  ensureCache();
-  sched::ResultCache::Stats Before;
-  if (Cache)
-    Before = Cache->stats();
-  const uint64_t Salt = cacheSalt(Opts, detectorNames());
-
-  // Each task owns exactly slot I of the report — the deterministic merge:
-  // results land by input ordinal, never by completion order.
-  auto ProcessOne = [&](size_t I) {
-    const corpus::CorpusInput &In = Inputs[I];
-    if (!In.SkipReason.empty()) {
-      FileReport R;
-      R.Path = In.Path;
-      R.Status = EngineStatus::Skipped;
-      R.Reason = In.SkipReason;
-      Report.Files[I] = std::move(R);
-      return;
-    }
-    Report.Files[I] = analyzeFileCached(In.Path, Salt);
-  };
-
-  unsigned Jobs =
-      Opts.Jobs == 0 ? sched::ThreadPool::defaultWorkerCount() : Opts.Jobs;
-  if (Jobs > Inputs.size() && !Inputs.empty())
-    Jobs = unsigned(Inputs.size());
-  if (Jobs <= 1) {
-    Jobs = 1;
-    for (size_t I = 0; I != Inputs.size(); ++I)
-      ProcessOne(I);
-  } else {
-    sched::ThreadPool Pool(Jobs);
-    sched::parallelFor(Pool, Inputs.size(), ProcessOne);
-  }
-
-  Report.finalize();
-
-  Report.Stats.Jobs = Jobs;
-  Report.Stats.WallMs =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - Start)
-          .count();
-  Report.Stats.CacheEnabled = Cache != nullptr;
-  if (Cache) {
-    sched::ResultCache::Stats After = Cache->stats();
-    Report.Stats.CacheHits = After.Hits - Before.Hits;
-    Report.Stats.CacheMisses = After.Misses - Before.Misses;
-    Report.Stats.CacheEvictions = After.Evictions - Before.Evictions;
-    Report.Stats.DiskHits = After.DiskHits - Before.DiskHits;
-    Report.Stats.CorruptEntries =
-        After.CorruptEntries - Before.CorruptEntries;
-  }
-  return Report;
-}
-
-//===----------------------------------------------------------------------===//
-// The whole-program (linked) corpus driver
-//===----------------------------------------------------------------------===//
-
-CorpusReport AnalysisEngine::analyzeCorpusLinked(
-    std::vector<corpus::CorpusInput> Inputs,
-    std::chrono::steady_clock::time_point Start) {
-  CorpusReport Report;
-  Report.Files.resize(Inputs.size());
-
-  ensureCache();
-  ensureSummaryDb();
-  sched::ResultCache::Stats Before;
-  if (Cache)
-    Before = Cache->stats();
-  const uint64_t Salt = cacheSalt(Opts, detectorNames());
-  const unsigned MaxRounds = Opts.MaxSummaryRounds ? Opts.MaxSummaryRounds : 8;
-
-  unsigned Jobs =
-      Opts.Jobs == 0 ? sched::ThreadPool::defaultWorkerCount() : Opts.Jobs;
-  if (Jobs > Inputs.size() && !Inputs.empty())
-    Jobs = unsigned(Inputs.size());
-  if (Jobs < 1)
-    Jobs = 1;
-  auto RunParallel = [&](size_t N, const std::function<void(size_t)> &Fn) {
-    if (N == 0)
-      return;
-    if (Jobs <= 1 || N == 1) {
-      for (size_t I = 0; I != N; ++I)
-        Fn(I);
-      return;
-    }
-    sched::ThreadPool Pool(Jobs > N ? unsigned(N) : Jobs);
-    sched::parallelFor(Pool, N, Fn);
-  };
-
-  // Phase A: load every analyzable input once. Only fully clean modules
-  // (parse without recovery, verifier pass) join the link; the rest take
-  // the per-file pipeline in phase C so their recovery/skip reporting is
-  // byte-identical to a per-file run.
-  struct LoadedModule {
-    std::optional<mir::Module> M;
-    std::string Source;
-    uint64_t Fp = 0;
-  };
-  std::vector<LoadedModule> Mods(Inputs.size());
-  RunParallel(Inputs.size(), [&](size_t I) {
-    if (!Inputs[I].SkipReason.empty())
-      return;
-    Mods[I].M =
-        loadModuleForLink(Inputs[I].Path, &Mods[I].Source, &Mods[I].Fp);
-  });
-
-  // Phase B: link. Facts are collected in input order — the determinism
-  // anchor the first-definition-wins rule and the shard fleet both key on.
-  std::vector<analysis::ModuleFacts> Facts;
-  std::vector<size_t> LinkInput; // Module index -> input ordinal.
-  std::vector<uint32_t> InputModule(Inputs.size(), UINT32_MAX);
+LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
+                                const std::vector<corpus::CorpusInput> &Inputs,
+                                sched::SummaryDb *Db,
+                                const LinkTransport &Transport) {
+  LinkPlan Plan;
+  Plan.Digest.resize(Inputs.size());
+  std::vector<size_t> Analyzable;
   for (size_t I = 0; I != Inputs.size(); ++I)
-    if (Mods[I].M) {
-      InputModule[I] = static_cast<uint32_t>(Facts.size());
-      Facts.push_back(analysis::collectModuleFacts(*Mods[I].M, Inputs[I].Path));
-      LinkInput.push_back(I);
+    if (Inputs[I].SkipReason.empty())
+      Analyzable.push_back(I);
+  if (Opts.WholeProgram == WholeProgramMode::Off ||
+      (Opts.WholeProgram == WholeProgramMode::Auto && Analyzable.size() < 2))
+    return Plan;
+
+  // Facts are kept in input order: the determinism anchor the
+  // first-definition-wins rule and the shard fleet both key on.
+  std::vector<std::optional<analysis::ModuleFacts>> Got =
+      Transport.Facts(Analyzable);
+  std::vector<analysis::ModuleFacts> Facts;
+  std::vector<size_t> ModuleInput; // Module index -> input ordinal.
+  for (size_t K = 0; K != Analyzable.size(); ++K)
+    if (Got[K]) {
+      ModuleInput.push_back(Analyzable[K]);
+      Facts.push_back(std::move(*Got[K]));
     }
 
   analysis::LinkOptions LO;
-  LO.MaxSummaryRounds = MaxRounds;
+  LO.MaxSummaryRounds = linkRounds(Opts);
   analysis::LinkDbHooks Hooks;
-  if (SummaryDbPtr) {
-    Hooks.Lookup = [this](uint64_t K) { return SummaryDbPtr->lookup(K); };
-    Hooks.Store = [this](uint64_t K, std::string_view P) {
-      SummaryDbPtr->store(K, P);
-    };
+  if (Db) {
+    Hooks.Lookup = [Db](uint64_t K) { return Db->lookup(K); };
+    Hooks.Store = [Db](uint64_t K, std::string_view P) { Db->store(K, P); };
   }
   analysis::SummarizeRoundFn Summarize =
       [&](const std::vector<uint32_t> &ModuleIdxs,
           const analysis::ExternalSummaries &Env) {
-        std::vector<analysis::ModuleSummaries> Out(ModuleIdxs.size());
-        RunParallel(ModuleIdxs.size(), [&](size_t I) {
-          uint32_t MIdx = ModuleIdxs[I];
-          Out[I].ModuleIdx = MIdx;
-          try {
-            Out[I] = analysis::summarizeLinkedModule(
-                *Mods[LinkInput[MIdx]].M, MIdx, Env, MaxRounds);
-          } catch (...) {
-            // Contained: this module contributes nothing this round and
-            // its summaries are never persisted.
-            Out[I].Functions.clear();
-            Out[I].Complete = false;
-          }
-        });
-        return Out;
+        std::vector<std::pair<uint32_t, size_t>> Modules;
+        for (uint32_t M : ModuleIdxs)
+          Modules.emplace_back(M, ModuleInput[M]);
+        return Transport.Summarize(Modules, Env);
       };
-
   analysis::LinkResult LR = analysis::solveLink(
       analysis::LinkedCorpus::build(std::move(Facts)), LO, Hooks, Summarize);
 
-  // Phase C: analyze every file. Linked files consume the converged
-  // environment (their detectors see callee summaries from other files)
-  // under a digest-folded cache key; everything else takes the plain
-  // per-file path.
-  RunParallel(Inputs.size(), [&](size_t I) {
+  Plan.Env = std::move(LR.Env);
+  for (uint32_t M = 0; M != ModuleInput.size(); ++M)
+    Plan.Digest[ModuleInput[M]] = LR.Corpus.linkDigest(M);
+  Plan.Stats.LinkEnabled = true;
+  Plan.Stats.LinkedFiles = static_cast<unsigned>(ModuleInput.size());
+  Plan.Stats.LinkRounds = LR.Stats.Rounds;
+  Plan.Stats.ModulesFromSummaryDb = LR.Stats.ModulesFromDb;
+  Plan.Stats.SummaryDbHits = LR.Stats.DbHits;
+  Plan.Stats.SummaryDbMisses = LR.Stats.DbMisses;
+  Plan.Stats.SummaryDbStores = LR.Stats.DbStores;
+  return Plan;
+}
+
+CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths) {
+  auto Start = std::chrono::steady_clock::now();
+  std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
+  const size_t N = Inputs.size();
+  sched::ResultCache::Stats Before;
+  if (Cache)
+    Before = Cache->stats();
+
+  unsigned Jobs =
+      Opts.Jobs == 0 ? sched::ThreadPool::defaultWorkerCount() : Opts.Jobs;
+  Jobs = static_cast<unsigned>(
+      std::clamp<size_t>(Jobs, 1, std::max<size_t>(N, 1)));
+  std::optional<sched::ThreadPool> Pool;
+  if (Jobs > 1)
+    Pool.emplace(Jobs);
+  auto RunParallel = [&](size_t Count, const std::function<void(size_t)> &Fn) {
+    if (Pool && Count > 1)
+      sched::parallelFor(*Pool, Count, Fn);
+    else
+      for (size_t I = 0; I != Count; ++I)
+        Fn(I);
+  };
+
+  // The link step over the thread pool. Every analyzable input is loaded
+  // once; only clean modules join the link, and they stay in memory for
+  // the summarize rounds and the analysis below.
+  std::vector<LoadedFile> Loaded(N);
+  LinkTransport Transport;
+  Transport.Facts = [&](const std::vector<size_t> &Ordinals) {
+    std::vector<std::optional<analysis::ModuleFacts>> Facts(Ordinals.size());
+    RunParallel(Ordinals.size(), [&](size_t K) {
+      const std::string &Path = Inputs[Ordinals[K]].Path;
+      LoadedFile &L = Loaded[Ordinals[K]];
+      L = load(Path, std::nullopt, std::nullopt);
+      if (L.Clean)
+        Facts[K] = analysis::collectModuleFacts(*L.M, Path);
+    });
+    return Facts;
+  };
+  Transport.Summarize =
+      [&](const std::vector<std::pair<uint32_t, size_t>> &Modules,
+          const analysis::ExternalSummaries &Env) {
+        std::vector<analysis::ModuleSummaries> Out(Modules.size());
+        RunParallel(Modules.size(), [&](size_t K) {
+          const auto &[Idx, Input] = Modules[K];
+          Out[K] = summarizeContained(*Loaded[Input].M, Idx, Env, Opts);
+        });
+        return Out;
+      };
+  LinkPlan Link = linkCorpus(Opts, Inputs, SummaryDbPtr.get(), Transport);
+
+  // Each task owns exactly slot I of the report — the deterministic merge:
+  // results land by input ordinal, never by completion order. A file
+  // outside the link is a per-file run (null environment, digest 0). A
+  // linked file's module is already in memory; detector lookups only use
+  // the module's own callee names, so analyzing against the full
+  // environment is byte-identical to the slice a shard worker sees.
+  CorpusReport Report;
+  Report.Files.resize(N);
+  RunParallel(N, [&](size_t I) {
     const corpus::CorpusInput &In = Inputs[I];
     if (!In.SkipReason.empty()) {
-      FileReport R;
-      R.Path = In.Path;
-      R.Status = EngineStatus::Skipped;
-      R.Reason = In.SkipReason;
-      Report.Files[I] = std::move(R);
-      return;
+      Report.Files[I] = FileReport::skipped(In.Path, In.SkipReason);
+    } else if (!Link.Digest[I]) {
+      Report.Files[I] = analyzeFile(In.Path);
+    } else {
+      LoadedFile L = std::move(Loaded[I]);
+      std::optional<FileReport> Hit = lookupReport(L, *Link.Digest[I]);
+      Report.Files[I] = Hit ? std::move(*Hit)
+                            : analyze(std::move(L), &Link.Env,
+                                      *Link.Digest[I]);
     }
-    if (InputModule[I] == UINT32_MAX) {
-      Report.Files[I] = analyzeFileCached(In.Path, Salt);
-      return;
-    }
-    uint32_t MIdx = InputModule[I];
-    uint64_t Digest = LR.Corpus.linkDigest(MIdx);
-    uint64_t Key = cacheKey(Mods[I].Fp, Salt);
-    if (Digest != 0)
-      Key = fnv1a64U64(Digest, Key);
-    if (Cache)
-      if (std::optional<std::string> Payload = Cache->lookup(Key))
-        if (std::optional<FileReport> R =
-                deserializeFileReport(*Payload, In.Path)) {
-          Report.Files[I] = std::move(*R);
-          return;
-        }
-    // Lookups during analysis only use the module's own callee names, so
-    // analyzing against the full environment is byte-identical to the
-    // sliced environment a shard worker receives.
-    FileReport R =
-        analyzeParsedModule(*Mods[I].M, Mods[I].Source, In.Path, &LR.Env);
-    if (Cache && R.Status == EngineStatus::Ok)
-      Cache->store(Key, serializeFileReport(R));
-    Report.Files[I] = std::move(R);
   });
-
   Report.finalize();
 
+  Report.Stats = Link.Stats;
   Report.Stats.Jobs = Jobs;
   Report.Stats.WallMs = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - Start)
@@ -1198,13 +1019,6 @@ CorpusReport AnalysisEngine::analyzeCorpusLinked(
     Report.Stats.CorruptEntries =
         After.CorruptEntries - Before.CorruptEntries;
   }
-  Report.Stats.LinkEnabled = true;
-  Report.Stats.LinkedFiles = static_cast<unsigned>(LinkInput.size());
-  Report.Stats.LinkRounds = LR.Stats.Rounds;
-  Report.Stats.ModulesFromSummaryDb = LR.Stats.ModulesFromDb;
-  Report.Stats.SummaryDbHits = LR.Stats.DbHits;
-  Report.Stats.SummaryDbMisses = LR.Stats.DbMisses;
-  Report.Stats.SummaryDbStores = LR.Stats.DbStores;
   return Report;
 }
 

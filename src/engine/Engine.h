@@ -31,13 +31,12 @@
 #ifndef RUSTSIGHT_ENGINE_ENGINE_H
 #define RUSTSIGHT_ENGINE_ENGINE_H
 
+#include "analysis/Link.h"
 #include "corpus/CorpusWalk.h"
 #include "detectors/Detector.h"
 #include "diag/Baseline.h"
 #include "sched/ResultCache.h"
 #include "sched/SummaryDb.h"
-
-#include <chrono>
 
 #include <functional>
 #include <memory>
@@ -95,6 +94,10 @@ struct FileReport {
   std::vector<detectors::Diagnostic> Findings; ///< Sorted, deduplicated.
 
   bool analyzed() const { return Status != EngineStatus::Skipped; }
+
+  /// A Skipped entry that never reached the pipeline (unreadable input,
+  /// empty directory, interrupted run).
+  static FileReport skipped(std::string Path, std::string Reason);
 
   /// The degradation machinery as first-class diagnostics: one
   /// RS-ENGINE-001/002 per degraded/skipped file and one RS-ENGINE-003/004
@@ -274,6 +277,12 @@ std::optional<FileReport> deserializeWireFileReport(std::string_view Payload);
 /// Runs the detector battery over files/sources with fault isolation and
 /// budgets. Fault-injection probe sites: "engine.parse", "engine.verify",
 /// "engine.detector" (one probe per detector per file).
+///
+/// There is one pipeline. A per-file analysis is a linked analysis against
+/// an empty environment with link digest 0, so both share cache entries.
+/// Every entry point goes through the same load step (read, fingerprint,
+/// report lookup, snapshot or parse + verify) and the same analyze step
+/// (detectors and suppressions inside one containment boundary).
 class AnalysisEngine {
 public:
   using DetectorFactory =
@@ -282,38 +291,30 @@ public:
   explicit AnalysisEngine(EngineOptions Opts = EngineOptions());
 
   /// Replaces the built-in detector battery (tests inject faulty
-  /// detectors through this).
-  void setDetectorFactory(DetectorFactory F) { Factory = std::move(F); }
+  /// detectors through this). Re-derives the cache salt.
+  void setDetectorFactory(DetectorFactory F);
 
-  /// Analyzes one in-memory buffer.
-  FileReport analyzeSource(std::string_view Source, std::string Name);
+  /// Analyzes one in-memory buffer named \p Path, through the result cache
+  /// whenever EngineOptions::UseCache is on. This is the serve daemon's
+  /// entry for editor overlays: it makes exactly one report lookup, so an
+  /// overlay whose text matches an analyzed state is a hit and every
+  /// keystroke that changes bytes is a miss.
+  FileReport analyzeSource(std::string_view Source, const std::string &Path);
 
-  /// Reads and analyzes one file; unreadable files are Skipped. Always
-  /// analyzes fresh (no cache) — the cached path is analyzeCorpus.
-  FileReport analyzeFile(const std::string &Path);
+  /// Reads and analyzes one file through the result cache; unreadable
+  /// files are Skipped. With \p Env the detectors resolve extern callees
+  /// through the whole-program link environment, and \p LinkDigest (the
+  /// file's LinkedCorpus::linkDigest) is folded into the report cache key
+  /// so cross-file changes invalidate this file's entry. The defaults are
+  /// the per-file run. This is also the shard worker's analyze entry.
+  FileReport analyzeFile(const std::string &Path,
+                         const analysis::ExternalSummaries *Env = nullptr,
+                         uint64_t LinkDigest = 0);
 
-  /// Reads and analyzes one file through the result cache (the same path
-  /// analyzeCorpus takes per file). This is the worker-mode entry point:
-  /// a shard worker streams one of these per input so the supervisor can
-  /// checkpoint and attribute failures file-by-file.
-  FileReport analyzeFileThroughCache(const std::string &Path);
-
-  /// analyzeFileThroughCache against a whole-program link environment: the
-  /// detectors resolve extern callees through \p Env, and \p LinkDigest
-  /// (the file's LinkedCorpus::linkDigest) is folded into the report cache
-  /// key so cross-file changes invalidate this file's entry. The sharded
-  /// analyze phase drives this; in-process linked runs take the same code
-  /// path with the module already in memory.
-  FileReport
-  analyzeFileThroughCacheLinked(const std::string &Path,
-                                const analysis::ExternalSummaries &Env,
-                                uint64_t LinkDigest);
-
-  /// Link facts for one file: snapshot-or-parse + verify, then the
-  /// linker-visible shape. Returns nullopt when the file cannot join the
-  /// link (unreadable, parse errors, verifier rejection) — such files are
-  /// analyzed per-file instead. Worker entry for the supervisor's facts
-  /// phase.
+  /// Link facts for one file: the load step, then the linker-visible
+  /// shape. Returns nullopt when the file cannot join the link (unreadable,
+  /// parse errors, verifier rejection) — such files are analyzed per-file
+  /// instead. Worker entry for the supervisor's facts phase.
   std::optional<analysis::ModuleFacts>
   collectFileFacts(const std::string &Path);
 
@@ -325,79 +326,98 @@ public:
   summarizeFileForLink(const std::string &Path, uint32_t ModuleIdx,
                        const analysis::ExternalSummaries &Env);
 
-  /// Analyzes one in-memory buffer through the result cache — the
-  /// re-entrant per-session entry point the serve daemon uses for editor
-  /// overlay documents. Keying is identical to the file path: content
-  /// fingerprint x option/detector salt, so an overlay whose text matches
-  /// the on-disk file (or a previously analyzed buffer state) is a cache
-  /// hit, and every keystroke that changes bytes is a miss. Only clean
-  /// (Ok) results are stored, like everywhere else.
-  FileReport analyzeSourceThroughCache(std::string_view Source,
-                                       const std::string &Path);
-
   /// Analyzes every path, never aborting the batch. Directories expand to
   /// their .mir files (recursively, in sorted order); a directory with no
-  /// .mir files yields one Skipped entry. Files run as parallel tasks on a
-  /// work-stealing pool (EngineOptions::Jobs), each inside the containment
-  /// boundary; results are merged in input order, so the report renders
-  /// byte-identically for any job count. Clean per-file results are served
-  /// from / stored into the content-addressed result cache.
+  /// .mir files yields one Skipped entry. Multi-file corpora run the link
+  /// step first (EngineOptions::WholeProgram, linkCorpus). Files run as
+  /// parallel tasks on a work-stealing pool (EngineOptions::Jobs), each
+  /// inside the containment boundary; results are merged in input order, so
+  /// the report renders byte-identically for any job count. Clean per-file
+  /// results are served from / stored into the content-addressed cache.
   CorpusReport analyzeCorpus(const std::vector<std::string> &Paths);
-
-  /// Historical name for analyzeCorpus.
-  CorpusReport run(const std::vector<std::string> &Paths) {
-    return analyzeCorpus(Paths);
-  }
 
   /// The engine's cache (null when disabled). Persists across
   /// analyzeCorpus calls, which is what makes warm reruns hit.
   sched::ResultCache *cache() { return Cache.get(); }
 
-  /// The engine's summary DB (null until a linked run created it).
+  /// The engine's summary DB (null when the cache is disabled).
   sched::SummaryDb *summaryDb() { return SummaryDbPtr.get(); }
 
 private:
+  struct LoadedFile;
+
+  /// The load step: reads \p Path (or takes \p Source) and fingerprints
+  /// it. With \p ReportDigest the report cache is consulted first, so a
+  /// warm file is one lookup with no module decode. Otherwise the result
+  /// carries a module (snapshot, else parse + verify) for the analyze step,
+  /// or a final report (a cache hit or a Skipped status).
+  LoadedFile load(const std::string &Path,
+                  std::optional<std::string_view> Source,
+                  std::optional<uint64_t> ReportDigest);
+  /// The analyze step: detectors and suppressions over the loaded module
+  /// against \p Env, inside the containment boundary; a clean report is
+  /// stored under the \p LinkDigest-folded key. A load that already ended
+  /// in a final report passes it through.
+  FileReport analyze(LoadedFile L, const analysis::ExternalSummaries *Env,
+                     uint64_t LinkDigest);
+  uint64_t reportKey(uint64_t Fp, uint64_t LinkDigest) const;
+  std::optional<FileReport> lookupReport(const LoadedFile &L,
+                                         uint64_t LinkDigest);
   void runDetectors(const mir::Module &M, FileReport &R,
                     const analysis::ExternalSummaries *Ext);
-  /// The shared back half of analysis: detectors + suppressions over an
-  /// already-built module, inside the containment boundary. Both the
-  /// parse path and the snapshot fast path funnel through this, which is
-  /// what keeps snapshot-served reports byte-identical to parsed ones.
-  /// \p Ext (optional) is the whole-program link environment.
-  FileReport analyzeParsedModule(const mir::Module &M, std::string_view Source,
-                                 std::string Name,
-                                 const analysis::ExternalSummaries *Ext);
-  /// analyzeSource plus an optional snapshot store: when \p StoreSnapshot
-  /// is set and the parse had no errors and the verifier passed, the
-  /// module is serialized into the cache's blob layer under \p SnapKey so
-  /// the next cold run skips the Lexer/Parser/Verifier entirely.
-  FileReport analyzeSourceImpl(std::string_view Source, std::string Name,
-                               bool StoreSnapshot, uint64_t SnapKey,
-                               uint64_t Fingerprint,
-                               const analysis::ExternalSummaries *Ext);
-  FileReport analyzeFileCached(const std::string &Path, uint64_t Salt,
-                               const analysis::ExternalSummaries *Ext = nullptr,
-                               uint64_t LinkDigest = 0);
-  /// Loads \p Path's module for the link: snapshot fast path, else
-  /// parse + verify. Only fully clean modules load (nullopt otherwise);
-  /// freshly parsed ones are snapshotted for the next run. \p SourceOut /
-  /// \p FpOut (optional) receive the raw source and its fingerprint.
-  std::optional<mir::Module> loadModuleForLink(const std::string &Path,
-                                               std::string *SourceOut,
-                                               uint64_t *FpOut);
-  /// The linked corpus driver behind analyzeCorpus (whole-program mode).
-  CorpusReport
-  analyzeCorpusLinked(std::vector<corpus::CorpusInput> Inputs,
-                      std::chrono::steady_clock::time_point Start);
-  void ensureCache();
-  void ensureSummaryDb();
-  std::vector<std::string> detectorNames();
 
   EngineOptions Opts;
   DetectorFactory Factory;
+  uint64_t Salt = 0; ///< cacheSalt of Opts and the battery.
   std::unique_ptr<sched::ResultCache> Cache;
   std::unique_ptr<sched::SummaryDb> SummaryDbPtr;
 };
+
+/// The names of \p Factory's battery (the built-in battery when null), in
+/// order: the detector half of cacheSalt.
+std::vector<std::string>
+detectorNames(const AnalysisEngine::DetectorFactory &Factory = nullptr);
+
+//===----------------------------------------------------------------------===//
+// The whole-program link step (docs/WHOLEPROGRAM.md)
+//===----------------------------------------------------------------------===//
+
+/// How the link step reaches the modules. The in-process driver loads them
+/// on its thread pool; the supervisor maps each phase over its worker
+/// fleet. The solver, and so the result, is the same either way.
+struct LinkTransport {
+  /// Link facts for the analyzable inputs at \p Ordinals, aligned with
+  /// them; nullopt keeps that file out of the link (it stays per-file).
+  std::function<std::vector<std::optional<analysis::ModuleFacts>>(
+      const std::vector<size_t> &Ordinals)>
+      Facts;
+  /// One solver round: summarize each (module index, input ordinal) pair
+  /// against \p Env. A module missing from the result is unchanged.
+  std::function<std::vector<analysis::ModuleSummaries>(
+      const std::vector<std::pair<uint32_t, size_t>> &Modules,
+      const analysis::ExternalSummaries &Env)>
+      Summarize;
+};
+
+/// What the link step decided for one corpus run.
+struct LinkPlan {
+  /// The converged environment (empty for a per-file run).
+  analysis::ExternalSummaries Env;
+  /// Per input ordinal: the link digest of a file that joined the link,
+  /// nullopt for a file analyzed per-file.
+  std::vector<std::optional<uint64_t>> Digest;
+  /// Only the link fields are set (all zero for a per-file run).
+  RunStats Stats;
+};
+
+/// Decides whether \p Inputs link (EngineOptions::WholeProgram: Auto links
+/// more than one analyzable file), and if so collects facts in input order
+/// and runs the link fixpoint through \p Transport, with persisted
+/// summaries in \p Db (null = none). EngineOptions::MaxSummaryRounds 0
+/// means 8.
+LinkPlan linkCorpus(const EngineOptions &Opts,
+                    const std::vector<corpus::CorpusInput> &Inputs,
+                    sched::SummaryDb *Db, const LinkTransport &Transport);
 
 } // namespace rs::engine
 

@@ -2,7 +2,6 @@
 
 #include "analysis/Link.h"
 #include "corpus/CorpusWalk.h"
-#include "detectors/Detector.h"
 #include "diag/Diag.h"
 #include "engine/Checkpoint.h"
 #include "support/FaultInjection.h"
@@ -17,8 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -47,16 +46,6 @@ constexpr size_t StderrTailCap = 8192;
 /// is as hung as one that never wrote.
 constexpr auto ReapGrace = std::chrono::seconds(5);
 
-/// Link-phase stats carried from the link block to the final report.
-struct LinkStatsOut {
-  unsigned LinkedFiles = 0;
-  unsigned Rounds = 0;
-  unsigned ModulesFromDb = 0;
-  uint64_t DbHits = 0;
-  uint64_t DbMisses = 0;
-  uint64_t DbStores = 0;
-};
-
 enum class Outcome {
   Done,     ///< Complete frame stream + "done" frame.
   Crash,    ///< Killed by a signal (SIGSEGV, SIGABRT, ...).
@@ -65,31 +54,43 @@ enum class Outcome {
   Protocol, ///< Output unusable: bad framing, bad JSON, premature exit 0.
 };
 
-/// One unit of queued work: a sorted slice of global input ordinals.
-/// Attempts counts protocol-failure attempts (trusted-frame failures use
-/// per-file strike counters instead, so attribution survives re-sharding).
+/// One unit of queued work: a sorted slice of ordinals. Attempts counts
+/// protocol-failure attempts (trusted-frame failures use per-file strike
+/// counters instead, so attribution survives re-sharding).
 struct Shard {
   std::vector<size_t> Ordinals;
   unsigned Attempts = 0;
   Clock::time_point NotBefore{};
 };
 
-struct ActiveWorker {
-  ActiveWorker(proc::Subprocess P, Shard T)
-      : Proc(std::move(P)), Task(std::move(T)) {}
+/// One ended attempt of one shard, as its phase sees it.
+template <typename Result> struct Attempt {
+  Shard Task;
+  /// Results from this attempt's frame stream, in arrival order. Trusted
+  /// outcomes (done/crash/exit/timeout) keep them; protocol failures
+  /// discard them.
+  std::vector<std::pair<size_t, Result>> Accepted;
+  std::string ErrTail; ///< Trailing stderr (capped).
+  Outcome Oc = Outcome::Done;
+  std::string Cause; ///< The classified cause ("" when Done).
+};
+
+/// Decodes the result of one "file" frame; nullopt makes the stream
+/// unusable.
+template <typename Result>
+using FrameDecoder = std::optional<Result> (*)(const JsonValue &Frame);
+
+/// One worker process running one attempt.
+template <typename Result> struct Worker {
+  Worker(proc::Subprocess P, Shard T) : Proc(std::move(P)) {
+    A.Task = std::move(T);
+  }
 
   proc::Subprocess Proc;
-  Shard Task;
-  std::string OutBuf;  ///< Unconsumed frame bytes.
-  std::string ErrTail; ///< Trailing stderr (capped).
-  /// Results accepted from this attempt's frame stream, in arrival order.
-  /// Only merged into the run once the attempt is classified: trusted
-  /// classifications (done/crash/exit/timeout) keep them, protocol
-  /// failures discard them.
-  std::vector<std::pair<size_t, FileReport>> Accepted;
-  bool Done = false;
-  bool Protocol = false;
-  std::string ProtocolNote;
+  Attempt<Result> A;
+  std::string OutBuf;       ///< Unconsumed frame bytes.
+  bool Done = false;        ///< The "done" frame arrived.
+  std::string ProtocolNote; ///< Why the stream is unusable ("" = usable).
   bool HasDeadline = false;
   Clock::time_point Deadline{};
 };
@@ -111,75 +112,63 @@ bool parseHexLen(const char *P, size_t &Out) {
   return true;
 }
 
-void markProtocol(ActiveWorker &W, std::string Note) {
-  W.Protocol = true;
+template <typename Result>
+void markProtocol(Worker<Result> &W, const char *Note) {
   if (W.ProtocolNote.empty())
-    W.ProtocolNote = std::move(Note);
+    W.ProtocolNote = Note;
 }
 
-void handlePayload(ActiveWorker &W, std::string_view Payload) {
+template <typename Result>
+void handlePayload(Worker<Result> &W, FrameDecoder<Result> Decode,
+                   std::string_view Payload) {
   std::optional<JsonValue> V = JsonValue::parse(Payload);
-  if (!V || !V->isObject()) {
-    markProtocol(W, "unparseable frame payload");
-    return;
-  }
+  if (!V || !V->isObject())
+    return markProtocol(W, "unparseable frame payload");
   std::string_view Type = V->getString("type");
   if (Type == "done") {
     W.Done = true;
     return;
   }
-  if (Type != "file") {
-    markProtocol(W, "unknown frame type");
-    return;
-  }
+  if (Type != "file")
+    return markProtocol(W, "unknown frame type");
   int64_t Ordinal = V->getInt("ordinal", -1);
-  const JsonValue *Report = V->get("report");
-  if (Ordinal < 0 || !Report ||
-      !std::binary_search(W.Task.Ordinals.begin(), W.Task.Ordinals.end(),
-                          size_t(Ordinal))) {
-    markProtocol(W, "frame for an ordinal outside the shard");
-    return;
-  }
-  for (const auto &P : W.Accepted)
-    if (P.first == size_t(Ordinal)) {
-      markProtocol(W, "duplicate frame for one ordinal");
-      return;
-    }
-  std::optional<FileReport> R = fileReportFromJson(*Report);
-  if (!R) {
-    markProtocol(W, "malformed file report");
-    return;
-  }
-  W.Accepted.emplace_back(size_t(Ordinal), std::move(*R));
+  const std::vector<size_t> &Ords = W.A.Task.Ordinals;
+  if (Ordinal < 0 ||
+      !std::binary_search(Ords.begin(), Ords.end(), size_t(Ordinal)))
+    return markProtocol(W, "frame for an ordinal outside the shard");
+  for (const auto &P : W.A.Accepted)
+    if (P.first == size_t(Ordinal))
+      return markProtocol(W, "duplicate frame for one ordinal");
+  std::optional<Result> R = Decode(*V);
+  if (!R)
+    return markProtocol(W, "malformed file report");
+  W.A.Accepted.emplace_back(size_t(Ordinal), std::move(*R));
 }
 
-void parseFrames(ActiveWorker &W) {
-  while (!W.Protocol) {
-    if (W.OutBuf.size() < 9)
-      return;
+/// The frame reader: consumes every complete length-prefixed frame.
+template <typename Result>
+void parseFrames(Worker<Result> &W, FrameDecoder<Result> Decode) {
+  while (W.ProtocolNote.empty() && W.OutBuf.size() >= 9) {
     size_t Len = 0;
     if (!parseHexLen(W.OutBuf.data(), Len) || W.OutBuf[8] != '\n' ||
-        Len > MaxFramePayload) {
-      markProtocol(W, "corrupt frame header");
-      return;
-    }
+        Len > MaxFramePayload)
+      return markProtocol(W, "corrupt frame header");
     if (W.OutBuf.size() < 9 + Len + 1)
       return;
-    if (W.OutBuf[9 + Len] != '\n') {
-      markProtocol(W, "missing frame terminator");
-      return;
-    }
-    handlePayload(W, std::string_view(W.OutBuf.data() + 9, Len));
+    if (W.OutBuf[9 + Len] != '\n')
+      return markProtocol(W, "missing frame terminator");
+    handlePayload(W, Decode, std::string_view(W.OutBuf.data() + 9, Len));
     W.OutBuf.erase(0, 9 + Len + 1);
   }
 }
 
 /// Drains whatever is currently readable from the worker's streams.
 /// Returns true while at least one stream is still open.
-bool drainStreams(ActiveWorker &W) {
+template <typename Result>
+bool drainStreams(Worker<Result> &W, FrameDecoder<Result> Decode) {
   if (int Fd = W.Proc.stdoutFd(); Fd != -1) {
     W.Proc.readSome(Fd, W.OutBuf);
-    parseFrames(W);
+    parseFrames(W, Decode);
   }
   if (int Fd = W.Proc.stderrFd(); Fd != -1) {
     std::string Chunk;
@@ -188,12 +177,29 @@ bool drainStreams(ActiveWorker &W) {
       // supervised run surfaces the same observability as an in-process
       // one; stderr is already outside the byte-stable report surface.
       std::fwrite(Chunk.data(), 1, Chunk.size(), stderr);
-      W.ErrTail += Chunk;
-      if (W.ErrTail.size() > StderrTailCap)
-        W.ErrTail.erase(0, W.ErrTail.size() - StderrTailCap);
+      std::string &Tail = W.A.ErrTail;
+      Tail += Chunk;
+      if (Tail.size() > StderrTailCap)
+        Tail.erase(0, Tail.size() - StderrTailCap);
     }
   }
   return W.Proc.stdoutFd() != -1 || W.Proc.stderrFd() != -1;
+}
+
+std::optional<FileReport> decodeReport(const JsonValue &Frame) {
+  const JsonValue *R = Frame.get("report");
+  return R ? fileReportFromJson(*R) : std::nullopt;
+}
+
+/// A link-phase payload string; null (no result for this file) is valid.
+std::optional<std::optional<std::string>>
+decodePayload(const JsonValue &Frame) {
+  std::optional<std::string> Out;
+  const JsonValue *P = Frame.get("payload");
+  if (P && P->isString())
+    Out = std::string(P->asString());
+  return std::optional<std::optional<std::string>>(std::in_place,
+                                                   std::move(Out));
 }
 
 /// Keeps the stderr-tail lines relevant to \p Path: lines naming the path,
@@ -224,11 +230,9 @@ std::string filterTailFor(const std::string &Tail, const std::string &Path) {
 FileReport makeQuarantineReport(const std::string &Path,
                                 const std::string &Cause, unsigned Attempts,
                                 const std::string &Tail) {
-  FileReport R;
-  R.Path = Path;
-  R.Status = EngineStatus::Skipped;
-  R.Reason = "quarantined after " + std::to_string(Attempts) +
-             " isolated worker attempt(s): " + Cause;
+  FileReport R = FileReport::skipped(
+      Path, "quarantined after " + std::to_string(Attempts) +
+                " isolated worker attempt(s): " + Cause);
 
   diag::Diagnostic D(diag::RuleId::WorkerQuarantined);
   D.Message = "file quarantined: " + Cause;
@@ -281,154 +285,43 @@ std::string jsonString(std::string_view S) {
   return W.str();
 }
 
-//===----------------------------------------------------------------------===//
-// The map fleet (link phases 1 and 2)
-//===----------------------------------------------------------------------===//
-//
-// The link step's facts and summarize phases are simple maps: item in,
-// opaque JSON payload out, no cross-item state. They reuse the worker wire
-// protocol (length-prefixed frames) under a mode preamble, with a reduced
-// supervision ladder: retries with first-unreported-file attribution, but
-// no bisection — a file whose facts cannot be collected just degrades to
-// per-file analysis (and a module whose summarize round is lost contributes
-// nothing that round), so poison files meet the full quarantine machinery
-// in the analyze phase, exactly once.
-
-struct MapWorker {
-  MapWorker(proc::Subprocess P, Shard T)
-      : Proc(std::move(P)), Task(std::move(T)) {}
-
-  proc::Subprocess Proc;
-  Shard Task;
-  std::string OutBuf;
-  std::string ErrTail;
-  std::vector<std::pair<size_t, std::optional<std::string>>> Accepted;
-  bool Done = false;
-  bool Protocol = false;
-  bool HasDeadline = false;
-  Clock::time_point Deadline{};
-};
-
-void parseMapFrames(MapWorker &W) {
-  while (!W.Protocol) {
-    if (W.OutBuf.size() < 9)
-      return;
-    size_t Len = 0;
-    if (!parseHexLen(W.OutBuf.data(), Len) || W.OutBuf[8] != '\n' ||
-        Len > MaxFramePayload)
-      W.Protocol = true;
-    if (W.Protocol || W.OutBuf.size() < 9 + Len + 1)
-      return;
-    if (W.OutBuf[9 + Len] != '\n') {
-      W.Protocol = true;
-      return;
-    }
-    std::string_view Payload(W.OutBuf.data() + 9, Len);
-    std::optional<JsonValue> V = JsonValue::parse(Payload);
-    if (!V || !V->isObject()) {
-      W.Protocol = true;
-      return;
-    }
-    std::string_view Type = V->getString("type");
-    if (Type == "done") {
-      W.Done = true;
-    } else if (Type == "file") {
-      int64_t Ordinal = V->getInt("ordinal", -1);
-      if (Ordinal < 0 ||
-          !std::binary_search(W.Task.Ordinals.begin(),
-                              W.Task.Ordinals.end(), size_t(Ordinal))) {
-        W.Protocol = true;
-        return;
-      }
-      const JsonValue *P = V->get("payload");
-      std::optional<std::string> Out;
-      if (P && P->isString())
-        Out = std::string(P->asString());
-      W.Accepted.emplace_back(size_t(Ordinal), std::move(Out));
-    } else {
-      W.Protocol = true;
-      return;
-    }
-    W.OutBuf.erase(0, 9 + Len + 1);
-  }
-}
-
-bool drainMapStreams(MapWorker &W) {
-  if (int Fd = W.Proc.stdoutFd(); Fd != -1) {
-    W.Proc.readSome(Fd, W.OutBuf);
-    parseMapFrames(W);
-  }
-  if (int Fd = W.Proc.stderrFd(); Fd != -1) {
-    std::string Chunk;
-    if (W.Proc.readSome(Fd, Chunk) == proc::Subprocess::ReadStatus::Data) {
-      std::fwrite(Chunk.data(), 1, Chunk.size(), stderr);
-      W.ErrTail += Chunk;
-      if (W.ErrTail.size() > StderrTailCap)
-        W.ErrTail.erase(0, W.ErrTail.size() - StderrTailCap);
-    }
-  }
-  return W.Proc.stdoutFd() != -1 || W.Proc.stderrFd() != -1;
-}
-
-/// Maps \p ItemTails through a worker fleet under \p Preamble (the mode
-/// line). Item I is fed as "<I>\t<ItemTails[I]>"; the result slot holds the
-/// worker's payload string, or nullopt when the worker returned null or the
-/// item kept failing (MaxRetries strikes on the first unreported file of a
-/// failed attempt, like the analyze fleet's trusted path).
-std::vector<std::optional<std::string>>
-runMapFleet(const SupervisorOptions &Opts, const std::string &Preamble,
-            const std::vector<std::string> &ItemTails, unsigned MaxWorkers) {
-  const size_t N = ItemTails.size();
-  std::vector<std::optional<std::string>> Out(N);
-  if (N == 0)
-    return Out;
-  std::vector<bool> Resolved(N, false);
-
+/// Contiguous, deterministic partition of \p Ordinals into \p Count shards.
+std::deque<Shard> partition(const std::vector<size_t> &Ordinals,
+                            size_t Count) {
   std::deque<Shard> Queue;
-  {
-    unsigned ShardCount = std::min<size_t>(MaxWorkers, N);
-    size_t Base = 0;
-    for (unsigned S = 0; S != ShardCount; ++S) {
-      size_t Count = N / ShardCount + (S < N % ShardCount ? 1 : 0);
-      if (Count == 0)
-        continue;
-      Shard Sh;
-      for (size_t I = Base; I != Base + Count; ++I)
-        Sh.Ordinals.push_back(I);
-      Base += Count;
-      Queue.push_back(std::move(Sh));
-    }
+  size_t Base = 0;
+  for (size_t S = 0; S != Count; ++S) {
+    size_t Len = Ordinals.size() / Count + (S < Ordinals.size() % Count);
+    if (Len == 0)
+      continue;
+    Shard Sh;
+    Sh.Ordinals.assign(Ordinals.begin() + long(Base),
+                       Ordinals.begin() + long(Base + Len));
+    Base += Len;
+    Queue.push_back(std::move(Sh));
   }
+  return Queue;
+}
 
-  std::map<size_t, unsigned> Strikes;
-  std::vector<std::unique_ptr<MapWorker>> Active;
+//===----------------------------------------------------------------------===//
+// The worker fleet
+//===----------------------------------------------------------------------===//
 
-  auto Requeue = [&](std::vector<std::pair<size_t, std::optional<std::string>>>
-                         &Accepted,
-                     const std::vector<size_t> &Ordinals, bool Trusted) {
-    if (Trusted)
-      for (auto &P : Accepted)
-        if (!Resolved[P.first]) {
-          Resolved[P.first] = true;
-          Out[P.first] = std::move(P.second);
-        }
-    std::vector<size_t> Remaining;
-    for (size_t Ord : Ordinals)
-      if (!Resolved[Ord])
-        Remaining.push_back(Ord);
-    if (Remaining.empty())
-      return;
-    const size_t Suspect = Remaining.front();
-    if (++Strikes[Suspect] > Opts.MaxRetries) {
-      Resolved[Suspect] = true; // Stays nullopt: degraded, not retried.
-      Remaining.erase(Remaining.begin());
-      if (Remaining.empty())
-        return;
-    }
-    Shard Next;
-    Next.Ordinals = std::move(Remaining);
-    Queue.push_back(std::move(Next));
-  };
+/// Runs \p Queue through worker processes until it drains or \p Stop is
+/// set. Ready shards launch into free slots (at most \p MaxWorkers); each
+/// worker is fed \p Preamble and one "<ordinal>\t<Lines[ordinal]>" line per
+/// file. The loop waits for output, deaths and deadlines, and classifies
+/// every attempt that ends. What happens next is the phase's ladder:
+/// \p Finish merges what it trusts and may queue follow-up shards. Workers
+/// still running at a stop are killed.
+template <typename Result>
+void runFleet(const SupervisorOptions &Opts, unsigned MaxWorkers,
+              const std::string &Preamble,
+              const std::vector<std::string> &Lines,
+              FrameDecoder<Result> Decode, std::deque<Shard> &Queue,
+              const std::function<void(Attempt<Result> &&)> &Finish,
+              const bool &Stop) {
+  std::vector<std::unique_ptr<Worker<Result>>> Active;
 
   auto Launch = [&](Shard Task) {
     proc::Subprocess::Options SO;
@@ -437,416 +330,21 @@ runMapFleet(const SupervisorOptions &Opts, const std::string &Preamble,
     std::string Err;
     std::optional<proc::Subprocess> P = proc::Subprocess::spawn(SO, &Err);
     if (!P) {
-      // Spawn failure: strike through the same path a dead worker takes.
-      std::vector<std::pair<size_t, std::optional<std::string>>> None;
-      Requeue(None, Task.Ordinals, /*Trusted=*/false);
+      Attempt<Result> A;
+      A.Task = std::move(Task);
+      A.Oc = Outcome::Protocol;
+      A.Cause = "worker spawn failed: " + Err;
+      Finish(std::move(A));
       return;
     }
-    std::string Feed = Preamble;
-    Feed += '\n';
+    std::string Feed = Preamble + '\n';
     for (size_t Ord : Task.Ordinals) {
       Feed += std::to_string(Ord);
       Feed += '\t';
-      Feed += ItemTails[Ord];
+      Feed += Lines[Ord];
       Feed += '\n';
     }
-    auto W = std::make_unique<MapWorker>(std::move(*P), std::move(Task));
-    W->Proc.writeStdin(Feed);
-    W->Proc.closeStdin();
-    if (Opts.TimeoutMs) {
-      W->HasDeadline = true;
-      W->Deadline = Clock::now() + std::chrono::milliseconds(Opts.TimeoutMs);
-    }
-    Active.push_back(std::move(W));
-  };
-
-  while (!Queue.empty() || !Active.empty()) {
-    while (!Queue.empty() && Active.size() < MaxWorkers) {
-      Shard Task = std::move(Queue.front());
-      Queue.pop_front();
-      Launch(std::move(Task));
-    }
-    if (Active.empty())
-      continue;
-
-    {
-      std::vector<struct pollfd> Fds;
-      for (const auto &W : Active) {
-        if (int Fd = W->Proc.stdoutFd(); Fd != -1)
-          Fds.push_back({Fd, POLLIN, 0});
-        if (int Fd = W->Proc.stderrFd(); Fd != -1)
-          Fds.push_back({Fd, POLLIN, 0});
-      }
-      ::poll(Fds.empty() ? nullptr : Fds.data(), nfds_t(Fds.size()), 100);
-    }
-    for (auto &W : Active)
-      drainMapStreams(*W);
-
-    for (size_t I = 0; I != Active.size();) {
-      MapWorker &W = *Active[I];
-      bool Finished = false;
-      bool Trusted = true;
-      if (W.Protocol) {
-        W.Proc.kill();
-        W.Proc.wait();
-        Finished = true;
-        Trusted = false;
-      } else if (W.Proc.stdoutFd() == -1 && W.Proc.stderrFd() == -1) {
-        if (std::optional<proc::ExitStatus> St = W.Proc.tryWait()) {
-          Finished = true;
-          Trusted = St->Signaled || St->Code != 0 ||
-                    (W.Done && W.Accepted.size() == W.Task.Ordinals.size());
-          // A clean exit mid-protocol is as untrustworthy here as in the
-          // analyze fleet.
-          if (!St->Signaled && St->Code == 0 && !W.Done)
-            Trusted = false;
-        } else if (!W.HasDeadline || W.Deadline > Clock::now() + ReapGrace) {
-          W.HasDeadline = true;
-          W.Deadline = Clock::now() + ReapGrace;
-        }
-      }
-      if (!Finished && W.HasDeadline && Clock::now() >= W.Deadline) {
-        W.Proc.kill();
-        W.Proc.wait();
-        while (drainMapStreams(W))
-          ;
-        Finished = true;
-        Trusted = !W.Protocol;
-      }
-      if (!Finished) {
-        ++I;
-        continue;
-      }
-      std::unique_ptr<MapWorker> Owned = std::move(Active[I]);
-      Active.erase(Active.begin() + long(I));
-      if (Owned->Done &&
-          Owned->Accepted.size() == Owned->Task.Ordinals.size() &&
-          !Owned->Protocol) {
-        for (auto &P : Owned->Accepted)
-          if (!Resolved[P.first]) {
-            Resolved[P.first] = true;
-            Out[P.first] = std::move(P.second);
-          }
-      } else {
-        Requeue(Owned->Accepted, Owned->Task.Ordinals, Trusted);
-      }
-    }
-  }
-  return Out;
-}
-
-} // namespace
-
-uint64_t rs::engine::journalSalt(const EngineOptions &Opts,
-                                 const std::vector<std::string> &DetectorNames,
-                                 bool Linked) {
-  uint64_t Salt = cacheSalt(Opts, DetectorNames);
-  if (Linked)
-    Salt = fnv1a64("rustsight-whole-program", Salt);
-  return Salt;
-}
-
-CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
-  const auto Start = Clock::now();
-
-  std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
-  const size_t N = Inputs.size();
-  std::vector<std::optional<FileReport>> Results(N);
-  for (size_t I = 0; I != N; ++I) {
-    if (Inputs[I].SkipReason.empty())
-      continue;
-    FileReport R;
-    R.Path = Inputs[I].Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = Inputs[I].SkipReason;
-    Results[I] = std::move(R);
-  }
-
-  // The whole-program gate, decided exactly like the in-process driver
-  // (AnalysisEngine::analyzeCorpus) so `--shards N` never changes modes.
-  size_t Analyzable = 0;
-  for (const corpus::CorpusInput &In : Inputs)
-    Analyzable += In.SkipReason.empty();
-  const bool Linked =
-      Opts.Engine.WholeProgram == WholeProgramMode::On ||
-      (Opts.Engine.WholeProgram == WholeProgramMode::Auto && Analyzable > 1);
-
-  // The same salt the workers' caches use keys the checkpoint journal: a
-  // journal from a different battery or budget configuration never resumes.
-  std::vector<std::string> DetNames;
-  for (const auto &D : detectors::makeAllDetectors())
-    DetNames.emplace_back(D->name());
-  const RunKey Key{fingerprintCorpus(Inputs),
-                   journalSalt(Opts.Engine, DetNames, Linked)};
-
-  std::optional<CheckpointJournal> Journal;
-  if (!Opts.CheckpointPath.empty())
-    Journal.emplace(Opts.CheckpointPath);
-  if (Journal && Opts.Resume)
-    Journal->load(Key, Results);
-
-  std::vector<size_t> PendingOrdinals;
-  for (size_t I = 0; I != N; ++I)
-    if (!Results[I])
-      PendingOrdinals.push_back(I);
-
-  const unsigned Hardware =
-      std::max(1u, std::thread::hardware_concurrency());
-  unsigned ShardCount =
-      Opts.Shards ? Opts.Shards
-                  : (Opts.MaxWorkers ? Opts.MaxWorkers : Hardware);
-  if (!PendingOrdinals.empty() && ShardCount > PendingOrdinals.size())
-    ShardCount = unsigned(PendingOrdinals.size());
-  const unsigned MaxWorkers =
-      Opts.MaxWorkers ? Opts.MaxWorkers : std::min(ShardCount, Hardware);
-
-  // The link step (phases 1 and 2 of the whole-program protocol). The
-  // supervisor drives the same solveLink() fixpoint as the in-process
-  // engine — only the transport of each phase differs (a map fleet instead
-  // of a thread pool) — so the round trajectory, the environment, and the
-  // per-file digests are byte-identical to an in-process run over the same
-  // corpus and summary DB.
-  analysis::ExternalSummaries LinkEnv;
-  std::vector<uint64_t> LinkDigest(N, 0);
-  std::vector<bool> InLink(N, false);
-  std::string AnalyzePreamble;
-  LinkStatsOut LinkStats;
-  if (Linked) {
-    const unsigned FleetWorkers =
-        std::max(1u, Opts.MaxWorkers ? Opts.MaxWorkers : Hardware);
-
-    // Phase 1: facts, one fleet over every analyzable input (journaled
-    // files included — their summaries still feed other files' analyses).
-    // A file whose facts cannot be collected degrades to per-file mode.
-    std::vector<size_t> FactInput;
-    std::vector<std::string> FactTails;
-    for (size_t I = 0; I != N; ++I)
-      if (Inputs[I].SkipReason.empty()) {
-        FactInput.push_back(I);
-        FactTails.push_back(Inputs[I].Path);
-      }
-    std::vector<std::optional<std::string>> FactPayloads =
-        runMapFleet(Opts, "{\"mode\":\"facts\"}", FactTails, FleetWorkers);
-
-    std::vector<analysis::ModuleFacts> Facts;
-    std::vector<size_t> LinkInputOrd; // Module index -> input ordinal.
-    for (size_t K = 0; K != FactInput.size(); ++K) {
-      if (!FactPayloads[K])
-        continue;
-      std::optional<analysis::ModuleFacts> F =
-          analysis::deserializeModuleFacts(*FactPayloads[K]);
-      if (!F)
-        continue;
-      LinkInputOrd.push_back(FactInput[K]);
-      Facts.push_back(std::move(*F));
-    }
-
-    // Phase 2: the link fixpoint; each solver round is one summarize fleet.
-    analysis::LinkOptions LO;
-    LO.MaxSummaryRounds =
-        Opts.Engine.MaxSummaryRounds ? Opts.Engine.MaxSummaryRounds : 8;
-    std::optional<sched::SummaryDb> Db;
-    analysis::LinkDbHooks Hooks;
-    if (Opts.Engine.UseCache) {
-      sched::SummaryDb::Options DO;
-      DO.DiskDir = Opts.Engine.CacheDir;
-      DO.SchemaOverride = Opts.Engine.SummaryDbSchemaOverride;
-      Db.emplace(std::move(DO));
-      Hooks.Lookup = [&Db](uint64_t K) { return Db->lookup(K); };
-      Hooks.Store = [&Db](uint64_t K, std::string_view P) {
-        Db->store(K, P);
-      };
-    }
-    analysis::SummarizeRoundFn Summarize =
-        [&](const std::vector<uint32_t> &ModuleIdxs,
-            const analysis::ExternalSummaries &Env) {
-          std::vector<std::string> Tails;
-          Tails.reserve(ModuleIdxs.size());
-          for (uint32_t M : ModuleIdxs)
-            Tails.push_back(std::to_string(M) + "\t" +
-                            Inputs[LinkInputOrd[M]].Path);
-          std::string Pre = "{\"mode\":\"summarize\",\"env\":" +
-                            jsonString(analysis::serializeEnv(Env)) + "}";
-          std::vector<std::optional<std::string>> Payloads =
-              runMapFleet(Opts, Pre, Tails, FleetWorkers);
-          std::vector<analysis::ModuleSummaries> Round;
-          for (auto &P : Payloads) {
-            if (!P)
-              continue; // Lost module: unchanged this round.
-            if (std::optional<analysis::ModuleSummaries> MS =
-                    analysis::deserializeModuleSummaries(*P))
-              Round.push_back(std::move(*MS));
-          }
-          return Round;
-        };
-    analysis::LinkResult LR =
-        analysis::solveLink(analysis::LinkedCorpus::build(std::move(Facts)),
-                            LO, Hooks, Summarize);
-    LinkEnv = std::move(LR.Env);
-    for (uint32_t M = 0;
-         M != static_cast<uint32_t>(LR.Corpus.modules().size()); ++M) {
-      size_t Ord = LinkInputOrd[M];
-      InLink[Ord] = true;
-      LinkDigest[Ord] = LR.Corpus.linkDigest(M);
-    }
-    AnalyzePreamble = "{\"mode\":\"analyze\",\"env\":" +
-                      jsonString(analysis::serializeEnv(LinkEnv)) + "}";
-    LinkStats.LinkedFiles = static_cast<unsigned>(LinkInputOrd.size());
-    LinkStats.Rounds = LR.Stats.Rounds;
-    LinkStats.ModulesFromDb = LR.Stats.ModulesFromDb;
-    LinkStats.DbHits = LR.Stats.DbHits;
-    LinkStats.DbMisses = LR.Stats.DbMisses;
-    LinkStats.DbStores = LR.Stats.DbStores;
-  }
-
-  // Contiguous, deterministic partition of the pending ordinals.
-  std::deque<Shard> Queue;
-  if (!PendingOrdinals.empty()) {
-    size_t Base = 0;
-    for (unsigned S = 0; S != ShardCount; ++S) {
-      size_t Count = PendingOrdinals.size() / ShardCount +
-                     (S < PendingOrdinals.size() % ShardCount ? 1 : 0);
-      if (Count == 0)
-        continue;
-      Shard Sh;
-      Sh.Ordinals.assign(PendingOrdinals.begin() + long(Base),
-                         PendingOrdinals.begin() + long(Base + Count));
-      Base += Count;
-      Queue.push_back(std::move(Sh));
-    }
-  }
-
-  std::map<size_t, unsigned> Strikes;
-  std::vector<std::unique_ptr<ActiveWorker>> Active;
-  bool Interrupted = false;
-
-  auto Checkpoint = [&] {
-    if (Journal)
-      Journal->write(Key, Results);
-    // Deterministic stand-in for kill -9: tests arm this site to verify
-    // that whatever the journal holds right now is enough to resume from.
-    if (fault::shouldFail("engine.supervisor.interrupt"))
-      Interrupted = true;
-  };
-
-  auto Quarantine = [&](size_t Ordinal, const std::string &Cause,
-                        unsigned Attempts, const std::string &Tail) {
-    Results[Ordinal] = makeQuarantineReport(
-        Inputs[Ordinal].Path, Cause, Attempts,
-        filterTailFor(Tail, Inputs[Ordinal].Path));
-  };
-
-  auto Backoff = [&](unsigned Strike) {
-    uint64_t Ms = Opts.BackoffMs;
-    for (unsigned I = 1; I < Strike && Ms < 2000; ++I)
-      Ms *= 2;
-    return Clock::now() + std::chrono::milliseconds(std::min<uint64_t>(
-                              Ms, 2000));
-  };
-
-  // Frames from the attempt could not be trusted (corrupt framing or JSON,
-  // premature clean exit, spawn failure): retry the remainder whole, then
-  // bisect — each level gets one attempt — down to a quarantined singleton.
-  auto HandleUntrusted = [&](Shard Task, const std::string &Cause,
-                             const std::string &Tail) {
-    std::vector<size_t> Remaining;
-    for (size_t Ord : Task.Ordinals)
-      if (!Results[Ord])
-        Remaining.push_back(Ord);
-    if (Remaining.empty()) {
-      Checkpoint();
-      return;
-    }
-    Task.Ordinals = std::move(Remaining);
-    ++Task.Attempts;
-    if (Task.Attempts <= Opts.MaxRetries) {
-      Task.NotBefore = Backoff(Task.Attempts);
-      Queue.push_back(std::move(Task));
-      return;
-    }
-    if (Task.Ordinals.size() == 1) {
-      Quarantine(Task.Ordinals[0], Cause, Task.Attempts, Tail);
-      Checkpoint();
-      return;
-    }
-    size_t Mid = Task.Ordinals.size() / 2;
-    Shard Lo, Hi;
-    Lo.Ordinals.assign(Task.Ordinals.begin(),
-                       Task.Ordinals.begin() + long(Mid));
-    Hi.Ordinals.assign(Task.Ordinals.begin() + long(Mid),
-                       Task.Ordinals.end());
-    // One attempt per bisection level keeps isolation O(log n) worker runs
-    // while the total attempt count at quarantine stays MaxRetries + 1 —
-    // the reason text is byte-identical however the run was sharded.
-    Lo.Attempts = Hi.Attempts = Opts.MaxRetries;
-    Lo.NotBefore = Hi.NotBefore = Clock::now();
-    Queue.push_back(std::move(Lo));
-    Queue.push_back(std::move(Hi));
-  };
-
-  // The frame stream up to the failure is trustworthy (crash, nonzero
-  // exit, watchdog kill): keep every streamed result, attribute the
-  // failure to the first file without one, and strike it.
-  auto HandleTrusted = [&](ActiveWorker &W, const std::string &Cause) {
-    for (auto &P : W.Accepted)
-      if (!Results[P.first])
-        Results[P.first] = std::move(P.second);
-    std::vector<size_t> Remaining;
-    for (size_t Ord : W.Task.Ordinals)
-      if (!Results[Ord])
-        Remaining.push_back(Ord);
-    if (Remaining.empty()) {
-      Checkpoint();
-      return;
-    }
-    const size_t Suspect = Remaining.front();
-    const unsigned S = ++Strikes[Suspect];
-    Shard Next;
-    if (S > Opts.MaxRetries) {
-      Quarantine(Suspect, Cause, S, W.ErrTail);
-      Remaining.erase(Remaining.begin());
-      Checkpoint();
-      if (Remaining.empty())
-        return;
-      Next.NotBefore = Clock::now();
-    } else {
-      Next.NotBefore = Backoff(S);
-      Checkpoint();
-    }
-    Next.Ordinals = std::move(Remaining);
-    Queue.push_back(std::move(Next));
-  };
-
-  auto Launch = [&](Shard Task) {
-    proc::Subprocess::Options SO;
-    SO.Argv = workerArgv(Opts);
-    SO.PipeStdin = true;
-    std::string Err;
-    std::optional<proc::Subprocess> P = proc::Subprocess::spawn(SO, &Err);
-    if (!P) {
-      HandleUntrusted(std::move(Task), "worker spawn failed: " + Err, "");
-      return;
-    }
-    // Linked runs prepend the analyze preamble (mode + environment) and a
-    // per-file digest column; the legacy two-column feed is preserved for
-    // per-file runs so the wire stays byte-compatible.
-    std::string Feed;
-    if (Linked) {
-      Feed += AnalyzePreamble;
-      Feed += '\n';
-    }
-    for (size_t Ord : Task.Ordinals) {
-      Feed += std::to_string(Ord);
-      Feed += '\t';
-      if (Linked) {
-        Feed += InLink[Ord] ? std::to_string(LinkDigest[Ord])
-                            : std::string("-");
-        Feed += '\t';
-      }
-      Feed += Inputs[Ord].Path;
-      Feed += '\n';
-    }
-    auto W = std::make_unique<ActiveWorker>(std::move(*P), std::move(Task));
+    auto W = std::make_unique<Worker<Result>>(std::move(*P), std::move(Task));
     // A write failure means the child is already dead; the reap below
     // classifies that better than we could here.
     W->Proc.writeStdin(Feed);
@@ -858,7 +356,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
     Active.push_back(std::move(W));
   };
 
-  while (!Interrupted && (!Queue.empty() || !Active.empty())) {
+  while (!Stop && (!Queue.empty() || !Active.empty())) {
     // Launch every ready shard for which there is a worker slot.
     const auto Now = Clock::now();
     for (size_t I = 0; I != Queue.size() && Active.size() < MaxWorkers;) {
@@ -870,7 +368,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
         ++I;
       }
     }
-    if (Interrupted)
+    if (Stop)
       break;
     if (Active.empty()) {
       if (Queue.empty())
@@ -913,25 +411,23 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
     }
 
     for (auto &W : Active)
-      drainStreams(*W);
+      drainStreams(*W, Decode);
 
     // Classify every worker that finished (or must be finished off).
-    for (size_t I = 0; I != Active.size();) {
-      ActiveWorker &W = *Active[I];
+    for (size_t I = 0; I != Active.size() && !Stop;) {
+      Worker<Result> &W = *Active[I];
       bool Finished = false;
       Outcome Oc = Outcome::Done;
       std::string Cause;
 
-      if (W.Protocol) {
+      if (!W.ProtocolNote.empty()) {
         W.Proc.kill();
         W.Proc.wait();
         Finished = true;
-        Oc = Outcome::Protocol;
-        Cause = "unusable worker output (" + W.ProtocolNote + ")";
       } else if (W.Proc.stdoutFd() == -1 && W.Proc.stderrFd() == -1) {
         if (std::optional<proc::ExitStatus> St = W.Proc.tryWait()) {
           Finished = true;
-          if (W.Done && W.Accepted.size() == W.Task.Ordinals.size()) {
+          if (W.Done && W.A.Accepted.size() == W.A.Task.Ordinals.size()) {
             Oc = Outcome::Done;
           } else if (St->Signaled) {
             Oc = Outcome::Crash;
@@ -958,44 +454,29 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
         // The pipes may still hold frames written before the hang; use
         // them — they tighten the attribution to the first un-reported
         // file.
-        while (drainStreams(W))
+        while (drainStreams(W, Decode))
           ;
         Finished = true;
-        if (W.Protocol) {
-          Oc = Outcome::Protocol;
-          Cause = "unusable worker output (" + W.ProtocolNote + ")";
-        } else {
-          Oc = Outcome::Timeout;
-          Cause = Opts.TimeoutMs
-                      ? "watchdog timeout after " +
-                            std::to_string(Opts.TimeoutMs) + " ms"
-                      : "worker unresponsive after closing its streams";
-        }
+        Oc = Outcome::Timeout;
+        Cause = Opts.TimeoutMs ? "watchdog timeout after " +
+                                     std::to_string(Opts.TimeoutMs) + " ms"
+                               : "worker unresponsive after closing its "
+                                 "streams";
       }
 
       if (!Finished) {
         ++I;
         continue;
       }
-      std::unique_ptr<ActiveWorker> Owned = std::move(Active[I]);
-      Active.erase(Active.begin() + long(I));
-      switch (Oc) {
-      case Outcome::Done:
-        for (auto &P : Owned->Accepted)
-          Results[P.first] = std::move(P.second);
-        Checkpoint();
-        break;
-      case Outcome::Protocol:
-        HandleUntrusted(std::move(Owned->Task), Cause, Owned->ErrTail);
-        break;
-      case Outcome::Crash:
-      case Outcome::Exit:
-      case Outcome::Timeout:
-        HandleTrusted(*Owned, Cause);
-        break;
+      if (!W.ProtocolNote.empty()) {
+        Oc = Outcome::Protocol;
+        Cause = "unusable worker output (" + W.ProtocolNote + ")";
       }
-      if (Interrupted)
-        break;
+      Attempt<Result> A = std::move(W.A);
+      A.Oc = Oc;
+      A.Cause = std::move(Cause);
+      Active.erase(Active.begin() + long(I));
+      Finish(std::move(A));
     }
   }
 
@@ -1003,39 +484,302 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
     W->Proc.kill();
     W->Proc.wait();
   }
-  Active.clear();
+}
+
+/// One link phase (facts, or one summarize round) over the fleet: item in,
+/// payload out, no cross-item state. Its ladder is strike-and-degrade: a
+/// failed attempt keeps what it trusts and strikes its first unreported
+/// item, and an item past MaxRetries strikes is given up on. Its slot stays
+/// nullopt: the file degrades to per-file analysis, or its module is
+/// unchanged this round. There is no bisection, so poison files meet the
+/// quarantine ladder in the analyze phase, exactly once.
+std::vector<std::optional<std::string>>
+runLinkPhase(const SupervisorOptions &Opts, unsigned MaxWorkers,
+             const std::string &Preamble,
+             const std::vector<std::string> &Lines) {
+  const size_t N = Lines.size();
+  std::vector<std::optional<std::string>> Out(N);
+  std::vector<bool> Resolved(N, false);
+  std::vector<size_t> Items(N);
+  for (size_t I = 0; I != N; ++I)
+    Items[I] = I;
+  std::deque<Shard> Queue = partition(Items, std::min<size_t>(MaxWorkers, N));
+  std::map<size_t, unsigned> Strikes;
+
+  std::function<void(Attempt<std::optional<std::string>> &&)> Finish =
+      [&](Attempt<std::optional<std::string>> &&A) {
+        if (A.Oc != Outcome::Protocol)
+          for (auto &[Ord, Payload] : A.Accepted)
+            if (!Resolved[Ord]) {
+              Resolved[Ord] = true;
+              Out[Ord] = std::move(Payload);
+            }
+        Shard Next;
+        for (size_t Ord : A.Task.Ordinals)
+          if (!Resolved[Ord])
+            Next.Ordinals.push_back(Ord);
+        if (Next.Ordinals.empty())
+          return;
+        const size_t Suspect = Next.Ordinals.front();
+        if (++Strikes[Suspect] > Opts.MaxRetries) {
+          Resolved[Suspect] = true;
+          Next.Ordinals.erase(Next.Ordinals.begin());
+          if (Next.Ordinals.empty())
+            return;
+        }
+        Queue.push_back(std::move(Next));
+      };
+  runFleet<std::optional<std::string>>(Opts, MaxWorkers, Preamble, Lines,
+                                       decodePayload, Queue, Finish,
+                                       /*Stop=*/false);
+  return Out;
+}
+
+} // namespace
+
+uint64_t rs::engine::journalSalt(const EngineOptions &Opts,
+                                 const std::vector<std::string> &DetectorNames,
+                                 bool Linked) {
+  uint64_t Salt = cacheSalt(Opts, DetectorNames);
+  if (Linked)
+    Salt = fnv1a64("rustsight-whole-program", Salt);
+  return Salt;
+}
+
+CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
+  const auto Start = Clock::now();
+  std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
+  const size_t N = Inputs.size();
+  const unsigned Hardware =
+      std::max(1u, std::thread::hardware_concurrency());
+
+  // The link step: the block the in-process driver runs, with the fleet as
+  // its transport, so the round trajectory, the environment and the
+  // per-file digests are byte-identical to an in-process run over the same
+  // corpus and summary DB. Facts cover every analyzable input, journaled
+  // files included: their summaries still feed other files' analyses.
+  const unsigned LinkWorkers = Opts.MaxWorkers ? Opts.MaxWorkers : Hardware;
+  LinkTransport Transport;
+  Transport.Facts = [&](const std::vector<size_t> &Ordinals) {
+    std::vector<std::string> Lines;
+    for (size_t I : Ordinals)
+      Lines.push_back("-\t" + Inputs[I].Path);
+    std::vector<std::optional<analysis::ModuleFacts>> Facts(Ordinals.size());
+    std::vector<std::optional<std::string>> Payloads =
+        runLinkPhase(Opts, LinkWorkers, "{\"mode\":\"facts\"}", Lines);
+    for (size_t K = 0; K != Payloads.size(); ++K)
+      if (Payloads[K])
+        Facts[K] = analysis::deserializeModuleFacts(*Payloads[K]);
+    return Facts;
+  };
+  Transport.Summarize =
+      [&](const std::vector<std::pair<uint32_t, size_t>> &Modules,
+          const analysis::ExternalSummaries &Env) {
+        std::vector<std::string> Lines;
+        for (const auto &[Idx, Input] : Modules)
+          Lines.push_back(std::to_string(Idx) + "\t" + Inputs[Input].Path);
+        std::vector<analysis::ModuleSummaries> Round;
+        for (std::optional<std::string> &P : runLinkPhase(
+                 Opts, LinkWorkers,
+                 "{\"mode\":\"summarize\",\"env\":" +
+                     jsonString(analysis::serializeEnv(Env)) + "}",
+                 Lines))
+          if (P)
+            if (std::optional<analysis::ModuleSummaries> MS =
+                    analysis::deserializeModuleSummaries(*P))
+              Round.push_back(std::move(*MS));
+        return Round;
+      };
+  std::optional<sched::SummaryDb> Db;
+  if (Opts.Engine.UseCache) {
+    sched::SummaryDb::Options DO;
+    DO.DiskDir = Opts.Engine.CacheDir;
+    DO.SchemaOverride = Opts.Engine.SummaryDbSchemaOverride;
+    Db.emplace(std::move(DO));
+  }
+  LinkPlan Link =
+      linkCorpus(Opts.Engine, Inputs, Db ? &*Db : nullptr, Transport);
+
+  std::vector<std::optional<FileReport>> Results(N);
+  for (size_t I = 0; I != N; ++I)
+    if (!Inputs[I].SkipReason.empty())
+      Results[I] = FileReport::skipped(Inputs[I].Path, Inputs[I].SkipReason);
+
+  // The same salt the workers' caches use keys the checkpoint journal: a
+  // journal from a different battery or budget configuration, or from the
+  // other link mode, never resumes.
+  const RunKey Key{fingerprintCorpus(Inputs),
+                   journalSalt(Opts.Engine, detectorNames(),
+                               Link.Stats.LinkEnabled)};
+  std::optional<CheckpointJournal> Journal;
+  if (!Opts.CheckpointPath.empty())
+    Journal.emplace(Opts.CheckpointPath);
+  if (Journal && Opts.Resume)
+    Journal->load(Key, Results);
+
+  std::vector<size_t> PendingOrdinals;
+  for (size_t I = 0; I != N; ++I)
+    if (!Results[I])
+      PendingOrdinals.push_back(I);
+
+  unsigned ShardCount =
+      Opts.Shards ? Opts.Shards
+                  : (Opts.MaxWorkers ? Opts.MaxWorkers : Hardware);
+  if (!PendingOrdinals.empty() && ShardCount > PendingOrdinals.size())
+    ShardCount = unsigned(PendingOrdinals.size());
+  const unsigned MaxWorkers =
+      Opts.MaxWorkers ? Opts.MaxWorkers : std::min(ShardCount, Hardware);
+  std::deque<Shard> Queue = partition(PendingOrdinals, ShardCount);
+
+  // Every analyze feed carries the preamble with the link environment; a
+  // file outside the link has "-" for its digest and is a per-file run.
+  const std::string Preamble = "{\"mode\":\"analyze\",\"env\":" +
+                               jsonString(analysis::serializeEnv(Link.Env)) +
+                               "}";
+  std::vector<std::string> Lines(N);
+  for (size_t I = 0; I != N; ++I)
+    Lines[I] = (Link.Digest[I] ? std::to_string(*Link.Digest[I]) : "-") +
+               "\t" + Inputs[I].Path;
+
+  std::map<size_t, unsigned> Strikes;
+  bool Interrupted = false;
+
+  auto Checkpoint = [&] {
+    if (Journal)
+      Journal->write(Key, Results);
+    // Deterministic stand-in for kill -9: tests arm this site to verify
+    // that whatever the journal holds right now is enough to resume from.
+    if (fault::shouldFail("engine.supervisor.interrupt"))
+      Interrupted = true;
+  };
+
+  auto Quarantine = [&](size_t Ordinal, const std::string &Cause,
+                        unsigned Attempts, const std::string &Tail) {
+    Results[Ordinal] = makeQuarantineReport(
+        Inputs[Ordinal].Path, Cause, Attempts,
+        filterTailFor(Tail, Inputs[Ordinal].Path));
+  };
+
+  auto Backoff = [&](unsigned Strike) {
+    uint64_t Ms = Opts.BackoffMs;
+    for (unsigned I = 1; I < Strike && Ms < 2000; ++I)
+      Ms *= 2;
+    return Clock::now() + std::chrono::milliseconds(std::min<uint64_t>(
+                              Ms, 2000));
+  };
+
+  // Frames from the attempt could not be trusted (corrupt framing or JSON,
+  // premature clean exit, spawn failure): retry the remainder whole, then
+  // bisect — each level gets one attempt — down to a quarantined singleton.
+  auto HandleUntrusted = [&](Attempt<FileReport> &A) {
+    Shard Task = std::move(A.Task);
+    std::vector<size_t> Remaining;
+    for (size_t Ord : Task.Ordinals)
+      if (!Results[Ord])
+        Remaining.push_back(Ord);
+    if (Remaining.empty()) {
+      Checkpoint();
+      return;
+    }
+    Task.Ordinals = std::move(Remaining);
+    ++Task.Attempts;
+    if (Task.Attempts <= Opts.MaxRetries) {
+      Task.NotBefore = Backoff(Task.Attempts);
+      Queue.push_back(std::move(Task));
+      return;
+    }
+    if (Task.Ordinals.size() == 1) {
+      Quarantine(Task.Ordinals[0], A.Cause, Task.Attempts, A.ErrTail);
+      Checkpoint();
+      return;
+    }
+    size_t Mid = Task.Ordinals.size() / 2;
+    Shard Lo, Hi;
+    Lo.Ordinals.assign(Task.Ordinals.begin(),
+                       Task.Ordinals.begin() + long(Mid));
+    Hi.Ordinals.assign(Task.Ordinals.begin() + long(Mid),
+                       Task.Ordinals.end());
+    // One attempt per bisection level keeps isolation O(log n) worker runs
+    // while the total attempt count at quarantine stays MaxRetries + 1 —
+    // the reason text is byte-identical however the run was sharded.
+    Lo.Attempts = Hi.Attempts = Opts.MaxRetries;
+    Lo.NotBefore = Hi.NotBefore = Clock::now();
+    Queue.push_back(std::move(Lo));
+    Queue.push_back(std::move(Hi));
+  };
+
+  // The frame stream up to the failure is trustworthy (crash, nonzero
+  // exit, watchdog kill): keep every streamed result, attribute the
+  // failure to the first file without one, and strike it.
+  auto HandleTrusted = [&](Attempt<FileReport> &A) {
+    for (auto &P : A.Accepted)
+      if (!Results[P.first])
+        Results[P.first] = std::move(P.second);
+    std::vector<size_t> Remaining;
+    for (size_t Ord : A.Task.Ordinals)
+      if (!Results[Ord])
+        Remaining.push_back(Ord);
+    if (Remaining.empty()) {
+      Checkpoint();
+      return;
+    }
+    const size_t Suspect = Remaining.front();
+    const unsigned S = ++Strikes[Suspect];
+    Shard Next;
+    if (S > Opts.MaxRetries) {
+      Quarantine(Suspect, A.Cause, S, A.ErrTail);
+      Remaining.erase(Remaining.begin());
+      Checkpoint();
+      if (Remaining.empty())
+        return;
+      Next.NotBefore = Clock::now();
+    } else {
+      Next.NotBefore = Backoff(S);
+      Checkpoint();
+    }
+    Next.Ordinals = std::move(Remaining);
+    Queue.push_back(std::move(Next));
+  };
+
+  // The analyze phase's ladder: retry, bisect, quarantine, checkpoint.
+  std::function<void(Attempt<FileReport> &&)> Finish =
+      [&](Attempt<FileReport> &&A) {
+        switch (A.Oc) {
+        case Outcome::Done:
+          for (auto &P : A.Accepted)
+            Results[P.first] = std::move(P.second);
+          Checkpoint();
+          break;
+        case Outcome::Protocol:
+          HandleUntrusted(A);
+          break;
+        case Outcome::Crash:
+        case Outcome::Exit:
+        case Outcome::Timeout:
+          HandleTrusted(A);
+          break;
+        }
+      };
+  runFleet<FileReport>(Opts, MaxWorkers, Preamble, Lines, decodeReport, Queue,
+                       Finish, Interrupted);
 
   // Only an interrupt can leave holes; a completed run resolved every
   // ordinal through done/quarantine handling.
-  for (size_t I = 0; I != N; ++I) {
-    if (Results[I])
-      continue;
-    FileReport R;
-    R.Path = Inputs[I].Path;
-    R.Status = EngineStatus::Skipped;
-    R.Reason = "run interrupted before analysis (resume with --resume)";
-    Results[I] = std::move(R);
-  }
-
   CorpusReport Report;
   Report.Files.reserve(N);
-  for (auto &R : Results)
-    Report.Files.push_back(std::move(*R));
+  for (size_t I = 0; I != N; ++I)
+    Report.Files.push_back(
+        Results[I] ? std::move(*Results[I])
+                   : FileReport::skipped(Inputs[I].Path,
+                                         "run interrupted before analysis "
+                                         "(resume with --resume)"));
   Report.finalize();
+  Report.Stats = Link.Stats;
   Report.Stats.Jobs = MaxWorkers;
   Report.Stats.CacheEnabled = Opts.Engine.UseCache;
   Report.Stats.WallMs = std::chrono::duration<double, std::milli>(
                             Clock::now() - Start)
                             .count();
-  if (Linked) {
-    Report.Stats.LinkEnabled = true;
-    Report.Stats.LinkedFiles = LinkStats.LinkedFiles;
-    Report.Stats.LinkRounds = LinkStats.Rounds;
-    Report.Stats.ModulesFromSummaryDb = LinkStats.ModulesFromDb;
-    Report.Stats.SummaryDbHits = LinkStats.DbHits;
-    Report.Stats.SummaryDbMisses = LinkStats.DbMisses;
-    Report.Stats.SummaryDbStores = LinkStats.DbStores;
-  }
   return Report;
 }
 
@@ -1077,18 +821,17 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
 
   // Read the whole shard before producing any output: the supervisor
   // writes the list and closes our stdin up front, so consuming it first
-  // leaves no window for pipe deadlock. A first line starting with '{' is
-  // a mode preamble (whole-program link phases); the plain two-column feed
-  // stays the legacy analyze protocol.
-  enum class Mode { Analyze, LinkedAnalyze, Facts, Summarize };
+  // leaves no window for pipe deadlock. The first line is the mode
+  // preamble; every later line is "<ordinal>\t<aux>\t<path>", where aux is
+  // the link digest (analyze), the module index (summarize) or "-".
+  enum class Mode { Analyze, Facts, Summarize };
   Mode WorkerMode = Mode::Analyze;
   analysis::ExternalSummaries Env;
 
   struct Item {
-    uint64_t Ordinal;  ///< Corpus input ordinal (facts/analyze) or module
-                       ///< ordinal as assigned by the fleet (summarize).
-    uint64_t Aux = 0;  ///< LinkedAnalyze: digest. Summarize: module index.
-    bool Linked = false; ///< LinkedAnalyze: file joined the link.
+    uint64_t Ordinal; ///< Corpus input ordinal (facts/analyze) or module
+                      ///< ordinal as assigned by the fleet (summarize).
+    std::optional<uint64_t> Aux; ///< Absent for "-".
     std::string Path;
   };
   std::vector<Item> Items;
@@ -1097,7 +840,7 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
   while (std::getline(std::cin, Line)) {
     if (Line.empty())
       continue;
-    if (First && Line[0] == '{') {
+    if (First) {
       First = false;
       std::optional<JsonValue> P = JsonValue::parse(Line);
       if (!P || !P->isObject()) {
@@ -1109,9 +852,7 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
         WorkerMode = Mode::Facts;
       else if (M == "summarize")
         WorkerMode = Mode::Summarize;
-      else if (M == "analyze")
-        WorkerMode = Mode::LinkedAnalyze;
-      else {
+      else if (M != "analyze") {
         std::fprintf(stderr, "worker: unknown mode preamble\n");
         return 3;
       }
@@ -1127,32 +868,18 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
       }
       continue;
     }
-    First = false;
     size_t Tab = Line.find('\t');
-    if (Tab == std::string::npos || Tab == 0) {
+    size_t Tab2 = Tab == std::string::npos ? Tab : Line.find('\t', Tab + 1);
+    if (Tab == 0 || Tab2 == std::string::npos || Tab2 == Tab + 1) {
       std::fprintf(stderr, "worker: malformed shard line\n");
       return 3;
     }
     Item It;
     It.Ordinal = std::strtoull(Line.c_str(), nullptr, 10);
-    std::string Rest = Line.substr(Tab + 1);
-    if (WorkerMode == Mode::LinkedAnalyze || WorkerMode == Mode::Summarize) {
-      size_t Tab2 = Rest.find('\t');
-      if (Tab2 == std::string::npos || Tab2 == 0) {
-        std::fprintf(stderr, "worker: malformed shard line\n");
-        return 3;
-      }
-      std::string Field = Rest.substr(0, Tab2);
-      if (WorkerMode == Mode::LinkedAnalyze && Field == "-") {
-        It.Linked = false;
-      } else {
-        It.Linked = true;
-        It.Aux = std::strtoull(Field.c_str(), nullptr, 10);
-      }
-      It.Path = Rest.substr(Tab2 + 1);
-    } else {
-      It.Path = std::move(Rest);
-    }
+    std::string Aux = Line.substr(Tab + 1, Tab2 - Tab - 1);
+    if (Aux != "-")
+      It.Aux = std::strtoull(Aux.c_str(), nullptr, 10);
+    It.Path = Line.substr(Tab2 + 1);
     Items.push_back(std::move(It));
   }
 
@@ -1177,6 +904,7 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
       }
     }
 
+    std::string Result;
     switch (WorkerMode) {
     case Mode::Facts: {
       std::optional<analysis::ModuleFacts> F =
@@ -1184,41 +912,34 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
       if (!F)
         std::fprintf(stderr, "worker: %s: no link facts (per-file mode)\n",
                      It.Path.c_str());
-      writeFrame(
-          "{\"type\":\"file\",\"ordinal\":" + std::to_string(It.Ordinal) +
-          ",\"payload\":" +
-          (F ? jsonString(analysis::serializeModuleFacts(*F)) : "null") +
-          "}");
-      continue;
+      Result = "\"payload\":" +
+               (F ? jsonString(analysis::serializeModuleFacts(*F)) : "null");
+      break;
     }
     case Mode::Summarize: {
       std::optional<analysis::ModuleSummaries> MS = Engine.summarizeFileForLink(
-          It.Path, static_cast<uint32_t>(It.Aux), Env);
+          It.Path, static_cast<uint32_t>(It.Aux.value_or(0)), Env);
       if (!MS)
         std::fprintf(stderr, "worker: %s: summarize round lost\n",
                      It.Path.c_str());
-      writeFrame(
-          "{\"type\":\"file\",\"ordinal\":" + std::to_string(It.Ordinal) +
-          ",\"payload\":" +
-          (MS ? jsonString(analysis::serializeModuleSummaries(*MS)) : "null") +
-          "}");
-      continue;
-    }
-    case Mode::Analyze:
-    case Mode::LinkedAnalyze:
+      Result = "\"payload\":" +
+               (MS ? jsonString(analysis::serializeModuleSummaries(*MS))
+                   : "null");
       break;
     }
-
-    FileReport R =
-        WorkerMode == Mode::LinkedAnalyze && It.Linked
-            ? Engine.analyzeFileThroughCacheLinked(It.Path, Env, It.Aux)
-            : Engine.analyzeFileThroughCache(It.Path);
-    if (R.Status != EngineStatus::Ok)
-      std::fprintf(stderr, "worker: %s: %s: %s\n", R.Path.c_str(),
-                   engineStatusName(R.Status), R.Reason.c_str());
-    writeFrame("{\"type\":\"file\",\"ordinal\":" +
-               std::to_string(It.Ordinal) +
-               ",\"report\":" + serializeWireFileReport(R) + "}");
+    case Mode::Analyze: {
+      // "-" is a per-file run: the empty environment and digest 0.
+      FileReport R = Engine.analyzeFile(It.Path, It.Aux ? &Env : nullptr,
+                                        It.Aux.value_or(0));
+      if (R.Status != EngineStatus::Ok)
+        std::fprintf(stderr, "worker: %s: %s: %s\n", R.Path.c_str(),
+                     engineStatusName(R.Status), R.Reason.c_str());
+      Result = "\"report\":" + serializeWireFileReport(R);
+      break;
+    }
+    }
+    writeFrame("{\"type\":\"file\",\"ordinal\":" + std::to_string(It.Ordinal) +
+               "," + Result + "}");
   }
   writeFrame("{\"type\":\"done\",\"files\":" + std::to_string(Items.size()) +
              "}");

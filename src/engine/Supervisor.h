@@ -119,12 +119,14 @@ uint64_t journalSalt(const EngineOptions &Opts,
                      const std::vector<std::string> &DetectorNames,
                      bool Linked);
 
-/// The hidden `rustsight worker` entry point: reads "<ordinal>\t<path>"
-/// lines from stdin until EOF, analyzes each file through the result
-/// cache, and streams one length-prefixed JSON frame per file followed by
-/// a "done" frame on stdout (the wire protocol in docs/RESILIENCE.md).
-/// Degraded/skipped statuses are also logged to stderr so the supervisor
-/// can surface fault causes. Returns the process exit code.
+/// The hidden `rustsight worker` entry point: reads a mode preamble and
+/// then "<ordinal>\t<aux>\t<path>" lines from stdin until EOF, runs the
+/// mode's engine entry on each file (analyzeFile, collectFileFacts or
+/// summarizeFileForLink), and streams one length-prefixed JSON frame per
+/// file followed by a "done" frame on stdout (the wire protocol in
+/// docs/RESILIENCE.md). Degraded/skipped statuses are also logged to stderr
+/// so the supervisor can surface fault causes. Returns the process exit
+/// code.
 int runWorker(const EngineOptions &Opts);
 
 } // namespace rs::engine

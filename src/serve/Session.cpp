@@ -30,11 +30,7 @@ void Session::analyzeOne(const std::string &Path) {
 
   std::optional<std::string> Content = Docs.content(Path);
   if (!Content) {
-    engine::FileReport R;
-    R.Path = Path;
-    R.Status = engine::EngineStatus::Skipped;
-    R.Reason = "cannot open file";
-    St.Report = std::move(R);
+    St.Report = engine::FileReport::skipped(Path, "cannot open file");
     St.Defines.clear();
     St.ExternalRefs.clear();
     return;
@@ -43,23 +39,10 @@ void Session::analyzeOne(const std::string &Path) {
   // Hit/miss attribution: the engine's cache counters move by exactly one
   // lookup for this call, so the delta tells revalidation (hit) from true
   // re-analysis (miss). With the cache disabled every run is an analysis.
-  uint64_t MissesBefore = 0;
-  bool HaveCache = false;
-  if (sched::ResultCache *C = Engine.cache()) {
-    MissesBefore = C->stats().Misses;
-    HaveCache = true;
-  }
-  St.Report = Engine.analyzeSourceThroughCache(*Content, Path);
-  bool Analyzed = true;
-  if (!HaveCache) {
-    // ensureCache ran inside the engine call; re-probe for the next round.
-    HaveCache = Engine.cache() != nullptr;
-    if (HaveCache)
-      MissesBefore = 0;
-  }
-  if (Engine.cache())
-    Analyzed = Engine.cache()->stats().Misses > MissesBefore;
-  if (Analyzed) {
+  sched::ResultCache *C = Engine.cache();
+  const uint64_t MissesBefore = C ? C->stats().Misses : 0;
+  St.Report = Engine.analyzeSource(*Content, Path);
+  if (!C || C->stats().Misses > MissesBefore) {
     ++St.Analyses;
     ++TotalAnalyses;
   } else {
@@ -76,9 +59,7 @@ std::vector<std::string> Session::analyzeAll() {
       FileState &St = Files[In.Path];
       St.InCorpus = true;
       ++St.Epoch;
-      St.Report.Path = In.Path;
-      St.Report.Status = engine::EngineStatus::Skipped;
-      St.Report.Reason = In.SkipReason;
+      St.Report = engine::FileReport::skipped(In.Path, In.SkipReason);
       Affected.push_back(In.Path);
       continue;
     }

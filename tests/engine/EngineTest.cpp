@@ -128,7 +128,7 @@ TEST(Engine, DirectoriesExpandToTheirMirFiles) {
   std::ofstream(Dir / "ignored.txt") << "not mir";
 
   AnalysisEngine E;
-  CorpusReport Report = E.run({Dir.string()});
+  CorpusReport Report = E.analyzeCorpus({Dir.string()});
   ASSERT_EQ(Report.Files.size(), 3u); // .txt not picked up, nested .mir is.
   EXPECT_EQ(Report.countWithStatus(EngineStatus::Ok), 2u);
   EXPECT_EQ(Report.countWithStatus(EngineStatus::Skipped), 1u);
@@ -142,7 +142,7 @@ TEST(Engine, EmptyDirectoryIsOneSkippedEntry) {
   fs::remove_all(Dir);
   fs::create_directories(Dir);
   AnalysisEngine E;
-  CorpusReport Report = E.run({Dir.string()});
+  CorpusReport Report = E.analyzeCorpus({Dir.string()});
   ASSERT_EQ(Report.Files.size(), 1u);
   EXPECT_EQ(Report.Files[0].Status, EngineStatus::Skipped);
   EXPECT_EQ(Report.Files[0].Reason, "no .mir files in directory");

@@ -103,10 +103,12 @@ std::string supervisedJson(SupervisorOptions SO, const fs::path &Dir,
   return R.renderJson();
 }
 
-std::string inProcessJson(const fs::path &Dir, int *StrictExit = nullptr) {
+std::string inProcessJson(const fs::path &Dir, int *StrictExit = nullptr,
+                          WholeProgramMode Mode = WholeProgramMode::Auto) {
   EngineOptions Opts;
   Opts.Jobs = 1;
   Opts.UseCache = false;
+  Opts.WholeProgram = Mode;
   AnalysisEngine E(Opts);
   CorpusReport R = E.analyzeCorpus({Dir.string()});
   if (StrictExit)
@@ -138,14 +140,23 @@ const FileReport *findFile(const CorpusReport &R, const char *Needle) {
 
 TEST(Supervisor, MatchesInProcessByteForByteAcrossShardCounts) {
   fs::path Dir = writeCorpus("sup_equality");
-  int WantExit = 0;
-  std::string Want = inProcessJson(Dir, &WantExit);
-  for (unsigned Shards : {1u, 2u, 4u, 8u}) {
+  // The strictly per-file case feeds every file with the empty environment
+  // and a "-" digest through the same analyze preamble.
+  const std::pair<WholeProgramMode, unsigned> Cases[] = {
+      {WholeProgramMode::Auto, 1}, {WholeProgramMode::Auto, 2},
+      {WholeProgramMode::Auto, 4}, {WholeProgramMode::Auto, 8},
+      {WholeProgramMode::Off, 2}};
+  for (const auto &[Mode, Shards] : Cases) {
+    int WantExit = 0;
+    std::string Want = inProcessJson(Dir, &WantExit, Mode);
+    SupervisorOptions SO = baseOptions(Shards);
+    SO.Engine.WholeProgram = Mode;
     int GotExit = 0;
-    std::string Got = supervisedJson(baseOptions(Shards), Dir, &GotExit);
-    EXPECT_EQ(Want, Got) << "shards=" << Shards;
+    std::string Got = supervisedJson(SO, Dir, &GotExit);
+    const bool Off = Mode == WholeProgramMode::Off;
+    EXPECT_EQ(Want, Got) << "shards=" << Shards << " off=" << Off;
     // Satellite: --strict must not distinguish isolation modes either.
-    EXPECT_EQ(WantExit, GotExit) << "shards=" << Shards;
+    EXPECT_EQ(WantExit, GotExit) << "shards=" << Shards << " off=" << Off;
   }
 }
 

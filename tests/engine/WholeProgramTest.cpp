@@ -208,6 +208,54 @@ TEST(WholeProgram, AutoLinksOnlyMultiFileCorpora) {
   }
 }
 
+// A per-file run is a linked run with an empty environment: a leaf file
+// (link digest 0) shares its report entry with per-file mode, while a file
+// whose callee lives elsewhere is keyed by its digest and misses.
+TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
+  fs::path Dir = writePair("wp_leaf_entry", UafUseSrc, UafDefSrc);
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_leaf_entry_cache";
+  fs::remove_all(CacheDir);
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  Opts.CacheDir = CacheDir.string();
+
+  AnalysisEngine E(Opts);
+  CorpusReport Linked = E.analyzeCorpus({Dir.string()});
+  ASSERT_TRUE(Linked.Stats.LinkEnabled);
+  EXPECT_EQ(Linked.Stats.CacheMisses, 2u);
+  EXPECT_EQ(Linked.totalFindings(), 1u) << Linked.renderText();
+
+  // The same engine's per-file entry: the leaf is a hit, the caller a miss
+  // (and, without the environment, the cross-file bug is invisible).
+  sched::ResultCache::Stats Before = E.cache()->stats();
+  FileReport Def = E.analyzeFile((Dir / "a_def.mir").string());
+  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
+  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses);
+  FileReport Use = E.analyzeFile((Dir / "b_use.mir").string());
+  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
+  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 1);
+  EXPECT_EQ(Def.Status, EngineStatus::Ok);
+  EXPECT_TRUE(Use.Findings.empty());
+
+  // A WholeProgramMode::Off run over a cache only a linked run has written:
+  // the leaf serves from disk, the caller misses.
+  fs::remove_all(CacheDir);
+  {
+    AnalysisEngine Warm(Opts);
+    Warm.analyzeCorpus({Dir.string()});
+  }
+  EngineOptions OffOpts = Opts;
+  OffOpts.WholeProgram = WholeProgramMode::Off;
+  AnalysisEngine Off(OffOpts);
+  CorpusReport PerFile = Off.analyzeCorpus({Dir.string()});
+  EXPECT_FALSE(PerFile.Stats.LinkEnabled);
+  EXPECT_EQ(PerFile.Stats.CacheHits, 1u) << PerFile.Stats.renderLine();
+  EXPECT_EQ(PerFile.Stats.DiskHits, 1u);
+  EXPECT_EQ(PerFile.Stats.CacheMisses, 1u);
+  EXPECT_EQ(PerFile.totalFindings(), 0u) << PerFile.renderText();
+  fs::remove_all(CacheDir);
+}
+
 TEST(WholeProgram, JsonIsByteIdenticalAcrossJobsAndShards) {
   fs::path Dir = writePair("wp_determinism", UafUseSrc, UafDefSrc);
   std::ofstream(Dir / "c_dl_def.mir") << DlDefSrc;
