@@ -12,7 +12,6 @@
 #include "analysis/Objects.h"
 #include "analysis/Scc.h"
 #include "mir/Intrinsics.h"
-#include "support/BitVec.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
@@ -193,7 +192,7 @@ LinkedCorpus LinkedCorpus::build(std::vector<ModuleFacts> Facts) {
   C.Callees.resize(N);
   C.ModuleRefs.resize(C.Modules.size());
   // Per-function unresolved callee names, for the link key.
-  std::vector<std::vector<std::string>> Unresolved(N);
+  std::vector<std::vector<std::string_view>> Unresolved(N);
 
   for (uint32_t M = 0; M != C.Modules.size(); ++M) {
     // Local definitions shadow the global index inside their own module.
@@ -224,53 +223,46 @@ LinkedCorpus LinkedCorpus::build(std::vector<ModuleFacts> Facts) {
     C.ModuleRefs[M].assign(Refs.begin(), Refs.end());
   }
 
-  // Link keys: per-component reachable sets over the corpus condensation,
-  // so recursive groups share one reachable set (and members of a cycle get
-  // keys covering the whole cycle, as required: any member's body feeds
-  // every member's summary).
+  // Link keys: a Merkle fold over the condensation. Tarjan emits callee
+  // components before their callers, so one pass in component order sees
+  // every child key before it is needed. Members of a cycle share one
+  // component key (any member's body feeds every member's summary); each
+  // member's own name on top keeps them apart as DB addresses.
   SccGraph Sccs(N, C.Callees);
-  std::vector<BitVec> Reach(Sccs.numComponents());
+  std::vector<uint64_t> CompKeys(Sccs.numComponents());
+  std::vector<uint64_t> Children;
+  std::vector<std::string_view> Unres;
   for (uint32_t Comp = 0; Comp != Sccs.numComponents(); ++Comp) {
-    BitVec R(N);
+    uint64_t H = fnv1a64("rslink-key-v2");
+    Children.clear();
+    Unres.clear();
     for (uint32_t Member : Sccs.members(Comp)) {
-      R.set(Member);
-      for (uint32_t Succ : C.Callees[Member]) {
-        uint32_t SC = Sccs.componentOf(Succ);
-        if (SC != Comp)
-          R.unionWith(Reach[SC]);
-      }
-    }
-    Reach[Comp] = std::move(R);
-  }
-
-  // One reach fold per component (members share the reachable set), then
-  // each member's key adds its own name on top — members of a cycle have
-  // identical summarization inputs but must not collide as DB addresses.
-  std::vector<uint64_t> ReachFold(Sccs.numComponents());
-  for (uint32_t Comp = 0; Comp != Sccs.numComponents(); ++Comp) {
-    const BitVec &R = Reach[Comp];
-    uint64_t H = fnv1a64("rslink-key-v1");
-    // Global ids ascend in definition order, so folding in id order is a
-    // pure function of the corpus content + file order.
-    std::set<std::string_view> Unres;
-    for (uint32_t G = 0; G != N; ++G) {
-      if (!R.test(G))
-        continue;
-      const FunctionFacts &FF = C.facts(G);
+      const FunctionFacts &FF = C.facts(Member);
       H = foldStr(FF.Name, H);
       H = foldU64(FF.BodyFp, H);
-      for (const std::string &U : Unresolved[G])
-        Unres.insert(U);
+      for (uint32_t Succ : C.Callees[Member])
+        if (uint32_t SC = Sccs.componentOf(Succ); SC != Comp)
+          Children.push_back(CompKeys[SC]);
+      Unres.insert(Unres.end(), Unresolved[Member].begin(),
+                   Unresolved[Member].end());
     }
-    H = foldSep(H);
+    std::sort(Children.begin(), Children.end());
+    Children.erase(std::unique(Children.begin(), Children.end()),
+                   Children.end());
+    std::sort(Unres.begin(), Unres.end());
+    Unres.erase(std::unique(Unres.begin(), Unres.end()), Unres.end());
+    H = foldU64(Children.size(), H);
+    for (uint64_t K : Children)
+      H = foldU64(K, H);
+    H = foldU64(Unres.size(), H);
     for (std::string_view U : Unres)
       H = foldStr(U, H);
-    ReachFold[Comp] = H;
+    CompKeys[Comp] = H;
   }
   C.LinkKeys.resize(N);
   for (uint32_t Gid = 0; Gid != N; ++Gid)
-    C.LinkKeys[Gid] = foldStr(C.facts(Gid).Name,
-                              ReachFold[Sccs.componentOf(Gid)]);
+    C.LinkKeys[Gid] =
+        foldStr(C.facts(Gid).Name, CompKeys[Sccs.componentOf(Gid)]);
   return C;
 }
 
@@ -295,6 +287,16 @@ uint64_t LinkedCorpus::linkDigest(uint32_t ModuleIdx) const {
   }
   // 0 is the "no resolved externs" sentinel; keep real digests off it.
   return H == 0 ? 1 : H;
+}
+
+uint64_t LinkedCorpus::moduleKey(uint32_t ModuleIdx) const {
+  uint64_t H = fnv1a64("rslink-module-v1");
+  uint32_t NumFns =
+      static_cast<uint32_t>(Modules[ModuleIdx].Functions.size());
+  H = foldU64(NumFns, H);
+  for (uint32_t Ord = 0; Ord != NumFns; ++Ord)
+    H = foldU64(LinkKeys[globalId(ModuleIdx, Ord)], H);
+  return H;
 }
 
 ExternalSummaries LinkedCorpus::sliceFor(uint32_t ModuleIdx,
@@ -429,47 +431,61 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
       Referenced.insert(Name);
     }
 
-  // DB probe: a module skips summarization only when *every* function hits
-  // (summarization is per-module, so partial coverage saves nothing).
+  // DB probe: one entry per module, addressed by the fold of its function
+  // link keys, so an entry is served exactly when every function's key is
+  // unchanged (summarization is per-module; partial coverage saves
+  // nothing). The key folds every name and body, so an intact entry
+  // matches its module; only a module that exports a summary to another
+  // module's analysis needs its payload decoded (and checked against the
+  // facts). The rest only need to know summarization can be skipped.
   std::vector<char> FromDb(NumMods, 0);
   std::vector<std::vector<ExternalFunctionInfo>> DbInfo(NumMods);
   if (Db.Lookup) {
+    auto Exports = [&](uint32_t M) {
+      const ModuleFacts &Facts = LC.modules()[M];
+      for (uint32_t Ord = 0; Ord != Facts.Functions.size(); ++Ord)
+        if (Referenced.count(Facts.Functions[Ord].Name) &&
+            LC.lookup(Facts.Functions[Ord].Name) == LC.globalId(M, Ord))
+          return true;
+      return false;
+    };
     for (uint32_t M = 0; M != NumMods; ++M) {
       const ModuleFacts &Facts = LC.modules()[M];
-      std::vector<ExternalFunctionInfo> Loaded;
-      Loaded.reserve(Facts.Functions.size());
-      bool All = true;
-      for (uint32_t Ord = 0; Ord != Facts.Functions.size(); ++Ord) {
-        uint64_t Key = LC.linkKey(LC.globalId(M, Ord));
-        std::optional<std::string> Payload = Db.Lookup(Key);
-        std::optional<ExternalFunctionInfo> Info;
-        if (Payload)
-          Info = deserializeSummaryPayload(*Payload);
-        const FunctionFacts &FF = Facts.Functions[Ord];
-        if (Info && Info->Name == FF.Name && Info->NumArgs == FF.NumArgs) {
-          ++R.Stats.DbHits;
-          Loaded.push_back(std::move(*Info));
-        } else {
-          ++R.Stats.DbMisses;
-          All = false;
-          break;
-        }
-      }
-      if (All && !Facts.Functions.empty()) {
+      if (Facts.Functions.empty())
+        continue;
+      std::optional<std::string> Payload = Db.Lookup(LC.moduleKey(M));
+      if (!Payload)
+        continue;
+      if (!Exports(M)) {
         FromDb[M] = 1;
-        DbInfo[M] = std::move(Loaded);
-        ++R.Stats.ModulesFromDb;
-      } else if (Facts.Functions.empty()) {
-        FromDb[M] = 1; // Nothing to summarize either way.
-        ++R.Stats.ModulesFromDb;
+        continue;
       }
+      std::optional<std::vector<ExternalFunctionInfo>> Infos =
+          deserializeSummaryPayload(*Payload);
+      bool Matches = Infos && Infos->size() == Facts.Functions.size();
+      for (uint32_t Ord = 0; Matches && Ord != Infos->size(); ++Ord)
+        Matches = (*Infos)[Ord].Name == Facts.Functions[Ord].Name &&
+                  (*Infos)[Ord].NumArgs == Facts.Functions[Ord].NumArgs;
+      if (!Matches)
+        continue;
+      DbInfo[M] = std::move(*Infos);
+      FromDb[M] = 1;
+    }
+    for (uint32_t M = 0; M != NumMods; ++M) {
+      if (LC.modules()[M].Functions.empty()) {
+        FromDb[M] = 1; // Nothing to summarize either way.
+      } else if (FromDb[M]) {
+        ++R.Stats.DbHits;
+      } else {
+        ++R.Stats.DbMisses;
+        continue;
+      }
+      ++R.Stats.ModulesFromDb;
     }
   }
 
-  // Seed the environment from DB-served modules.
+  // Seed the environment from the decoded entries.
   for (uint32_t M = 0; M != NumMods; ++M) {
-    if (!FromDb[M])
-      continue;
     for (uint32_t Ord = 0; Ord != DbInfo[M].size(); ++Ord) {
       ExternalFunctionInfo &Info = DbInfo[M][Ord];
       std::optional<uint32_t> Winner = LC.lookup(Info.Name);
@@ -478,7 +494,7 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
       if (!Referenced.count(Info.Name))
         continue;
       Info.File = LC.modules()[M].Path;
-      R.Env.insert(Info);
+      R.Env.insert(std::move(Info));
     }
   }
 
@@ -555,11 +571,8 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
     for (uint32_t M = 0; M != NumMods; ++M) {
       if (FromDb[M] || !Computed[M] || !Last[M].Complete)
         continue;
-      for (uint32_t Ord = 0; Ord != Last[M].Functions.size(); ++Ord) {
-        uint64_t Key = LC.linkKey(LC.globalId(M, Ord));
-        Db.Store(Key, serializeSummaryPayload(Last[M].Functions[Ord]));
-        ++R.Stats.DbStores;
-      }
+      Db.Store(LC.moduleKey(M), serializeSummaryPayload(Last[M].Functions));
+      ++R.Stats.DbStores;
     }
   }
   return R;
@@ -719,26 +732,43 @@ std::optional<ExternalFunctionInfo> parseInfo(const JsonValue &V) {
 
 } // namespace
 
-std::string
-rs::analysis::serializeSummaryPayload(const ExternalFunctionInfo &Info) {
+std::string rs::analysis::serializeSummaryPayload(
+    const std::vector<ExternalFunctionInfo> &Functions) {
   JsonWriter W;
-  writeInfo(W, Info, /*WithFile=*/false);
+  W.beginObject();
+  W.field("v", SummaryPayloadVersion);
+  W.key("functions");
+  W.beginArray();
+  for (const ExternalFunctionInfo &Info : Functions)
+    writeInfo(W, Info, /*WithFile=*/false);
+  W.endArray();
+  W.endObject();
   return W.str();
 }
 
-std::optional<ExternalFunctionInfo>
+std::optional<std::vector<ExternalFunctionInfo>>
 rs::analysis::deserializeSummaryPayload(std::string_view Payload) {
   std::optional<JsonValue> V = JsonValue::parse(Payload);
-  if (!V)
+  if (!V || !V->isObject() || V->getInt("v", -1) != SummaryPayloadVersion)
     return std::nullopt;
-  return parseInfo(*V);
+  const JsonValue *Fns = V->get("functions");
+  if (!Fns || !Fns->isArray())
+    return std::nullopt;
+  std::vector<ExternalFunctionInfo> Out;
+  Out.reserve(Fns->elements().size());
+  for (const JsonValue &E : Fns->elements()) {
+    std::optional<ExternalFunctionInfo> Info = parseInfo(E);
+    if (!Info)
+      return std::nullopt;
+    Out.push_back(std::move(*Info));
+  }
+  return Out;
 }
 
 std::string rs::analysis::serializeModuleFacts(const ModuleFacts &Facts) {
   JsonWriter W;
   W.beginObject();
   W.field("v", SummaryPayloadVersion);
-  W.field("path", Facts.Path);
   W.key("functions");
   W.beginArray();
   for (const FunctionFacts &FF : Facts.Functions) {
@@ -760,12 +790,13 @@ std::string rs::analysis::serializeModuleFacts(const ModuleFacts &Facts) {
 }
 
 std::optional<ModuleFacts>
-rs::analysis::deserializeModuleFacts(std::string_view Payload) {
+rs::analysis::deserializeModuleFacts(std::string_view Payload,
+                                     std::string Path) {
   std::optional<JsonValue> V = JsonValue::parse(Payload);
   if (!V || !V->isObject() || V->getInt("v", -1) != SummaryPayloadVersion)
     return std::nullopt;
   ModuleFacts Facts;
-  Facts.Path = std::string(V->getString("path"));
+  Facts.Path = std::move(Path);
   const JsonValue *Fns = V->get("functions");
   if (!Fns || !Fns->isArray())
     return std::nullopt;

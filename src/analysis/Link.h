@@ -216,12 +216,22 @@ public:
     return Callees[GlobalId];
   }
 
-  /// The link key of \p GlobalId: a fingerprint of every function body
-  /// reachable from it (including itself) plus the set of unresolved callee
-  /// names reachable from it. Two functions with equal link keys have
-  /// byte-identical summarization inputs, which is what makes the key safe
-  /// as a SummaryDb address and as a cache-key ingredient.
+  /// The link key of \p GlobalId: a Merkle fold over the condensation
+  /// DAG. Each SCC component's key folds its members' (name, BodyFp) in id
+  /// order, the sorted distinct keys of its callee components and its
+  /// members' sorted unresolved callee names; a function's key folds its
+  /// own name on top (cycle members share a component, not a key). So the
+  /// key covers every function body and unresolved name reachable from
+  /// the function: two functions with equal link keys have byte-identical
+  /// summarization inputs, which is what makes the key safe as a SummaryDb
+  /// address and as a cache-key ingredient. Built in O(V+E) time.
   uint64_t linkKey(uint32_t GlobalId) const { return LinkKeys[GlobalId]; }
+
+  /// The fold of module \p ModuleIdx's function link keys in ordinal
+  /// order: the SummaryDb address of the module's one entry (a module is
+  /// summarized as a unit, so its entry is valid exactly when every one of
+  /// its functions' keys is unchanged).
+  uint64_t moduleKey(uint32_t ModuleIdx) const;
 
   /// The resolved extern references of module \p ModuleIdx: names its
   /// functions call that are defined in *other* modules, sorted, with the
@@ -291,9 +301,10 @@ struct LinkOptions {
   unsigned MaxSummaryRounds = 8;
 };
 
-/// Persisted-summary hooks, keyed by link key. Wired to sched::SummaryDb by
-/// the engine; null std::function disables persistence. Lookup returns the
-/// stored payload or nullopt; store persists a converged payload.
+/// Persisted-summary hooks, keyed by module key (LinkedCorpus::moduleKey).
+/// Wired to sched::SummaryDb by the engine; null std::function disables
+/// persistence. Lookup returns the stored payload or nullopt; store
+/// persists a converged payload.
 struct LinkDbHooks {
   std::function<std::optional<std::string>(uint64_t Key)> Lookup;
   std::function<void(uint64_t Key, std::string_view Payload)> Store;
@@ -303,9 +314,9 @@ struct LinkStats {
   unsigned Rounds = 0;             ///< Summarization rounds actually run.
   unsigned ModulesSummarized = 0;  ///< Module summarizations across rounds.
   unsigned ModulesFromDb = 0;      ///< Modules fully served by the DB.
-  uint64_t DbHits = 0;
-  uint64_t DbMisses = 0;
-  uint64_t DbStores = 0;
+  uint64_t DbHits = 0;   ///< Modules whose entry was found and matched.
+  uint64_t DbMisses = 0; ///< Modules with functions but no usable entry.
+  uint64_t DbStores = 0; ///< Module entries persisted.
 };
 
 struct LinkResult {
@@ -328,10 +339,10 @@ using SummarizeRoundFn = std::function<std::vector<ModuleSummaries>(
     const std::vector<uint32_t> &ModuleIdxs, const ExternalSummaries &Env)>;
 
 /// Runs the deterministic link fixpoint over \p Corpus: seeds the
-/// environment from the summary DB (modules whose every function hits skip
+/// environment from the summary DB (a module whose entry hits skips
 /// summarization entirely — the "warm runs skip straight to dirty slices"
 /// path), then iterates Jacobi rounds through \p Summarize until no
-/// environment entry changes. Converged per-function payloads are stored
+/// environment entry changes. Converged per-module payloads are stored
 /// back through \p Db.
 LinkResult solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
                      const LinkDbHooks &Db, const SummarizeRoundFn &Summarize);
@@ -340,23 +351,32 @@ LinkResult solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
 // Serialization (worker wire frames and SummaryDb payloads)
 //===----------------------------------------------------------------------===//
 
-/// SummaryDb payload schema: a versioned JSON envelope per function. Bump
-/// when the payload shape changes — old entries then deserialize as misses
-/// (cold, never corrupt).
-inline constexpr int64_t SummaryPayloadVersion = 1;
+/// SummaryDb payload schema: a versioned JSON envelope per module, one
+/// entry per function in ordinal order. Bump when the payload shape
+/// changes — old entries then deserialize as misses (cold, never corrupt).
+inline constexpr int64_t SummaryPayloadVersion = 2;
 
-/// Encodes one function's converged info as a SummaryDb payload. The
-/// defining file path is deliberately excluded (entries re-anchor at load,
-/// like report-cache entries).
-std::string serializeSummaryPayload(const ExternalFunctionInfo &Info);
+/// Encodes one module's converged per-function infos as a SummaryDb
+/// payload. Defining file paths are deliberately excluded (entries
+/// re-anchor at load, like report-cache entries).
+std::string
+serializeSummaryPayload(const std::vector<ExternalFunctionInfo> &Functions);
 
 /// Decodes a SummaryDb payload; nullopt on any version or shape mismatch.
-std::optional<ExternalFunctionInfo>
+std::optional<std::vector<ExternalFunctionInfo>>
 deserializeSummaryPayload(std::string_view Payload);
 
-/// Facts wire form for the supervisor's collect phase (one JSON object).
+/// The facts cache schema: bump when ModuleFacts or functionFingerprint
+/// change, so cached facts from an older build are never addressed.
+inline constexpr uint64_t FactsSchemaVersion = 1;
+
+/// Facts wire form for the supervisor's collect phase and the engine's
+/// facts cache (one JSON object). The path is left out: decoding anchors
+/// the facts at \p Path, the way cached reports re-anchor at the path
+/// their content shows up at.
 std::string serializeModuleFacts(const ModuleFacts &Facts);
-std::optional<ModuleFacts> deserializeModuleFacts(std::string_view Payload);
+std::optional<ModuleFacts> deserializeModuleFacts(std::string_view Payload,
+                                                  std::string Path);
 
 /// ModuleSummaries wire form for the supervisor's summarize rounds.
 std::string serializeModuleSummaries(const ModuleSummaries &MS);

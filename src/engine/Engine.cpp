@@ -14,16 +14,15 @@
 #include "support/FaultInjection.h"
 #include "support/Hash.h"
 #include "support/Json.h"
+#include "support/Mmap.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 
 using namespace rs;
 using namespace rs::engine;
@@ -66,6 +65,7 @@ AnalysisEngine::AnalysisEngine(EngineOptions O)
   Cache = std::make_unique<sched::ResultCache>(std::move(CO));
   sched::SummaryDb::Options DO;
   DO.DiskDir = Opts.CacheDir; // Shared root; addresses are salted apart.
+  DO.MaxMemoryEntries = Opts.CacheMaxEntries;
   DO.SchemaOverride = Opts.SummaryDbSchemaOverride;
   SummaryDbPtr = std::make_unique<sched::SummaryDb>(std::move(DO));
 }
@@ -230,13 +230,16 @@ static void applySuppressions(std::string_view Source, FileReport &R) {
   R.Findings = std::move(Kept);
 }
 
-/// One file after the load step. Without a module the report is final (a
-/// cache hit or a Skipped status); with one, the report carries what the
-/// parse recovered from and the analyze step completes it.
+/// One file on its way through the pipeline. After the read step it holds
+/// the source and its fingerprint, or a final Skipped report. The module
+/// step runs at most once and only when something needs the module: a
+/// report miss, a facts-cache miss or a summarize round.
 struct AnalysisEngine::LoadedFile {
   FileReport Report;
   std::string Source;
   uint64_t Fp = 0;
+  bool Read = false;   ///< Source holds the bytes; else Report is final.
+  bool Loaded = false; ///< The module step ran.
   std::optional<mir::Module> M;
   /// M parsed without recovery (or came from a snapshot): only such a
   /// module is snapshotted or joins the link.
@@ -269,71 +272,74 @@ static unsigned linkRounds(const EngineOptions &Opts) {
   return Opts.MaxSummaryRounds ? Opts.MaxSummaryRounds : 8;
 }
 
-/// One module's summarize round inside the containment boundary: a fault
-/// leaves the module contributing nothing, and Complete = false keeps the
-/// run's summaries out of the summary DB.
+/// One module's summarize round inside the containment boundary. A module
+/// that no longer loads cleanly (null \p M) or a fault leaves the module
+/// contributing nothing, and Complete = false keeps the run's summaries
+/// out of the summary DB.
 static analysis::ModuleSummaries
-summarizeContained(const mir::Module &M, uint32_t ModuleIdx,
+summarizeContained(const mir::Module *M, uint32_t ModuleIdx,
                    const analysis::ExternalSummaries &Env,
                    const EngineOptions &Opts) {
   try {
-    return analysis::summarizeLinkedModule(M, ModuleIdx, Env,
-                                           linkRounds(Opts));
+    if (M)
+      return analysis::summarizeLinkedModule(*M, ModuleIdx, Env,
+                                             linkRounds(Opts));
   } catch (...) {
-    analysis::ModuleSummaries Lost;
-    Lost.ModuleIdx = ModuleIdx;
-    Lost.Complete = false;
-    return Lost;
   }
+  analysis::ModuleSummaries Lost;
+  Lost.ModuleIdx = ModuleIdx;
+  Lost.Complete = false;
+  return Lost;
 }
 
 AnalysisEngine::LoadedFile
-AnalysisEngine::load(const std::string &Path,
-                     std::optional<std::string_view> Source,
-                     std::optional<uint64_t> ReportDigest) {
+AnalysisEngine::read(const std::string &Path,
+                     std::optional<std::string_view> Source) {
   LoadedFile L;
   L.Report.Path = Path;
   if (Source) {
     L.Source = std::string(*Source);
   } else {
-    std::error_code Ec;
-    // An ifstream on a directory reads as empty on some platforms, which
-    // would masquerade as a clean empty module.
-    if (std::filesystem::is_directory(Path, Ec)) {
+    // A directory must not masquerade as a clean empty module.
+    switch (readFile(Path, L.Source)) {
+    case ReadFileError::None:
+      break;
+    case ReadFileError::IsDirectory:
       L.Report = FileReport::skipped(Path, "is a directory");
       return L;
-    }
-    std::ifstream In(Path);
-    if (!In) {
+    default:
       L.Report = FileReport::skipped(Path, "cannot open file");
       return L;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    L.Source = Buf.str();
   }
   L.Fp = fingerprintSource(L.Source);
-  if (ReportDigest)
-    if (std::optional<FileReport> Hit = lookupReport(L, *ReportDigest)) {
-      L.Report = std::move(*Hit);
-      return L;
-    }
+  L.Read = true;
+  return L;
+}
 
-  // Report miss: a parsed-MIR snapshot (keyed by content only, not by the
-  // detector salt) lets the detectors run without lexing or parsing — the
-  // common case after a detector or option change. lookupBlobRef maps the
-  // envelope in place; the decoder's string table borrows the mapped bytes
-  // until the Module owns its data. A defective snapshot is a miss.
+void AnalysisEngine::loadModule(LoadedFile &L) {
+  if (!L.Read || L.Loaded)
+    return;
+  L.Loaded = true;
+
+  // A parsed-MIR snapshot (keyed by content only, not by the detector
+  // salt) lets the detectors run without lexing or parsing — the common
+  // case after a detector or option change. lookupBlobRef hands over the
+  // envelope it read without another copy; the decoder's string table
+  // borrows its bytes until the Module owns its data. Locations re-anchor
+  // at this file's path. A defective snapshot is a miss.
   const uint64_t SnapKey = snapshotCacheKey(L.Fp);
   if (Cache)
     if (std::optional<sched::ResultCache::BlobRef> Blob =
             Cache->lookupBlobRef(SnapKey))
-      if ((L.M = mir::snapshot::read(Blob->bytes(), &L.Fp))) {
+      if ((L.M =
+               mir::snapshot::read(Blob->bytes(), &L.Fp, L.Report.Path))) {
         L.Clean = true;
-        return L;
+        return;
       }
 
   FileReport &R = L.Report;
+  const std::string &Path = R.Path;
   contained(R, [&] {
     if (fault::shouldFail("engine.parse"))
       throw std::runtime_error("injected fault at probe engine.parse");
@@ -370,7 +376,30 @@ AnalysisEngine::load(const std::string &Path,
     L.M = std::move(P.M);
     L.Clean = Clean;
   });
-  return L;
+}
+
+std::optional<analysis::ModuleFacts>
+AnalysisEngine::linkFacts(LoadedFile &L) {
+  if (!L.Read)
+    return std::nullopt;
+  // Facts are a pure function of content, and only a clean module's are
+  // ever stored, so a hit needs no module at all. The entry carries no
+  // path: it re-anchors at whatever path the content shows up at.
+  const uint64_t Key = factsCacheKey(L.Fp);
+  if (Cache && !L.Loaded)
+    if (std::optional<sched::ResultCache::BlobRef> Blob =
+            Cache->lookupBlobRef(Key))
+      if (std::optional<analysis::ModuleFacts> Facts =
+              analysis::deserializeModuleFacts(Blob->bytes(), L.Report.Path))
+        return Facts;
+  loadModule(L);
+  if (!L.Clean)
+    return std::nullopt;
+  analysis::ModuleFacts Facts =
+      analysis::collectModuleFacts(*L.M, L.Report.Path);
+  if (Cache)
+    Cache->storeBlob(Key, analysis::serializeModuleFacts(Facts));
+  return Facts;
 }
 
 uint64_t AnalysisEngine::reportKey(uint64_t Fp, uint64_t LinkDigest) const {
@@ -382,20 +411,18 @@ uint64_t AnalysisEngine::reportKey(uint64_t Fp, uint64_t LinkDigest) const {
   return LinkDigest != 0 ? fnv1a64U64(LinkDigest, Key) : Key;
 }
 
-std::optional<FileReport>
-AnalysisEngine::lookupReport(const LoadedFile &L, uint64_t LinkDigest) {
-  if (!Cache)
-    return std::nullopt;
-  std::optional<std::string> Payload =
-      Cache->lookup(reportKey(L.Fp, LinkDigest));
-  if (!Payload)
-    return std::nullopt;
-  return deserializeFileReport(*Payload, L.Report.Path);
-}
-
 FileReport AnalysisEngine::analyze(LoadedFile L,
                                    const analysis::ExternalSummaries *Env,
                                    uint64_t LinkDigest) {
+  if (!L.Read)
+    return std::move(L.Report);
+  const uint64_t Key = reportKey(L.Fp, LinkDigest);
+  if (Cache)
+    if (std::optional<std::string> Payload = Cache->lookup(Key))
+      if (std::optional<FileReport> Hit =
+              deserializeFileReport(*Payload, L.Report.Path))
+        return std::move(*Hit);
+  loadModule(L);
   FileReport R = std::move(L.Report);
   if (!L.M)
     return R;
@@ -407,37 +434,36 @@ FileReport AnalysisEngine::analyze(LoadedFile L,
   // wall-clock budgets and embed path-bearing error text, neither of which
   // belongs in a content-addressed entry.
   if (Cache && R.Status == EngineStatus::Ok)
-    Cache->store(reportKey(L.Fp, LinkDigest), serializeFileReport(R));
+    Cache->store(Key, serializeFileReport(R));
   return R;
 }
 
 FileReport AnalysisEngine::analyzeSource(std::string_view Source,
                                          const std::string &Path) {
-  return analyze(load(Path, Source, 0), nullptr, 0);
+  return analyze(read(Path, Source), nullptr, 0);
 }
 
 FileReport AnalysisEngine::analyzeFile(const std::string &Path,
                                        const analysis::ExternalSummaries *Env,
                                        uint64_t LinkDigest) {
-  return analyze(load(Path, std::nullopt, LinkDigest), Env, LinkDigest);
+  return analyze(read(Path, std::nullopt), Env, LinkDigest);
 }
 
 std::optional<analysis::ModuleFacts>
 AnalysisEngine::collectFileFacts(const std::string &Path) {
-  LoadedFile L = load(Path, std::nullopt, std::nullopt);
-  if (!L.Clean)
-    return std::nullopt;
-  return analysis::collectModuleFacts(*L.M, Path);
+  LoadedFile L = read(Path, std::nullopt);
+  return linkFacts(L);
 }
 
 std::optional<analysis::ModuleSummaries>
 AnalysisEngine::summarizeFileForLink(const std::string &Path,
                                      uint32_t ModuleIdx,
                                      const analysis::ExternalSummaries &Env) {
-  LoadedFile L = load(Path, std::nullopt, std::nullopt);
+  LoadedFile L = read(Path, std::nullopt);
+  loadModule(L);
   if (!L.Clean)
     return std::nullopt;
-  return summarizeContained(*L.M, ModuleIdx, Env, Opts);
+  return summarizeContained(&*L.M, ModuleIdx, Env, Opts);
 }
 
 //===----------------------------------------------------------------------===//
@@ -519,6 +545,12 @@ uint64_t rs::engine::snapshotCacheKey(uint64_t SourceFingerprint) {
   uint64_t H = fnv1a64("rustsight-mir-snapshot");
   H = fnv1a64U64(mir::snapshot::SnapshotSchemaVersion, H);
   H = fnv1a64U64(Symbol::EpochVersion, H);
+  return fnv1a64U64(SourceFingerprint, H);
+}
+
+uint64_t rs::engine::factsCacheKey(uint64_t SourceFingerprint) {
+  uint64_t H = fnv1a64("rustsight-link-facts");
+  H = fnv1a64U64(analysis::FactsSchemaVersion, H);
   return fnv1a64U64(SourceFingerprint, H);
 }
 
@@ -898,12 +930,36 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
       Facts.push_back(std::move(*Got[K]));
     }
 
+  analysis::LinkedCorpus Corpus =
+      analysis::LinkedCorpus::build(std::move(Facts));
   analysis::LinkOptions LO;
   LO.MaxSummaryRounds = linkRounds(Opts);
+
+  // The solver probes and stores one entry per module, one after another.
+  // So the DB's disk reads happen here first, on the transport, and its
+  // writes after the solve: the hooks only touch memory.
   analysis::LinkDbHooks Hooks;
+  std::unordered_map<uint64_t, std::string> Entries;
+  std::vector<std::pair<uint64_t, std::string>> Pending;
   if (Db) {
-    Hooks.Lookup = [Db](uint64_t K) { return Db->lookup(K); };
-    Hooks.Store = [Db](uint64_t K, std::string_view P) { Db->store(K, P); };
+    const uint32_t NumMods = static_cast<uint32_t>(Corpus.modules().size());
+    std::vector<std::optional<std::string>> Got(NumMods);
+    Transport.Parallel(NumMods, [&](size_t M) {
+      if (!Corpus.modules()[M].Functions.empty())
+        Got[M] = Db->lookup(Corpus.moduleKey(static_cast<uint32_t>(M)));
+    });
+    for (uint32_t M = 0; M != NumMods; ++M)
+      if (Got[M])
+        Entries.emplace(Corpus.moduleKey(M), std::move(*Got[M]));
+    Hooks.Lookup = [&](uint64_t K) -> std::optional<std::string> {
+      auto It = Entries.find(K);
+      if (It == Entries.end())
+        return std::nullopt;
+      return It->second;
+    };
+    Hooks.Store = [&](uint64_t K, std::string_view P) {
+      Pending.emplace_back(K, std::string(P));
+    };
   }
   analysis::SummarizeRoundFn Summarize =
       [&](const std::vector<uint32_t> &ModuleIdxs,
@@ -913,8 +969,11 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
           Modules.emplace_back(M, ModuleInput[M]);
         return Transport.Summarize(Modules, Env);
       };
-  analysis::LinkResult LR = analysis::solveLink(
-      analysis::LinkedCorpus::build(std::move(Facts)), LO, Hooks, Summarize);
+  analysis::LinkResult LR =
+      analysis::solveLink(std::move(Corpus), LO, Hooks, Summarize);
+  Transport.Parallel(Pending.size(), [&](size_t K) {
+    Db->store(Pending[K].first, Pending[K].second);
+  });
 
   Plan.Env = std::move(LR.Env);
   for (uint32_t M = 0; M != ModuleInput.size(); ++M)
@@ -952,19 +1011,18 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
         Fn(I);
   };
 
-  // The link step over the thread pool. Every analyzable input is loaded
-  // once; only clean modules join the link, and they stay in memory for
-  // the summarize rounds and the analysis below.
-  std::vector<LoadedFile> Loaded(N);
+  // The link step over the thread pool. Every analyzable input is read
+  // once; its facts come from the facts cache, or from its module, which
+  // then stays in memory for the summarize rounds and the analysis below.
+  // An unchanged file is never decoded unless its report misses or its
+  // module must be summarized.
+  std::vector<std::optional<LoadedFile>> Loaded(N);
   LinkTransport Transport;
   Transport.Facts = [&](const std::vector<size_t> &Ordinals) {
     std::vector<std::optional<analysis::ModuleFacts>> Facts(Ordinals.size());
     RunParallel(Ordinals.size(), [&](size_t K) {
-      const std::string &Path = Inputs[Ordinals[K]].Path;
-      LoadedFile &L = Loaded[Ordinals[K]];
-      L = load(Path, std::nullopt, std::nullopt);
-      if (L.Clean)
-        Facts[K] = analysis::collectModuleFacts(*L.M, Path);
+      Loaded[Ordinals[K]] = read(Inputs[Ordinals[K]].Path, std::nullopt);
+      Facts[K] = linkFacts(*Loaded[Ordinals[K]]);
     });
     return Facts;
   };
@@ -974,17 +1032,21 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
         std::vector<analysis::ModuleSummaries> Out(Modules.size());
         RunParallel(Modules.size(), [&](size_t K) {
           const auto &[Idx, Input] = Modules[K];
-          Out[K] = summarizeContained(*Loaded[Input].M, Idx, Env, Opts);
+          LoadedFile &L = *Loaded[Input];
+          loadModule(L);
+          Out[K] = summarizeContained(L.Clean ? &*L.M : nullptr, Idx, Env,
+                                      Opts);
         });
         return Out;
       };
+  Transport.Parallel = RunParallel;
   LinkPlan Link = linkCorpus(Opts, Inputs, SummaryDbPtr.get(), Transport);
 
   // Each task owns exactly slot I of the report — the deterministic merge:
   // results land by input ordinal, never by completion order. A file
-  // outside the link is a per-file run (null environment, digest 0). A
-  // linked file's module is already in memory; detector lookups only use
-  // the module's own callee names, so analyzing against the full
+  // outside the link is a per-file run (null environment, digest 0); one
+  // the link step already read is not read again. Detector lookups only
+  // use the module's own callee names, so analyzing against the full
   // environment is byte-identical to the slice a shard worker sees.
   CorpusReport Report;
   Report.Files.resize(N);
@@ -992,15 +1054,13 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
     const corpus::CorpusInput &In = Inputs[I];
     if (!In.SkipReason.empty()) {
       Report.Files[I] = FileReport::skipped(In.Path, In.SkipReason);
-    } else if (!Link.Digest[I]) {
-      Report.Files[I] = analyzeFile(In.Path);
-    } else {
-      LoadedFile L = std::move(Loaded[I]);
-      std::optional<FileReport> Hit = lookupReport(L, *Link.Digest[I]);
-      Report.Files[I] = Hit ? std::move(*Hit)
-                            : analyze(std::move(L), &Link.Env,
-                                      *Link.Digest[I]);
+      return;
     }
+    LoadedFile L =
+        Loaded[I] ? std::move(*Loaded[I]) : read(In.Path, std::nullopt);
+    const std::optional<uint64_t> &Digest = Link.Digest[I];
+    Report.Files[I] = analyze(std::move(L), Digest ? &Link.Env : nullptr,
+                              Digest.value_or(0));
   });
   Report.finalize();
 

@@ -214,7 +214,8 @@ struct EngineOptions {
   /// On-disk cache layer root ("" = memory-only).
   std::string CacheDir;
 
-  /// In-memory cache entry cap (0 = unbounded).
+  /// In-memory entry cap of the result cache and of the summary DB, each
+  /// (0 = unbounded).
   size_t CacheMaxEntries = 4096;
 };
 
@@ -246,6 +247,11 @@ uint64_t cacheKey(uint64_t SourceFingerprint, uint64_t Salt);
 /// interner changes invalidate en masse, plus a distinct tag so snapshot
 /// keys can never collide with report keys in the shared cache.
 uint64_t snapshotCacheKey(uint64_t SourceFingerprint);
+
+/// The cache key for one file's link facts blob (analysis::ModuleFacts
+/// without its path). Content-only like snapshotCacheKey, with the facts
+/// schema folded in and its own tag.
+uint64_t factsCacheKey(uint64_t SourceFingerprint);
 
 /// Serializes a clean (Ok) FileReport into the cache payload JSON. The
 /// path is deliberately excluded: identical content at two paths shares
@@ -280,9 +286,10 @@ std::optional<FileReport> deserializeWireFileReport(std::string_view Payload);
 ///
 /// There is one pipeline. A per-file analysis is a linked analysis against
 /// an empty environment with link digest 0, so both share cache entries.
-/// Every entry point goes through the same load step (read, fingerprint,
-/// report lookup, snapshot or parse + verify) and the same analyze step
-/// (detectors and suppressions inside one containment boundary).
+/// Every entry point goes through the same steps: read (read and
+/// fingerprint), the module step (snapshot, else parse + verify) run only
+/// when something needs the module, and analyze (report lookup, then
+/// detectors and suppressions inside one containment boundary).
 class AnalysisEngine {
 public:
   using DetectorFactory =
@@ -311,10 +318,11 @@ public:
                          const analysis::ExternalSummaries *Env = nullptr,
                          uint64_t LinkDigest = 0);
 
-  /// Link facts for one file: the load step, then the linker-visible
-  /// shape. Returns nullopt when the file cannot join the link (unreadable,
-  /// parse errors, verifier rejection) — such files are analyzed per-file
-  /// instead. Worker entry for the supervisor's facts phase.
+  /// Link facts for one file: the facts cache, else the module step and
+  /// the linker-visible shape. Returns nullopt when the file cannot join
+  /// the link (unreadable, parse errors, verifier rejection) — such files
+  /// are analyzed per-file instead. Worker entry for the supervisor's
+  /// facts phase.
   std::optional<analysis::ModuleFacts>
   collectFileFacts(const std::string &Path);
 
@@ -346,23 +354,26 @@ public:
 private:
   struct LoadedFile;
 
-  /// The load step: reads \p Path (or takes \p Source) and fingerprints
-  /// it. With \p ReportDigest the report cache is consulted first, so a
-  /// warm file is one lookup with no module decode. Otherwise the result
-  /// carries a module (snapshot, else parse + verify) for the analyze step,
-  /// or a final report (a cache hit or a Skipped status).
-  LoadedFile load(const std::string &Path,
-                  std::optional<std::string_view> Source,
-                  std::optional<uint64_t> ReportDigest);
-  /// The analyze step: detectors and suppressions over the loaded module
-  /// against \p Env, inside the containment boundary; a clean report is
-  /// stored under the \p LinkDigest-folded key. A load that already ended
-  /// in a final report passes it through.
+  /// The read step: reads \p Path (or takes \p Source) and fingerprints
+  /// it. An unreadable path ends in a final Skipped report.
+  LoadedFile read(const std::string &Path,
+                  std::optional<std::string_view> Source);
+  /// The module step, at most once per file: a snapshot, else parse +
+  /// verify (a clean parse stores its snapshot). Afterwards \p L carries a
+  /// module, or a Skipped report.
+  void loadModule(LoadedFile &L);
+  /// \p L's link facts: the facts cache, else its module's facts (stored
+  /// in the cache). nullopt when the file cannot join the link.
+  std::optional<analysis::ModuleFacts> linkFacts(LoadedFile &L);
+  /// The analyze step: the report cache first, so a warm file is one
+  /// lookup with no module decode; on a miss, the module step, then
+  /// detectors and suppressions against \p Env inside the containment
+  /// boundary, and a clean report is stored under the \p LinkDigest-folded
+  /// key. A file whose read or module step ended in a final report passes
+  /// it through.
   FileReport analyze(LoadedFile L, const analysis::ExternalSummaries *Env,
                      uint64_t LinkDigest);
   uint64_t reportKey(uint64_t Fp, uint64_t LinkDigest) const;
-  std::optional<FileReport> lookupReport(const LoadedFile &L,
-                                         uint64_t LinkDigest);
   void runDetectors(const mir::Module &M, FileReport &R,
                     const analysis::ExternalSummaries *Ext);
 
@@ -397,6 +408,11 @@ struct LinkTransport {
       const std::vector<std::pair<uint32_t, size_t>> &Modules,
       const analysis::ExternalSummaries &Env)>
       Summarize;
+  /// Runs Fn(0) .. Fn(Count - 1), possibly concurrently: where the link
+  /// step reads and writes summary-DB entries. Required; a plain loop will
+  /// do.
+  std::function<void(size_t Count, const std::function<void(size_t)> &Fn)>
+      Parallel;
 };
 
 /// What the link step decided for one corpus run.

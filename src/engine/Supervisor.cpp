@@ -569,7 +569,8 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
         runLinkPhase(Opts, LinkWorkers, "{\"mode\":\"facts\"}", Lines);
     for (size_t K = 0; K != Payloads.size(); ++K)
       if (Payloads[K])
-        Facts[K] = analysis::deserializeModuleFacts(*Payloads[K]);
+        Facts[K] = analysis::deserializeModuleFacts(*Payloads[K],
+                                                    Inputs[Ordinals[K]].Path);
     return Facts;
   };
   Transport.Summarize =
@@ -590,10 +591,16 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
               Round.push_back(std::move(*MS));
         return Round;
       };
+  Transport.Parallel = [](size_t Count,
+                          const std::function<void(size_t)> &Fn) {
+    for (size_t I = 0; I != Count; ++I)
+      Fn(I);
+  };
   std::optional<sched::SummaryDb> Db;
   if (Opts.Engine.UseCache) {
     sched::SummaryDb::Options DO;
     DO.DiskDir = Opts.Engine.CacheDir;
+    DO.MaxMemoryEntries = Opts.Engine.CacheMaxEntries;
     DO.SchemaOverride = Opts.Engine.SummaryDbSchemaOverride;
     Db.emplace(std::move(DO));
   }

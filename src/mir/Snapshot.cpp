@@ -652,6 +652,9 @@ static PhaseClock Phases;
 
 class Reader {
 public:
+  /// \p Anchor, when non-null, replaces every recorded file name.
+  explicit Reader(const std::string *Anchor) : Anchor(Anchor) {}
+
   std::optional<Module> run(std::string_view Bytes,
                             const uint64_t *ExpectFingerprint) {
 #ifdef RS_SNAPSHOT_PROFILE
@@ -870,7 +873,8 @@ private:
           return false;
         // One internFileName per distinct file, not per location.
         if (!Files[FileIdx])
-          Files[FileIdx] = internFileName(Strings[FileIdx]);
+          Files[FileIdx] =
+              Anchor ? Anchor : internFileName(Strings[FileIdx]);
         LastFile = Files[FileIdx];
       }
     }
@@ -1213,6 +1217,7 @@ private:
   const std::string *LastFile = nullptr;
   /// Column of the last location decoded (sticky until a change bit).
   uint32_t LastCol = 0;
+  const std::string *Anchor;
 };
 
 } // namespace
@@ -1223,8 +1228,10 @@ std::string rs::mir::snapshot::write(const Module &M, uint64_t Fingerprint) {
 
 std::optional<Module>
 rs::mir::snapshot::read(std::string_view Bytes,
-                        const uint64_t *ExpectFingerprint) {
-  return Reader().run(Bytes, ExpectFingerprint);
+                        const uint64_t *ExpectFingerprint,
+                        std::string_view AnchorPath) {
+  return Reader(AnchorPath.empty() ? nullptr : internFileName(AnchorPath))
+      .run(Bytes, ExpectFingerprint);
 }
 
 std::optional<uint64_t>

@@ -57,10 +57,14 @@ inline constexpr uint32_t SnapshotSchemaVersion = 1;
 std::string write(const Module &M, uint64_t Fingerprint);
 
 /// Decodes a snapshot produced by write(). When \p ExpectFingerprint is
-/// non-null the header fingerprint must match it exactly. Returns nullopt
-/// on any defect; never throws, never returns a partially-decoded module.
+/// non-null the header fingerprint must match it exactly. A non-empty
+/// \p AnchorPath re-anchors every source location at that file: snapshots
+/// are keyed by content, so the same bytes may show up at another path
+/// than the one they were parsed at. Returns nullopt on any defect; never
+/// throws, never returns a partially-decoded module.
 std::optional<Module> read(std::string_view Bytes,
-                           const uint64_t *ExpectFingerprint = nullptr);
+                           const uint64_t *ExpectFingerprint = nullptr,
+                           std::string_view AnchorPath = {});
 
 /// The fingerprint recorded in a snapshot header, or nullopt if \p Bytes
 /// is not even a structurally valid header (payload is NOT validated).

@@ -3,12 +3,12 @@
 #include "support/FaultInjection.h"
 #include "support/Hash.h"
 #include "support/Json.h"
+#include "support/Mmap.h"
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include <unistd.h>
@@ -163,12 +163,9 @@ void ResultCache::insertMemory(uint64_t Key, std::string Payload) {
 
 std::optional<std::string> ResultCache::loadFromDisk(uint64_t Key) {
   fs::path Path = fs::path(Opts.DiskDir) / entryFileName(Key);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  std::string Text;
+  if (readFile(Path.string(), Text) != ReadFileError::None)
     return std::nullopt; // Absent: a plain miss, not corruption.
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Text = Buf.str();
 
   // Any defect from here on is corruption: count it, drop the entry so the
   // next run does not pay the parse again, and miss.
@@ -346,24 +343,10 @@ std::optional<ResultCache::BlobRef> ResultCache::loadBlobFromDisk(
     uint64_t Key) {
   fs::path Path = fs::path(Opts.DiskDir) / blobFileName(Key);
 
-  // Map the envelope when possible: validation reads straight from the
-  // page cache and the returned view borrows the mapping, so the payload
-  // never takes a heap copy. When mmap refuses (or the "support.mmap"
-  // fault probe fires) fall back to a buffered read — byte-for-byte the
-  // same validation on an owned buffer.
   BlobRef Ref;
-  if (std::optional<MappedFile> Map = MappedFile::open(Path.string())) {
-    Ref.Map = std::move(*Map);
-  } else {
-    std::ifstream In(Path, std::ios::binary);
-    if (!In)
-      return std::nullopt; // Absent: a plain miss, not corruption.
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Ref.Owned = Buf.str();
-  }
-  std::string_view Bytes = Ref.Map ? Ref.Map.view()
-                                   : std::string_view(Ref.Owned);
+  if (readFile(Path.string(), Ref.Owned) != ReadFileError::None)
+    return std::nullopt; // Absent: a plain miss, not corruption.
+  std::string_view Bytes = Ref.Owned;
 
   auto Corrupt = [&]() -> std::optional<BlobRef> {
     {

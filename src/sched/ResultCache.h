@@ -26,8 +26,6 @@
 #ifndef RUSTSIGHT_SCHED_RESULTCACHE_H
 #define RUSTSIGHT_SCHED_RESULTCACHE_H
 
-#include "support/Mmap.h"
-
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -93,30 +91,26 @@ public:
   /// Fault-injection probe site: "cache.disk.store".
   void storeBlob(uint64_t Key, std::string_view Payload);
 
-  /// A blob payload together with whatever owns its bytes: an owned heap
-  /// string (memory-layer hit, or the buffered fallback when mmap fails)
-  /// or a read-only file mapping the view borrows in place. Move-only;
-  /// bytes() is valid for the lifetime of the BlobRef.
+  /// A blob payload together with the buffer that owns its bytes (a copy
+  /// of the memory-layer entry, or the disk envelope as read); bytes() is
+  /// valid for the lifetime of the BlobRef.
   class BlobRef {
   public:
     std::string_view bytes() const {
-      return (Map ? Map.view() : std::string_view(Owned))
-          .substr(Off, Len);
+      return std::string_view(Owned).substr(Off, Len);
     }
 
   private:
     friend class ResultCache;
     std::string Owned;
-    MappedFile Map;
     size_t Off = 0;
     size_t Len = 0;
   };
 
-  /// Zero-copy variant of lookupBlob(): a disk hit maps the envelope and
-  /// returns a view of the payload without promoting it into the memory
-  /// layer — snapshot blobs are typically read once per (run, file), and
-  /// for the mapped path the OS page cache is the caching layer. Counters
-  /// move exactly as for lookupBlob(). Thread-safe.
+  /// Like lookupBlob(), but a disk hit hands over the envelope it read and
+  /// a view of its payload, without copying it out or promoting it into the
+  /// memory layer — snapshot blobs are typically read once per (run, file).
+  /// Counters move exactly as for lookupBlob(). Thread-safe.
   std::optional<BlobRef> lookupBlobRef(uint64_t Key);
 
   /// True once a write failure has disabled the disk layer (memory layer

@@ -21,16 +21,24 @@ SummaryDb::SummaryDb(Options O)
         return CO;
       }()) {}
 
-uint64_t SummaryDb::address(uint64_t LinkKey, int64_t Schema) {
+uint64_t SummaryDb::address(uint64_t Key, int64_t Schema) {
   uint64_t H = fnv1a64("rustsight-summarydb");
   H = fnv1a64U64(static_cast<uint64_t>(Schema), H);
-  return fnv1a64U64(LinkKey, H);
+  return fnv1a64U64(Key, H);
 }
 
-std::optional<std::string> SummaryDb::lookup(uint64_t LinkKey) {
-  return Cache.lookup(address(LinkKey, Schema));
+std::optional<std::string> SummaryDb::lookup(uint64_t Key) {
+  return Cache.lookupBlob(address(Key, Schema));
 }
 
-void SummaryDb::store(uint64_t LinkKey, std::string_view Payload) {
-  Cache.store(address(LinkKey, Schema), Payload);
+void SummaryDb::store(uint64_t Key, std::string_view Payload) {
+  Cache.storeBlob(address(Key, Schema), Payload);
+}
+
+ResultCache::Stats SummaryDb::stats() const {
+  ResultCache::Stats S = Cache.stats();
+  S.Hits = S.BlobHits;
+  S.Misses = S.BlobMisses;
+  S.DiskHits = S.BlobDiskHits;
+  return S;
 }

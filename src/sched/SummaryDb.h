@@ -6,18 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persisted function-summary database behind the whole-program link
-/// step (docs/WHOLEPROGRAM.md). Entries are opaque payloads (the link layer
-/// serializes/validates them) addressed by link key — a fingerprint of
-/// everything a function's summary can depend on — so a warm run skips
-/// summarizing any module whose functions all hit, and a source edit
-/// invalidates exactly the SCC slice that can observe it.
+/// The persisted summary database behind the whole-program link step
+/// (docs/WHOLEPROGRAM.md). Entries are opaque payloads (the link layer
+/// serializes/validates them), one per module, addressed by module key —
+/// the fold of the link keys of the module's functions, each a fingerprint
+/// of everything that function's summary can depend on — so a warm run
+/// skips summarizing any module whose entry hits, and a source edit
+/// invalidates exactly the modules that can observe it.
 ///
-/// Storage rides the ResultCache machinery (atomic-rename writes, corrupt-
-/// entry-is-miss, disk-disable-on-first-write-failure). The DB folds its own
-/// schema version into every address, so a schema bump reads as a cold
-/// cache, never as corruption, and old entries are simply never addressed
-/// again.
+/// Storage rides the ResultCache blob layer (checksummed binary envelope,
+/// atomic-rename writes, corrupt-entry-is-miss, disk-disable-on-first-
+/// write-failure). The DB folds its own schema version into every address,
+/// so a schema bump reads as a cold cache, never as corruption, and old
+/// entries are simply never addressed again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,8 @@ public:
   /// The DB's address-schema version. Bump together with the link layer's
   /// SummaryPayloadVersion when the payload shape changes: every address
   /// moves, so stale-shape entries are unreachable (cold, not corrupt).
-  static constexpr int64_t SchemaVersion = 1;
+  /// Version 2: one entry per module instead of one per function.
+  static constexpr int64_t SchemaVersion = 2;
 
   struct Options {
     /// Disk root shared with the report cache ("" = memory-only; addresses
@@ -58,19 +60,21 @@ public:
   SummaryDb() : SummaryDb(Options()) {}
   explicit SummaryDb(Options O);
 
-  /// The stored payload under \p LinkKey, or nullopt (miss or corrupt).
-  std::optional<std::string> lookup(uint64_t LinkKey);
+  /// The stored payload under \p Key, or nullopt (miss or corrupt).
+  std::optional<std::string> lookup(uint64_t Key);
 
-  /// Persists \p Payload under \p LinkKey. Callers must only store
-  /// converged payloads — the link solver enforces this.
-  void store(uint64_t LinkKey, std::string_view Payload);
+  /// Persists \p Payload under \p Key. Callers must only store converged
+  /// payloads — the link solver enforces this.
+  void store(uint64_t Key, std::string_view Payload);
 
-  ResultCache::Stats stats() const { return Cache.stats(); }
+  /// The cache counters, with the blob lookups the DB makes reported as
+  /// its Hits, Misses and DiskHits.
+  ResultCache::Stats stats() const;
   bool diskDisabled() const { return Cache.diskDisabled(); }
 
-  /// The on-disk address of \p LinkKey under schema \p Schema — exposed so
+  /// The on-disk address of \p Key under schema \p Schema — exposed so
   /// tests can assert the schema-fold actually moves addresses.
-  static uint64_t address(uint64_t LinkKey, int64_t Schema);
+  static uint64_t address(uint64_t Key, int64_t Schema);
 
 private:
   int64_t Schema;

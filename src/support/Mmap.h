@@ -6,15 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A read-only memory-mapped file. The result cache's blob layer maps
-/// snapshot envelopes instead of copying them through a stream buffer, and
-/// the snapshot decoder's string table then borrows the mapped bytes in
-/// place — the payload is never duplicated on the heap.
+/// Whole-file reads. readFile() is the one the result cache and the
+/// engine use: one open, one fstat and read() straight into the result.
 ///
-/// Mapping is strictly an optimization: every caller must keep a buffered
-/// read path for when open() returns nullopt (file vanished, mmap refused,
-/// zero-length file, exotic filesystem). The view is valid only while the
-/// MappedFile is alive; callers that outlive the mapping must copy.
+/// MappedFile is a read-only memory mapping of a file. Nothing maps today:
+/// cache blobs are a few KiB, where one read() is cheaper than a mapping's
+/// page faults and its munmap. Mapping is strictly an optimization: every
+/// caller must keep a buffered read path for when open() returns nullopt
+/// (file vanished, mmap refused, zero-length file, exotic filesystem). The
+/// view is valid only while the MappedFile is alive; callers that outlive
+/// the mapping must copy.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,6 +68,17 @@ private:
   const char *Data = nullptr;
   size_t Size = 0;
 };
+
+/// Why readFile() produced no bytes.
+enum class ReadFileError {
+  None,
+  CannotOpen,  ///< Missing, unreadable, or a read failed midway.
+  IsDirectory, ///< The path names a directory.
+};
+
+/// Reads all of \p Path into \p Out with plain open/fstat/read calls.
+/// Non-regular files (pipes) are read to EOF.
+ReadFileError readFile(const std::string &Path, std::string &Out);
 
 } // namespace rs
 

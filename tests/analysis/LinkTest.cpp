@@ -257,22 +257,25 @@ TEST(Link, SerializationRoundTrips) {
       solveLink(LinkedCorpus::build(twoModuleFacts()), LinkOptions(),
                 LinkDbHooks(), inProcessRounds({&Caller, &Callee}));
 
-  // Per-function SummaryDb payload.
+  // Per-module SummaryDb payload.
   const ExternalFunctionInfo *Info = LR.Env.find("free_it");
   ASSERT_NE(Info, nullptr);
-  std::optional<ExternalFunctionInfo> Back =
-      deserializeSummaryPayload(serializeSummaryPayload(*Info));
+  std::optional<std::vector<ExternalFunctionInfo>> Back =
+      deserializeSummaryPayload(serializeSummaryPayload({*Info}));
   ASSERT_TRUE(Back.has_value());
-  Back->File = Info->File; // Payloads re-anchor the file at load.
-  EXPECT_EQ(*Back, *Info);
+  ASSERT_EQ(Back->size(), 1u);
+  (*Back)[0].File = Info->File; // Payloads re-anchor the file at load.
+  EXPECT_EQ((*Back)[0], *Info);
   EXPECT_FALSE(deserializeSummaryPayload("{\"garbage\":1}").has_value());
 
-  // ModuleFacts wire frame.
+  // ModuleFacts wire frame: stored without a path, re-anchored at load.
   ModuleFacts F = collectModuleFacts(Caller, "caller.mir");
+  std::string Stored = serializeModuleFacts(F);
+  EXPECT_EQ(Stored.find("caller.mir"), std::string::npos);
   std::optional<ModuleFacts> FB =
-      deserializeModuleFacts(serializeModuleFacts(F));
+      deserializeModuleFacts(Stored, "moved/caller.mir");
   ASSERT_TRUE(FB.has_value());
-  EXPECT_EQ(FB->Path, F.Path);
+  EXPECT_EQ(FB->Path, "moved/caller.mir");
   ASSERT_EQ(FB->Functions.size(), F.Functions.size());
   for (size_t I = 0; I != F.Functions.size(); ++I) {
     EXPECT_EQ(FB->Functions[I].Name, F.Functions[I].Name);
@@ -297,4 +300,138 @@ TEST(Link, SerializationRoundTrips) {
   const ExternalFunctionInfo *EInfo = EB->find("free_it");
   ASSERT_NE(EInfo, nullptr);
   EXPECT_EQ(EInfo->File, "callee.mir");
+}
+
+namespace {
+
+/// One synthetic module per entry of \p Modules, at "m<index>.mir".
+std::vector<ModuleFacts>
+syntheticFacts(const std::vector<std::vector<FunctionFacts>> &Modules) {
+  std::vector<ModuleFacts> Out;
+  for (size_t M = 0; M != Modules.size(); ++M) {
+    ModuleFacts F;
+    F.Path = "m" + std::to_string(M) + ".mir";
+    F.Functions = Modules[M];
+    Out.push_back(std::move(F));
+  }
+  return Out;
+}
+
+/// A function whose BodyFp is derived from its name.
+FunctionFacts fn(std::string Name, std::vector<std::string> Callees = {}) {
+  FunctionFacts F;
+  F.BodyFp = std::hash<std::string>()(Name) | 1;
+  F.Name = std::move(Name);
+  F.Callees = std::move(Callees);
+  return F;
+}
+
+} // namespace
+
+TEST(Link, LeafEditMovesExactlyItsTransitiveCallers) {
+  // top -> mid -> leaf; sibling -> other; bystander calls nothing.
+  // cousin -> mid as well, so the edit reaches it through a shared child.
+  std::vector<std::vector<FunctionFacts>> Mods = {
+      {fn("top", {"mid"}), fn("sibling", {"other"})},
+      {fn("mid", {"leaf"}), fn("cousin", {"mid"}), fn("bystander")},
+      {fn("leaf"), fn("other")}};
+  LinkedCorpus Base = LinkedCorpus::build(syntheticFacts(Mods));
+  Mods[2][0].BodyFp ^= 0x55;
+  LinkedCorpus Edited = LinkedCorpus::build(syntheticFacts(Mods));
+
+  std::map<std::string, bool> Moved;
+  for (uint32_t G = 0; G != Base.numFunctions(); ++G)
+    Moved[Base.facts(G).Name] = Base.linkKey(G) != Edited.linkKey(G);
+  EXPECT_EQ(Moved, (std::map<std::string, bool>{{"leaf", true},
+                                                {"mid", true},
+                                                {"top", true},
+                                                {"cousin", true},
+                                                {"sibling", false},
+                                                {"other", false},
+                                                {"bystander", false}}));
+  // Module keys follow their functions: m0 and m1 hold a caller, m2 the
+  // leaf itself.
+  for (uint32_t M = 0; M != 3; ++M)
+    EXPECT_NE(Base.moduleKey(M), Edited.moduleKey(M)) << M;
+
+  // A module with no moved function keeps its key.
+  std::vector<std::vector<FunctionFacts>> Apart = Mods;
+  Apart.push_back({fn("island")});
+  LinkedCorpus A = LinkedCorpus::build(syntheticFacts(Apart));
+  Apart[2][0].BodyFp ^= 0x99;
+  LinkedCorpus B = LinkedCorpus::build(syntheticFacts(Apart));
+  EXPECT_EQ(A.moduleKey(3), B.moduleKey(3));
+  EXPECT_NE(A.moduleKey(2), B.moduleKey(2));
+}
+
+TEST(Link, CycleMembersGetDistinctKeys) {
+  // ping <-> pong across two files, plus a caller of the cycle.
+  std::vector<std::vector<FunctionFacts>> Mods = {
+      {fn("ping", {"pong"}), fn("entry", {"ping"})}, {fn("pong", {"ping"})}};
+  LinkedCorpus LC = LinkedCorpus::build(syntheticFacts(Mods));
+  uint32_t Ping = *LC.lookup("ping"), Pong = *LC.lookup("pong");
+  EXPECT_NE(LC.linkKey(Ping), LC.linkKey(Pong));
+  EXPECT_NE(LC.linkKey(Ping), LC.linkKey(*LC.lookup("entry")));
+
+  // Either member's body feeds both members' keys, and the caller's.
+  Mods[1][0].BodyFp ^= 0x7;
+  LinkedCorpus Edited = LinkedCorpus::build(syntheticFacts(Mods));
+  EXPECT_NE(LC.linkKey(Ping), Edited.linkKey(Ping));
+  EXPECT_NE(LC.linkKey(Pong), Edited.linkKey(Pong));
+  EXPECT_NE(LC.linkKey(*LC.lookup("entry")),
+            Edited.linkKey(*Edited.lookup("entry")));
+}
+
+TEST(Link, RenamingAnUnresolvedNameMovesTheKeysThatReachIt) {
+  std::vector<std::vector<FunctionFacts>> Mods = {
+      {fn("outer", {"inner"}), fn("apart", {"elsewhere"})},
+      {fn("inner", {"ffi_call"})}};
+  LinkedCorpus Base = LinkedCorpus::build(syntheticFacts(Mods));
+  Mods[1][0].Callees = {"ffi_call_renamed"};
+  LinkedCorpus Renamed = LinkedCorpus::build(syntheticFacts(Mods));
+  for (const char *Name : {"outer", "inner"})
+    EXPECT_NE(Base.linkKey(*Base.lookup(Name)),
+              Renamed.linkKey(*Renamed.lookup(Name)))
+        << Name;
+  EXPECT_EQ(Base.linkKey(*Base.lookup("apart")),
+            Renamed.linkKey(*Renamed.lookup("apart")));
+}
+
+TEST(Link, LongChainAndWideFanInBuildInLinearTime) {
+  // A 20k-function chain across 2k files and a 10k-way fan-in onto one
+  // leaf. Per-component reach sets would need 20k x 20k bits for the
+  // chain alone; the Merkle fold is O(V+E).
+  constexpr uint32_t ChainLen = 20000, PerFile = 10, FanIn = 10000;
+  std::vector<std::vector<FunctionFacts>> Mods;
+  for (uint32_t I = 0; I != ChainLen; ++I) {
+    if (I % PerFile == 0)
+      Mods.emplace_back();
+    std::vector<std::string> Callees;
+    if (I + 1 != ChainLen)
+      Callees.push_back("chain_" + std::to_string(I + 1));
+    Mods.back().push_back(fn("chain_" + std::to_string(I), Callees));
+  }
+  Mods.push_back({fn("hub")});
+  for (uint32_t I = 0; I != FanIn; ++I) {
+    if (I % PerFile == 0)
+      Mods.emplace_back();
+    Mods.back().push_back(fn("fan_" + std::to_string(I), {"hub"}));
+  }
+  LinkedCorpus LC = LinkedCorpus::build(syntheticFacts(Mods));
+  ASSERT_EQ(LC.numFunctions(), ChainLen + 1 + FanIn);
+
+  // Every chain key is distinct (each covers a different suffix), and the
+  // chain head's key moves when the far tail changes.
+  std::vector<uint64_t> Keys;
+  for (uint32_t I = 0; I != ChainLen; ++I)
+    Keys.push_back(LC.linkKey(*LC.lookup("chain_" + std::to_string(I))));
+  std::sort(Keys.begin(), Keys.end());
+  EXPECT_EQ(std::unique(Keys.begin(), Keys.end()), Keys.end());
+
+  Mods[(ChainLen - 1) / PerFile].back().BodyFp ^= 1;
+  LinkedCorpus Tail = LinkedCorpus::build(syntheticFacts(Mods));
+  EXPECT_NE(LC.linkKey(*LC.lookup("chain_0")),
+            Tail.linkKey(*Tail.lookup("chain_0")));
+  EXPECT_EQ(LC.linkKey(*LC.lookup("fan_0")),
+            Tail.linkKey(*Tail.lookup("fan_0")));
 }

@@ -3,7 +3,8 @@
 // End-to-end tests for the whole-program link step (docs/WHOLEPROGRAM.md):
 // cross-file findings with counterpart spans in both files, the
 // withheld-callee miss, and the determinism matrix — in-process vs shard
-// fleet, job counts, cold vs warm SummaryDb, and the schema-bump drill.
+// fleet, job counts, cold vs warm SummaryDb, the schema-bump drill, and
+// warm runs served without decoding a module.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +12,7 @@
 
 #include "diag/Diag.h"
 #include "engine/Supervisor.h"
+#include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
 
@@ -86,10 +88,25 @@ fs::path writePair(const char *Name, const char *UseSrc, const char *DefSrc) {
   return Dir;
 }
 
+/// Both cross-file pairs in one directory.
+fs::path writeCorpus(const char *Name) {
+  fs::path Dir = writePair(Name, UafUseSrc, UafDefSrc);
+  std::ofstream(Dir / "c_dl_def.mir") << DlDefSrc;
+  std::ofstream(Dir / "d_dl_use.mir") << DlUseSrc;
+  return Dir;
+}
+
 EngineOptions baseOptions() {
   EngineOptions Opts;
   Opts.Jobs = 1;
   Opts.UseCache = false;
+  return Opts;
+}
+
+EngineOptions cachedOptions(const fs::path &CacheDir) {
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  Opts.CacheDir = CacheDir.string();
   return Opts;
 }
 
@@ -257,9 +274,7 @@ TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
 }
 
 TEST(WholeProgram, JsonIsByteIdenticalAcrossJobsAndShards) {
-  fs::path Dir = writePair("wp_determinism", UafUseSrc, UafDefSrc);
-  std::ofstream(Dir / "c_dl_def.mir") << DlDefSrc;
-  std::ofstream(Dir / "d_dl_use.mir") << DlUseSrc;
+  fs::path Dir = writeCorpus("wp_determinism");
 
   AnalysisEngine Serial(baseOptions());
   CorpusReport Want = Serial.analyzeCorpus({Dir.string()});
@@ -343,4 +358,106 @@ TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
   EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
   ASSERT_NE(Bumped.summaryDb(), nullptr);
   EXPECT_EQ(Bumped.summaryDb()->stats().CorruptEntries, 0u);
+}
+
+TEST(WholeProgram, WarmUnchangedRunNeverParsesOrDecodes) {
+  fs::path Dir = writeCorpus("wp_nodecode");
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_nodecode_cache";
+  fs::remove_all(CacheDir);
+  std::string Cold;
+  {
+    AnalysisEngine E(cachedOptions(CacheDir));
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.totalFindings(), 2u) << R.renderText();
+    Cold = R.renderJson();
+  }
+
+  // Without snapshots, any module the warm run needed would have to be
+  // parsed, and the armed probe turns every parse into a Skipped file. The
+  // facts cache, the summary DB and the report cache must carry the run.
+  for (const fs::directory_entry &F : fs::directory_iterator(Dir)) {
+    std::ifstream In(F.path());
+    std::string Src((std::istreambuf_iterator<char>(In)),
+                    std::istreambuf_iterator<char>());
+    fs::path Blob = CacheDir / sched::ResultCache::blobFileName(
+                                   snapshotCacheKey(fingerprintSource(Src)));
+    ASSERT_TRUE(fs::remove(Blob)) << Blob;
+  }
+  fault::ScopedFault NoParse("engine.parse", 1, 1000000);
+  AnalysisEngine Warm(cachedOptions(CacheDir));
+  CorpusReport R = Warm.analyzeCorpus({Dir.string()});
+  EXPECT_EQ(R.renderJson(), Cold);
+  EXPECT_EQ(R.countWithStatus(EngineStatus::Ok), 4u) << R.renderText();
+  EXPECT_EQ(R.Stats.LinkRounds, 0u) << R.Stats.renderLine();
+  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 4u) << R.Stats.renderLine();
+  EXPECT_EQ(R.Stats.SummaryDbHits, 4u);
+  EXPECT_EQ(R.Stats.CacheHits, 4u);
+  fs::remove_all(CacheDir);
+}
+
+TEST(WholeProgram, WarmCacheServesACopiedCorpusAtItsNewPaths) {
+  fs::path Dir = writeCorpus("wp_copy_src");
+  fs::path Copy = fs::path(testing::TempDir()) / "wp_copy_dst";
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_copy_cache";
+  fs::remove_all(Copy);
+  fs::remove_all(CacheDir);
+  {
+    AnalysisEngine E(cachedOptions(CacheDir));
+    E.analyzeCorpus({Dir.string()});
+  }
+  fs::copy(Dir, Copy);
+
+  AnalysisEngine Warm(cachedOptions(CacheDir));
+  CorpusReport Got = Warm.analyzeCorpus({Copy.string()});
+  AnalysisEngine Fresh(baseOptions());
+  CorpusReport Want = Fresh.analyzeCorpus({Copy.string()});
+  EXPECT_EQ(Got.renderJson(), Want.renderJson());
+  EXPECT_EQ(Got.renderSarif(), Want.renderSarif());
+  // Facts and summaries came from the cache, yet re-anchored: the
+  // counterpart spans point into the copy, not the original.
+  EXPECT_EQ(Got.Stats.LinkRounds, 0u) << Got.Stats.renderLine();
+  EXPECT_EQ(Got.Stats.ModulesFromSummaryDb, 4u);
+  const FileReport *Use = findFile(Got, "b_use.mir");
+  ASSERT_NE(Use, nullptr);
+  const diag::Diagnostic *D = findKind(*Use, "use-after-free");
+  ASSERT_NE(D, nullptr) << Got.renderText();
+  const diag::Span *S = spanInto(*D, "a_def.mir");
+  ASSERT_NE(S, nullptr);
+  EXPECT_EQ(S->Loc.file(), (Copy / "a_def.mir").string());
+  fs::remove_all(Copy);
+  fs::remove_all(CacheDir);
+}
+
+TEST(WholeProgram, FileOutsideTheLinkIsReadAndParsedOnce) {
+  // A recovered parse and a verifier rejection both keep a file out of
+  // the link; its per-file analysis must reuse the facts phase's load.
+  fs::path Dir = writePair("wp_load_once", UafUseSrc, UafDefSrc);
+  std::ofstream(Dir / "c_recovered.mir")
+      << "fn broken( {\n    bb0: { return; }\n}\n"
+      << "fn fine() {\n    bb0: { return; }\n}\n";
+  std::ofstream(Dir / "d_rejected.mir")
+      << "fn bad() {\n    bb0: { goto -> bb9; }\n}\n";
+
+  // Armed far past any real hit count: the probes only count.
+  fault::ScopedFault CountParses("engine.parse", 1000000);
+  fault::ScopedFault CountVerifies("engine.verify", 1000000);
+  AnalysisEngine E(baseOptions());
+  CorpusReport R = E.analyzeCorpus({Dir.string()});
+  EXPECT_EQ(R.Stats.LinkedFiles, 2u);
+  EXPECT_EQ(R.countWithStatus(EngineStatus::Degraded), 1u) << R.renderText();
+  EXPECT_EQ(R.countWithStatus(EngineStatus::Skipped), 1u) << R.renderText();
+  EXPECT_EQ(fault::hitCount("engine.parse"), 4u);
+  EXPECT_EQ(fault::hitCount("engine.verify"), 4u);
+}
+
+TEST(WholeProgram, SummaryDbHonorsTheCacheCap) {
+  fs::path Dir = writeCorpus("wp_db_cap");
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  Opts.CacheMaxEntries = 1;
+  AnalysisEngine E(Opts);
+  CorpusReport R = E.analyzeCorpus({Dir.string()});
+  EXPECT_EQ(R.Stats.SummaryDbStores, 4u) << R.Stats.renderLine();
+  ASSERT_NE(E.summaryDb(), nullptr);
+  EXPECT_EQ(E.summaryDb()->stats().Evictions, 3u);
 }

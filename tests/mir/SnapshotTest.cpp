@@ -157,6 +157,31 @@ TEST(SnapshotRoundTrip, RegressionCorpus) {
   roundTripFilesUnder(fs::path(RS_REPO_ROOT) / "tests" / "mir" / "regress");
 }
 
+TEST(SnapshotRoundTrip, AnchorPathReplacesEveryLocationFile) {
+  auto R = Parser::parse(RichModule, "first/place.mir");
+  ASSERT_TRUE(R) << R.error().toString();
+  std::string Bytes = snapshot::write(R.take(), 1);
+  for (const char *Path : {"", "moved/elsewhere.mir"}) {
+    std::optional<Module> M = snapshot::read(Bytes, nullptr, Path);
+    ASSERT_TRUE(M.has_value());
+    const std::string Want = *Path ? Path : "first/place.mir";
+    size_t Seen = 0;
+    for (const Function &F : M->functions())
+      for (const BasicBlock &BB : F.Blocks) {
+        for (const Statement &S : BB.Statements)
+          if (S.Loc.isValid()) {
+            EXPECT_EQ(S.Loc.file(), Want);
+            ++Seen;
+          }
+        if (BB.Term.Loc.isValid()) {
+          EXPECT_EQ(BB.Term.Loc.file(), Want);
+          ++Seen;
+        }
+      }
+    EXPECT_GT(Seen, 0u);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Rejection: every defect is a miss, never a crash
 //===----------------------------------------------------------------------===//
