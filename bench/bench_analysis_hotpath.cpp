@@ -19,10 +19,10 @@
 #include "analysis/CallGraph.h"
 #include "analysis/Memory.h"
 #include "analysis/Summaries.h"
-#include "corpus/MirCorpus.h"
 #include "engine/Engine.h"
 #include "mir/Parser.h"
 #include "support/Json.h"
+#include "testgen/Mutators.h"
 
 #include <chrono>
 #include <cstdio>
@@ -69,19 +69,21 @@ mir::Module parseModule(const std::string &Src) {
 /// round-robin schedule (one call level per global round => O(depth^2)
 /// summarizations where the SCC schedule does O(depth)).
 mir::Module largeModule(unsigned ChainDepth) {
-  corpus::MirCorpusConfig C;
-  C.Seed = 3;
-  C.BenignFunctions = 40;
-  C.UseAfterFreeBugs = 3;
-  C.UseAfterFreeBenign = 3;
-  C.DoubleLockBugs = 3;
-  C.DoubleLockBenign = 3;
-  C.LockOrderBugPairs = 2;
-  C.InvalidFreeBugs = 2;
-  C.DoubleFreeBugs = 2;
-  C.UninitReadBugs = 2;
-  C.RefCellConflictBugs = 2;
-  std::string Src = corpus::MirCorpusGenerator(C).generate().toString();
+  using testgen::Mutation;
+  std::string Src =
+      testgen::plantedModule(3, 40,
+                             {{Mutation::UafPostDrop, true, 3},
+                              {Mutation::UafPostDrop, false, 3},
+                              {Mutation::DoubleLockInterproc, true, 1},
+                              {Mutation::DoubleLock, true, 2},
+                              {Mutation::DoubleLockInterproc, false, 1},
+                              {Mutation::DoubleLock, false, 2},
+                              {Mutation::LockOrderInversion, true, 2},
+                              {Mutation::InvalidFree, true, 2},
+                              {Mutation::DoubleFree, true, 2},
+                              {Mutation::UninitRead, true, 2},
+                              {Mutation::RefCellConflict, true, 2}})
+          .toString();
   for (unsigned I = 0; I + 1 < ChainDepth; ++I)
     Src += "fn chain_" + std::to_string(I) +
            "(_1: *mut u8) {\n"

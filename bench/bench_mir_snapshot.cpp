@@ -9,11 +9,11 @@
 
 #include "BenchUtil.h"
 
-#include "corpus/MirCorpus.h"
 #include "mir/Parser.h"
 #include "mir/Snapshot.h"
 #include "mir/Verifier.h"
 #include "support/Json.h"
+#include "testgen/Mutators.h"
 
 #include <chrono>
 #include <cstdio>
@@ -23,23 +23,22 @@
 
 using namespace rs;
 using namespace rs::bench;
-using namespace rs::corpus;
+using namespace rs::testgen;
 
 namespace {
 
-MirCorpusConfig moduleConfig(uint64_t Seed) {
-  MirCorpusConfig C;
-  C.Seed = Seed;
-  C.BenignFunctions = 30;
-  C.UseAfterFreeBugs = 2;
-  C.UseAfterFreeBenign = 4;
-  C.DoubleLockBugs = 2;
-  C.DoubleLockBenign = 4;
-  C.LockOrderBugPairs = 1;
-  C.DoubleFreeBugs = 1;
-  C.UninitReadBugs = 1;
-  C.RefCellConflictBugs = 1;
-  return C;
+mir::Module benchModule(uint64_t Seed) {
+  return plantedModule(Seed, 30,
+                       {{Mutation::UafPostDrop, true, 2},
+                        {Mutation::UafPostDrop, false, 4},
+                        {Mutation::DoubleLockInterproc, true, 1},
+                        {Mutation::DoubleLock, true, 1},
+                        {Mutation::DoubleLockInterproc, false, 2},
+                        {Mutation::DoubleLock, false, 2},
+                        {Mutation::LockOrderInversion, true, 1},
+                        {Mutation::DoubleFree, true, 1},
+                        {Mutation::UninitRead, true, 1},
+                        {Mutation::RefCellConflict, true, 1}});
 }
 
 /// The benchmark corpus: 16 generated modules, their printed sources and
@@ -55,7 +54,7 @@ const Corpus &benchCorpus() {
   static const Corpus C = [] {
     Corpus Out;
     for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
-      mir::Module M = MirCorpusGenerator(moduleConfig(Seed)).generate();
+      mir::Module M = benchModule(Seed);
       std::string Src = M.toString();
       // Snapshot what the parser would build, not the generator's module:
       // decode-vs-parse must compare identical end states.

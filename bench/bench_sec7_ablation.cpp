@@ -13,41 +13,49 @@
 
 #include "BenchUtil.h"
 
-#include "corpus/MirCorpus.h"
 #include "detectors/Detectors.h"
 #include "interp/Interp.h"
+#include "testgen/Mutators.h"
 
 using namespace rs::bench;
-using namespace rs::corpus;
 using namespace rs::detectors;
 using namespace rs::interp;
+using namespace rs::testgen;
 
 namespace {
 
-MirCorpusConfig ablationConfig() {
-  MirCorpusConfig C;
-  C.Seed = 77;
-  C.BenignFunctions = 20;
-  // Straight-line bugs: both approaches should catch these.
-  C.UseAfterFreeBugs = 4;
-  C.DoubleLockBugs = 4;
-  C.InvalidFreeBugs = 3;
-  C.DoubleFreeBugs = 3;
-  C.UninitReadBugs = 3;
-  C.RefCellConflictBugs = 3; // Straight-line panics: both sides see them.
-  // Coverage-gap bugs: static-only territory.
-  C.UseAfterFreeGuardedBugs = 4; // Bug behind an untaken branch.
-  C.LockOrderBugPairs = 3;       // Needs an adversarial interleaving.
-  C.InteriorMutabilityBugs = 3;  // A data race; invisible to one thread.
-  // Benign twins keep both sides honest about false positives.
-  C.UseAfterFreeBenign = 6;
-  C.DoubleLockBenign = 6;
-  C.InvalidFreeBenign = 4;
-  C.DoubleFreeBenign = 4;
-  C.UninitReadBenign = 4;
-  C.InteriorMutabilityBenign = 4;
-  C.LockOrderBenignPairs = 2;
-  return C;
+// Straight-line bugs: both approaches should catch these.
+constexpr unsigned UafBugs = 4, DoubleLockBugs = 4, InvalidFreeBugs = 3,
+                   DoubleFreeBugs = 3, UninitReadBugs = 3,
+                   RefCellBugs = 3; // Straight-line panics: both see them.
+// Coverage-gap bugs: static-only territory.
+constexpr unsigned GuardedUafBugs = 4, // Bug behind an untaken branch.
+    LockOrderPairs = 3,                // Needs an adversarial interleaving.
+    InteriorMutabilityBugs = 3;        // A data race; invisible to one thread.
+
+rs::mir::Module ablationModule() {
+  // One double lock in three goes through a helper. Benign twins keep both
+  // sides honest about false positives.
+  return plantedModule(
+      77, 20,
+      {{Mutation::UafPostDrop, true, UafBugs},
+       {Mutation::UafPostDrop, false, 6},
+       {Mutation::UafGuarded, true, GuardedUafBugs},
+       {Mutation::DoubleLock, true, DoubleLockBugs - 2},
+       {Mutation::DoubleLockInterproc, true, 2},
+       {Mutation::DoubleLock, false, 4},
+       {Mutation::DoubleLockInterproc, false, 2},
+       {Mutation::LockOrderInversion, true, LockOrderPairs},
+       {Mutation::LockOrderInversion, false, 2},
+       {Mutation::InvalidFree, true, InvalidFreeBugs},
+       {Mutation::InvalidFree, false, 4},
+       {Mutation::DoubleFree, true, DoubleFreeBugs},
+       {Mutation::DoubleFree, false, 4},
+       {Mutation::UninitRead, true, UninitReadBugs},
+       {Mutation::UninitRead, false, 4},
+       {Mutation::InteriorMutability, true, InteriorMutabilityBugs},
+       {Mutation::InteriorMutability, false, 4},
+       {Mutation::RefCellConflict, true, RefCellBugs}});
 }
 
 } // namespace
@@ -58,8 +66,7 @@ static void printExperiment() {
          "line; 'coverage-gap bugs' hide behind untaken branches, thread "
          "interleavings, or races.");
 
-  MirCorpusConfig C = ablationConfig();
-  rs::mir::Module M = MirCorpusGenerator(C).generate();
+  rs::mir::Module M = ablationModule();
 
   DiagnosticEngine Static;
   runAllDetectors(M, Static);
@@ -73,21 +80,18 @@ static void printExperiment() {
     return N;
   };
 
-  unsigned ExecutedBugs = C.UseAfterFreeBugs + C.DoubleLockBugs +
-                          C.InvalidFreeBugs + C.DoubleFreeBugs +
-                          C.UninitReadBugs + C.RefCellConflictBugs;
-  unsigned GapBugs = C.UseAfterFreeGuardedBugs + C.LockOrderBugPairs +
-                     C.InteriorMutabilityBugs;
+  unsigned ExecutedBugs = UafBugs + DoubleLockBugs + InvalidFreeBugs +
+                          DoubleFreeBugs + UninitReadBugs + RefCellBugs;
+  unsigned GapBugs = GuardedUafBugs + LockOrderPairs + InteriorMutabilityBugs;
 
   std::printf("%-38s %10s %10s\n", "category (injected)", "static",
               "dynamic");
   std::printf("%-38s %10llu %10llu\n", "use-after-free, straight-line (4)",
               (unsigned long long)0 +
-                  Static.countOfKind(BugKind::UseAfterFree) -
-                  C.UseAfterFreeGuardedBugs,
+                  Static.countOfKind(BugKind::UseAfterFree) - GuardedUafBugs,
               DynCount(TrapKind::UseAfterFree));
   std::printf("%-38s %10u %10llu\n", "use-after-free, guarded path (4)",
-              C.UseAfterFreeGuardedBugs, (unsigned long long)0);
+              GuardedUafBugs, (unsigned long long)0);
   std::printf("%-38s %10zu %10llu\n", "double lock (4)",
               Static.countOfKind(BugKind::DoubleLock),
               DynCount(TrapKind::Deadlock));
@@ -123,7 +127,7 @@ static void printExperiment() {
 }
 
 static void BM_StaticBattery(benchmark::State &State) {
-  rs::mir::Module M = MirCorpusGenerator(ablationConfig()).generate();
+  rs::mir::Module M = ablationModule();
   for (auto _ : State) {
     DiagnosticEngine Diags;
     runAllDetectors(M, Diags);
@@ -133,7 +137,7 @@ static void BM_StaticBattery(benchmark::State &State) {
 BENCHMARK(BM_StaticBattery)->Unit(benchmark::kMillisecond);
 
 static void BM_DynamicRunAll(benchmark::State &State) {
-  rs::mir::Module M = MirCorpusGenerator(ablationConfig()).generate();
+  rs::mir::Module M = ablationModule();
   for (auto _ : State) {
     Interpreter I(M);
     auto Traps = I.runAll();

@@ -12,57 +12,65 @@
 
 #include "BenchUtil.h"
 
-#include "corpus/MirCorpus.h"
 #include "detectors/Detectors.h"
 #include "mir/Parser.h"
+#include "testgen/Mutators.h"
 
 using namespace rs::bench;
-using namespace rs::corpus;
 using namespace rs::detectors;
 using namespace rs::mir;
+using namespace rs::testgen;
 
 namespace {
 
-MirCorpusConfig paperEvalConfig() {
-  MirCorpusConfig C;
-  C.Seed = 2020;
-  C.BenignFunctions = 40;
-  // The paper's found-bug counts, plus benign twins for precision.
-  C.UseAfterFreeBugs = 4;
-  C.UseAfterFreeBenign = 12;
-  C.DoubleLockBugs = 6;
-  C.DoubleLockBenign = 12;
-  // The extension detectors, exercised alongside.
-  C.LockOrderBugPairs = 2;
-  C.LockOrderBenignPairs = 2;
-  C.InvalidFreeBugs = 2;
-  C.InvalidFreeBenign = 4;
-  C.DoubleFreeBugs = 2;
-  C.DoubleFreeBenign = 4;
-  C.UninitReadBugs = 2;
-  C.UninitReadBenign = 4;
-  C.InteriorMutabilityBugs = 2;
-  C.InteriorMutabilityBenign = 4;
-  C.CondvarWaitBugs = 2;
-  C.CondvarWaitBenign = 2;
-  C.ChannelRecvBugs = 2;
-  C.ChannelRecvBenign = 2;
-  C.RefCellConflictBugs = 2;
-  C.RefCellConflictBenign = 4;
-  return C;
+// The paper's found-bug counts, plus benign twins for precision. One
+// double lock in three goes through a helper (the interprocedural shape).
+const std::vector<Plant> PaperEval = {
+    {Mutation::UafPostDrop, true, 4},
+    {Mutation::UafPostDrop, false, 12},
+    {Mutation::DoubleLock, true, 4},
+    {Mutation::DoubleLockInterproc, true, 2},
+    {Mutation::DoubleLock, false, 8},
+    {Mutation::DoubleLockInterproc, false, 4},
+    // The extension detectors, exercised alongside.
+    {Mutation::LockOrderInversion, true, 2},
+    {Mutation::LockOrderInversion, false, 2},
+    {Mutation::InvalidFree, true, 2},
+    {Mutation::InvalidFree, false, 4},
+    {Mutation::DoubleFree, true, 2},
+    {Mutation::DoubleFree, false, 4},
+    {Mutation::UninitRead, true, 2},
+    {Mutation::UninitRead, false, 4},
+    {Mutation::InteriorMutability, true, 2},
+    {Mutation::InteriorMutability, false, 4},
+    {Mutation::CondvarWait, true, 2},
+    {Mutation::CondvarWait, false, 2},
+    {Mutation::ChannelRecv, true, 2},
+    {Mutation::ChannelRecv, false, 2},
+    {Mutation::RefCellConflict, true, 2},
+    {Mutation::RefCellConflict, false, 4},
+};
+
+/// Buggy instances of \p Ms planted by PaperEval.
+unsigned injected(std::initializer_list<Mutation> Ms) {
+  unsigned N = 0;
+  for (const Plant &P : PaperEval)
+    for (Mutation M : Ms)
+      N += P.Positive && P.M == M ? P.Count : 0;
+  return N;
 }
 
-MirCorpusConfig scaledConfig(unsigned Scale) {
-  MirCorpusConfig C;
-  C.Seed = Scale;
-  C.BenignFunctions = 20 * Scale;
-  C.UseAfterFreeBugs = Scale;
-  C.UseAfterFreeBenign = Scale;
-  C.DoubleLockBugs = Scale;
-  C.DoubleLockBenign = Scale;
-  C.InvalidFreeBugs = Scale;
-  C.DoubleFreeBugs = Scale;
-  return C;
+Module scaledModule(unsigned Scale) {
+  unsigned Interproc = (Scale + 2) / 3;
+  return plantedModule(Scale, 20 * Scale,
+                       {{Mutation::UafPostDrop, true, Scale},
+                        {Mutation::UafPostDrop, false, Scale},
+                        {Mutation::DoubleLock, true, Scale - Interproc},
+                        {Mutation::DoubleLockInterproc, true, Interproc},
+                        {Mutation::DoubleLock, false, Scale - Interproc},
+                        {Mutation::DoubleLockInterproc, false, Interproc},
+                        {Mutation::InvalidFree, true, Scale},
+                        {Mutation::DoubleFree, true, Scale}});
 }
 
 } // namespace
@@ -73,51 +81,54 @@ static void printExperiment() {
          "injected, plus benign twins (the published fixes) for "
          "false-positive measurement.");
 
-  MirCorpusConfig C = paperEvalConfig();
-  Module M = MirCorpusGenerator(C).generate();
+  Module M = plantedModule(2020, 40, PaperEval);
   DiagnosticEngine Diags;
   runAllDetectors(M, Diags);
 
+  unsigned UafBugs = injected({Mutation::UafPostDrop});
+  unsigned DoubleLockBugs =
+      injected({Mutation::DoubleLock, Mutation::DoubleLockInterproc});
   std::printf("Use-after-free detector (paper: 4 bugs, 3 false "
               "positives):\n");
-  compare("injected UAF bugs found", C.UseAfterFreeBugs,
+  compare("injected UAF bugs found", UafBugs,
           Diags.countOfKind(BugKind::UseAfterFree));
   compare("false positives on the fixed twins", 0,
-          Diags.countOfKind(BugKind::UseAfterFree) - C.UseAfterFreeBugs);
+          Diags.countOfKind(BugKind::UseAfterFree) - UafBugs);
 
   std::printf("\nDouble-lock detector (paper: 6 bugs, 0 false "
               "positives):\n");
-  compare("injected double locks found", C.DoubleLockBugs,
+  compare("injected double locks found", DoubleLockBugs,
           Diags.countOfKind(BugKind::DoubleLock));
   compare("false positives on the fixed twins", 0,
-          Diags.countOfKind(BugKind::DoubleLock) - C.DoubleLockBugs);
+          Diags.countOfKind(BugKind::DoubleLock) - DoubleLockBugs);
 
   std::printf("\nExtension detectors (the paper's Section 5/6/7 detector "
               "suggestions):\n");
-  compare("conflicting lock orders found", C.LockOrderBugPairs,
+  compare("conflicting lock orders found",
+          injected({Mutation::LockOrderInversion}),
           Diags.countOfKind(BugKind::ConflictingLockOrder));
-  compare("invalid frees found", C.InvalidFreeBugs,
+  compare("invalid frees found", injected({Mutation::InvalidFree}),
           Diags.countOfKind(BugKind::InvalidFree));
-  compare("double frees found", C.DoubleFreeBugs,
+  compare("double frees found", injected({Mutation::DoubleFree}),
           Diags.countOfKind(BugKind::DoubleFree));
-  compare("uninitialized reads found", C.UninitReadBugs,
+  compare("uninitialized reads found", injected({Mutation::UninitRead}),
           Diags.countOfKind(BugKind::UninitRead));
-  compare("interior-mutability races found", C.InteriorMutabilityBugs,
+  compare("interior-mutability races found",
+          injected({Mutation::InteriorMutability}),
           Diags.countOfKind(BugKind::InteriorMutability));
-  compare("condvar waits with no notifier", C.CondvarWaitBugs,
+  compare("condvar waits with no notifier", injected({Mutation::CondvarWait}),
           Diags.countOfKind(BugKind::WaitNoNotify));
-  compare("channel receives with no sender", C.ChannelRecvBugs,
+  compare("channel receives with no sender", injected({Mutation::ChannelRecv}),
           Diags.countOfKind(BugKind::RecvNoSender));
-  compare("RefCell borrow conflicts found", C.RefCellConflictBugs,
+  compare("RefCell borrow conflicts found",
+          injected({Mutation::RefCellConflict}),
           Diags.countOfKind(BugKind::BorrowConflict));
-  compare("total diagnostics", C.totalBugs(), Diags.count());
+  compare("total diagnostics", plantedBugCount(PaperEval), Diags.count());
   std::printf("\n");
 }
 
 static void BM_RunAllDetectors(benchmark::State &State) {
-  Module M =
-      MirCorpusGenerator(scaledConfig(static_cast<unsigned>(State.range(0))))
-          .generate();
+  Module M = scaledModule(static_cast<unsigned>(State.range(0)));
   size_t Fns = M.functions().size();
   for (auto _ : State) {
     DiagnosticEngine Diags;
@@ -131,7 +142,7 @@ BENCHMARK(BM_RunAllDetectors)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 static void BM_UafDetectorFull(benchmark::State &State) {
-  Module M = MirCorpusGenerator(scaledConfig(8)).generate();
+  Module M = scaledModule(8);
   AnalysisContext Ctx(M);
   for (auto _ : State) {
     DiagnosticEngine Diags;
@@ -143,7 +154,7 @@ BENCHMARK(BM_UafDetectorFull)->Unit(benchmark::kMillisecond);
 
 static void BM_UafDetectorFocused(benchmark::State &State) {
   // Suggestion 5: skip safe code unrelated to unsafe.
-  Module M = MirCorpusGenerator(scaledConfig(8)).generate();
+  Module M = scaledModule(8);
   AnalysisContext Ctx(M);
   for (auto _ : State) {
     DiagnosticEngine Diags;
@@ -154,7 +165,7 @@ static void BM_UafDetectorFocused(benchmark::State &State) {
 BENCHMARK(BM_UafDetectorFocused)->Unit(benchmark::kMillisecond);
 
 static void BM_ParseCorpus(benchmark::State &State) {
-  Module M = MirCorpusGenerator(scaledConfig(8)).generate();
+  Module M = scaledModule(8);
   std::string Source = M.toString();
   for (auto _ : State) {
     auto R = Parser::parse(Source);
@@ -166,7 +177,7 @@ static void BM_ParseCorpus(benchmark::State &State) {
 BENCHMARK(BM_ParseCorpus)->Unit(benchmark::kMillisecond);
 
 static void BM_SummaryComputation(benchmark::State &State) {
-  Module M = MirCorpusGenerator(scaledConfig(8)).generate();
+  Module M = scaledModule(8);
   for (auto _ : State) {
     auto Summaries = rs::analysis::computeSummaries(M);
     benchmark::DoNotOptimize(Summaries.size());

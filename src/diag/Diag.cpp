@@ -180,6 +180,14 @@ size_t DiagnosticEngine::countOfKind(RuleId K) const {
   return N;
 }
 
+size_t DiagnosticEngine::countOfDetector(std::string_view Detector) const {
+  size_t N = 0;
+  for (const Diagnostic &D : Diags)
+    if (ruleInfo(D.Kind).Detector == Detector)
+      ++N;
+  return N;
+}
+
 std::string DiagnosticEngine::renderText() const {
   std::string Out;
   for (const Diagnostic &D : Diags) {

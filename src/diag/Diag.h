@@ -194,6 +194,8 @@ public:
 
   size_t count() const { return Diags.size(); }
   size_t countOfKind(RuleId K) const;
+  /// Diagnostics whose rule \p Detector produces (RuleInfo::Detector).
+  size_t countOfDetector(std::string_view Detector) const;
 
   /// One toString() line per diagnostic. Call sort() first for
   /// deterministic output.

@@ -12,9 +12,9 @@
 #include "mir/Verifier.h"
 #include "sched/ThreadPool.h"
 #include "support/FaultInjection.h"
+#include "support/File.h"
 #include "support/Hash.h"
 #include "support/Json.h"
-#include "support/Mmap.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>

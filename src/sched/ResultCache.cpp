@@ -1,9 +1,9 @@
 #include "sched/ResultCache.h"
 
 #include "support/FaultInjection.h"
+#include "support/File.h"
 #include "support/Hash.h"
 #include "support/Json.h"
-#include "support/Mmap.h"
 
 #include <cstdio>
 #include <cstring>

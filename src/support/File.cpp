@@ -1,49 +1,11 @@
-#include "support/Mmap.h"
-
-#include "support/FaultInjection.h"
+#include "support/File.h"
 
 #include <cerrno>
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 using namespace rs;
-
-std::optional<MappedFile> MappedFile::open(const std::string &Path) {
-  if (fault::shouldFail("support.mmap"))
-    return std::nullopt;
-
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
-    return std::nullopt;
-
-  struct stat St;
-  if (::fstat(Fd, &St) != 0 || !S_ISREG(St.st_mode) || St.st_size <= 0) {
-    ::close(Fd);
-    return std::nullopt;
-  }
-
-  size_t Size = static_cast<size_t>(St.st_size);
-  void *P = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
-  // The mapping holds its own reference; the descriptor is not needed
-  // past this point either way.
-  ::close(Fd);
-  if (P == MAP_FAILED)
-    return std::nullopt;
-
-  MappedFile F;
-  F.Data = static_cast<const char *>(P);
-  F.Size = Size;
-  return F;
-}
-
-void MappedFile::unmap() {
-  if (Data != nullptr)
-    ::munmap(const_cast<char *>(Data), Size);
-  Data = nullptr;
-  Size = 0;
-}
 
 ReadFileError rs::readFile(const std::string &Path, std::string &Out) {
   int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);

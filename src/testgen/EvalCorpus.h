@@ -25,9 +25,10 @@
 namespace rs::testgen {
 
 /// Shape of the written corpus. Defaults satisfy the evaluation floor:
-/// 10 mutations x 3 positives + 10 x 2 benign twins + 15 clean = 65 cases,
-/// 30 positives, 35 negatives — plus, when CrossFileCases is set, the
-/// multi-file interprocedural pairs below.
+/// 14 mutations x 3 positives + 14 x 2 benign twins + 15 clean = 85 cases,
+/// 42 positives, 43 negatives — plus, when CrossFileCases is set, the
+/// multi-file interprocedural pairs below (12 files). Every detector gets
+/// at least 3 positive cases, so none is scored from negatives alone.
 struct EvalCorpusSpec {
   uint64_t BaseSeed = 9000;
   unsigned PositivesPerMutation = 3;

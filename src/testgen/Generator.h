@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A seeded, deterministic generator of random RustLite MIR programs. Unlike
-/// corpus::MirCorpusGenerator, which stamps out the paper's fixed bug
-/// patterns, this generator builds *structurally random* programs through
-/// mir::Builder — nested branches, bounded loops, calls along a DAG of
+/// A seeded, deterministic generator of random RustLite MIR programs. It
+/// plants no bug pattern itself: it builds *structurally random* programs
+/// through mir::Builder — nested branches, bounded loops, calls along a DAG of
 /// generated functions, tuples, safe Box and Mutex use — while guaranteeing
 /// by construction that every emitted module is verifier-clean, free of
 /// planted bugs, and terminates under the interpreter. Bug patterns are

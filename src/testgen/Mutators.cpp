@@ -1,6 +1,7 @@
 #include "testgen/Mutators.h"
 
 #include "mir/Builder.h"
+#include "testgen/Generator.h"
 
 using namespace rs;
 using namespace rs::testgen;
@@ -13,6 +14,8 @@ const std::vector<Mutation> &rs::testgen::allMutations() {
       Mutation::DoubleLock,     Mutation::DoubleLockInterproc,
       Mutation::LockOrderInversion, Mutation::DoubleFree,
       Mutation::InvalidFree,    Mutation::UninitRead,
+      Mutation::InteriorMutability, Mutation::CondvarWait,
+      Mutation::ChannelRecv,    Mutation::RefCellConflict,
   };
   return All;
 }
@@ -39,6 +42,14 @@ const char *rs::testgen::mutationName(Mutation M) {
     return "invalid-free";
   case Mutation::UninitRead:
     return "uninit-read";
+  case Mutation::InteriorMutability:
+    return "interior-mutability";
+  case Mutation::CondvarWait:
+    return "condvar-wait";
+  case Mutation::ChannelRecv:
+    return "channel-recv";
+  case Mutation::RefCellConflict:
+    return "refcell-conflict";
   }
   return "?";
 }
@@ -53,6 +64,7 @@ const char *rs::testgen::mutationDetector(Mutation M) {
     return "dangling-return";
   case Mutation::DoubleLock:
   case Mutation::DoubleLockInterproc:
+  case Mutation::RefCellConflict:
     return "double-lock";
   case Mutation::LockOrderInversion:
     return "conflicting-lock-order";
@@ -62,6 +74,11 @@ const char *rs::testgen::mutationDetector(Mutation M) {
     return "invalid-free";
   case Mutation::UninitRead:
     return "uninitialized-read";
+  case Mutation::InteriorMutability:
+    return "interior-mutability";
+  case Mutation::CondvarWait:
+  case Mutation::ChannelRecv:
+    return "missing-wakeup";
   }
   return "?";
 }
@@ -279,6 +296,22 @@ void emitDoubleLock(PatternCtx &P, const std::string &Name, bool Positive,
   FB.finish();
 }
 
+/// The function \p Name spawns \p First and, unless it is empty, \p Second:
+/// threads spawned by one parent form one thread group.
+void emitSpawner(PatternCtx &P, const std::string &Name,
+                 const std::string &First, const std::string &Second) {
+  FunctionBuilder SB(P.M, Name);
+  for (const std::string *Entry : {&First, &Second}) {
+    if (Entry->empty())
+      continue;
+    LocalId U = SB.addLocal(P.TC.getUnit());
+    SB.call(Place(U), "thread::spawn",
+            {Operand::constant(ConstValue::makeStr(*Entry))});
+  }
+  SB.ret();
+  SB.finish();
+}
+
 /// ABBA deadlock: two spawned thread entries acquire two positional locks
 /// in conflicting (buggy) or consistent (benign) order.
 void emitLockOrder(PatternCtx &P, const std::string &Name, bool Positive,
@@ -308,16 +341,7 @@ void emitLockOrder(PatternCtx &P, const std::string &Name, bool Positive,
   std::string T2 = Name + "_t2_" + std::to_string(Idx);
   EmitThread(T1, /*Swap=*/false);
   EmitThread(T2, /*Swap=*/Positive); // Benign pairs share one order.
-
-  FunctionBuilder SB(P.M, Name);
-  LocalId U1 = SB.addLocal(P.TC.getUnit());
-  LocalId U2 = SB.addLocal(P.TC.getUnit());
-  SB.call(Place(U1), "thread::spawn",
-          {Operand::constant(ConstValue::makeStr(T1))});
-  SB.call(Place(U2), "thread::spawn",
-          {Operand::constant(ConstValue::makeStr(T2))});
-  SB.ret();
-  SB.finish();
+  emitSpawner(P, Name, T1, T2);
 }
 
 /// Section 5.1: ptr::read duplicates ownership so two owners drop one
@@ -398,6 +422,134 @@ void emitUninitRead(PatternCtx &P, const std::string &Name, bool Positive) {
   FB.finish();
 }
 
+/// Figure 9: a &self method of a Sync type writes a plain field through a
+/// const-to-mut pointer cast (buggy) or swaps it atomically (benign).
+void emitInteriorMutability(PatternCtx &P, const std::string &Name,
+                            bool Positive) {
+  const Type *SelfRef = P.TC.getRef(P.TC.getAdt("SharedState"), false);
+  FunctionBuilder FB(P.M, Name, P.TC.getI32());
+  LocalId SelfArg = FB.addArg(SelfRef);
+  P.filler(FB, 2);
+  Place Field = Place(SelfArg)
+                    .project(ProjectionElem::deref())
+                    .project(ProjectionElem::field(0));
+  if (Positive) {
+    LocalId FieldRef = FB.addLocal(P.TC.getRef(P.TC.getBool(), false));
+    LocalId Ptr = FB.addLocal(P.TC.getRawPtr(P.TC.getBool(), true));
+    FB.assign(Place(FieldRef), Rvalue::ref(Field, /*Mut=*/false));
+    FB.assign(Place(Ptr), Rvalue::cast(Operand::copy(Place(FieldRef)),
+                                       P.TC.getRawPtr(P.TC.getBool(), true)));
+    FB.assign(Place(Ptr).project(ProjectionElem::deref()),
+              Rvalue::use(Operand::constant(ConstValue::makeBool(true))));
+  } else {
+    LocalId FieldRef =
+        FB.addLocal(P.TC.getRef(P.TC.getAdt("AtomicBool"), false));
+    LocalId Old = FB.addLocal(P.TC.getBool());
+    FB.assign(Place(FieldRef), Rvalue::ref(Field, /*Mut=*/false));
+    FB.call(Place(Old), "AtomicBool::compare_and_swap",
+            {Operand::copy(Place(FieldRef)),
+             Operand::constant(ConstValue::makeBool(false)),
+             Operand::constant(ConstValue::makeBool(true))});
+  }
+  FB.assign(Place(FB.returnLocal()),
+            Rvalue::use(Operand::constant(ConstValue::makeInt(0))));
+  FB.ret();
+  FB.finish();
+}
+
+/// Table 3: a thread blocks in Condvar::wait; the benign twin's spawner
+/// also starts a notifier thread, the buggy one does not.
+void emitCondvarWait(PatternCtx &P, const std::string &Name, bool Positive,
+                     unsigned Idx) {
+  const Type *CvRef = P.TC.getRef(P.TC.getAdt("Condvar"), false);
+  const Type *MutexRef =
+      P.TC.getRef(P.TC.getAdt("Mutex", {P.TC.getI32()}), false);
+  const Type *Guard = P.TC.getAdt("MutexGuard", {P.TC.getI32()});
+  {
+    FunctionBuilder FB(P.M, Name);
+    LocalId Cv = FB.addArg(CvRef);
+    LocalId Mx = FB.addArg(MutexRef);
+    LocalId G = FB.addLocal(Guard);
+    P.filler(FB, 2);
+    FB.storageLive(G);
+    FB.call(Place(G), "Mutex::lock", {Operand::copy(Place(Mx))});
+    FB.call(Place(G), "Condvar::wait",
+            {Operand::copy(Place(Cv)), Operand::move(Place(G))});
+    FB.storageDead(G);
+    FB.ret();
+    FB.finish();
+  }
+  std::string Notifier;
+  if (!Positive) {
+    Notifier = Name + "_notifier_" + std::to_string(Idx);
+    FunctionBuilder FB(P.M, Notifier);
+    LocalId Cv = FB.addArg(CvRef);
+    LocalId U = FB.addLocal(P.TC.getUnit());
+    FB.call(Place(U), "Condvar::notify_one", {Operand::copy(Place(Cv))});
+    FB.ret();
+    FB.finish();
+  }
+  emitSpawner(P, Name + "_spawner_" + std::to_string(Idx), Name, Notifier);
+}
+
+/// Table 3: a thread blocks in Receiver::recv; the benign twin's spawner
+/// also starts a sender thread, the buggy one does not.
+void emitChannelRecv(PatternCtx &P, const std::string &Name, bool Positive,
+                     unsigned Idx) {
+  {
+    FunctionBuilder FB(P.M, Name, P.TC.getI32());
+    LocalId Rx = FB.addArg(
+        P.TC.getRef(P.TC.getAdt("Receiver", {P.TC.getI32()}), false));
+    P.filler(FB, 2);
+    FB.call(Place(FB.returnLocal()), "Receiver::recv",
+            {Operand::copy(Place(Rx))});
+    FB.ret();
+    FB.finish();
+  }
+  std::string Sender;
+  if (!Positive) {
+    Sender = Name + "_sender_" + std::to_string(Idx);
+    FunctionBuilder FB(P.M, Sender);
+    LocalId Tx = FB.addArg(
+        P.TC.getRef(P.TC.getAdt("Sender", {P.TC.getI32()}), false));
+    LocalId U = FB.addLocal(P.TC.getUnit());
+    FB.call(Place(U), "Sender::send",
+            {Operand::copy(Place(Tx)),
+             Operand::constant(ConstValue::makeInt(1))});
+    FB.ret();
+    FB.finish();
+  }
+  emitSpawner(P, Name + "_spawner_" + std::to_string(Idx), Name, Sender);
+}
+
+/// Insight 9: a second borrow_mut while the first borrow's guard is alive
+/// panics at runtime; the benign twin ends the first borrow first.
+void emitRefCellConflict(PatternCtx &P, const std::string &Name,
+                         bool Positive) {
+  const Type *CellRef =
+      P.TC.getRef(P.TC.getAdt("RefCell", {P.TC.getI32()}), false);
+  const Type *RefMut = P.TC.getAdt("RefMut", {P.TC.getI32()});
+  FunctionBuilder FB(P.M, Name, P.TC.getI32());
+  LocalId Arg = FB.addArg(CellRef);
+  LocalId G1 = FB.addLocal(RefMut);
+  LocalId G2 = FB.addLocal(RefMut);
+  P.filler(FB, 2);
+  FB.storageLive(G1);
+  FB.call(Place(G1), "RefCell::borrow_mut", {Operand::copy(Place(Arg))});
+  if (!Positive)
+    FB.storageDead(G1);
+  FB.storageLive(G2);
+  FB.call(Place(G2), "RefCell::borrow_mut", {Operand::copy(Place(Arg))});
+  FB.assign(Place(FB.returnLocal()),
+            Rvalue::use(Operand::copy(
+                Place(G2).project(ProjectionElem::deref()))));
+  FB.storageDead(G2);
+  if (Positive)
+    FB.storageDead(G1);
+  FB.ret();
+  FB.finish();
+}
+
 /// Declares the Drop-carrying struct InvalidFree stores, once per module.
 void ensureGenPacket(Module &M) {
   if (M.findStruct("GenPacket"))
@@ -408,6 +560,17 @@ void ensureGenPacket(Module &M) {
       "buf", M.types().getAdt("Vec", {M.types().getPrim(PrimKind::U8)}));
   S.HasDrop = true;
   M.addStruct(std::move(S));
+}
+
+/// Declares the Sync struct InteriorMutability writes, once per module.
+void ensureSharedState(Module &M) {
+  if (M.findStruct("SharedState"))
+    return;
+  StructDecl S;
+  S.Name = Symbol::intern("SharedState");
+  S.Fields.emplace_back("flag", M.types().getBool());
+  M.addStruct(std::move(S));
+  M.addSyncImpl("SharedState");
 }
 
 } // namespace
@@ -453,6 +616,42 @@ InjectedBug rs::testgen::applyMutation(Module &Mod, Mutation M, bool Positive,
   case Mutation::UninitRead:
     emitUninitRead(Ctx, Label.Function, Positive);
     break;
+  case Mutation::InteriorMutability:
+    ensureSharedState(Mod);
+    emitInteriorMutability(Ctx, Label.Function, Positive);
+    break;
+  case Mutation::CondvarWait:
+    emitCondvarWait(Ctx, Label.Function, Positive, Idx);
+    break;
+  case Mutation::ChannelRecv:
+    emitChannelRecv(Ctx, Label.Function, Positive, Idx);
+    break;
+  case Mutation::RefCellConflict:
+    emitRefCellConflict(Ctx, Label.Function, Positive);
+    break;
   }
   return Label;
+}
+
+Module rs::testgen::plantedModule(uint64_t Seed, unsigned FillerFunctions,
+                                  const std::vector<Plant> &Plants) {
+  GenConfig G;
+  G.Seed = Seed;
+  G.MinFunctions = G.MaxFunctions = FillerFunctions;
+  Module M = ProgramGenerator(G).generate();
+  // Instance numbers run across the whole module, so two entries for one
+  // pattern never plant the same function name.
+  Rng R(Seed);
+  unsigned Idx = 0;
+  for (const Plant &P : Plants)
+    for (unsigned I = 0; I != P.Count; ++I)
+      applyMutation(M, P.M, P.Positive, Idx++, R);
+  return M;
+}
+
+unsigned rs::testgen::plantedBugCount(const std::vector<Plant> &Plants) {
+  unsigned N = 0;
+  for (const Plant &P : Plants)
+    N += P.Positive ? P.Count : 0;
+  return N;
 }

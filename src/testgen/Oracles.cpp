@@ -190,12 +190,14 @@ OracleResult checkVmParity(const mir::Module &M) {
 
 OracleResult checkDetectorExpectation(const mir::Module &M,
                                       const InjectedBug &Label) {
-  detectors::BugKind Kind;
-  if (!detectors::bugKindFromName(Label.Detector, Kind))
+  bool Known = false;
+  for (size_t I = 0; I != diag::numBugRules(); ++I)
+    Known |= diag::ruleInfo(diag::RuleId(I)).Detector == Label.Detector;
+  if (!Known)
     return fail("expectation", "unknown detector '" + Label.Detector + "'");
   detectors::DiagnosticEngine Diags;
   detectors::runAllDetectors(M, Diags);
-  size_t Hits = Diags.countOfKind(Kind);
+  size_t Hits = Diags.countOfDetector(Label.Detector);
   if (Label.Positive && Hits == 0)
     return fail("expectation", std::string(mutationName(Label.M)) +
                                    " injected in '" + Label.Function +

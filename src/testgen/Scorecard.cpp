@@ -36,6 +36,11 @@ std::vector<std::string> batteryNames() {
   return Names;
 }
 
+/// Recall or F1 as rendered: "unscored" when there is no positive case.
+std::string scoredMetric(const DetectorScore &S, double V) {
+  return S.scored() ? formatDouble(V, 4) : "unscored";
+}
+
 } // namespace
 
 std::optional<Manifest> loadManifest(const std::string &Path,
@@ -108,8 +113,10 @@ Scorecard scoreReport(const engine::CorpusReport &Report,
     else
       ++Card.FilesFailed;
     for (const detectors::Diagnostic &D : F.Findings) {
-      // Both spellings, so manifests can label cases by short kind name
-      // ("use-after-free") or stable rule ID ("RS-UAF-001").
+      // The producing detector ("missing-wakeup" for RS-MW-002), plus
+      // both rule spellings, so manifests can also label cases by short
+      // kind name ("recv-no-sender") or stable rule ID ("RS-MW-002").
+      FiredByFile[Name].insert(diag::ruleInfo(D.Kind).Detector);
       FiredByFile[Name].insert(detectors::bugKindName(D.Kind));
       FiredByFile[Name].insert(diag::ruleStringId(D.Kind));
     }
@@ -159,8 +166,8 @@ std::string Scorecard::renderText() const {
                   "%-22s %4u %4u %4u %4u     %6s  %6s  %6s\n",
                   S.Detector.c_str(), S.TP, S.FP, S.FN, S.TN,
                   formatDouble(S.precision(), 4).c_str(),
-                  formatDouble(S.recall(), 4).c_str(),
-                  formatDouble(S.f1(), 4).c_str());
+                  scoredMetric(S, S.recall()).c_str(),
+                  scoredMetric(S, S.f1()).c_str());
     Out += Line;
   }
   Out += "cases: " + std::to_string(CasesScored) + " scored, " +
@@ -191,8 +198,8 @@ std::string Scorecard::renderJson() const {
     // Metrics render as fixed-point strings: byte-stable across platforms,
     // which double formatting is not.
     W.field("precision", formatDouble(S.precision(), 4));
-    W.field("recall", formatDouble(S.recall(), 4));
-    W.field("f1", formatDouble(S.f1(), 4));
+    W.field("recall", scoredMetric(S, S.recall()));
+    W.field("f1", scoredMetric(S, S.f1()));
     W.endObject();
   }
   W.endArray();
@@ -207,7 +214,7 @@ std::string Scorecard::renderBaselineJson() const {
   W.key("f1");
   W.beginObject();
   for (const DetectorScore &S : Scores)
-    W.field(S.Detector, formatDouble(S.f1(), 4));
+    W.field(S.Detector, scoredMetric(S, S.f1()));
   W.endObject();
   W.endObject();
   return W.str();
@@ -226,6 +233,10 @@ std::vector<std::string> compareToBaseline(const Scorecard &S,
     Regressions.push_back("baseline has no \"f1\" object");
     return Regressions;
   }
+  for (const DetectorScore &Got : S.Scores)
+    if (!Got.scored())
+      Regressions.push_back(Got.Detector +
+                            ": unscored (no positive case to measure)");
   for (const auto &[Name, V] : F1->members()) {
     double Want =
         V.isString() ? std::strtod(V.asString().c_str(), nullptr)

@@ -50,10 +50,13 @@ std::optional<Manifest> loadManifest(const std::string &Path,
 /// Confusion counts and derived metrics for one detector. Edge conventions:
 /// precision is 1 when nothing was reported (TP+FP == 0), recall is 1 when
 /// nothing was expected (TP+FN == 0), F1 is 0 when precision+recall is 0.
+/// A detector with no positive case is not scored(): every rendering
+/// prints "unscored" for its recall and F1 instead of that vacuous 1.
 struct DetectorScore {
   std::string Detector;
   unsigned TP = 0, FP = 0, FN = 0, TN = 0;
 
+  bool scored() const { return TP + FN != 0; }
   double precision() const;
   double recall() const;
   double f1() const;
@@ -84,13 +87,15 @@ struct Scorecard {
 };
 
 /// Scores \p Report against \p Man. A detector "fires" on a file when the
-/// file's findings include that detector's bug kind. Report files match
-/// manifest cases by final path component.
+/// file has a finding the detector produces (labels may also name a rule
+/// by kind name or rule ID). Report files match manifest cases by final
+/// path component.
 Scorecard scoreReport(const engine::CorpusReport &Report, const Manifest &Man);
 
 /// Compares \p S against a baseline document (renderBaselineJson format);
 /// returns one human-readable line per regression (F1 below baseline by
-/// more than 1e-6, or a baselined detector missing from the scorecard).
+/// more than 1e-6, a baselined detector missing from the scorecard, or a
+/// scorecard detector that is not scored()).
 std::vector<std::string> compareToBaseline(const Scorecard &S,
                                            const std::string &BaselineJson);
 

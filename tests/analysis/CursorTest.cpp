@@ -5,8 +5,8 @@
 #include "analysis/LiveVariables.h"
 #include "analysis/Memory.h"
 #include "analysis/Summaries.h"
-#include "corpus/MirCorpus.h"
 #include "mir/Parser.h"
+#include "testgen/Mutators.h"
 
 #include <gtest/gtest.h>
 
@@ -132,20 +132,19 @@ TEST(Cursor, SeekIsRepositionable) {
 TEST(Cursor, GeneratedCorpusModules) {
   // Whole generated modules: every bug pattern family, interprocedural
   // summaries applied, every statement point checked.
-  corpus::MirCorpusConfig C;
-  C.Seed = 7;
-  C.UseAfterFreeBugs = 2;
-  C.UseAfterFreeGuardedBugs = 1;
-  C.DoubleLockBugs = 2;
-  C.DoubleLockBenign = 1;
-  C.LockOrderBugPairs = 1;
-  C.InvalidFreeBugs = 1;
-  C.DoubleFreeBugs = 1;
-  C.UninitReadBugs = 1;
-  C.CondvarWaitBugs = 1;
-  C.RefCellConflictBugs = 1;
-  corpus::MirCorpusGenerator Gen(C);
-  Module M = Gen.generate();
+  using testgen::Mutation;
+  Module M = testgen::plantedModule(7, 10,
+                                    {{Mutation::UafPostDrop, true, 2},
+                                     {Mutation::UafGuarded, true, 1},
+                                     {Mutation::DoubleLockInterproc, true, 1},
+                                     {Mutation::DoubleLock, true, 1},
+                                     {Mutation::DoubleLockInterproc, false, 1},
+                                     {Mutation::LockOrderInversion, true, 1},
+                                     {Mutation::InvalidFree, true, 1},
+                                     {Mutation::DoubleFree, true, 1},
+                                     {Mutation::UninitRead, true, 1},
+                                     {Mutation::CondvarWait, true, 1},
+                                     {Mutation::RefCellConflict, true, 1}});
   ASSERT_FALSE(M.functions().empty());
   expectCursorsMatchReplay(M);
 }

@@ -6,32 +6,31 @@
 
 #include "analysis/LiveVariables.h"
 #include "analysis/Memory.h"
-#include "corpus/MirCorpus.h"
 #include "mir/Parser.h"
+#include "testgen/Mutators.h"
 
 #include <gtest/gtest.h>
 
 using namespace rs;
 using namespace rs::analysis;
-using namespace rs::corpus;
 using namespace rs::mir;
+using namespace rs::testgen;
 
 namespace {
 
-MirCorpusConfig sweepConfig(uint64_t Seed) {
-  MirCorpusConfig C;
-  C.Seed = Seed;
-  C.BenignFunctions = 6;
-  C.UseAfterFreeBugs = 2;
-  C.UseAfterFreeBenign = 2;
-  C.DoubleLockBugs = 2;
-  C.DoubleLockBenign = 2;
-  C.LockOrderBugPairs = 1;
-  C.InvalidFreeBugs = 1;
-  C.DoubleFreeBugs = 1;
-  C.UninitReadBugs = 1;
-  C.InteriorMutabilityBugs = 1;
-  return C;
+Module sweepModule(uint64_t Seed) {
+  return plantedModule(Seed, 6,
+                       {{Mutation::UafPostDrop, true, 2},
+                        {Mutation::UafPostDrop, false, 2},
+                        {Mutation::DoubleLockInterproc, true, 1},
+                        {Mutation::DoubleLock, true, 1},
+                        {Mutation::DoubleLockInterproc, false, 1},
+                        {Mutation::DoubleLock, false, 1},
+                        {Mutation::LockOrderInversion, true, 1},
+                        {Mutation::InvalidFree, true, 1},
+                        {Mutation::DoubleFree, true, 1},
+                        {Mutation::UninitRead, true, 1},
+                        {Mutation::InteriorMutability, true, 1}});
 }
 
 /// Union-meet subset check: A must contain B.
@@ -46,7 +45,7 @@ bool contains(const BitVec &A, const BitVec &B) {
 class DataflowSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DataflowSweep, ForwardSolutionIsAFixpoint) {
-  Module M = MirCorpusGenerator(sweepConfig(GetParam())).generate();
+  Module M = sweepModule(GetParam());
   for (const auto &F : M.functions()) {
     Cfg G(F);
     MemoryAnalysis MA(G, M);
@@ -67,7 +66,7 @@ TEST_P(DataflowSweep, ForwardSolutionIsAFixpoint) {
 }
 
 TEST_P(DataflowSweep, BackwardSolutionIsAFixpoint) {
-  Module M = MirCorpusGenerator(sweepConfig(GetParam())).generate();
+  Module M = sweepModule(GetParam());
   for (const auto &F : M.functions()) {
     Cfg G(F);
     LiveVariables LV(G);
@@ -87,7 +86,7 @@ TEST_P(DataflowSweep, BackwardSolutionIsAFixpoint) {
 }
 
 TEST_P(DataflowSweep, DominatorsMatchBruteForce) {
-  Module M = MirCorpusGenerator(sweepConfig(GetParam())).generate();
+  Module M = sweepModule(GetParam());
   for (const auto &F : M.functions()) {
     Cfg G(F);
     DominatorTree DT(G);
@@ -135,7 +134,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DataflowSweep,
 class RoundTripSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RoundTripSweep, CorpusPrintParseFixpoint) {
-  Module M = MirCorpusGenerator(sweepConfig(GetParam())).generate();
+  Module M = sweepModule(GetParam());
   std::string P1 = M.toString();
   auto R = Parser::parse(P1);
   ASSERT_TRUE(R) << R.error().toString();

@@ -6,8 +6,8 @@
 
 #include "analysis/Summaries.h"
 
-#include "corpus/MirCorpus.h"
 #include "mir/Parser.h"
+#include "testgen/Mutators.h"
 
 #include <gtest/gtest.h>
 
@@ -117,18 +117,18 @@ TEST(SummariesEquivalence, MutualRecursionMatchesReference) {
 }
 
 TEST(SummariesEquivalence, GeneratedCorpusMatchesReference) {
-  corpus::MirCorpusConfig C;
-  C.Seed = 11;
-  C.UseAfterFreeBugs = 2;
-  C.DoubleLockBugs = 2;
-  C.DoubleLockBenign = 2;
-  C.LockOrderBugPairs = 1;
-  C.InvalidFreeBugs = 1;
-  C.DoubleFreeBugs = 1;
-  C.UninitReadBugs = 1;
-  C.RefCellConflictBugs = 1;
-  corpus::MirCorpusGenerator Gen(C);
-  Module M = Gen.generate();
+  using testgen::Mutation;
+  Module M = testgen::plantedModule(11, 10,
+                                    {{Mutation::UafPostDrop, true, 2},
+                                     {Mutation::DoubleLockInterproc, true, 1},
+                                     {Mutation::DoubleLock, true, 1},
+                                     {Mutation::DoubleLockInterproc, false, 1},
+                                     {Mutation::DoubleLock, false, 1},
+                                     {Mutation::LockOrderInversion, true, 1},
+                                     {Mutation::InvalidFree, true, 1},
+                                     {Mutation::DoubleFree, true, 1},
+                                     {Mutation::UninitRead, true, 1},
+                                     {Mutation::RefCellConflict, true, 1}});
   bool NewOk = false, RefOk = false;
   SummaryStats Stats;
   SummaryMap New = computeSummaries(M, 8, nullptr, &NewOk, nullptr, &Stats);
@@ -137,7 +137,8 @@ TEST(SummariesEquivalence, GeneratedCorpusMatchesReference) {
   EXPECT_TRUE(NewOk);
   EXPECT_TRUE(RefOk);
   expectTablesEqual(M, New, Ref);
-  // The corpus generator emits no recursive calls: exactly one pass each.
+  // The generated host calls along a DAG and no pattern recurses: exactly
+  // one pass each.
   EXPECT_EQ(Stats.Summarizations, Stats.Functions);
 }
 

@@ -9,8 +9,8 @@
 
 #include "engine/Engine.h"
 
-#include "corpus/MirCorpus.h"
 #include "support/FaultInjection.h"
+#include "testgen/Mutators.h"
 
 #include <gtest/gtest.h>
 
@@ -48,19 +48,19 @@ const char *BuggySrc = "fn uaf() -> u8 {\n"
                        "    }\n"
                        "}\n";
 
-corpus::MirCorpusConfig corpusConfig(uint64_t Seed) {
-  corpus::MirCorpusConfig C;
-  C.Seed = Seed;
-  C.BenignFunctions = 6;
-  C.UseAfterFreeBugs = 2;
-  C.UseAfterFreeBenign = 2;
-  C.DoubleLockBugs = 2;
-  C.DoubleLockBenign = 2;
-  C.LockOrderBugPairs = 1;
-  C.DoubleFreeBugs = 1;
-  C.UninitReadBugs = 1;
-  C.RefCellConflictBugs = 1;
-  return C;
+mir::Module generatedModule(uint64_t Seed) {
+  using testgen::Mutation;
+  return testgen::plantedModule(Seed, 6,
+                                {{Mutation::UafPostDrop, true, 2},
+                                 {Mutation::UafPostDrop, false, 2},
+                                 {Mutation::DoubleLockInterproc, true, 1},
+                                 {Mutation::DoubleLock, true, 1},
+                                 {Mutation::DoubleLockInterproc, false, 1},
+                                 {Mutation::DoubleLock, false, 1},
+                                 {Mutation::LockOrderInversion, true, 1},
+                                 {Mutation::DoubleFree, true, 1},
+                                 {Mutation::UninitRead, true, 1},
+                                 {Mutation::RefCellConflict, true, 1}});
 }
 
 /// Builds a mixed on-disk corpus: several generated modules (with real
@@ -71,7 +71,7 @@ fs::path writeCorpus(const char *Name) {
   fs::remove_all(Dir);
   fs::create_directories(Dir / "nested");
   for (uint64_t Seed : {11, 12, 13}) {
-    mir::Module M = corpus::MirCorpusGenerator(corpusConfig(Seed)).generate();
+    mir::Module M = generatedModule(Seed);
     std::ofstream(Dir / ("gen_" + std::to_string(Seed) + ".mir"))
         << M.toString();
   }

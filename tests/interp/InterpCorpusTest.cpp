@@ -5,16 +5,16 @@
 // silent on the benign twins.
 //===----------------------------------------------------------------------===//
 
-#include "corpus/MirCorpus.h"
 #include "detectors/Detector.h"
 #include "interp/Interp.h"
+#include "testgen/Mutators.h"
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-using namespace rs::corpus;
 using namespace rs::interp;
+using namespace rs::testgen;
 
 namespace {
 
@@ -28,37 +28,33 @@ std::map<TrapKind, unsigned> trapCounts(const std::vector<Trap> &Traps) {
 } // namespace
 
 TEST(InterpCorpus, DynamicCatchesStraightLineBugs) {
-  MirCorpusConfig C;
-  C.Seed = 17;
-  C.BenignFunctions = 6;
-  C.UseAfterFreeBugs = 3;
-  C.DoubleLockBugs = 3;
-  C.InvalidFreeBugs = 2;
-  C.DoubleFreeBugs = 2;
-  C.UninitReadBugs = 2;
-  rs::mir::Module M = MirCorpusGenerator(C).generate();
+  rs::mir::Module M = plantedModule(17, 6,
+                                    {{Mutation::UafPostDrop, true, 3},
+                                     {Mutation::DoubleLockInterproc, true, 1},
+                                     {Mutation::DoubleLock, true, 2},
+                                     {Mutation::InvalidFree, true, 2},
+                                     {Mutation::DoubleFree, true, 2},
+                                     {Mutation::UninitRead, true, 2}});
 
   Interpreter I(M);
   auto Counts = trapCounts(I.runAll());
-  EXPECT_EQ(Counts[TrapKind::UseAfterFree], C.UseAfterFreeBugs);
-  EXPECT_EQ(Counts[TrapKind::Deadlock], C.DoubleLockBugs);
-  EXPECT_EQ(Counts[TrapKind::InvalidFree], C.InvalidFreeBugs);
-  EXPECT_EQ(Counts[TrapKind::DoubleFree], C.DoubleFreeBugs);
-  EXPECT_EQ(Counts[TrapKind::UninitRead], C.UninitReadBugs);
+  EXPECT_EQ(Counts[TrapKind::UseAfterFree], 3u);
+  EXPECT_EQ(Counts[TrapKind::Deadlock], 3u);
+  EXPECT_EQ(Counts[TrapKind::InvalidFree], 2u);
+  EXPECT_EQ(Counts[TrapKind::DoubleFree], 2u);
+  EXPECT_EQ(Counts[TrapKind::UninitRead], 2u);
 }
 
 TEST(InterpCorpus, BenignCorpusExecutesCleanly) {
-  MirCorpusConfig C;
-  C.Seed = 23;
-  C.BenignFunctions = 8;
-  C.UseAfterFreeBenign = 3;
-  C.DoubleLockBenign = 3;
-  C.LockOrderBenignPairs = 1;
-  C.InvalidFreeBenign = 3;
-  C.DoubleFreeBenign = 3;
-  C.UninitReadBenign = 3;
-  C.InteriorMutabilityBenign = 2;
-  rs::mir::Module M = MirCorpusGenerator(C).generate();
+  rs::mir::Module M = plantedModule(23, 8,
+                                    {{Mutation::UafPostDrop, false, 3},
+                                     {Mutation::DoubleLockInterproc, false, 1},
+                                     {Mutation::DoubleLock, false, 2},
+                                     {Mutation::LockOrderInversion, false, 1},
+                                     {Mutation::InvalidFree, false, 3},
+                                     {Mutation::DoubleFree, false, 3},
+                                     {Mutation::UninitRead, false, 3},
+                                     {Mutation::InteriorMutability, false, 2}});
 
   Interpreter I(M);
   std::vector<Trap> Traps = I.runAll();
@@ -71,10 +67,8 @@ TEST(InterpCorpus, BenignCorpusExecutesCleanly) {
 TEST(InterpCorpus, DynamicMissesGuardedPaths) {
   // The use-after-free behind a false branch: static analysis reports it,
   // a dynamic run does not execute it.
-  MirCorpusConfig C;
-  C.Seed = 29;
-  C.UseAfterFreeGuardedBugs = 3;
-  rs::mir::Module M = MirCorpusGenerator(C).generate();
+  rs::mir::Module M =
+      plantedModule(29, 10, {{Mutation::UafGuarded, true, 3}});
 
   Interpreter I(M);
   EXPECT_TRUE(I.runAll().empty());
@@ -87,11 +81,10 @@ TEST(InterpCorpus, DynamicMissesGuardedPaths) {
 TEST(InterpCorpus, DynamicMissesAbbaAndRaces) {
   // Sequential scheduling executes ABBA pairs and interior-mutability
   // races without incident; the static detectors flag both.
-  MirCorpusConfig C;
-  C.Seed = 31;
-  C.LockOrderBugPairs = 2;
-  C.InteriorMutabilityBugs = 2;
-  rs::mir::Module M = MirCorpusGenerator(C).generate();
+  rs::mir::Module M =
+      plantedModule(31, 10,
+                    {{Mutation::LockOrderInversion, true, 2},
+                     {Mutation::InteriorMutability, true, 2}});
 
   Interpreter I(M);
   EXPECT_TRUE(I.runAll().empty());
@@ -108,16 +101,18 @@ TEST(InterpCorpus, DynamicMissesAbbaAndRaces) {
 class InterpSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(InterpSweep, ExecutedBugsAlwaysTrap) {
-  MirCorpusConfig C;
-  C.Seed = GetParam();
-  C.BenignFunctions = 4;
-  C.UseAfterFreeBugs = 1 + GetParam() % 4;
-  C.DoubleLockBugs = 1 + (GetParam() / 2) % 4;
-  rs::mir::Module M = MirCorpusGenerator(C).generate();
+  unsigned UafBugs = 1 + GetParam() % 4;
+  unsigned DoubleLockBugs = 1 + (GetParam() / 2) % 4;
+  unsigned InterprocBugs = (DoubleLockBugs + 2) / 3;
+  rs::mir::Module M = plantedModule(
+      GetParam(), 4,
+      {{Mutation::UafPostDrop, true, UafBugs},
+       {Mutation::DoubleLockInterproc, true, InterprocBugs},
+       {Mutation::DoubleLock, true, DoubleLockBugs - InterprocBugs}});
   Interpreter I(M);
   auto Counts = trapCounts(I.runAll());
-  EXPECT_EQ(Counts[TrapKind::UseAfterFree], C.UseAfterFreeBugs);
-  EXPECT_EQ(Counts[TrapKind::Deadlock], C.DoubleLockBugs);
+  EXPECT_EQ(Counts[TrapKind::UseAfterFree], UafBugs);
+  EXPECT_EQ(Counts[TrapKind::Deadlock], DoubleLockBugs);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpSweep,

@@ -3,9 +3,9 @@
 // the counts on the transformed corpus equal the counts on the original.
 //===----------------------------------------------------------------------===//
 
-#include "corpus/MirCorpus.h"
 #include "detectors/Detector.h"
 #include "mir/Transforms.h"
+#include "testgen/Mutators.h"
 
 #include <gtest/gtest.h>
 
@@ -15,22 +15,22 @@ using namespace rs::mir;
 
 namespace {
 
-corpus::MirCorpusConfig mixedConfig(uint64_t Seed) {
-  corpus::MirCorpusConfig C;
-  C.Seed = Seed;
-  C.BenignFunctions = 6;
-  C.UseAfterFreeBugs = 2;
-  C.UseAfterFreeBenign = 2;
-  C.UseAfterFreeGuardedBugs = 1;
-  C.DoubleLockBugs = 2;
-  C.DoubleLockBenign = 2;
-  C.LockOrderBugPairs = 1;
-  C.InvalidFreeBugs = 1;
-  C.DoubleFreeBugs = 1;
-  C.UninitReadBugs = 1;
-  C.InteriorMutabilityBugs = 1;
-  C.RefCellConflictBugs = 1;
-  return C;
+Module mixedModule(uint64_t Seed) {
+  using testgen::Mutation;
+  return testgen::plantedModule(Seed, 6,
+                                {{Mutation::UafPostDrop, true, 2},
+                                 {Mutation::UafPostDrop, false, 2},
+                                 {Mutation::UafGuarded, true, 1},
+                                 {Mutation::DoubleLockInterproc, true, 1},
+                                 {Mutation::DoubleLock, true, 1},
+                                 {Mutation::DoubleLockInterproc, false, 1},
+                                 {Mutation::DoubleLock, false, 1},
+                                 {Mutation::LockOrderInversion, true, 1},
+                                 {Mutation::InvalidFree, true, 1},
+                                 {Mutation::DoubleFree, true, 1},
+                                 {Mutation::UninitRead, true, 1},
+                                 {Mutation::InteriorMutability, true, 1},
+                                 {Mutation::RefCellConflict, true, 1}});
 }
 
 } // namespace
@@ -38,10 +38,8 @@ corpus::MirCorpusConfig mixedConfig(uint64_t Seed) {
 class TransformDetector : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TransformDetector, FindingsSurviveCleanup) {
-  corpus::MirCorpusConfig C = mixedConfig(GetParam());
-
-  Module Original = corpus::MirCorpusGenerator(C).generate();
-  Module Cleaned = corpus::MirCorpusGenerator(C).generate();
+  Module Original = mixedModule(GetParam());
+  Module Cleaned = mixedModule(GetParam());
   PassManager PM;
   addCleanupPasses(PM);
   PM.run(Cleaned);

@@ -1,9 +1,9 @@
 #include "mir/Transforms.h"
 
-#include "corpus/MirCorpus.h"
 #include "interp/Interp.h"
 #include "mir/Parser.h"
 #include "mir/Verifier.h"
+#include "testgen/Mutators.h"
 
 #include <gtest/gtest.h>
 
@@ -139,21 +139,23 @@ TEST(Transforms, IdempotentAtFixpoint) {
 class TransformSemantics : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TransformSemantics, InterpreterOutcomesUnchanged) {
-  corpus::MirCorpusConfig C;
-  C.Seed = GetParam();
-  C.BenignFunctions = 6;
-  C.UseAfterFreeBugs = 2;
-  C.UseAfterFreeBenign = 2;
-  C.DoubleLockBugs = 2;
-  C.DoubleLockBenign = 2;
-  C.InvalidFreeBugs = 1;
-  C.DoubleFreeBugs = 1;
-  C.UninitReadBugs = 1;
-  C.RefCellConflictBugs = 1;
-  C.RefCellConflictBenign = 1;
-
-  Module Before = corpus::MirCorpusGenerator(C).generate();
-  Module After = corpus::MirCorpusGenerator(C).generate();
+  using testgen::Mutation;
+  auto Generate = [this] {
+    return testgen::plantedModule(GetParam(), 6,
+                                  {{Mutation::UafPostDrop, true, 2},
+                                   {Mutation::UafPostDrop, false, 2},
+                                   {Mutation::DoubleLockInterproc, true, 1},
+                                   {Mutation::DoubleLock, true, 1},
+                                   {Mutation::DoubleLockInterproc, false, 1},
+                                   {Mutation::DoubleLock, false, 1},
+                                   {Mutation::InvalidFree, true, 1},
+                                   {Mutation::DoubleFree, true, 1},
+                                   {Mutation::UninitRead, true, 1},
+                                   {Mutation::RefCellConflict, true, 1},
+                                   {Mutation::RefCellConflict, false, 1}});
+  };
+  Module Before = Generate();
+  Module After = Generate();
   unsigned Applications = runCleanup(After);
   std::vector<std::string> Errors;
   ASSERT_TRUE(verifyModule(After, Errors)) << Errors.front();

@@ -7,6 +7,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 using namespace rs;
@@ -57,7 +59,8 @@ TEST_F(EvalCorpusTest, MeetsTheEvaluationFloor) {
   for (const char *Stem :
        {"uaf_post_drop", "uaf_guarded", "use_after_scope", "dangling_return",
         "double_lock", "double_lock_interproc", "lock_order_inversion",
-        "double_free", "invalid_free", "uninit_read"})
+        "double_free", "invalid_free", "uninit_read", "interior_mutability",
+        "condvar_wait", "channel_recv", "refcell_conflict"})
     EXPECT_TRUE(fs::exists(Dir / (std::string(Stem) + "_bug_0.mir")))
         << Stem;
 }
@@ -121,6 +124,55 @@ TEST_F(EvalCorpusTest, CheckedInCorpusMatchesGenerator) {
     ++Compared;
   }
   EXPECT_GE(Compared, 60u);
+}
+
+// The scorecard must measure every bug rule in Rules.def, not score a
+// detector from negatives alone: the checked-in corpus needs, per rule, at
+// least two positive files (labeled for the rule's detector) that report
+// the rule ID, and at least one benign twin of those patterns
+// ("<stem>_ok_*" next to "<stem>_bug_*") on which the rule stays silent.
+TEST_F(EvalCorpusTest, CheckedInCorpusCoversEveryBugRule) {
+  fs::path Checked = fs::path(RS_REPO_ROOT) / "examples" / "mir" / "eval";
+  auto Man = loadManifest((Checked / "manifest.json").string());
+  ASSERT_TRUE(Man.has_value());
+
+  engine::EngineOptions Opts;
+  Opts.Jobs = 2;
+  Opts.UseCache = false;
+  engine::AnalysisEngine E(Opts);
+  engine::CorpusReport Report = E.analyzeCorpus({Checked.string()});
+  std::map<std::string, std::set<std::string>> RulesByFile;
+  for (const engine::FileReport &F : Report.Files)
+    for (const detectors::Diagnostic &D : F.Findings)
+      RulesByFile[fs::path(F.Path).filename().string()].insert(
+          diag::ruleStringId(D.Kind));
+
+  for (size_t I = 0; I != diag::numBugRules(); ++I) {
+    const diag::RuleInfo &Rule = diag::ruleInfo(diag::RuleId(I));
+    unsigned Positives = 0;
+    std::set<std::string> Stems;
+    for (const LabeledCase &C : Man->Cases) {
+      size_t Bug = C.File.find("_bug_");
+      if (!C.Positive || Bug == std::string::npos ||
+          C.Detector != Rule.Detector ||
+          !RulesByFile[C.File].count(Rule.StringId))
+        continue;
+      ++Positives;
+      Stems.insert(C.File.substr(0, Bug));
+    }
+    unsigned SilentTwins = 0;
+    for (const LabeledCase &C : Man->Cases) {
+      size_t Ok = C.File.find("_ok_");
+      if (!C.Positive && Ok != std::string::npos &&
+          Stems.count(C.File.substr(0, Ok)) &&
+          !RulesByFile[C.File].count(Rule.StringId))
+        ++SilentTwins;
+    }
+    EXPECT_GE(Positives, 2u) << Rule.StringId << " (" << Rule.Name
+                             << "): too few positive files report it";
+    EXPECT_GE(SilentTwins, 1u) << Rule.StringId << " (" << Rule.Name
+                               << "): no silent benign twin";
+  }
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 using namespace rs;
@@ -22,12 +23,11 @@ mir::Module hostModule(uint64_t Seed) {
   return ProgramGenerator(C).generate();
 }
 
-size_t kindCount(const mir::Module &M, const std::string &DetectorName) {
-  detectors::BugKind Kind;
-  EXPECT_TRUE(detectors::bugKindFromName(DetectorName, Kind));
+/// Findings \p DetectorName reports on \p M, over every rule it produces.
+size_t detectorCount(const mir::Module &M, const std::string &DetectorName) {
   detectors::DiagnosticEngine Diags;
   detectors::runAllDetectors(M, Diags);
-  return Diags.countOfKind(Kind);
+  return Diags.countOfDetector(DetectorName);
 }
 
 // Every mutation's buggy form must trip its detector and its benign twin
@@ -45,7 +45,7 @@ TEST(MutatorTest, PositiveFormTripsTargetDetector) {
     std::vector<std::string> Errors;
     ASSERT_TRUE(mir::verifyModule(M, Errors))
         << mutationName(Mu) << ": " << (Errors.empty() ? "" : Errors[0]);
-    EXPECT_GT(kindCount(M, Bug.Detector), 0u)
+    EXPECT_GT(detectorCount(M, Bug.Detector), 0u)
         << mutationName(Mu) << " positive must trip " << Bug.Detector;
     ++Seed;
   }
@@ -62,7 +62,7 @@ TEST(MutatorTest, BenignTwinStaysSilent) {
     std::vector<std::string> Errors;
     ASSERT_TRUE(mir::verifyModule(M, Errors))
         << mutationName(Mu) << ": " << (Errors.empty() ? "" : Errors[0]);
-    EXPECT_EQ(kindCount(M, Bug.Detector), 0u)
+    EXPECT_EQ(detectorCount(M, Bug.Detector), 0u)
         << mutationName(Mu) << " benign twin must not trip " << Bug.Detector;
     ++Seed;
   }
@@ -79,20 +79,41 @@ TEST(MutatorTest, LabelNamesAnInjectedFunction) {
 }
 
 TEST(MutatorTest, CatalogNamesAreStableAndDistinct) {
-  EXPECT_EQ(allMutations().size(), NumMutations);
+  // The sampled prefix plus the four patterns planted only by name.
+  EXPECT_EQ(allMutations().size(), NumMutations + 4);
   std::set<std::string> Names, Detectors;
   for (Mutation Mu : allMutations()) {
     Names.insert(mutationName(Mu));
     Detectors.insert(mutationDetector(Mu));
   }
-  EXPECT_EQ(Names.size(), NumMutations);
-  // Several mutations share a detector (three UAF shapes, two double-lock
-  // shapes), so the detector set is smaller but never empty.
-  EXPECT_GE(Detectors.size(), 7u);
+  EXPECT_EQ(Names.size(), allMutations().size());
+  // Several mutations share a detector (three UAF shapes; two double-lock
+  // shapes and the RefCell conflict; Condvar and channel), so the detector
+  // set is smaller: exactly the nine battery detectors.
+  EXPECT_EQ(Detectors.size(), 9u);
   EXPECT_EQ(std::string(mutationName(Mutation::UafPostDrop)),
             "uaf-post-drop");
   EXPECT_EQ(std::string(mutationDetector(Mutation::DoubleLock)),
             "double-lock");
+}
+
+// The random samplers (sweep, fuzzer, perfbench inputs) index
+// allMutations()[0, NumMutations). Those ten entries, in this order, are
+// what keeps the sweep digest and the benchmark's generated corpus stable;
+// new patterns go after them.
+TEST(MutatorTest, SampledPrefixIsPinned) {
+  const Mutation Pinned[] = {
+      Mutation::UafPostDrop,        Mutation::UafGuarded,
+      Mutation::UseAfterScope,      Mutation::DanglingReturn,
+      Mutation::DoubleLock,         Mutation::DoubleLockInterproc,
+      Mutation::LockOrderInversion, Mutation::DoubleFree,
+      Mutation::InvalidFree,        Mutation::UninitRead,
+  };
+  ASSERT_EQ(NumMutations, std::size(Pinned));
+  ASSERT_GE(allMutations().size(), NumMutations);
+  for (unsigned I = 0; I != NumMutations; ++I)
+    EXPECT_EQ(allMutations()[I], Pinned[I])
+        << "entry " << I << " is " << mutationName(allMutations()[I]);
 }
 
 TEST(MutatorTest, InjectionIsDeterministic) {

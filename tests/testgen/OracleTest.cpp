@@ -1,6 +1,5 @@
 #include "testgen/Oracles.h"
 
-#include "corpus/MirCorpus.h"
 #include "mir/Parser.h"
 #include "support/Rng.h"
 #include "testgen/Generator.h"
@@ -42,16 +41,15 @@ TEST(OracleTest, MutatedModulesPassEveryOracle) {
   }
 }
 
-// The corpus generator's hand-built bug patterns are the reference inputs
-// the paper's detectors were built against; the oracles must hold there
-// too, not just on testgen's own output.
+// A module carrying several patterns at once (what the Section 7 benches
+// analyze): the metamorphic oracles must hold there too, not just on
+// single-mutation sweep modules.
 TEST(OracleTest, CorpusModulePassesMetamorphicOracles) {
-  corpus::MirCorpusConfig C;
-  C.Seed = 3;
-  C.UseAfterFreeBugs = 2;
-  C.DoubleLockBugs = 2;
-  C.LockOrderBugPairs = 1;
-  mir::Module M = corpus::MirCorpusGenerator(C).generate();
+  mir::Module M = plantedModule(3, 10,
+                                {{Mutation::UafPostDrop, true, 2},
+                                 {Mutation::DoubleLockInterproc, true, 1},
+                                 {Mutation::DoubleLock, true, 1},
+                                 {Mutation::LockOrderInversion, true, 1}});
   EXPECT_TRUE(checkRoundTrip(M).Ok);
   EXPECT_TRUE(checkRenameInvariance(M).Ok);
   EXPECT_TRUE(checkPermuteInvariance(M, 17).Ok);

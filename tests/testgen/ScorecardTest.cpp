@@ -150,6 +150,63 @@ TEST(ScorecardTest, BaselineComparisonFlagsRegressions) {
   EXPECT_FALSE(compareToBaseline(Card, "not json").empty());
 }
 
+// A detector with only negative cases has nothing to measure recall on: it
+// renders "unscored" everywhere, never a vacuous 1.0000, and a baseline
+// comparison flags it.
+TEST(ScorecardTest, BenignOnlyDetectorIsUnscored) {
+  engine::CorpusReport Report;
+  Report.Files.push_back(okReport("/x/cv_ok.mir", {}));
+  Report.Files.push_back(
+      okReport("/x/uaf_bug.mir", {detectors::BugKind::UseAfterFree}));
+  Manifest Man;
+  Man.Cases.push_back({"cv_ok.mir", "missing-wakeup", false});
+  Man.Cases.push_back({"uaf_bug.mir", "use-after-free", true});
+
+  Scorecard Card = scoreReport(Report, Man);
+  const DetectorScore *MW = Card.find("missing-wakeup");
+  ASSERT_NE(MW, nullptr);
+  EXPECT_EQ(MW->TN, 1u);
+  EXPECT_FALSE(MW->scored());
+  EXPECT_TRUE(Card.find("use-after-free")->scored());
+
+  std::string Text = Card.renderText();
+  size_t Row = Text.find("missing-wakeup");
+  ASSERT_NE(Row, std::string::npos);
+  std::string Line = Text.substr(Row, Text.find('\n', Row) - Row);
+  EXPECT_NE(Line.find("1.0000  unscored  unscored"), std::string::npos)
+      << Line;
+  EXPECT_NE(Card.renderJson().find(
+                R"("name":"missing-wakeup","tp":0,"fp":0,"fn":0,"tn":1,)"
+                R"("precision":"1.0000","recall":"unscored","f1":"unscored")"),
+            std::string::npos)
+      << Card.renderJson();
+  EXPECT_EQ(Card.renderBaselineJson(),
+            R"({"f1":{"use-after-free":"1.0000","missing-wakeup":"unscored"}})");
+
+  // Even against its own baseline, an unscored detector is a regression.
+  auto Regressions = compareToBaseline(Card, Card.renderBaselineJson());
+  ASSERT_EQ(Regressions.size(), 1u);
+  EXPECT_NE(Regressions[0].find("missing-wakeup: unscored"),
+            std::string::npos);
+}
+
+// Manifests label cases by battery detector; a detector fires on a file
+// through any rule it produces, not only the one spelled like it.
+TEST(ScorecardTest, FindingCountsForItsProducingDetector) {
+  engine::CorpusReport Report;
+  Report.Files.push_back(
+      okReport("/x/ch_bug.mir", {detectors::BugKind::RecvNoSender}));
+  Report.Files.push_back(
+      okReport("/x/rc_bug.mir", {detectors::BugKind::BorrowConflict}));
+  Manifest Man;
+  Man.Cases.push_back({"ch_bug.mir", "missing-wakeup", true});
+  Man.Cases.push_back({"rc_bug.mir", "double-lock", true});
+
+  Scorecard Card = scoreReport(Report, Man);
+  EXPECT_EQ(Card.find("missing-wakeup")->TP, 1u);
+  EXPECT_EQ(Card.find("double-lock")->TP, 1u);
+}
+
 TEST(ScorecardTest, JsonRenderIsStableAndStatFree) {
   engine::CorpusReport Report;
   Report.Files.push_back(

@@ -86,6 +86,8 @@ std::optional<TrapKind> dynamicTrapOf(Mutation Mu) {
     return TrapKind::InvalidFree;
   case Mutation::UninitRead:
     return TrapKind::UninitRead;
+  case Mutation::RefCellConflict:
+    return TrapKind::BorrowPanic;
   default:
     return std::nullopt;
   }

@@ -1,20 +1,29 @@
 #!/usr/bin/env sh
-# Regenerate every pinned JSON golden from the current build.
+# Regenerate every pinned golden from the current build: the CLI's JSON
+# reports and the Section 7 bench rows.
 #
 # Run from the repository root after an intentional schema or corpus
 # change; the golden tests (testgen/GoldenJsonTest.cpp,
 # testgen/EquivalenceSuiteTest.cpp) diff the CLI's live output against
-# these files byte-for-byte, and CI re-runs this script to prove the
+# the JSON files byte-for-byte, and CI re-runs this script to prove the
 # checked-in goldens are fresh.
 #
-# Usage: tools/regen_goldens.sh [path/to/rustsight]
+# Usage: tools/regen_goldens.sh [path/to/rustsight [path/to/bench/dir]]
 set -eu
 
 RUSTSIGHT="${1:-./build/examples/rustsight}"
+BENCH_DIR="${2:-$(dirname "$RUSTSIGHT")/../bench}"
 if [ ! -x "$RUSTSIGHT" ]; then
   echo "error: '$RUSTSIGHT' is not executable; build first or pass the path" >&2
   exit 2
 fi
+for b in sec7_detectors sec7_ablation; do
+  if [ ! -x "$BENCH_DIR/bench_$b" ]; then
+    echo "error: '$BENCH_DIR/bench_$b' is not executable; build the" \
+      "bench_$b target or pass the bench directory" >&2
+    exit 2
+  fi
+done
 if [ ! -d tests/golden ]; then
   echo "error: run from the repository root" >&2
   exit 2
@@ -33,4 +42,11 @@ run_check tests/golden/check.json \
 run_check tests/golden/regress_check.json tests/mir/regress/*.mir
 "$RUSTSIGHT" eval --json examples/mir/eval > tests/golden/eval.json
 
-echo "regenerated: tests/golden/{check,regress_check,eval}.json"
+# The paper-vs-reproduced rows each Section 7 bench prints before timing;
+# --benchmark_filter=none skips the timings, so the rows are all it writes.
+for b in sec7_detectors sec7_ablation; do
+  "$BENCH_DIR/bench_$b" --benchmark_filter=none > "tests/golden/$b.txt"
+done
+
+echo "regenerated: tests/golden/{check,regress_check,eval}.json," \
+  "tests/golden/sec7_{detectors,ablation}.txt"
