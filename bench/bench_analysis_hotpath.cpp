@@ -301,7 +301,7 @@ void printExperiment() {
 
   // 4. Whole-program link over the eval corpus: cold vs SummaryDb-warm.
   // The warm run is a fresh engine against the populated cache dir, so
-  // every per-function link key is served by the SummaryDb and no module
+  // every exporter's module key is served by the SummaryDb and no module
   // is summarized at all (docs/WHOLEPROGRAM.md).
   {
     fs::path Dir = "examples/mir/eval";
@@ -323,12 +323,11 @@ void printExperiment() {
                   (unsigned long long)R.LinkedFiles);
       std::printf("    %-34s %10.2f ms\n", "whole-program, cold SummaryDb",
                   R.LinkedColdMs);
-      std::printf("    %-34s %10.2f ms   (%.1fx, %llu/%llu modules from "
+      std::printf("    %-34s %10.2f ms   (%.1fx, %llu exporter(s) from "
                   "summary-db)\n",
                   "whole-program, warm SummaryDb", R.LinkedWarmMs,
                   R.LinkedColdMs / R.LinkedWarmMs,
-                  (unsigned long long)R.WarmModulesFromDb,
-                  (unsigned long long)R.LinkedFiles);
+                  (unsigned long long)R.WarmModulesFromDb);
     }
   }
 

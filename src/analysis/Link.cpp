@@ -131,42 +131,55 @@ ModuleFacts rs::analysis::collectModuleFacts(const Module &M,
   return Facts;
 }
 
-ModuleDefsRefs rs::analysis::collectDefsAndRefs(const Module &M) {
-  ModuleDefsRefs Out;
-  for (const Function &F : M.functions())
-    Out.Defines.push_back(F.Name.str());
-  std::sort(Out.Defines.begin(), Out.Defines.end());
-  Out.Defines.erase(std::unique(Out.Defines.begin(), Out.Defines.end()),
-                    Out.Defines.end());
+namespace {
 
-  auto DefinedHere = [&](std::string_view Name) {
-    return std::binary_search(Out.Defines.begin(), Out.Defines.end(), Name);
+/// The names \p M defines and the names it calls without defining, each
+/// sorted and deduplicated: the two sides of its cross-module edges.
+std::pair<std::vector<std::string_view>, std::vector<std::string_view>>
+edgeNames(const ModuleFacts &M) {
+  std::vector<std::string_view> Defs, Calls;
+  for (const FunctionFacts &F : M.Functions)
+    Defs.push_back(F.Name);
+  std::sort(Defs.begin(), Defs.end());
+  Defs.erase(std::unique(Defs.begin(), Defs.end()), Defs.end());
+  for (const FunctionFacts &F : M.Functions)
+    for (const std::string &C : F.Callees)
+      if (!std::binary_search(Defs.begin(), Defs.end(), std::string_view(C)))
+        Calls.push_back(C);
+  std::sort(Calls.begin(), Calls.end());
+  Calls.erase(std::unique(Calls.begin(), Calls.end()), Calls.end());
+  return {std::move(Defs), std::move(Calls)};
+}
+
+} // namespace
+
+void LinkNames::update(const ModuleFacts &M, int32_t Delta) {
+  auto [Defs, Calls] = edgeNames(M);
+  auto Bump = [&](std::string_view Name, int32_t Uses::*Field) {
+    auto It = Names.try_emplace(fnv1a64(Name)).first;
+    It->second.*Field += Delta;
+    if (It->second.Defs == 0 && It->second.Calls == 0)
+      Names.erase(It);
   };
-  for (const Function &F : M.functions()) {
-    for (const BasicBlock &BB : F.Blocks) {
-      const Terminator &T = BB.Term;
-      if (T.K != Terminator::Kind::Call)
-        continue;
-      IntrinsicKind IK = classifyIntrinsic(T.Callee);
-      if (IK == IntrinsicKind::ThreadSpawn) {
-        // Spawn-by-name: the thread entry point is a string constant.
-        if (!T.Args.empty() && !T.Args[0].isPlace() &&
-            T.Args[0].C.K == ConstValue::Kind::Str &&
-            !DefinedHere(T.Args[0].C.Str))
-          Out.ExternalRefs.push_back(T.Args[0].C.Str);
-        continue;
-      }
-      if (IK != IntrinsicKind::None)
-        continue; // Mutex::lock etc. can never be defined by another file.
-      if (!DefinedHere(T.Callee))
-        Out.ExternalRefs.push_back(std::string(T.Callee));
-    }
-  }
-  std::sort(Out.ExternalRefs.begin(), Out.ExternalRefs.end());
-  Out.ExternalRefs.erase(
-      std::unique(Out.ExternalRefs.begin(), Out.ExternalRefs.end()),
-      Out.ExternalRefs.end());
-  return Out;
+  for (std::string_view D : Defs)
+    Bump(D, &Uses::Defs);
+  for (std::string_view C : Calls)
+    Bump(C, &Uses::Calls);
+}
+
+bool LinkNames::touchesEdge(const ModuleFacts &M) const {
+  auto [Defs, Calls] = edgeNames(M);
+  auto Count = [&](std::string_view Name, int32_t Uses::*Field) {
+    auto It = Names.find(fnv1a64(Name));
+    return It == Names.end() ? 0 : It->second.*Field;
+  };
+  for (std::string_view C : Calls)
+    if (Count(C, &Uses::Defs) > 0)
+      return true;
+  for (std::string_view D : Defs)
+    if (Count(D, &Uses::Calls) > 0)
+      return true;
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -222,6 +235,10 @@ LinkedCorpus LinkedCorpus::build(std::vector<ModuleFacts> Facts) {
     }
     C.ModuleRefs[M].assign(Refs.begin(), Refs.end());
   }
+  C.Exporter.assign(C.Modules.size(), 0);
+  for (const auto &Refs : C.ModuleRefs)
+    for (const auto &Ref : Refs)
+      C.Exporter[C.Functions[Ref.second].Module] = 1;
 
   // Link keys: a Merkle fold over the condensation. Tarjan emits callee
   // components before their callers, so one pass in component order sees
@@ -431,57 +448,40 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
       Referenced.insert(Name);
     }
 
-  // DB probe: one entry per module, addressed by the fold of its function
+  // Only an exporter's summaries are ever read, so every other module
+  // needs no summary: it is never probed, summarized or stored.
+  //
+  // DB probe: one entry per exporter, addressed by the fold of its function
   // link keys, so an entry is served exactly when every function's key is
   // unchanged (summarization is per-module; partial coverage saves
-  // nothing). The key folds every name and body, so an intact entry
-  // matches its module; only a module that exports a summary to another
-  // module's analysis needs its payload decoded (and checked against the
-  // facts). The rest only need to know summarization can be skipped.
+  // nothing). A hit's payload is checked against the facts before it
+  // seeds the environment.
   std::vector<char> FromDb(NumMods, 0);
   std::vector<std::vector<ExternalFunctionInfo>> DbInfo(NumMods);
-  if (Db.Lookup) {
-    auto Exports = [&](uint32_t M) {
-      const ModuleFacts &Facts = LC.modules()[M];
-      for (uint32_t Ord = 0; Ord != Facts.Functions.size(); ++Ord)
-        if (Referenced.count(Facts.Functions[Ord].Name) &&
-            LC.lookup(Facts.Functions[Ord].Name) == LC.globalId(M, Ord))
-          return true;
-      return false;
-    };
-    for (uint32_t M = 0; M != NumMods; ++M) {
-      const ModuleFacts &Facts = LC.modules()[M];
-      if (Facts.Functions.empty())
-        continue;
-      std::optional<std::string> Payload = Db.Lookup(LC.moduleKey(M));
-      if (!Payload)
-        continue;
-      if (!Exports(M)) {
-        FromDb[M] = 1;
-        continue;
-      }
-      std::optional<std::vector<ExternalFunctionInfo>> Infos =
-          deserializeSummaryPayload(*Payload);
-      bool Matches = Infos && Infos->size() == Facts.Functions.size();
-      for (uint32_t Ord = 0; Matches && Ord != Infos->size(); ++Ord)
-        Matches = (*Infos)[Ord].Name == Facts.Functions[Ord].Name &&
-                  (*Infos)[Ord].NumArgs == Facts.Functions[Ord].NumArgs;
-      if (!Matches)
-        continue;
-      DbInfo[M] = std::move(*Infos);
-      FromDb[M] = 1;
+  for (uint32_t M = 0; M != NumMods; ++M) {
+    if (!LC.exports(M)) {
+      ++R.Stats.ModulesNeedNoSummary;
+      continue;
     }
-    for (uint32_t M = 0; M != NumMods; ++M) {
-      if (LC.modules()[M].Functions.empty()) {
-        FromDb[M] = 1; // Nothing to summarize either way.
-      } else if (FromDb[M]) {
-        ++R.Stats.DbHits;
-      } else {
-        ++R.Stats.DbMisses;
-        continue;
-      }
-      ++R.Stats.ModulesFromDb;
+    if (!Db.Lookup)
+      continue;
+    const ModuleFacts &Facts = LC.modules()[M];
+    std::optional<std::string> Payload = Db.Lookup(LC.moduleKey(M));
+    std::optional<std::vector<ExternalFunctionInfo>> Infos;
+    if (Payload)
+      Infos = deserializeSummaryPayload(*Payload);
+    bool Matches = Infos && Infos->size() == Facts.Functions.size();
+    for (uint32_t Ord = 0; Matches && Ord != Infos->size(); ++Ord)
+      Matches = (*Infos)[Ord].Name == Facts.Functions[Ord].Name &&
+                (*Infos)[Ord].NumArgs == Facts.Functions[Ord].NumArgs;
+    if (!Matches) {
+      ++R.Stats.DbMisses;
+      continue;
     }
+    DbInfo[M] = std::move(*Infos);
+    FromDb[M] = 1;
+    ++R.Stats.DbHits;
+    ++R.Stats.ModulesFromDb;
   }
 
   // Seed the environment from the decoded entries.
@@ -498,10 +498,11 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
     }
   }
 
-  // Jacobi rounds: each round recomputes exactly the modules whose observed
-  // environment slice changed in the previous round (round one recomputes
-  // every non-DB module). The trajectory is deterministic, which is what
-  // keeps the supervisor's distributed rounds byte-identical to these.
+  // Jacobi rounds: each round recomputes exactly the exporters whose
+  // observed environment slice changed in the previous round (round one
+  // recomputes every exporter the DB did not serve). The trajectory is
+  // deterministic, which is what keeps the supervisor's distributed rounds
+  // byte-identical to these.
   std::vector<ModuleSummaries> Last(NumMods);
   std::vector<char> Computed(NumMods, 0);
   std::set<std::string, std::less<>> Changed;
@@ -510,7 +511,7 @@ LinkResult rs::analysis::solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
   auto Schedule = [&]() {
     std::vector<uint32_t> Sched;
     for (uint32_t M = 0; M != NumMods; ++M) {
-      if (FromDb[M])
+      if (FromDb[M] || !LC.exports(M))
         continue;
       if (First) {
         Sched.push_back(M);

@@ -41,6 +41,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace rs::analysis {
@@ -158,14 +159,31 @@ uint64_t functionFingerprint(const mir::Function &F, uint64_t DeclFp);
 /// Extracts the linker-visible facts of \p M (anchored at corpus \p Path).
 ModuleFacts collectModuleFacts(const mir::Module &M, const std::string &Path);
 
-/// The defined function names and unresolved extern call targets of one
-/// module — the dependency-index primitive the serve daemon shares with the
-/// linker. Both lists are sorted and deduplicated.
-struct ModuleDefsRefs {
-  std::vector<std::string> Defines;
-  std::vector<std::string> ExternalRefs;
+/// The name-level shape of a set of resident module facts: per function
+/// name, how many modules define it and how many call it without defining
+/// it (the extern calls LinkedCorpus::build resolves across modules). A
+/// resident corpus keeps one so that, on each edit, it can tell without
+/// rebuilding the link whether the edited module's new facts touch a
+/// cross-module edge. Names are held as 64-bit hashes: a collision can only
+/// report an edge that is not there, never hide one.
+class LinkNames {
+public:
+  void add(const ModuleFacts &M) { update(M, 1); }
+  void remove(const ModuleFacts &M) { update(M, -1); }
+
+  /// True when \p M calls a name some indexed module defines, or defines a
+  /// name some indexed module calls. Remove \p M's previous facts first, so
+  /// that "some indexed module" means another one.
+  bool touchesEdge(const ModuleFacts &M) const;
+
+private:
+  struct Uses {
+    int32_t Defs = 0;
+    int32_t Calls = 0;
+  };
+  void update(const ModuleFacts &M, int32_t Delta);
+  std::unordered_map<uint64_t, Uses> Names;
 };
-ModuleDefsRefs collectDefsAndRefs(const mir::Module &M);
 
 //===----------------------------------------------------------------------===//
 // The linked corpus
@@ -188,6 +206,8 @@ public:
   static LinkedCorpus build(std::vector<ModuleFacts> Facts);
 
   const std::vector<ModuleFacts> &modules() const { return Modules; }
+  /// Hands the facts back out of a corpus that is done with them.
+  std::vector<ModuleFacts> takeModules() && { return std::move(Modules); }
   uint32_t numFunctions() const {
     return static_cast<uint32_t>(Functions.size());
   }
@@ -233,6 +253,11 @@ public:
   /// its functions' keys is unchanged).
   uint64_t moduleKey(uint32_t ModuleIdx) const;
 
+  /// True when module \p ModuleIdx holds the winning definition of a name
+  /// another module calls: only such a module's summaries are ever read,
+  /// so only exporters are summarized, probed and stored by the solver.
+  bool exports(uint32_t ModuleIdx) const { return Exporter[ModuleIdx]; }
+
   /// The resolved extern references of module \p ModuleIdx: names its
   /// functions call that are defined in *other* modules, sorted, with the
   /// winning definition's global id.
@@ -265,6 +290,7 @@ private:
   std::vector<std::vector<uint32_t>> Callees;
   std::vector<uint64_t> LinkKeys;
   std::vector<std::vector<std::pair<std::string, uint32_t>>> ModuleRefs;
+  std::vector<char> Exporter;
 };
 
 //===----------------------------------------------------------------------===//
@@ -310,13 +336,16 @@ struct LinkDbHooks {
   std::function<void(uint64_t Key, std::string_view Payload)> Store;
 };
 
+/// Every module is either an exporter (LinkedCorpus::exports) or needs no
+/// summary; the DB counters cover exporters only.
 struct LinkStats {
   unsigned Rounds = 0;             ///< Summarization rounds actually run.
   unsigned ModulesSummarized = 0;  ///< Module summarizations across rounds.
-  unsigned ModulesFromDb = 0;      ///< Modules fully served by the DB.
-  uint64_t DbHits = 0;   ///< Modules whose entry was found and matched.
-  uint64_t DbMisses = 0; ///< Modules with functions but no usable entry.
-  uint64_t DbStores = 0; ///< Module entries persisted.
+  unsigned ModulesNeedNoSummary = 0; ///< Modules no other module reads.
+  unsigned ModulesFromDb = 0;      ///< Exporters fully served by the DB.
+  uint64_t DbHits = 0;   ///< Exporters whose entry was found and matched.
+  uint64_t DbMisses = 0; ///< Exporters with no usable entry.
+  uint64_t DbStores = 0; ///< Exporter entries persisted.
 };
 
 struct LinkResult {
@@ -338,12 +367,11 @@ struct LinkResult {
 using SummarizeRoundFn = std::function<std::vector<ModuleSummaries>(
     const std::vector<uint32_t> &ModuleIdxs, const ExternalSummaries &Env)>;
 
-/// Runs the deterministic link fixpoint over \p Corpus: seeds the
-/// environment from the summary DB (a module whose entry hits skips
-/// summarization entirely — the "warm runs skip straight to dirty slices"
-/// path), then iterates Jacobi rounds through \p Summarize until no
-/// environment entry changes. Converged per-module payloads are stored
-/// back through \p Db.
+/// Runs the deterministic link fixpoint over \p Corpus. Only exporters take
+/// part: the environment is seeded from the summary DB (an exporter whose
+/// entry hits skips summarization entirely), then Jacobi rounds run through
+/// \p Summarize until no environment entry changes. Converged exporter
+/// payloads are stored back through \p Db.
 LinkResult solveLink(LinkedCorpus Corpus, const LinkOptions &Opts,
                      const LinkDbHooks &Db, const SummarizeRoundFn &Summarize);
 

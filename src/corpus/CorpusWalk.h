@@ -18,6 +18,7 @@
 #ifndef RUSTSIGHT_CORPUS_CORPUSWALK_H
 #define RUSTSIGHT_CORPUS_CORPUSWALK_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,10 +26,13 @@ namespace rs::corpus {
 
 /// One analysis input. When SkipReason is nonempty the entry is a
 /// placeholder the engine must report as skipped without touching the
-/// path again (e.g. a directory that contained no .mir files).
+/// path again (e.g. a directory that contained no .mir files). A Source
+/// is the input's content held in memory (an editor buffer): the engine
+/// analyzes it under Path instead of reading the file.
 struct CorpusInput {
   std::string Path;
   std::string SkipReason;
+  std::optional<std::string> Source = std::nullopt;
 };
 
 /// Expands \p Paths in order: a file maps to itself; a directory maps to

@@ -8,7 +8,7 @@
 /// \file
 /// Maps file names to source buffers so the text renderer can show
 /// caret/underline code snippets under diagnostics. Buffers are either
-/// registered in-memory (analyzeSource, tests) or lazily loaded from disk
+/// registered in-memory (editor buffers, tests) or lazily loaded from disk
 /// the first time a snippet for that file is requested; an unreadable file
 /// simply yields no snippet — rendering never fails.
 ///

@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 using namespace rs;
 using namespace rs::engine;
@@ -317,6 +318,13 @@ AnalysisEngine::read(const std::string &Path,
   return L;
 }
 
+AnalysisEngine::LoadedFile
+AnalysisEngine::read(const corpus::CorpusInput &In) {
+  if (In.Source)
+    return read(In.Path, std::string_view(*In.Source));
+  return read(In.Path, std::nullopt);
+}
+
 void AnalysisEngine::loadModule(LoadedFile &L) {
   if (!L.Read || L.Loaded)
     return;
@@ -384,9 +392,12 @@ AnalysisEngine::linkFacts(LoadedFile &L) {
     return std::nullopt;
   // Facts are a pure function of content, and only a clean module's are
   // ever stored, so a hit needs no module at all. The entry carries no
-  // path: it re-anchors at whatever path the content shows up at.
+  // path: it re-anchors at whatever path the content shows up at. Facts
+  // are only worth caching across processes: within one, the corpus
+  // driver and the serve session keep each file's facts themselves.
+  const bool Persist = Cache && !Opts.CacheDir.empty();
   const uint64_t Key = factsCacheKey(L.Fp);
-  if (Cache && !L.Loaded)
+  if (Persist && !L.Loaded)
     if (std::optional<sched::ResultCache::BlobRef> Blob =
             Cache->lookupBlobRef(Key))
       if (std::optional<analysis::ModuleFacts> Facts =
@@ -397,7 +408,7 @@ AnalysisEngine::linkFacts(LoadedFile &L) {
     return std::nullopt;
   analysis::ModuleFacts Facts =
       analysis::collectModuleFacts(*L.M, L.Report.Path);
-  if (Cache)
+  if (Persist)
     Cache->storeBlob(Key, analysis::serializeModuleFacts(Facts));
   return Facts;
 }
@@ -411,9 +422,9 @@ uint64_t AnalysisEngine::reportKey(uint64_t Fp, uint64_t LinkDigest) const {
   return LinkDigest != 0 ? fnv1a64U64(LinkDigest, Key) : Key;
 }
 
-FileReport AnalysisEngine::analyze(LoadedFile L,
+FileReport AnalysisEngine::analyze(LoadedFile &L,
                                    const analysis::ExternalSummaries *Env,
-                                   uint64_t LinkDigest) {
+                                   uint64_t LinkDigest, unsigned *Runs) {
   if (!L.Read)
     return std::move(L.Report);
   const uint64_t Key = reportKey(L.Fp, LinkDigest);
@@ -422,6 +433,8 @@ FileReport AnalysisEngine::analyze(LoadedFile L,
       if (std::optional<FileReport> Hit =
               deserializeFileReport(*Payload, L.Report.Path))
         return std::move(*Hit);
+  if (Runs)
+    ++*Runs;
   loadModule(L);
   FileReport R = std::move(L.Report);
   if (!L.M)
@@ -438,15 +451,14 @@ FileReport AnalysisEngine::analyze(LoadedFile L,
   return R;
 }
 
-FileReport AnalysisEngine::analyzeSource(std::string_view Source,
-                                         const std::string &Path) {
-  return analyze(read(Path, Source), nullptr, 0);
-}
-
-FileReport AnalysisEngine::analyzeFile(const std::string &Path,
-                                       const analysis::ExternalSummaries *Env,
-                                       uint64_t LinkDigest) {
-  return analyze(read(Path, std::nullopt), Env, LinkDigest);
+FileReport AnalysisEngine::analyzeFile(
+    const std::string &Path, std::optional<std::string_view> Source,
+    const analysis::ExternalSummaries *Env, uint64_t LinkDigest,
+    std::optional<analysis::ModuleFacts> *Facts) {
+  LoadedFile L = read(Path, Source);
+  if (Facts)
+    *Facts = linkFacts(L);
+  return analyze(L, Env, LinkDigest);
 }
 
 std::optional<analysis::ModuleFacts>
@@ -457,9 +469,10 @@ AnalysisEngine::collectFileFacts(const std::string &Path) {
 
 std::optional<analysis::ModuleSummaries>
 AnalysisEngine::summarizeFileForLink(const std::string &Path,
+                                     std::optional<std::string_view> Source,
                                      uint32_t ModuleIdx,
                                      const analysis::ExternalSummaries &Env) {
-  LoadedFile L = read(Path, std::nullopt);
+  LoadedFile L = read(Path, Source);
   loadModule(L);
   if (!L.Clean)
     return std::nullopt;
@@ -935,9 +948,9 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   analysis::LinkOptions LO;
   LO.MaxSummaryRounds = linkRounds(Opts);
 
-  // The solver probes and stores one entry per module, one after another.
-  // So the DB's disk reads happen here first, on the transport, and its
-  // writes after the solve: the hooks only touch memory.
+  // The solver probes and stores one entry per exporter, one after
+  // another. So the DB's disk reads happen here first, on the transport,
+  // and its writes after the solve: the hooks only touch memory.
   analysis::LinkDbHooks Hooks;
   std::unordered_map<uint64_t, std::string> Entries;
   std::vector<std::pair<uint64_t, std::string>> Pending;
@@ -945,7 +958,7 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
     const uint32_t NumMods = static_cast<uint32_t>(Corpus.modules().size());
     std::vector<std::optional<std::string>> Got(NumMods);
     Transport.Parallel(NumMods, [&](size_t M) {
-      if (!Corpus.modules()[M].Functions.empty())
+      if (Corpus.exports(static_cast<uint32_t>(M)))
         Got[M] = Db->lookup(Corpus.moduleKey(static_cast<uint32_t>(M)));
     });
     for (uint32_t M = 0; M != NumMods; ++M)
@@ -978,9 +991,15 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   Plan.Env = std::move(LR.Env);
   for (uint32_t M = 0; M != ModuleInput.size(); ++M)
     Plan.Digest[ModuleInput[M]] = LR.Corpus.linkDigest(M);
+  std::vector<analysis::ModuleFacts> Linked =
+      std::move(LR.Corpus).takeModules();
+  Plan.Facts.resize(Inputs.size());
+  for (uint32_t M = 0; M != ModuleInput.size(); ++M)
+    Plan.Facts[ModuleInput[M]] = std::move(Linked[M]);
   Plan.Stats.LinkEnabled = true;
   Plan.Stats.LinkedFiles = static_cast<unsigned>(ModuleInput.size());
   Plan.Stats.LinkRounds = LR.Stats.Rounds;
+  Plan.Stats.ModulesNeedNoSummary = LR.Stats.ModulesNeedNoSummary;
   Plan.Stats.ModulesFromSummaryDb = LR.Stats.ModulesFromDb;
   Plan.Stats.SummaryDbHits = LR.Stats.DbHits;
   Plan.Stats.SummaryDbMisses = LR.Stats.DbMisses;
@@ -988,9 +1007,15 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   return Plan;
 }
 
-CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths) {
+CorpusReport
+AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths) {
+  return analyzeCorpus(corpus::expandMirPaths(Paths), nullptr);
+}
+
+CorpusReport
+AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
+                              CorpusState *State) {
   auto Start = std::chrono::steady_clock::now();
-  std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
   const size_t N = Inputs.size();
   sched::ResultCache::Stats Before;
   if (Cache)
@@ -1011,19 +1036,37 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
         Fn(I);
   };
 
-  // The link step over the thread pool. Every analyzable input is read
-  // once; its facts come from the facts cache, or from its module, which
-  // then stays in memory for the summarize rounds and the analysis below.
-  // An unchanged file is never decoded unless its report misses or its
-  // module must be summarized.
-  std::vector<std::optional<LoadedFile>> Loaded(N);
+  // Each task owns exactly slot I of the report — the deterministic merge:
+  // results land by input ordinal, never by completion order. The per-file
+  // task reads the file once and analyzes it against the empty environment
+  // (digest 0); when the corpus links, the same load yields its facts (the
+  // facts cache, else its module). The module dies with the task.
+  CorpusReport Report;
+  Report.Files.resize(N);
+  std::vector<unsigned> Runs(N, 0);
+  std::vector<char> Done(N, 0);
+  auto PerFile = [&](size_t I, std::optional<analysis::ModuleFacts> *Facts) {
+    const corpus::CorpusInput &In = Inputs[I];
+    Done[I] = 1;
+    if (!In.SkipReason.empty()) {
+      Report.Files[I] = FileReport::skipped(In.Path, In.SkipReason);
+      return;
+    }
+    LoadedFile L = read(In);
+    if (Facts)
+      *Facts = linkFacts(L);
+    Report.Files[I] = analyze(L, nullptr, 0, &Runs[I]);
+  };
+
+  // The link step over the thread pool. An exporter's module loads in its
+  // first summarize round and stays until the link is done; it is the only
+  // module that outlives its per-file task.
+  std::vector<std::optional<LoadedFile>> Exporters(N);
   LinkTransport Transport;
   Transport.Facts = [&](const std::vector<size_t> &Ordinals) {
     std::vector<std::optional<analysis::ModuleFacts>> Facts(Ordinals.size());
-    RunParallel(Ordinals.size(), [&](size_t K) {
-      Loaded[Ordinals[K]] = read(Inputs[Ordinals[K]].Path, std::nullopt);
-      Facts[K] = linkFacts(*Loaded[Ordinals[K]]);
-    });
+    RunParallel(Ordinals.size(),
+                [&](size_t K) { PerFile(Ordinals[K], &Facts[K]); });
     return Facts;
   };
   Transport.Summarize =
@@ -1032,35 +1075,38 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
         std::vector<analysis::ModuleSummaries> Out(Modules.size());
         RunParallel(Modules.size(), [&](size_t K) {
           const auto &[Idx, Input] = Modules[K];
-          LoadedFile &L = *Loaded[Input];
-          loadModule(L);
-          Out[K] = summarizeContained(L.Clean ? &*L.M : nullptr, Idx, Env,
+          std::optional<LoadedFile> &L = Exporters[Input];
+          if (!L) {
+            L = read(Inputs[Input]);
+            loadModule(*L);
+          }
+          Out[K] = summarizeContained(L->Clean ? &*L->M : nullptr, Idx, Env,
                                       Opts);
         });
         return Out;
       };
   Transport.Parallel = RunParallel;
   LinkPlan Link = linkCorpus(Opts, Inputs, SummaryDbPtr.get(), Transport);
+  if (!State)
+    Link.Facts.clear();
 
-  // Each task owns exactly slot I of the report — the deterministic merge:
-  // results land by input ordinal, never by completion order. A file
-  // outside the link is a per-file run (null environment, digest 0); one
-  // the link step already read is not read again. Detector lookups only
-  // use the module's own callee names, so analyzing against the full
-  // environment is byte-identical to the slice a shard worker sees.
-  CorpusReport Report;
-  Report.Files.resize(N);
+  // Files the link step did not visit run per-file now. A file whose link
+  // digest is non-zero is analyzed again, against the converged
+  // environment (an exporter from its resident module). Every other report
+  // is final: a digest-0 file resolves no extern callee, so the empty
+  // environment observes exactly what the full one would.
   RunParallel(N, [&](size_t I) {
-    const corpus::CorpusInput &In = Inputs[I];
-    if (!In.SkipReason.empty()) {
-      Report.Files[I] = FileReport::skipped(In.Path, In.SkipReason);
+    if (!Done[I]) {
+      PerFile(I, nullptr);
       return;
     }
-    LoadedFile L =
-        Loaded[I] ? std::move(*Loaded[I]) : read(In.Path, std::nullopt);
-    const std::optional<uint64_t> &Digest = Link.Digest[I];
-    Report.Files[I] = analyze(std::move(L), Digest ? &Link.Env : nullptr,
-                              Digest.value_or(0));
+    std::optional<LoadedFile> L = std::exchange(Exporters[I], std::nullopt);
+    const uint64_t Digest = Link.Digest[I].value_or(0);
+    if (Digest == 0)
+      return;
+    if (!L)
+      L = read(Inputs[I]);
+    Report.Files[I] = analyze(*L, &Link.Env, Digest, &Runs[I]);
   });
   Report.finalize();
 
@@ -1078,6 +1124,10 @@ CorpusReport AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths
     Report.Stats.DiskHits = After.DiskHits - Before.DiskHits;
     Report.Stats.CorruptEntries =
         After.CorruptEntries - Before.CorruptEntries;
+  }
+  if (State) {
+    State->Link = std::move(Link);
+    State->Runs = std::move(Runs);
   }
   return Report;
 }
@@ -1101,6 +1151,7 @@ std::string RunStats::renderLine() const {
   if (LinkEnabled) {
     Out += "; link: " + std::to_string(LinkedFiles) + " file(s), " +
            std::to_string(LinkRounds) + " round(s), " +
+           std::to_string(ModulesNeedNoSummary) + " need no summary, " +
            std::to_string(ModulesFromSummaryDb) + " module(s) from summary-db";
     if (SummaryDbHits != 0 || SummaryDbMisses != 0 || SummaryDbStores != 0)
       Out += " (" + std::to_string(SummaryDbHits) + " hit(s), " +

@@ -26,6 +26,12 @@
 ///    statuses, reasons, and every surviving finding, rendered as text or
 ///    JSON with a documented exit-code contract.
 ///
+/// One corpus driver, AnalysisEngine::analyzeCorpus, serves `check` and the
+/// serve session: per-file analysis first, then the whole-program link
+/// step over the exporters, then the linked callers again (see
+/// docs/WHOLEPROGRAM.md). The supervisor runs the same link block over its
+/// worker fleet.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RUSTSIGHT_ENGINE_ENGINE_H
@@ -124,7 +130,9 @@ struct RunStats {
   bool LinkEnabled = false;
   unsigned LinkedFiles = 0;    ///< Modules that joined the link.
   unsigned LinkRounds = 0;     ///< Summarization rounds the solver ran.
-  unsigned ModulesFromSummaryDb = 0; ///< Modules served entirely by the DB.
+  /// Modules exporting nothing another module reads: never summarized.
+  unsigned ModulesNeedNoSummary = 0;
+  unsigned ModulesFromSummaryDb = 0; ///< Exporters served by the DB.
   uint64_t SummaryDbHits = 0;
   uint64_t SummaryDbMisses = 0;
   uint64_t SummaryDbStores = 0;
@@ -203,8 +211,8 @@ struct EngineOptions {
   /// DB, never as corruption.
   int64_t SummaryDbSchemaOverride = 0;
 
-  /// Worker threads for analyzeCorpus (0 = hardware_concurrency, 1 =
-  /// serial). Output is byte-identical for every value.
+  /// Worker threads for analyzeCorpus (0 = the CPUs the process may run
+  /// on, 1 = serial). Output is byte-identical for every value.
   unsigned Jobs = 0;
 
   /// Result-cache master switch. The in-memory layer always rides along
@@ -280,6 +288,8 @@ std::optional<FileReport> fileReportFromJson(const JsonValue &V);
 /// String-payload convenience over fileReportFromJson.
 std::optional<FileReport> deserializeWireFileReport(std::string_view Payload);
 
+struct CorpusState;
+
 /// Runs the detector battery over files/sources with fault isolation and
 /// budgets. Fault-injection probe sites: "engine.parse", "engine.verify",
 /// "engine.detector" (one probe per detector per file).
@@ -287,9 +297,10 @@ std::optional<FileReport> deserializeWireFileReport(std::string_view Payload);
 /// There is one pipeline. A per-file analysis is a linked analysis against
 /// an empty environment with link digest 0, so both share cache entries.
 /// Every entry point goes through the same steps: read (read and
-/// fingerprint), the module step (snapshot, else parse + verify) run only
-/// when something needs the module, and analyze (report lookup, then
-/// detectors and suppressions inside one containment boundary).
+/// fingerprint, or take an in-memory source), the module step (snapshot,
+/// else parse + verify) run only when something needs the module, and
+/// analyze (report lookup, then detectors and suppressions inside one
+/// containment boundary).
 class AnalysisEngine {
 public:
   using DetectorFactory =
@@ -301,22 +312,22 @@ public:
   /// detectors through this). Re-derives the cache salt.
   void setDetectorFactory(DetectorFactory F);
 
-  /// Analyzes one in-memory buffer named \p Path, through the result cache
-  /// whenever EngineOptions::UseCache is on. This is the serve daemon's
-  /// entry for editor overlays: it makes exactly one report lookup, so an
-  /// overlay whose text matches an analyzed state is a hit and every
-  /// keystroke that changes bytes is a miss.
-  FileReport analyzeSource(std::string_view Source, const std::string &Path);
-
-  /// Reads and analyzes one file through the result cache; unreadable
-  /// files are Skipped. With \p Env the detectors resolve extern callees
-  /// through the whole-program link environment, and \p LinkDigest (the
-  /// file's LinkedCorpus::linkDigest) is folded into the report cache key
-  /// so cross-file changes invalidate this file's entry. The defaults are
-  /// the per-file run. This is also the shard worker's analyze entry.
+  /// Analyzes one file through the result cache: \p Source when given (an
+  /// editor buffer), else the bytes read from \p Path; an unreadable file
+  /// is Skipped. It makes exactly one report lookup, so content matching
+  /// an analyzed state is a hit and any byte change is a miss. With \p Env
+  /// the detectors resolve extern callees through the whole-program link
+  /// environment, and \p LinkDigest (the file's LinkedCorpus::linkDigest)
+  /// is folded into the report cache key so cross-file changes invalidate
+  /// this file's entry; the defaults are the per-file run. With \p Facts
+  /// the same load also yields the file's link facts (nullopt when it
+  /// cannot join the link). This is the shard worker's and the serve
+  /// session's analyze entry.
   FileReport analyzeFile(const std::string &Path,
+                         std::optional<std::string_view> Source = std::nullopt,
                          const analysis::ExternalSummaries *Env = nullptr,
-                         uint64_t LinkDigest = 0);
+                         uint64_t LinkDigest = 0,
+                         std::optional<analysis::ModuleFacts> *Facts = nullptr);
 
   /// Link facts for one file: the facts cache, else the module step and
   /// the linker-visible shape. Returns nullopt when the file cannot join
@@ -327,22 +338,35 @@ public:
   collectFileFacts(const std::string &Path);
 
   /// One link-solver round over one file: summarize every function of
-  /// \p Path's module (as corpus module \p ModuleIdx) against \p Env.
-  /// Returns nullopt when the module no longer loads cleanly. Worker entry
-  /// for the supervisor's summarize rounds.
+  /// the module in \p Source (else read from \p Path), as corpus module
+  /// \p ModuleIdx, against \p Env. Returns nullopt when the module does not
+  /// load cleanly. Entry for the supervisor's summarize rounds and the
+  /// serve session's relinks.
   std::optional<analysis::ModuleSummaries>
-  summarizeFileForLink(const std::string &Path, uint32_t ModuleIdx,
+  summarizeFileForLink(const std::string &Path,
+                       std::optional<std::string_view> Source,
+                       uint32_t ModuleIdx,
                        const analysis::ExternalSummaries &Env);
 
   /// Analyzes every path, never aborting the batch. Directories expand to
   /// their .mir files (recursively, in sorted order); a directory with no
-  /// .mir files yields one Skipped entry. Multi-file corpora run the link
-  /// step first (EngineOptions::WholeProgram, linkCorpus). Files run as
-  /// parallel tasks on a work-stealing pool (EngineOptions::Jobs), each
-  /// inside the containment boundary; results are merged in input order, so
-  /// the report renders byte-identically for any job count. Clean per-file
-  /// results are served from / stored into the content-addressed cache.
+  /// .mir files yields one Skipped entry.
   CorpusReport analyzeCorpus(const std::vector<std::string> &Paths);
+
+  /// The corpus driver behind `check` and the serve session. Each file is
+  /// analyzed against the empty environment in the same task that collects
+  /// its link facts (when the corpus links, EngineOptions::WholeProgram),
+  /// and its module is dropped with the task. Then the link step runs
+  /// (linkCorpus: only exporters are summarized), and only the files whose
+  /// link digest is non-zero are analyzed again, against the converged
+  /// environment. Tasks run on a work-stealing pool (EngineOptions::Jobs),
+  /// each inside the containment boundary; results are merged in input
+  /// order, so the report renders byte-identically for any job count.
+  /// Clean results are served from / stored into the content-addressed
+  /// cache. With a non-null \p State the run hands back its link state and
+  /// per-file detector runs.
+  CorpusReport analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
+                             CorpusState *State);
 
   /// The engine's cache (null when disabled). Persists across
   /// analyzeCorpus calls, which is what makes warm reruns hit.
@@ -358,6 +382,7 @@ private:
   /// it. An unreadable path ends in a final Skipped report.
   LoadedFile read(const std::string &Path,
                   std::optional<std::string_view> Source);
+  LoadedFile read(const corpus::CorpusInput &In);
   /// The module step, at most once per file: a snapshot, else parse +
   /// verify (a clean parse stores its snapshot). Afterwards \p L carries a
   /// module, or a Skipped report.
@@ -368,11 +393,12 @@ private:
   /// The analyze step: the report cache first, so a warm file is one
   /// lookup with no module decode; on a miss, the module step, then
   /// detectors and suppressions against \p Env inside the containment
-  /// boundary, and a clean report is stored under the \p LinkDigest-folded
-  /// key. A file whose read or module step ended in a final report passes
-  /// it through.
-  FileReport analyze(LoadedFile L, const analysis::ExternalSummaries *Env,
-                     uint64_t LinkDigest);
+  /// boundary (counted in \p Runs), and a clean report is stored under the
+  /// \p LinkDigest-folded key. A file whose read or module step ended in a
+  /// final report passes it through. Takes \p L's report; its source and
+  /// module stay.
+  FileReport analyze(LoadedFile &L, const analysis::ExternalSummaries *Env,
+                     uint64_t LinkDigest, unsigned *Runs = nullptr);
   uint64_t reportKey(uint64_t Fp, uint64_t LinkDigest) const;
   void runDetectors(const mir::Module &M, FileReport &R,
                     const analysis::ExternalSummaries *Ext);
@@ -422,8 +448,20 @@ struct LinkPlan {
   /// Per input ordinal: the link digest of a file that joined the link,
   /// nullopt for a file analyzed per-file.
   std::vector<std::optional<uint64_t>> Digest;
+  /// Per input ordinal: the link facts of a file that joined the link, the
+  /// run's one copy of them (empty for a per-file run).
+  std::vector<std::optional<analysis::ModuleFacts>> Facts;
   /// Only the link fields are set (all zero for a per-file run).
   RunStats Stats;
+};
+
+/// What AnalysisEngine::analyzeCorpus hands back to a caller that keeps
+/// the corpus resident (the serve session), per input ordinal.
+struct CorpusState {
+  LinkPlan Link;
+  /// Detector runs (report-cache misses) per input: 0 when every report
+  /// the file needed was served by the cache.
+  std::vector<unsigned> Runs;
 };
 
 /// Decides whether \p Inputs link (EngineOptions::WholeProgram: Auto links

@@ -606,6 +606,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   }
   LinkPlan Link =
       linkCorpus(Opts.Engine, Inputs, Db ? &*Db : nullptr, Transport);
+  Link.Facts.clear();
 
   std::vector<std::optional<FileReport>> Results(N);
   for (size_t I = 0; I != N; ++I)
@@ -638,14 +639,17 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
       Opts.MaxWorkers ? Opts.MaxWorkers : std::min(ShardCount, Hardware);
   std::deque<Shard> Queue = partition(PendingOrdinals, ShardCount);
 
-  // Every analyze feed carries the preamble with the link environment; a
-  // file outside the link has "-" for its digest and is a per-file run.
+  // Every analyze feed carries the preamble with the link environment. A
+  // file outside the link, or one whose digest is 0 (it resolves no extern
+  // callee), has "-" for its digest and is a per-file run, as in-process.
   const std::string Preamble = "{\"mode\":\"analyze\",\"env\":" +
                                jsonString(analysis::serializeEnv(Link.Env)) +
                                "}";
   std::vector<std::string> Lines(N);
   for (size_t I = 0; I != N; ++I)
-    Lines[I] = (Link.Digest[I] ? std::to_string(*Link.Digest[I]) : "-") +
+    Lines[I] = (Link.Digest[I].value_or(0)
+                    ? std::to_string(*Link.Digest[I])
+                    : "-") +
                "\t" + Inputs[I].Path;
 
   std::map<size_t, unsigned> Strikes;
@@ -925,7 +929,8 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
     }
     case Mode::Summarize: {
       std::optional<analysis::ModuleSummaries> MS = Engine.summarizeFileForLink(
-          It.Path, static_cast<uint32_t>(It.Aux.value_or(0)), Env);
+          It.Path, std::nullopt, static_cast<uint32_t>(It.Aux.value_or(0)),
+          Env);
       if (!MS)
         std::fprintf(stderr, "worker: %s: summarize round lost\n",
                      It.Path.c_str());
@@ -936,7 +941,8 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
     }
     case Mode::Analyze: {
       // "-" is a per-file run: the empty environment and digest 0.
-      FileReport R = Engine.analyzeFile(It.Path, It.Aux ? &Env : nullptr,
+      FileReport R = Engine.analyzeFile(It.Path, std::nullopt,
+                                        It.Aux ? &Env : nullptr,
                                         It.Aux.value_or(0));
       if (R.Status != EngineStatus::Ok)
         std::fprintf(stderr, "worker: %s: %s: %s\n", R.Path.c_str(),

@@ -1,5 +1,7 @@
 #include "sched/ThreadPool.h"
 
+#include <sched.h>
+
 namespace rs::sched {
 
 namespace {
@@ -10,6 +12,13 @@ thread_local unsigned TlsIndex = 0;
 } // namespace
 
 unsigned ThreadPool::defaultWorkerCount() {
+  // A process pinned to fewer CPUs than the machine has (taskset, cgroup
+  // cpusets) gains nothing from more threads, and each one costs a stack
+  // and a malloc arena.
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    if (int N = CPU_COUNT(&Set); N > 0)
+      return static_cast<unsigned>(N);
   unsigned N = std::thread::hardware_concurrency();
   return N == 0 ? 1 : N;
 }

@@ -55,6 +55,7 @@ public:
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
+  /// The number of CPUs this process may run on (its affinity mask), else
   /// std::thread::hardware_concurrency, clamped to at least 1.
   static unsigned defaultWorkerCount();
 

@@ -20,10 +20,11 @@
 ///   $/cancelRequest                                 cancels deferred work
 ///
 /// Scheduling: didChange traffic only marks files dirty; the debounced
-/// flush coalesces bursts into one incremental re-analysis (dirty files +
-/// dependency slice, Session::refresh) that fans out on the engine's
-/// work-stealing ThreadPool and runs under the engine's cooperative
-/// rs::Budget options. Requests that need fresh state (codeAction) defer
+/// flush coalesces bursts into one incremental re-analysis (the dirty
+/// files, plus the files whose link digest moved when an edit touches a
+/// cross-file edge, Session::refresh) that runs under the engine's
+/// cooperative rs::Budget options. The initial sweep is the engine's
+/// corpus driver on its work-stealing ThreadPool. Requests that need fresh state (codeAction) defer
 /// until the flush; $/cancelRequest aborts them while queued with the LSP
 /// RequestCancelled error.
 ///

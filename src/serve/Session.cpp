@@ -1,8 +1,6 @@
 #include "serve/Session.h"
 
-#include "analysis/Link.h"
 #include "corpus/CorpusWalk.h"
-#include "mir/Parser.h"
 
 #include <algorithm>
 
@@ -12,135 +10,216 @@ using namespace rs::serve;
 Session::Session(SessionOptions O)
     : Opts(std::move(O)), Engine(Opts.Engine) {}
 
-void Session::indexContent(FileState &St, const std::string &Path,
-                           const std::string &Content) {
-  // A light recovery parse just for the name-reference graph; the engine
-  // owns the real (fault-isolated) analysis parse. The def/ref extraction
-  // itself is the linker's — the daemon's dependency index and the
-  // whole-program link phase must agree on what counts as an extern ref.
-  mir::ModuleParse P = mir::Parser::parseRecover(Content, Path);
-  analysis::ModuleDefsRefs DR = analysis::collectDefsAndRefs(P.M);
-  St.Defines = std::move(DR.Defines);
-  St.ExternalRefs = std::move(DR.ExternalRefs);
+bool Session::wantsLink() const {
+  switch (Opts.Engine.WholeProgram) {
+  case engine::WholeProgramMode::Off:
+    return false;
+  case engine::WholeProgramMode::On:
+    return true;
+  case engine::WholeProgramMode::Auto:
+    break;
+  }
+  size_t Analyzable = 0;
+  for (const auto &[Path, St] : Files)
+    Analyzable += !St.Placeholder;
+  return Analyzable >= 2;
 }
 
-void Session::analyzeOne(const std::string &Path) {
-  FileState &St = Files[Path];
-  ++St.Epoch;
+bool Session::exportsEntry(const std::string &Path,
+                           const FileState &St) const {
+  if (St.Facts)
+    for (const analysis::FunctionFacts &F : St.Facts->Functions)
+      if (const analysis::ExternalFunctionInfo *Info = Env.find(F.Name))
+        if (Info->File == Path)
+          return true;
+  return false;
+}
 
+void Session::count(FileState &St, unsigned Runs) {
+  St.Analyses += Runs;
+  TotalAnalyses += Runs;
+  // A report served from the cache is always an analyzed one; a skipped
+  // report that made no run never reached the cache.
+  if (Runs == 0 && St.Report.analyzed())
+    ++St.Revalidations;
+}
+
+void Session::analyzeOne(const std::string &Path, FileState &St,
+                         const analysis::ExternalSummaries *Env,
+                         uint64_t Digest,
+                         std::optional<analysis::ModuleFacts> *Facts) {
   std::optional<std::string> Content = Docs.content(Path);
   if (!Content) {
     St.Report = engine::FileReport::skipped(Path, "cannot open file");
-    St.Defines.clear();
-    St.ExternalRefs.clear();
+    if (Facts)
+      Facts->reset();
     return;
   }
-
-  // Hit/miss attribution: the engine's cache counters move by exactly one
-  // lookup for this call, so the delta tells revalidation (hit) from true
+  // Hit/miss attribution: the call makes exactly one report lookup, so
+  // the engine's miss counter tells a revalidation (hit) from a true
   // re-analysis (miss). With the cache disabled every run is an analysis.
   sched::ResultCache *C = Engine.cache();
   const uint64_t MissesBefore = C ? C->stats().Misses : 0;
-  St.Report = Engine.analyzeSource(*Content, Path);
-  if (!C || C->stats().Misses > MissesBefore) {
-    ++St.Analyses;
-    ++TotalAnalyses;
-  } else {
-    ++St.Revalidations;
-  }
-
-  indexContent(St, Path, *Content);
+  St.Report = Engine.analyzeFile(Path, *Content, Env, Digest, Facts);
+  count(St, !C || C->stats().Misses > MissesBefore ? 1 : 0);
 }
 
 std::vector<std::string> Session::analyzeAll() {
-  std::vector<std::string> Affected;
-  for (const corpus::CorpusInput &In : corpus::expandMirPaths(Opts.Roots)) {
-    if (!In.SkipReason.empty()) {
-      FileState &St = Files[In.Path];
-      St.InCorpus = true;
-      ++St.Epoch;
-      St.Report = engine::FileReport::skipped(In.Path, In.SkipReason);
-      Affected.push_back(In.Path);
-      continue;
-    }
-    analyzeOne(In.Path);
-    Files[In.Path].InCorpus = true;
-    Affected.push_back(In.Path);
+  // The roots in corpus order, then overlays outside them in path order:
+  // the link order a check over the same files would see.
+  std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Opts.Roots);
+  const size_t NumRooted = Inputs.size();
+  std::set<std::string> Seen;
+  for (const corpus::CorpusInput &In : Inputs)
+    Seen.insert(In.Path);
+  for (const auto &[Path, Doc] : Docs.overlays())
+    if (Seen.insert(Path).second)
+      Inputs.push_back({Path, ""});
+  for (corpus::CorpusInput &In : Inputs)
+    if (In.SkipReason.empty() && Docs.isOpen(In.Path))
+      In.Source = Docs.content(In.Path);
+
+  engine::CorpusState State;
+  engine::CorpusReport Report = Engine.analyzeCorpus(Inputs, &State);
+
+  std::map<std::string, FileState> Next;
+  Order.clear();
+  Names = analysis::LinkNames();
+  for (size_t I = 0; I != Inputs.size(); ++I) {
+    const std::string &Path = Inputs[I].Path;
+    FileState &St = Next[Path];
+    if (auto It = Files.find(Path); It != Files.end())
+      St = std::move(It->second);
+    ++St.Epoch;
+    St.Report = std::move(Report.Files[I]);
+    St.Facts = State.Link.Facts.empty() ? std::nullopt
+                                        : std::move(State.Link.Facts[I]);
+    St.Digest = State.Link.Digest[I].value_or(0);
+    St.InCorpus = I < NumRooted;
+    St.Placeholder = !Inputs[I].SkipReason.empty();
+    count(St, State.Runs[I]);
+    if (St.Facts)
+      Names.add(*St.Facts);
+    Order.push_back(Path);
   }
-  // Overlay documents opened before the initial pass (or outside the
-  // roots) are part of the session too.
-  for (const auto &[Path, Doc] : Docs.overlays()) {
-    (void)Doc;
-    if (!Files.count(Path)) {
-      analyzeOne(Path);
-      Affected.push_back(Path);
-    }
-  }
+  Files = std::move(Next);
+  Env = std::move(State.Link.Env);
+  Linked = State.Link.Stats.LinkEnabled;
   Dirty.clear();
-  std::sort(Affected.begin(), Affected.end());
-  Affected.erase(std::unique(Affected.begin(), Affected.end()),
-                 Affected.end());
-  return Affected;
+  RelinkOwed = false;
+  return paths();
 }
 
 void Session::markDirty(const std::string &Path) { Dirty.insert(Path); }
 
-std::vector<std::string>
-Session::dependentsOf(const std::string &Path) const {
-  std::vector<std::string> Out;
-  auto It = Files.find(Path);
-  if (It == Files.end())
-    return Out;
-  const std::vector<std::string> &Defines = It->second.Defines;
-  if (Defines.empty())
-    return Out;
-  for (const auto &[Other, St] : Files) {
-    if (Other == Path)
-      continue;
-    bool Depends = false;
-    for (const std::string &Ref : St.ExternalRefs)
-      if (std::binary_search(Defines.begin(), Defines.end(), Ref)) {
-        Depends = true;
-        break;
-      }
-    if (Depends)
-      Out.push_back(Other);
-  }
-  return Out; // Map iteration order: already sorted.
-}
-
 std::vector<std::string> Session::refresh() {
-  // The slice: every dirty file plus every file referencing a function a
-  // dirty file defines. Dependents are computed against the *pre-edit*
-  // index first; after re-analysis the index is fresh, so a second pass
-  // catches files that now reference newly added definitions.
-  std::set<std::string> Affected;
-  for (const std::string &P : Dirty) {
-    Affected.insert(P);
-    for (const std::string &Dep : dependentsOf(P))
-      Affected.insert(Dep);
-  }
   std::vector<std::string> DirtyNow(Dirty.begin(), Dirty.end());
   Dirty.clear();
-
   for (const std::string &P : DirtyNow)
-    analyzeOne(P);
-  // Post-edit dependents (the defines may have changed).
-  for (const std::string &P : DirtyNow)
-    for (const std::string &Dep : dependentsOf(P))
-      Affected.insert(Dep);
-  for (const std::string &P : Affected)
-    if (std::find(DirtyNow.begin(), DirtyNow.end(), P) == DirtyNow.end())
-      analyzeOne(P);
+    if (Files.try_emplace(P).second)
+      Order.push_back(P);
+  // Auto mode links from two analyzable files up. A refresh that crosses
+  // that line re-runs the corpus driver over every resident file.
+  if (wantsLink() != Linked)
+    return analyzeAll();
 
+  // Each dirty file's per-file analysis yields its new facts. Compare them
+  // with the rest of the corpus (its old facts are out of the index by
+  // then) to tell whether it touches a cross-file edge.
+  bool Relink = std::exchange(RelinkOwed, false);
+  for (const std::string &P : DirtyNow) {
+    FileState &St = Files[P];
+    ++St.Epoch;
+    std::optional<analysis::ModuleFacts> Facts;
+    analyzeOne(P, St, nullptr, 0, Linked ? &Facts : nullptr);
+    if (!Linked)
+      continue;
+    if (St.Facts)
+      Names.remove(*St.Facts);
+    Relink |= St.Digest != 0 || exportsEntry(P, St) ||
+              (Facts && Names.touchesEdge(*Facts));
+    if (Facts)
+      Names.add(*Facts);
+    St.Facts = std::move(Facts);
+    St.Digest = 0;
+  }
+
+  std::set<std::string> Affected(DirtyNow.begin(), DirtyNow.end());
+  if (Relink)
+    relink(Affected);
   return std::vector<std::string>(Affected.begin(), Affected.end());
+}
+
+void Session::relink(std::set<std::string> &Affected) {
+  // The resident files in link order; open overlays carry their text.
+  std::vector<corpus::CorpusInput> Inputs(Order.size());
+  for (size_t I = 0; I != Order.size(); ++I) {
+    const FileState &St = Files.at(Order[I]);
+    Inputs[I].Path = Order[I];
+    if (St.Placeholder)
+      Inputs[I].SkipReason = St.Report.Reason;
+    else if (Docs.isOpen(Order[I]))
+      Inputs[I].Source = Docs.content(Order[I]);
+  }
+  // The facts move into the link and come back with its plan: the session
+  // keeps one copy of them.
+  engine::LinkTransport Transport;
+  Transport.Facts = [&](const std::vector<size_t> &Ordinals) {
+    std::vector<std::optional<analysis::ModuleFacts>> Facts;
+    for (size_t I : Ordinals)
+      Facts.push_back(std::move(Files[Order[I]].Facts));
+    return Facts;
+  };
+  Transport.Summarize =
+      [&](const std::vector<std::pair<uint32_t, size_t>> &Modules,
+          const analysis::ExternalSummaries &RoundEnv) {
+        std::vector<analysis::ModuleSummaries> Round;
+        for (const auto &[Idx, I] : Modules) {
+          const corpus::CorpusInput &In = Inputs[I];
+          std::optional<std::string_view> Source;
+          if (In.Source)
+            Source = *In.Source;
+          if (std::optional<analysis::ModuleSummaries> MS =
+                  Engine.summarizeFileForLink(In.Path, Source, Idx, RoundEnv))
+            Round.push_back(std::move(*MS));
+        }
+        return Round;
+      };
+  Transport.Parallel = [](size_t Count,
+                          const std::function<void(size_t)> &Fn) {
+    for (size_t I = 0; I != Count; ++I)
+      Fn(I);
+  };
+  engine::LinkPlan Plan =
+      engine::linkCorpus(Opts.Engine, Inputs, Engine.summaryDb(), Transport);
+
+  Env = std::move(Plan.Env);
+  for (size_t I = 0; I != Order.size(); ++I) {
+    const std::string &Path = Order[I];
+    FileState &St = Files[Path];
+    St.Facts = std::move(Plan.Facts[I]);
+    const uint64_t Digest = Plan.Digest[I].value_or(0);
+    // A dirty file's per-file report stands when its digest is 0.
+    if (Digest == St.Digest)
+      continue;
+    St.Digest = Digest;
+    if (Affected.insert(Path).second)
+      ++St.Epoch;
+    analyzeOne(Path, St, Digest ? &Env : nullptr, Digest, nullptr);
+  }
 }
 
 bool Session::forget(const std::string &Path) {
   auto It = Files.find(Path);
   if (It == Files.end() || It->second.InCorpus)
     return false;
+  FileState &St = It->second;
+  if (St.Digest != 0 || exportsEntry(Path, St))
+    RelinkOwed = true;
+  if (St.Facts)
+    Names.remove(*St.Facts);
   Files.erase(It);
+  Order.erase(std::find(Order.begin(), Order.end(), Path));
   Dirty.erase(Path);
   return true;
 }

@@ -10,17 +10,26 @@
 /// AnalysisEngine (its content-addressed ResultCache persists across every
 /// request, which is what makes re-analysis incremental), the overlay
 /// DocumentStore, an overlay-aware SourceManager for snippet/token
-/// rendering, the last FileReport per corpus file, and a cross-file
-/// dependency index.
+/// rendering, and the corpus's link state: per file its last FileReport,
+/// link facts and link digest, plus the converged link environment.
 ///
-/// Invalidation model: an edit marks its file dirty. refresh() re-analyzes
-/// the dirty files (their content fingerprint changed, so the cache misses
-/// and the engine truly re-runs) plus their reverse-dependency slice — the
-/// files whose call-graph external references touch any function the dirty
-/// files define (before or after the edit). Dependents' bytes are
-/// unchanged, so they revalidate as pure cache hits; everything outside the
-/// slice is not touched at all. Per-file epoch/analysis/revalidation
-/// counters make exactly that claim testable.
+/// The session runs on the engine's corpus driver, so it reports what a
+/// cold `rustsight check` over the same buffers reports, cross-file
+/// findings included, under the same EngineOptions::WholeProgram mode.
+/// analyzeAll() is AnalysisEngine::analyzeCorpus over the roots plus the
+/// open overlays (their text rides on the inputs).
+///
+/// Invalidation model: an edit marks its file dirty. refresh() analyzes
+/// each dirty file against the empty environment, and the same load yields
+/// its new link facts. It relinks (engine::linkCorpus) only when a dirty
+/// file touches a cross-file edge before or after the edit: it had a
+/// non-zero link digest or exported an environment entry, or it now calls
+/// a name another resident file defines, or defines a name another resident
+/// file calls (analysis::LinkNames). A relink re-analyzes the dirty files
+/// with a non-zero digest and every file whose digest moved; the latter's
+/// bytes are unchanged, so a cache hit there is a revalidation. No other
+/// file is touched. Per-file epoch/analysis/revalidation counters make
+/// exactly that claim testable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,34 +73,34 @@ public:
   /// `initialize` when no roots came from the command line.
   void addRoot(std::string Root) { Opts.Roots.push_back(std::move(Root)); }
 
-  /// Expands the corpus roots and analyzes every file (warm cache hits
-  /// permitting). Returns the ordered list of paths now resident.
+  /// Runs the corpus driver over the expanded roots plus the open overlays
+  /// (warm cache hits permitting) and keeps its link state. Returns the
+  /// sorted list of paths now resident.
   std::vector<std::string> analyzeAll();
 
-  /// Marks \p Path changed; refresh() will pick it (and its dependents) up.
+  /// Marks \p Path changed; refresh() will pick it up.
   void markDirty(const std::string &Path);
-  bool anyDirty() const { return !Dirty.empty(); }
+  bool anyDirty() const { return !Dirty.empty() || RelinkOwed; }
 
-  /// Re-analyzes the dirty set plus its dependency slice; clears the dirty
-  /// set. Returns the affected paths in deterministic (sorted) order.
+  /// Re-analyzes the dirty files, relinking when one touches a cross-file
+  /// edge; clears the dirty set. Returns the affected paths (the dirty
+  /// files plus the files whose link digest moved) in sorted order.
   std::vector<std::string> refresh();
 
   /// Drops a non-corpus overlay document from the session (didClose of a
   /// scratch buffer). Corpus files are never forgotten — they fall back to
   /// their on-disk content instead. Returns true when the path was
-  /// resident and outside the corpus roots.
+  /// resident and outside the corpus roots. If the document was on a
+  /// cross-file edge, the next refresh() relinks.
   bool forget(const std::string &Path);
 
   /// The most recent report for \p Path, or nullptr.
   const engine::FileReport *report(const std::string &Path) const;
 
-  /// Files whose external references name a function \p Path defines —
-  /// the dependency slice refresh() re-validates. Sorted; excludes \p Path.
-  std::vector<std::string> dependentsOf(const std::string &Path) const;
-
-  /// Per-file incrementality counters. Epoch bumps on every refresh that
-  /// touched the file; Analyses counts true engine runs (cache misses);
-  /// Revalidations counts cache-hit refreshes.
+  /// Per-file incrementality counters. Epoch bumps on every pass that
+  /// touched the file; Analyses counts true engine runs (report-cache
+  /// misses, one per detector run); Revalidations counts passes whose
+  /// reports all came from the cache.
   struct FileStats {
     uint64_t Epoch = 0;
     uint64_t Analyses = 0;
@@ -114,29 +123,48 @@ public:
 private:
   struct FileState {
     engine::FileReport Report;
-    /// Function names this file defines (sorted, deduplicated).
-    std::vector<std::string> Defines;
-    /// Callee/spawn-target names referenced but not defined here (sorted).
-    std::vector<std::string> ExternalRefs;
+    /// The link facts of the analyzed content (nullopt outside the link).
+    std::optional<analysis::ModuleFacts> Facts;
+    uint64_t Digest = 0; ///< The link digest Report was computed under.
     uint64_t Epoch = 0;
     uint64_t Analyses = 0;
     uint64_t Revalidations = 0;
     bool InCorpus = false;
+    bool Placeholder = false; ///< An empty root directory's entry.
   };
 
-  /// Runs one file through the warm engine and refreshes its state and
-  /// dependency-index rows. \p Content empty-optional means unreadable.
-  void analyzeOne(const std::string &Path);
+  /// Whether the engine would link the resident files
+  /// (EngineOptions::WholeProgram; Auto links two or more).
+  bool wantsLink() const;
 
-  /// Recomputes Defines/ExternalRefs for \p Path from \p Content.
-  void indexContent(FileState &St, const std::string &Path,
-                    const std::string &Content);
+  /// True when \p Path's facts define an entry of the link environment.
+  bool exportsEntry(const std::string &Path, const FileState &St) const;
+
+  /// Analyzes \p Path's current content through the warm engine into \p St
+  /// and bumps its counters.
+  void analyzeOne(const std::string &Path, FileState &St,
+                  const analysis::ExternalSummaries *Env, uint64_t Digest,
+                  std::optional<analysis::ModuleFacts> *Facts);
+
+  /// Bumps \p St's counters for a pass that made \p Runs detector runs.
+  void count(FileState &St, unsigned Runs);
+
+  /// Re-solves the link over the resident facts and re-analyzes the files
+  /// whose digest moved (and the dirty ones with a non-zero digest),
+  /// adding them to \p Affected.
+  void relink(std::set<std::string> &Affected);
 
   SessionOptions Opts;
   engine::AnalysisEngine Engine;
   DocumentStore Docs;
   diag::SourceManager SM;
   std::map<std::string, FileState> Files;
+  /// Link order: the expanded roots, then other overlays as they join.
+  std::vector<std::string> Order;
+  analysis::ExternalSummaries Env;
+  analysis::LinkNames Names; ///< Over every resident file's facts.
+  bool Linked = false;
+  bool RelinkOwed = false; ///< A forgotten document was on an edge.
   std::set<std::string> Dirty;
   uint64_t TotalAnalyses = 0;
 };

@@ -77,14 +77,48 @@ SummarizeRoundFn inProcessRounds(const std::vector<const Module *> &Mods) {
 
 } // namespace
 
-TEST(Link, CollectDefsAndRefs) {
-  Module M = parseOk(CallerSrc);
-  ModuleDefsRefs DR = collectDefsAndRefs(M);
-  EXPECT_EQ(DR.Defines, (std::vector<std::string>{"caller", "local_helper"}));
+TEST(Link, ExternRefsIncludeSpawnTargets) {
+  LinkedCorpus LC = LinkedCorpus::build(twoModuleFacts());
   // Intrinsics and locally-defined names are not external references; the
   // thread-spawn string target is.
-  EXPECT_EQ(DR.ExternalRefs,
-            (std::vector<std::string>{"free_it", "spawned_body"}));
+  std::vector<std::string> Names;
+  for (const auto &[Name, Gid] : LC.externRefs(0)) {
+    EXPECT_EQ(LC.facts(Gid).Name, Name);
+    EXPECT_EQ(LC.definingPath(Gid), "callee.mir");
+    Names.push_back(Name);
+  }
+  EXPECT_EQ(Names, (std::vector<std::string>{"free_it", "spawned_body"}));
+  // callee.mir defines both, so it is the one exporter.
+  EXPECT_FALSE(LC.exports(0));
+  EXPECT_TRUE(LC.exports(1));
+}
+
+TEST(Link, LinkNamesSeeCrossModuleEdges) {
+  std::vector<ModuleFacts> Facts = twoModuleFacts();
+  LinkNames Names;
+  Names.add(Facts[1]);
+  // caller.mir calls free_it and spawns spawned_body, both defined by the
+  // indexed callee.mir; its local helper and the intrinsic are no edge.
+  EXPECT_TRUE(Names.touchesEdge(Facts[0]));
+  Names.add(Facts[0]);
+
+  // Out of the index, callee.mir is still on an edge: caller.mir calls
+  // what it defines.
+  Names.remove(Facts[1]);
+  EXPECT_TRUE(Names.touchesEdge(Facts[1]));
+
+  // A module whose names nobody else defines or calls is on no edge, even
+  // though it calls an unresolved name of its own.
+  Module Lone = parseOk("fn lone() { let _1: (); bb0: { _1 = truly_external()"
+                        " -> bb1; } bb1: { return; } }\n");
+  EXPECT_FALSE(Names.touchesEdge(collectModuleFacts(Lone, "lone.mir")));
+  // Once a module defining that unresolved name joins, it is one.
+  Module Def = parseOk("fn truly_external() { bb0: { return; } }\n");
+  Names.add(collectModuleFacts(Lone, "lone.mir"));
+  EXPECT_TRUE(Names.touchesEdge(collectModuleFacts(Def, "def.mir")));
+  Names.remove(collectModuleFacts(Lone, "lone.mir"));
+  Names.remove(Facts[0]);
+  EXPECT_FALSE(Names.touchesEdge(collectModuleFacts(Def, "def.mir")));
 }
 
 TEST(Link, CollectModuleFactsShape) {
@@ -238,14 +272,16 @@ TEST(Link, SummaryDbHooksServeWarmRuns) {
   EXPECT_GT(Cold.Stats.ModulesSummarized, 0u);
   ASSERT_FALSE(Db.empty());
 
-  // Warm: every link key hits, so no module is summarized at all and the
-  // environment is byte-identical to the cold run's.
+  // Warm: the exporter's link key hits, so no module is summarized at all
+  // and the environment is byte-identical to the cold run's. caller.mir
+  // exports nothing and needs no summary either way.
   LinkResult Warm = solveLink(LinkedCorpus::build(twoModuleFacts()),
                               LinkOptions(), Hooks,
                               inProcessRounds({&Caller, &Callee}));
   EXPECT_TRUE(Warm.Converged);
   EXPECT_EQ(Warm.Stats.ModulesSummarized, 0u);
-  EXPECT_EQ(Warm.Stats.ModulesFromDb, 2u);
+  EXPECT_EQ(Warm.Stats.ModulesFromDb, 1u);
+  EXPECT_EQ(Warm.Stats.ModulesNeedNoSummary, 1u);
   EXPECT_GT(Warm.Stats.DbHits, 0u);
   EXPECT_EQ(serializeEnv(Warm.Env), serializeEnv(Cold.Env));
 }

@@ -38,7 +38,7 @@ const char *BuggySrc = "fn uaf() -> u8 {\n"
 
 FileReport analyze(std::string_view Src) {
   AnalysisEngine E;
-  return E.analyzeSource(Src, "test.mir");
+  return E.analyzeFile("test.mir", Src);
 }
 
 std::string withAllowComment(const char *Comment) {
@@ -113,8 +113,8 @@ TEST(DiagnosticsFlow, UnknownRuleBecomesAWarningWithAFixIt) {
 TEST(DiagnosticsFlow, SuppressedRunExitsClean) {
   AnalysisEngine E;
   CorpusReport Report;
-  Report.Files.push_back(E.analyzeSource(
-      withAllowComment(" // rustsight-allow(use-after-free)"), "test.mir"));
+  Report.Files.push_back(E.analyzeFile(
+      "test.mir", withAllowComment(" // rustsight-allow(use-after-free)")));
   EXPECT_EQ(Report.totalFindings(), 0u);
   EXPECT_EQ(Report.exitCode(), 0);
   std::string J = Report.renderJson();
@@ -124,7 +124,7 @@ TEST(DiagnosticsFlow, SuppressedRunExitsClean) {
 TEST(DiagnosticsFlow, BaselineWriteThenApplyDropsKnownFindings) {
   AnalysisEngine E;
   CorpusReport First;
-  First.Files.push_back(E.analyzeSource(BuggySrc, "test.mir"));
+  First.Files.push_back(E.analyzeFile("test.mir", BuggySrc));
   ASSERT_EQ(First.totalFindings(), 1u);
 
   diag::Baseline B = collectBaseline(First);
@@ -136,7 +136,7 @@ TEST(DiagnosticsFlow, BaselineWriteThenApplyDropsKnownFindings) {
   ASSERT_TRUE(diag::Baseline::parse(B.renderJson(), Loaded, Err)) << Err;
 
   CorpusReport Second;
-  Second.Files.push_back(E.analyzeSource(BuggySrc, "test.mir"));
+  Second.Files.push_back(E.analyzeFile("test.mir", BuggySrc));
   EXPECT_EQ(applyBaseline(Second, Loaded), 1u);
   EXPECT_EQ(Second.totalFindings(), 0u);
   EXPECT_EQ(Second.Files[0].BaselinedFindings, 1u);
@@ -149,7 +149,7 @@ TEST(DiagnosticsFlow, BaselineRejectsNewFindings) {
   AnalysisEngine E;
   // Baseline an empty state: the finding is new and must survive.
   CorpusReport Report;
-  Report.Files.push_back(E.analyzeSource(BuggySrc, "test.mir"));
+  Report.Files.push_back(E.analyzeFile("test.mir", BuggySrc));
   EXPECT_EQ(applyBaseline(Report, diag::Baseline()), 0u);
   EXPECT_EQ(Report.totalFindings(), 1u);
   EXPECT_EQ(Report.exitCode(), 1);
@@ -160,11 +160,11 @@ TEST(DiagnosticsFlow, BaselineSurvivesPathReanchoring) {
   // different directory still matches its baseline.
   AnalysisEngine E;
   CorpusReport AtRoot;
-  AtRoot.Files.push_back(E.analyzeSource(BuggySrc, "test.mir"));
+  AtRoot.Files.push_back(E.analyzeFile("test.mir", BuggySrc));
   diag::Baseline B = collectBaseline(AtRoot);
 
   CorpusReport Moved;
-  Moved.Files.push_back(E.analyzeSource(BuggySrc, "corpus/v2/test.mir"));
+  Moved.Files.push_back(E.analyzeFile("corpus/v2/test.mir", BuggySrc));
   EXPECT_EQ(applyBaseline(Moved, B), 1u);
 }
 
@@ -183,7 +183,7 @@ TEST(DiagnosticsFlow, StatusDiagnosticsCarryTheBudgetCause) {
   EngineOptions Opts;
   Opts.MaxDataflowIters = 1;
   AnalysisEngine E(Opts);
-  FileReport R = E.analyzeSource(BuggySrc, "test.mir");
+  FileReport R = E.analyzeFile("test.mir", BuggySrc);
   ASSERT_EQ(R.Status, EngineStatus::Degraded);
 
   std::vector<diag::Diagnostic> Ds = R.statusDiagnostics();
@@ -209,8 +209,8 @@ TEST(DiagnosticsFlow, OkFileHasNoStatusDiagnostics) {
 TEST(DiagnosticsFlow, SarifRendersFindingsAndStatuses) {
   AnalysisEngine E;
   CorpusReport Report;
-  Report.Files.push_back(E.analyzeSource(BuggySrc, "buggy.mir"));
-  Report.Files.push_back(E.analyzeSource("@@@", "junk.mir"));
+  Report.Files.push_back(E.analyzeFile("buggy.mir", BuggySrc));
+  Report.Files.push_back(E.analyzeFile("junk.mir", "@@@"));
 
   std::optional<JsonValue> Doc = JsonValue::parse(Report.renderSarif());
   ASSERT_TRUE(Doc.has_value());
@@ -233,7 +233,7 @@ TEST(DiagnosticsFlow, TextRenderingShowsSnippetsSpansAndCounts) {
   SM.addBuffer("test.mir", BuggySrc);
   AnalysisEngine E;
   CorpusReport Report;
-  Report.Files.push_back(E.analyzeSource(BuggySrc, "test.mir"));
+  Report.Files.push_back(E.analyzeFile("test.mir", BuggySrc));
 
   std::string T = Report.renderText(&SM);
   EXPECT_NE(T.find("use-after-free"), std::string::npos) << T;
@@ -242,8 +242,8 @@ TEST(DiagnosticsFlow, TextRenderingShowsSnippetsSpansAndCounts) {
   EXPECT_NE(T.find("  note: "), std::string::npos) << T;
 
   CorpusReport Suppressed;
-  Suppressed.Files.push_back(E.analyzeSource(
-      withAllowComment(" // rustsight-allow(use-after-free)"), "test.mir"));
+  Suppressed.Files.push_back(E.analyzeFile(
+      "test.mir", withAllowComment(" // rustsight-allow(use-after-free)")));
   EXPECT_NE(Suppressed.renderText().find("1 suppressed"), std::string::npos);
 }
 

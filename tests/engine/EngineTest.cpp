@@ -49,7 +49,7 @@ const char *BuggySrc = "fn uaf() -> u8 {\n"
 const FileReport analyze(std::string_view Src,
                          EngineOptions Opts = EngineOptions()) {
   AnalysisEngine E(Opts);
-  return E.analyzeSource(Src, "test.mir");
+  return E.analyzeFile("test.mir", Src);
 }
 
 /// A detector that always throws — the organic analogue of the injected
@@ -182,8 +182,8 @@ TEST(Engine, VerifyProbeFaultIsContained) {
 TEST(Engine, FaultedFileDoesNotPoisonTheNextOne) {
   fault::ScopedFault F("engine.parse", 1);
   AnalysisEngine E;
-  FileReport First = E.analyzeSource(CleanSrc, "first.mir");
-  FileReport Second = E.analyzeSource(CleanSrc, "second.mir");
+  FileReport First = E.analyzeFile("first.mir", CleanSrc);
+  FileReport Second = E.analyzeFile("second.mir", CleanSrc);
   EXPECT_EQ(First.Status, EngineStatus::Skipped);
   EXPECT_EQ(Second.Status, EngineStatus::Ok);
 }
@@ -232,7 +232,7 @@ TEST(Engine, ThrowingCustomDetectorIsQuarantined) {
     Ds.push_back(std::make_unique<detectors::UseAfterFreeDetector>());
     return Ds;
   });
-  FileReport R = E.analyzeSource(BuggySrc, "test.mir");
+  FileReport R = E.analyzeFile("test.mir", BuggySrc);
   ASSERT_EQ(R.Detectors.size(), 2u);
   EXPECT_EQ(R.Detectors[0].Status, EngineStatus::Skipped);
   EXPECT_NE(R.Detectors[0].Note.find("detector blew up"), std::string::npos);
@@ -272,9 +272,9 @@ TEST(Engine, DataflowCapDegradesInsteadOfSkipping) {
 TEST(Engine, CorpusRunNeverAbortsAndCountsStatuses) {
   AnalysisEngine E;
   CorpusReport Report;
-  Report.Files.push_back(E.analyzeSource(CleanSrc, "clean.mir"));
-  Report.Files.push_back(E.analyzeSource("fn oops(", "bad.mir"));
-  Report.Files.push_back(E.analyzeSource(BuggySrc, "buggy.mir"));
+  Report.Files.push_back(E.analyzeFile("clean.mir", CleanSrc));
+  Report.Files.push_back(E.analyzeFile("bad.mir", "fn oops("));
+  Report.Files.push_back(E.analyzeFile("buggy.mir", BuggySrc));
   EXPECT_EQ(Report.countWithStatus(EngineStatus::Ok), 2u);
   EXPECT_EQ(Report.countWithStatus(EngineStatus::Skipped), 1u);
   EXPECT_GT(Report.totalFindings(), 0u);
@@ -288,32 +288,32 @@ TEST(Engine, ExitCodeContract) {
   EXPECT_EQ(Empty.exitCode(), 2);
 
   CorpusReport AllBad;
-  AllBad.Files.push_back(E.analyzeSource("@@@", "junk.mir"));
+  AllBad.Files.push_back(E.analyzeFile("junk.mir", "@@@"));
   EXPECT_EQ(AllBad.exitCode(), 2);
 
   CorpusReport Clean;
-  Clean.Files.push_back(E.analyzeSource(CleanSrc, "clean.mir"));
+  Clean.Files.push_back(E.analyzeFile("clean.mir", CleanSrc));
   EXPECT_EQ(Clean.exitCode(), 0);
   EXPECT_EQ(Clean.exitCode(/*Strict=*/true), 0);
 
   CorpusReport Mixed;
-  Mixed.Files.push_back(E.analyzeSource(CleanSrc, "clean.mir"));
-  Mixed.Files.push_back(E.analyzeSource("@@@", "junk.mir"));
+  Mixed.Files.push_back(E.analyzeFile("clean.mir", CleanSrc));
+  Mixed.Files.push_back(E.analyzeFile("junk.mir", "@@@"));
   EXPECT_EQ(Mixed.exitCode(), 0);
   // Strict mode: any non-Ok file is a failure even without findings.
   EXPECT_EQ(Mixed.exitCode(/*Strict=*/true), 2);
 
   CorpusReport WithBug;
-  WithBug.Files.push_back(E.analyzeSource(BuggySrc, "buggy.mir"));
+  WithBug.Files.push_back(E.analyzeFile("buggy.mir", BuggySrc));
   EXPECT_EQ(WithBug.exitCode(), 1);
 }
 
 TEST(Engine, JsonReportCarriesStatusesAndSummary) {
   AnalysisEngine E;
   CorpusReport Report;
-  Report.Files.push_back(E.analyzeSource(CleanSrc, "clean.mir"));
-  Report.Files.push_back(E.analyzeSource("fn oops(", "bad.mir"));
-  Report.Files.push_back(E.analyzeSource(BuggySrc, "buggy.mir"));
+  Report.Files.push_back(E.analyzeFile("clean.mir", CleanSrc));
+  Report.Files.push_back(E.analyzeFile("bad.mir", "fn oops("));
+  Report.Files.push_back(E.analyzeFile("buggy.mir", BuggySrc));
   std::string J = Report.renderJson();
   EXPECT_NE(J.find("\"path\":\"clean.mir\""), std::string::npos);
   EXPECT_NE(J.find("\"status\":\"ok\""), std::string::npos);

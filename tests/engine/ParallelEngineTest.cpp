@@ -277,7 +277,7 @@ TEST(ParallelEngine, CorruptDiskEntryDegradesToMissNotCrash) {
 
 TEST(ParallelEngine, CachePayloadRoundTripsThroughSerialization) {
   AnalysisEngine E;
-  FileReport R = E.analyzeSource(BuggySrc, "orig.mir");
+  FileReport R = E.analyzeFile("orig.mir", BuggySrc);
   ASSERT_EQ(R.Status, EngineStatus::Ok);
   ASSERT_FALSE(R.Findings.empty());
   std::string Payload = serializeFileReport(R);
@@ -341,7 +341,7 @@ TEST(ParallelEngine, InjectedFaultsAreContainedUnderParallelism) {
   fs::path Dir = writeCorpus("par_fault");
   EngineOptions O;
   O.Jobs = 4;
-  O.UseCache = false; // Faults fire in analyzeSource; keep it on that path.
+  O.UseCache = false; // No cached report may bypass the parse fault.
   fault::ScopedFault F("engine.parse", 1, 1000000);
   AnalysisEngine E(O);
   CorpusReport R = E.analyzeCorpus({Dir.string()});

@@ -85,7 +85,7 @@ TEST(SnapshotCache, CleanAnalysisStoresASnapshotBlob) {
   EngineOptions O;
   O.CacheDir = CacheDir.string();
   AnalysisEngine E(O);
-  FileReport R = E.analyzeSource(BuggySrc, "buggy.mir");
+  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
   EXPECT_EQ(R.Status, EngineStatus::Ok);
   EXPECT_EQ(R.Findings.size(), 1u);
   EXPECT_TRUE(fs::exists(snapshotPathFor(CacheDir, BuggySrc)));
@@ -99,7 +99,7 @@ TEST(SnapshotCache, SnapshotServesWithoutTouchingTheParser) {
   std::string Cold;
   {
     AnalysisEngine E(O);
-    Cold = renderReport(E.analyzeSource(BuggySrc, "buggy.mir"));
+    Cold = renderReport(E.analyzeFile("buggy.mir", BuggySrc));
   }
 
   // Different analysis options: the report key changes (cold), but the
@@ -111,7 +111,7 @@ TEST(SnapshotCache, SnapshotServesWithoutTouchingTheParser) {
   Changed.MaxSummaryRounds = Changed.MaxSummaryRounds + 1;
   AnalysisEngine E(Changed);
   fault::ScopedFault NoParse("engine.parse", 1, 1000000);
-  FileReport R = E.analyzeSource(BuggySrc, "buggy.mir");
+  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
   EXPECT_EQ(R.Status, EngineStatus::Ok);
   EXPECT_EQ(renderReport(R), Cold);
   ASSERT_NE(E.cache(), nullptr);
@@ -126,7 +126,7 @@ TEST(SnapshotCache, CorruptSnapshotFallsBackToTheParser) {
   std::string Cold;
   {
     AnalysisEngine E(O);
-    Cold = renderReport(E.analyzeSource(BuggySrc, "buggy.mir"));
+    Cold = renderReport(E.analyzeFile("buggy.mir", BuggySrc));
   }
 
   // Flip one payload byte inside the blob envelope: the cache-layer
@@ -142,7 +142,7 @@ TEST(SnapshotCache, CorruptSnapshotFallsBackToTheParser) {
   EngineOptions Changed = O;
   Changed.MaxSummaryRounds = Changed.MaxSummaryRounds + 1;
   AnalysisEngine E(Changed);
-  FileReport R = E.analyzeSource(BuggySrc, "buggy.mir");
+  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
   EXPECT_EQ(R.Status, EngineStatus::Ok);
   EXPECT_EQ(renderReport(R), Cold);
   ASSERT_NE(E.cache(), nullptr);
@@ -158,7 +158,7 @@ TEST(SnapshotCache, SnapshotSchemaSkewIsAMissNotACrash) {
   std::string Cold;
   {
     AnalysisEngine E(O);
-    Cold = renderReport(E.analyzeSource(BuggySrc, "buggy.mir"));
+    Cold = renderReport(E.analyzeFile("buggy.mir", BuggySrc));
   }
 
   // Rewrite the blob with a snapshot from "the future": valid envelope
@@ -182,7 +182,7 @@ TEST(SnapshotCache, SnapshotSchemaSkewIsAMissNotACrash) {
   EngineOptions Changed = O;
   Changed.MaxSummaryRounds = Changed.MaxSummaryRounds + 1;
   AnalysisEngine E(Changed);
-  FileReport R = E.analyzeSource(BuggySrc, "buggy.mir");
+  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
   EXPECT_EQ(R.Status, EngineStatus::Ok);
   EXPECT_EQ(renderReport(R), Cold);
   fs::remove_all(CacheDir);
@@ -199,7 +199,7 @@ TEST(SnapshotCache, PreviousSchemaReportEntryIsColdNotCorrupt) {
   std::string Cold;
   {
     AnalysisEngine E(O);
-    Cold = renderReport(E.analyzeSource(BuggySrc, "buggy.mir"));
+    Cold = renderReport(E.analyzeFile("buggy.mir", BuggySrc));
   }
 
   // Downgrade the stored payload's schema tag in place, simulating an
@@ -224,7 +224,7 @@ TEST(SnapshotCache, PreviousSchemaReportEntryIsColdNotCorrupt) {
   fs::remove(snapshotPathFor(CacheDir, BuggySrc));
 
   AnalysisEngine E(O); // Same options: same report key as the stale entry.
-  FileReport R = E.analyzeSource(BuggySrc, "buggy.mir");
+  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
   EXPECT_EQ(R.Status, EngineStatus::Ok);
   EXPECT_EQ(renderReport(R), Cold);
   ASSERT_NE(E.cache(), nullptr);

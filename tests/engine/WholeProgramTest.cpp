@@ -227,7 +227,8 @@ TEST(WholeProgram, AutoLinksOnlyMultiFileCorpora) {
 
 // A per-file run is a linked run with an empty environment: a leaf file
 // (link digest 0) shares its report entry with per-file mode, while a file
-// whose callee lives elsewhere is keyed by its digest and misses.
+// whose callee lives elsewhere is also keyed by its digest. The linked
+// driver analyzes every file per-file first, so it leaves both entries.
 TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
   fs::path Dir = writePair("wp_leaf_entry", UafUseSrc, UafDefSrc);
   fs::path CacheDir = fs::path(testing::TempDir()) / "wp_leaf_entry_cache";
@@ -239,23 +240,30 @@ TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
   AnalysisEngine E(Opts);
   CorpusReport Linked = E.analyzeCorpus({Dir.string()});
   ASSERT_TRUE(Linked.Stats.LinkEnabled);
-  EXPECT_EQ(Linked.Stats.CacheMisses, 2u);
+  // Two per-file runs, then the caller against the environment.
+  EXPECT_EQ(Linked.Stats.CacheMisses, 3u);
   EXPECT_EQ(Linked.totalFindings(), 1u) << Linked.renderText();
 
-  // The same engine's per-file entry: the leaf is a hit, the caller a miss
-  // (and, without the environment, the cross-file bug is invisible).
+  // The same engine's per-file entry hits for both files (and, without the
+  // environment, the cross-file bug is invisible) ...
   sched::ResultCache::Stats Before = E.cache()->stats();
   FileReport Def = E.analyzeFile((Dir / "a_def.mir").string());
   EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
   EXPECT_EQ(E.cache()->stats().Misses, Before.Misses);
   FileReport Use = E.analyzeFile((Dir / "b_use.mir").string());
-  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
-  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 1);
+  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 2);
+  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses);
   EXPECT_EQ(Def.Status, EngineStatus::Ok);
   EXPECT_TRUE(Use.Findings.empty());
+  // ... while the caller's linked entry lives under its digest: a digest
+  // no link produced misses.
+  FileReport Stale = E.analyzeFile((Dir / "b_use.mir").string(), std::nullopt,
+                                   nullptr, /*LinkDigest=*/42);
+  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 1);
+  EXPECT_TRUE(Stale.Findings.empty());
 
   // A WholeProgramMode::Off run over a cache only a linked run has written:
-  // the leaf serves from disk, the caller misses.
+  // both per-file entries serve from disk.
   fs::remove_all(CacheDir);
   {
     AnalysisEngine Warm(Opts);
@@ -266,9 +274,9 @@ TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
   AnalysisEngine Off(OffOpts);
   CorpusReport PerFile = Off.analyzeCorpus({Dir.string()});
   EXPECT_FALSE(PerFile.Stats.LinkEnabled);
-  EXPECT_EQ(PerFile.Stats.CacheHits, 1u) << PerFile.Stats.renderLine();
-  EXPECT_EQ(PerFile.Stats.DiskHits, 1u);
-  EXPECT_EQ(PerFile.Stats.CacheMisses, 1u);
+  EXPECT_EQ(PerFile.Stats.CacheHits, 2u) << PerFile.Stats.renderLine();
+  EXPECT_EQ(PerFile.Stats.DiskHits, 2u);
+  EXPECT_EQ(PerFile.Stats.CacheMisses, 0u);
   EXPECT_EQ(PerFile.totalFindings(), 0u) << PerFile.renderText();
   fs::remove_all(CacheDir);
 }
@@ -323,11 +331,14 @@ TEST(WholeProgram, ColdVsWarmSummaryDbIsByteIdentical) {
     Cold = R.renderJson();
   }
   {
-    // A fresh engine against the same disk root: every link key hits, so
-    // no module is summarized and the bytes match the cold run exactly.
+    // A fresh engine against the same disk root: the one exporter's link
+    // key hits, so no module is summarized and the bytes match the cold
+    // run exactly. The caller exports nothing and needs no summary.
     AnalysisEngine E(Opts);
     CorpusReport R = E.analyzeCorpus({Dir.string()});
-    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 2u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.LinkRounds, 0u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.ModulesNeedNoSummary, 1u);
     EXPECT_GT(R.Stats.SummaryDbHits, 0u);
     Warm = R.renderJson();
   }
@@ -388,10 +399,13 @@ TEST(WholeProgram, WarmUnchangedRunNeverParsesOrDecodes) {
   CorpusReport R = Warm.analyzeCorpus({Dir.string()});
   EXPECT_EQ(R.renderJson(), Cold);
   EXPECT_EQ(R.countWithStatus(EngineStatus::Ok), 4u) << R.renderText();
+  // The two def files export and hit; the two callers need no summary.
+  // Every file's per-file report hits, and each caller's linked one.
   EXPECT_EQ(R.Stats.LinkRounds, 0u) << R.Stats.renderLine();
-  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 4u) << R.Stats.renderLine();
-  EXPECT_EQ(R.Stats.SummaryDbHits, 4u);
-  EXPECT_EQ(R.Stats.CacheHits, 4u);
+  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 2u) << R.Stats.renderLine();
+  EXPECT_EQ(R.Stats.ModulesNeedNoSummary, 2u);
+  EXPECT_EQ(R.Stats.SummaryDbHits, 2u);
+  EXPECT_EQ(R.Stats.CacheHits, 6u);
   fs::remove_all(CacheDir);
 }
 
@@ -416,7 +430,8 @@ TEST(WholeProgram, WarmCacheServesACopiedCorpusAtItsNewPaths) {
   // Facts and summaries came from the cache, yet re-anchored: the
   // counterpart spans point into the copy, not the original.
   EXPECT_EQ(Got.Stats.LinkRounds, 0u) << Got.Stats.renderLine();
-  EXPECT_EQ(Got.Stats.ModulesFromSummaryDb, 4u);
+  EXPECT_EQ(Got.Stats.ModulesFromSummaryDb, 2u);
+  EXPECT_EQ(Got.Stats.ModulesNeedNoSummary, 2u);
   const FileReport *Use = findFile(Got, "b_use.mir");
   ASSERT_NE(Use, nullptr);
   const diag::Diagnostic *D = findKind(*Use, "use-after-free");
@@ -446,8 +461,11 @@ TEST(WholeProgram, FileOutsideTheLinkIsReadAndParsedOnce) {
   EXPECT_EQ(R.Stats.LinkedFiles, 2u);
   EXPECT_EQ(R.countWithStatus(EngineStatus::Degraded), 1u) << R.renderText();
   EXPECT_EQ(R.countWithStatus(EngineStatus::Skipped), 1u) << R.renderText();
-  EXPECT_EQ(fault::hitCount("engine.parse"), 4u);
-  EXPECT_EQ(fault::hitCount("engine.verify"), 4u);
+  // Each file once, plus, with no snapshot cache, one more load for each
+  // linked file: the exporter's summary round and the caller's linked
+  // re-analysis. The two files outside the link load once.
+  EXPECT_EQ(fault::hitCount("engine.parse"), 6u);
+  EXPECT_EQ(fault::hitCount("engine.verify"), 6u);
 }
 
 TEST(WholeProgram, SummaryDbHonorsTheCacheCap) {
@@ -457,7 +475,8 @@ TEST(WholeProgram, SummaryDbHonorsTheCacheCap) {
   Opts.CacheMaxEntries = 1;
   AnalysisEngine E(Opts);
   CorpusReport R = E.analyzeCorpus({Dir.string()});
-  EXPECT_EQ(R.Stats.SummaryDbStores, 4u) << R.Stats.renderLine();
+  // Only the two exporters store an entry; the cap keeps one.
+  EXPECT_EQ(R.Stats.SummaryDbStores, 2u) << R.Stats.renderLine();
   ASSERT_NE(E.summaryDb(), nullptr);
-  EXPECT_EQ(E.summaryDb()->stats().Evictions, 3u);
+  EXPECT_EQ(E.summaryDb()->stats().Evictions, 1u);
 }

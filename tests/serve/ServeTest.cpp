@@ -7,11 +7,12 @@
 //    rs::version constant;
 //  - didChange publishes diagnostics whose rule IDs match the batch
 //    pipeline's findings;
-//  - a warm edit re-analyzes only the dirty file plus its dependency
-//    slice, visible through the session's epoch/analysis/revalidation
-//    counters;
+//  - a warm edit re-analyzes only the dirty file plus the files whose
+//    link digest moved, visible through the session's
+//    epoch/analysis/revalidation counters;
 //  - the session snapshot renders byte-identically to a cold
-//    `rustsight check --json` over the same buffer state;
+//    `rustsight check --json` over the same buffer state, cross-file
+//    findings included, under the same whole-program mode;
 //  - fix-its surface as quickfix code actions, deferred requests are
 //    cancellable with RequestCancelled, and the shutdown/exit lifecycle
 //    follows the LSP exit-code contract.
@@ -107,12 +108,16 @@ fs::path writeCorpus(const char *Name) {
 struct Harness {
   Server S;
 
-  explicit Harness(const fs::path &Root, unsigned Jobs = 1)
-      : S(makeOptions(Root, Jobs)) {}
+  explicit Harness(
+      const fs::path &Root, unsigned Jobs = 1,
+      engine::WholeProgramMode Mode = engine::WholeProgramMode::Auto)
+      : S(makeOptions(Root, Jobs, Mode)) {}
 
-  static ServerOptions makeOptions(const fs::path &Root, unsigned Jobs) {
+  static ServerOptions makeOptions(const fs::path &Root, unsigned Jobs,
+                                   engine::WholeProgramMode Mode) {
     ServerOptions O;
     O.Session.Engine.Jobs = Jobs;
+    O.Session.Engine.WholeProgram = Mode;
     if (!Root.empty())
       O.Session.Roots.push_back(Root.string());
     return O;
@@ -197,6 +202,35 @@ const JsonValue *lastPublishFor(const std::vector<JsonValue> &Ms,
         if (P->getString("uri") == Uri)
           Found = &M;
   return Found;
+}
+
+/// A fresh directory holding the 12 cross-file files of the eval corpus.
+fs::path copyXfileCorpus(const char *Name) {
+  fs::path Dir = fs::path(testing::TempDir()) / Name;
+  fs::remove_all(Dir);
+  fs::create_directories(Dir);
+  for (const fs::directory_entry &E : fs::directory_iterator(
+           fs::path(RS_REPO_ROOT) / "examples" / "mir" / "eval"))
+    if (E.path().filename().string().rfind("xfile_", 0) == 0)
+      fs::copy_file(E.path(), Dir / E.path().filename());
+  return Dir;
+}
+
+std::string readText(const fs::path &P) {
+  std::ifstream In(P);
+  return std::string(std::istreambuf_iterator<char>(In),
+                     std::istreambuf_iterator<char>());
+}
+
+/// What a cold `rustsight check --json` reports over \p Dir.
+std::string coldCheckJson(
+    const fs::path &Dir,
+    engine::WholeProgramMode Mode = engine::WholeProgramMode::Auto) {
+  engine::EngineOptions EO;
+  EO.Jobs = 1;
+  EO.WholeProgram = Mode;
+  engine::AnalysisEngine Cold(EO);
+  return Cold.analyzeCorpus({Dir.string()}).renderJson();
 }
 
 std::vector<std::string> diagCodes(const JsonValue &Publish) {
@@ -295,42 +329,141 @@ TEST(Serve, WarmEditReanalyzesOnlyTheDirtySlice) {
   Harness H(Dir);
   H.start();
 
+  // caller.mir calls helper(), which lib.mir defines, so only the caller
+  // has a non-zero link digest: the cold start analyzes every file against
+  // the empty environment, then the caller again against the link's.
   Session &Sess = H.S.session();
-  ASSERT_EQ(Sess.totalAnalyses(), 3u) << "cold start analyzes every file";
+  ASSERT_EQ(Sess.totalAnalyses(), 4u);
   EXPECT_EQ(Sess.fileStats(Lib).Analyses, 1u);
-  EXPECT_EQ(Sess.fileStats(Caller).Analyses, 1u);
+  EXPECT_EQ(Sess.fileStats(Caller).Analyses, 2u);
   EXPECT_EQ(Sess.fileStats(Other).Analyses, 1u);
 
-  // caller.mir calls helper(), which lib.mir defines; other.mir touches
-  // neither — so the slice for an edit to lib is {lib, caller}.
-  EXPECT_EQ(Sess.dependentsOf(Lib), std::vector<std::string>{Caller});
-  EXPECT_TRUE(Sess.dependentsOf(Other).empty());
-
-  // Opening lib with its on-disk bytes is a pure revalidation everywhere.
+  // Opening lib with its on-disk bytes is a revalidation. lib exports
+  // helper, so the session relinks, but no digest moves: the caller is
+  // not visited.
   H.didOpen(Lib, LibSrc, 1);
   H.S.flushPending();
-  H.drain();
+  std::vector<JsonValue> Ms = H.drain();
+  EXPECT_NE(lastPublishFor(Ms, Lib), nullptr);
+  EXPECT_EQ(lastPublishFor(Ms, Caller), nullptr);
   EXPECT_EQ(Sess.fileStats(Lib).Analyses, 1u);
   EXPECT_EQ(Sess.fileStats(Lib).Revalidations, 1u);
-  EXPECT_EQ(Sess.fileStats(Caller).Revalidations, 1u);
-  EXPECT_EQ(Sess.fileStats(Other).Epoch, 1u) << "outside the slice: untouched";
-  EXPECT_EQ(Sess.totalAnalyses(), 3u) << "no bytes changed, no engine runs";
+  EXPECT_EQ(Sess.fileStats(Caller).Epoch, 1u);
+  EXPECT_EQ(Sess.totalAnalyses(), 4u) << "no bytes changed, no engine runs";
 
-  // A real edit: the dirty file re-analyzes (cache miss), its dependent
-  // revalidates (cache hit), the unrelated file is not visited at all.
+  // A body-only edit of the callee moves helper's link key and so the
+  // caller's digest: the dirty file and the caller re-analyze (both cache
+  // misses) and republish; the unrelated file is not visited at all.
   H.didChange(Lib, LibSrcV2, 2);
   ASSERT_TRUE(H.S.flushPending());
-  std::vector<JsonValue> Ms = H.drain();
+  Ms = H.drain();
   EXPECT_NE(lastPublishFor(Ms, Lib), nullptr);
   EXPECT_NE(lastPublishFor(Ms, Caller), nullptr);
   EXPECT_EQ(lastPublishFor(Ms, Other), nullptr);
 
   EXPECT_EQ(Sess.fileStats(Lib).Analyses, 2u);
   EXPECT_EQ(Sess.fileStats(Lib).Epoch, 3u);
-  EXPECT_EQ(Sess.fileStats(Caller).Analyses, 1u);
-  EXPECT_EQ(Sess.fileStats(Caller).Revalidations, 2u);
+  EXPECT_EQ(Sess.fileStats(Caller).Analyses, 3u);
+  EXPECT_EQ(Sess.fileStats(Caller).Epoch, 2u);
   EXPECT_EQ(Sess.fileStats(Other).Epoch, 1u);
-  EXPECT_EQ(Sess.totalAnalyses(), 4u);
+  EXPECT_EQ(Sess.totalAnalyses(), 6u);
+
+  // An edit that touches no cross-file edge stays per-file: only the
+  // edited file is analyzed and published.
+  H.didOpen(Other, OtherSrc, 1);
+  H.didChange(Other, DoubleLockSrc, 2);
+  ASSERT_TRUE(H.S.flushPending());
+  Ms = H.drain();
+  EXPECT_NE(lastPublishFor(Ms, Other), nullptr);
+  EXPECT_EQ(lastPublishFor(Ms, Lib), nullptr);
+  EXPECT_EQ(lastPublishFor(Ms, Caller), nullptr);
+  EXPECT_EQ(Sess.fileStats(Caller).Epoch, 2u);
+  EXPECT_EQ(Sess.totalAnalyses(), 7u);
+}
+
+TEST(Serve, XfileSnapshotMatchesColdCheckAcrossACalleeEdit) {
+  fs::path Dir = copyXfileCorpus("serve_xfile");
+  fs::path Def = Dir / "xfile_uaf_bug_0_def.mir";
+  fs::path Use = Dir / "xfile_uaf_bug_0_use.mir";
+  Harness H(Dir);
+  std::vector<JsonValue> Ms = H.start();
+
+  // The initial sweep carries the cross-file findings check reports.
+  engine::CorpusReport Snap = H.S.session().snapshot();
+  EXPECT_EQ(Snap.totalFindings(), 3u) << Snap.renderText();
+  EXPECT_EQ(Snap.renderJson(), coldCheckJson(Dir));
+  const JsonValue *Pub = lastPublishFor(Ms, Use.string());
+  ASSERT_NE(Pub, nullptr);
+  EXPECT_EQ(diagCodes(*Pub), std::vector<std::string>{"RS-UAF-001"});
+
+  // Rewrite the callee with the benign body, renamed so the call still
+  // resolves: the caller republishes without its finding.
+  std::string Benign = readText(Dir / "xfile_uaf_ok_0_def.mir");
+  Benign.replace(Benign.find("xf_free_ok_0"), 12, "xf_free_bug_0");
+  H.didOpen(Def.string(), readText(Def), 1);
+  H.didChange(Def.string(), Benign, 2);
+  ASSERT_TRUE(H.S.flushPending());
+  Ms = H.drain();
+  Pub = lastPublishFor(Ms, Use.string());
+  ASSERT_NE(Pub, nullptr);
+  EXPECT_TRUE(diagCodes(*Pub).empty());
+
+  std::ofstream(Def) << Benign;
+  Snap = H.S.session().snapshot();
+  EXPECT_EQ(Snap.totalFindings(), 2u) << Snap.renderText();
+  EXPECT_EQ(Snap.renderJson(), coldCheckJson(Dir));
+}
+
+TEST(Serve, DefiningAnUnresolvedCalleeRepublishesTheCaller) {
+  fs::path Dir = copyXfileCorpus("serve_xfile_define");
+  fs::path Def = Dir / "xfile_uaf_bug_0_def.mir";
+  fs::path Use = Dir / "xfile_uaf_bug_0_use.mir";
+  std::string Callee = readText(Def);
+  // Start with the callee's definition renamed away: the caller's call is
+  // unresolved, so it has no finding.
+  std::string Renamed = Callee;
+  Renamed.replace(Renamed.find("xf_free_bug_0"), 13, "xf_free_gone_0");
+  std::ofstream(Def) << Renamed;
+  Harness H(Dir);
+  std::vector<JsonValue> Ms = H.start();
+  const JsonValue *Pub = lastPublishFor(Ms, Use.string());
+  ASSERT_NE(Pub, nullptr);
+  EXPECT_TRUE(diagCodes(*Pub).empty());
+
+  // The edit defines the name the caller calls: the session relinks and
+  // the caller republishes with the cross-file finding.
+  H.didOpen(Def.string(), Renamed, 1);
+  H.didChange(Def.string(), Callee, 2);
+  ASSERT_TRUE(H.S.flushPending());
+  Ms = H.drain();
+  Pub = lastPublishFor(Ms, Use.string());
+  ASSERT_NE(Pub, nullptr);
+  EXPECT_EQ(diagCodes(*Pub), std::vector<std::string>{"RS-UAF-001"});
+
+  std::ofstream(Def) << Callee;
+  EXPECT_EQ(H.S.session().snapshot().renderJson(), coldCheckJson(Dir));
+}
+
+TEST(Serve, EvalSnapshotMatchesColdCheckInEitherLinkMode) {
+  // The session links exactly when check does: --no-whole-program loses
+  // the three cross-file findings of the xfile pairs, in both.
+  fs::path Eval = fs::path(RS_REPO_ROOT) / "examples" / "mir" / "eval";
+  auto XfileFindings = [](const engine::CorpusReport &R) {
+    size_t N = 0;
+    for (const engine::FileReport &F : R.Files)
+      if (F.Path.find("xfile_") != std::string::npos)
+        N += F.Findings.size();
+    return N;
+  };
+  for (engine::WholeProgramMode Mode :
+       {engine::WholeProgramMode::Auto, engine::WholeProgramMode::Off}) {
+    Harness H(Eval, 1, Mode);
+    H.start();
+    engine::CorpusReport Snap = H.S.session().snapshot();
+    EXPECT_EQ(XfileFindings(Snap),
+              Mode == engine::WholeProgramMode::Off ? 0u : 3u);
+    EXPECT_EQ(Snap.renderJson(), coldCheckJson(Eval, Mode));
+  }
 }
 
 TEST(Serve, SnapshotRendersByteIdenticalToColdCheckJson) {

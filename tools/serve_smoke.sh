@@ -3,9 +3,13 @@
 # the daemon over real pipes the way an editor would:
 #
 #   1. initialize -> serverInfo sanity -> initialized -> initial
-#      publishDiagnostics sweep (double_lock.mir must carry RS-DL-001);
+#      publishDiagnostics sweep (double_lock.mir must carry RS-DL-001, and
+#      when the corpus holds the eval/ cross-file pairs, each
+#      xfile_*_bug_0_use.mir its cross-file finding);
 #   2. didOpen clean.mir, didChange injecting a double-lock -> the
 #      debounced re-analysis publishes RS-DL-001 for the edited buffer;
+#      with eval/ present, rewriting xfile_uaf_bug_0_def.mir with its
+#      benign body republishes the caller without RS-UAF-001;
 #   3. shutdown -> exit must terminate the daemon with exit code 0;
 #   4. an abrupt EOF without shutdown must exit nonzero (abnormal);
 #   5. --idle-timeout-ms must let an abandoned daemon exit 0 on its own.
@@ -86,12 +90,32 @@ assert info["schemaVersion"] >= 2, info
 print("serve_smoke: serverInfo ok:", info)
 
 s.send({"jsonrpc": "2.0", "method": "initialized", "params": {}})
-pub = s.wait_for(publishes_for("file://" + os.path.join(corpus,
-                                                        "double_lock.mir")),
-                 "initial publishDiagnostics for double_lock.mir")
-codes = [d["code"] for d in pub["params"]["diagnostics"]]
+# The cross-file pairs of the eval corpus, when the corpus holds them: each
+# bug's use file must carry the finding `check` reports through the link.
+eval_dir = os.path.join(corpus, "eval")
+xfile_expect = {}
+if os.path.isdir(eval_dir):
+    xfile_expect = {
+        "file://" + os.path.join(eval_dir, "xfile_%s_bug_0_use.mir" % k): c
+        for k, c in (("uaf", "RS-UAF-001"), ("double_lock", "RS-DL-001"),
+                     ("lock_order", "RS-LO-001"))}
+initial = {}
+want = set(xfile_expect) | {"file://" + os.path.join(corpus,
+                                                     "double_lock.mir")}
+while not want <= set(initial):
+    m = s.wait_for(lambda m: m.get("method") ==
+                   "textDocument/publishDiagnostics",
+                   "initial publishDiagnostics sweep")
+    initial[m["params"]["uri"]] = [d["code"]
+                                   for d in m["params"]["diagnostics"]]
+codes = initial["file://" + os.path.join(corpus, "double_lock.mir")]
 assert "RS-DL-001" in codes, codes
 print("serve_smoke: initial sweep flagged double_lock.mir:", codes)
+for uri, code in sorted(xfile_expect.items()):
+    assert initial[uri] == [code], (uri, initial[uri])
+if xfile_expect:
+    print("serve_smoke: initial sweep carries the %d cross-file findings"
+          % len(xfile_expect))
 
 s.send({"jsonrpc": "2.0", "method": "textDocument/didOpen", "params": {
     "textDocument": {"uri": clean_uri, "languageId": "rustlite-mir",
@@ -105,6 +129,26 @@ pub = s.wait_for(lambda m: (publishes_for(clean_uri)(m)
 codes = [d["code"] for d in pub["params"]["diagnostics"]]
 assert codes == ["RS-DL-001"], codes
 print("serve_smoke: didChange republished the injected bug:", codes)
+
+if xfile_expect:
+    # A callee edit reaches its caller: the benign body, renamed so the
+    # call still resolves, clears the use file's cross-file finding.
+    def_path = os.path.join(eval_dir, "xfile_uaf_bug_0_def.mir")
+    def_uri = "file://" + def_path
+    use_uri = "file://" + os.path.join(eval_dir, "xfile_uaf_bug_0_use.mir")
+    benign = open(os.path.join(eval_dir, "xfile_uaf_ok_0_def.mir")).read()
+    benign = benign.replace("xf_free_ok_0", "xf_free_bug_0")
+    s.send({"jsonrpc": "2.0", "method": "textDocument/didOpen", "params": {
+        "textDocument": {"uri": def_uri, "languageId": "rustlite-mir",
+                         "version": 1, "text": open(def_path).read()}}})
+    s.send({"jsonrpc": "2.0", "method": "textDocument/didChange", "params": {
+        "textDocument": {"uri": def_uri, "version": 2},
+        "contentChanges": [{"text": benign}]}})
+    pub = s.wait_for(publishes_for(use_uri),
+                     "caller republish after the callee edit")
+    codes = [d["code"] for d in pub["params"]["diagnostics"]]
+    assert "RS-UAF-001" not in codes, codes
+    print("serve_smoke: callee edit cleared the caller's RS-UAF-001:", codes)
 
 s.send({"jsonrpc": "2.0", "id": 2, "method": "shutdown"})
 s.wait_for(lambda m: m.get("id") == 2, "shutdown response")
