@@ -328,9 +328,10 @@ struct LinkOptions {
 };
 
 /// Persisted-summary hooks, keyed by module key (LinkedCorpus::moduleKey).
-/// Wired to sched::SummaryDb by the engine; null std::function disables
-/// persistence. Lookup returns the stored payload or nullopt; store
-/// persists a converged payload.
+/// Wired by the engine to its one ResultCache, at
+/// sched::SummaryDb::address(module key, schema); null std::function
+/// disables persistence. Lookup returns the stored payload or nullopt;
+/// store persists a converged payload.
 struct LinkDbHooks {
   std::function<std::optional<std::string>(uint64_t Key)> Lookup;
   std::function<void(uint64_t Key, std::string_view Payload)> Store;

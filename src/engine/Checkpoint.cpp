@@ -1,15 +1,11 @@
 #include "engine/Checkpoint.h"
 
 #include "corpus/CorpusWalk.h"
+#include "support/File.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <thread>
-
-#include <unistd.h>
 
 namespace fs = std::filesystem;
 
@@ -30,13 +26,11 @@ rs::engine::fingerprintCorpus(const std::vector<corpus::CorpusInput> &Inputs) {
 
 bool CheckpointJournal::load(
     const RunKey &Key, std::vector<std::optional<FileReport>> &Out) const {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  std::string Text;
+  if (readFile(Path, Text) != ReadFileError::None)
     return false;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
 
-  std::optional<JsonValue> Doc = JsonValue::parse(Buf.str());
+  std::optional<JsonValue> Doc = JsonValue::parse(Text);
   if (!Doc || !Doc->isObject())
     return false;
   if (Doc->getInt("version", -1) != FormatVersion)
@@ -99,31 +93,7 @@ bool CheckpointJournal::write(
   }
   Body += "]}";
 
-  fs::path Final(Path);
-  std::error_code Ec;
-  if (Final.has_parent_path())
-    fs::create_directories(Final.parent_path(), Ec);
-  fs::path Tmp = Final;
-  Tmp += ".tmp." + std::to_string(::getpid()) + "." +
-         hashToHex(std::hash<std::thread::id>()(std::this_thread::get_id()));
-  {
-    std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OutF)
-      return false;
-    OutF << Body;
-    OutF.flush();
-    if (!OutF) {
-      OutF.close();
-      fs::remove(Tmp, Ec);
-      return false;
-    }
-  }
-  fs::rename(Tmp, Final, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return false;
-  }
-  return true;
+  return writeFileAtomic(Path, Body);
 }
 
 void CheckpointJournal::remove() const {

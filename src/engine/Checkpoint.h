@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The supervisor's checkpoint journal: a single JSON document, rewritten
-/// with the atomic temp-write + rename idiom the ResultCache disk layer
-/// uses, recording every finalized FileReport of a supervised corpus run.
+/// through rs::writeFileAtomic (the write the ResultCache disk layer uses
+/// too), recording every finalized FileReport of a supervised corpus run.
 /// A run that dies — SIGKILL, OOM, power loss — resumes from the journal:
 /// completed files replay verbatim (full wire fidelity, so the merged
 /// report is byte-identical to an uninterrupted run) and only the missing

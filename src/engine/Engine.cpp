@@ -10,6 +10,7 @@
 #include "mir/Parser.h"
 #include "mir/Snapshot.h"
 #include "mir/Verifier.h"
+#include "sched/SummaryDb.h"
 #include "sched/ThreadPool.h"
 #include "support/FaultInjection.h"
 #include "support/File.h"
@@ -64,11 +65,6 @@ AnalysisEngine::AnalysisEngine(EngineOptions O)
   CO.MaxMemoryEntries = Opts.CacheMaxEntries;
   CO.DiskDir = Opts.CacheDir;
   Cache = std::make_unique<sched::ResultCache>(std::move(CO));
-  sched::SummaryDb::Options DO;
-  DO.DiskDir = Opts.CacheDir; // Shared root; addresses are salted apart.
-  DO.MaxMemoryEntries = Opts.CacheMaxEntries;
-  DO.SchemaOverride = Opts.SummaryDbSchemaOverride;
-  SummaryDbPtr = std::make_unique<sched::SummaryDb>(std::move(DO));
 }
 
 void AnalysisEngine::setDetectorFactory(DetectorFactory F) {
@@ -919,7 +915,7 @@ rs::engine::deserializeWireFileReport(std::string_view Payload) {
 
 LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
                                 const std::vector<corpus::CorpusInput> &Inputs,
-                                sched::SummaryDb *Db,
+                                sched::ResultCache *Cache,
                                 const LinkTransport &Transport) {
   LinkPlan Plan;
   Plan.Digest.resize(Inputs.size());
@@ -949,17 +945,23 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   LO.MaxSummaryRounds = linkRounds(Opts);
 
   // The solver probes and stores one entry per exporter, one after
-  // another. So the DB's disk reads happen here first, on the transport,
-  // and its writes after the solve: the hooks only touch memory.
+  // another. So the cache's disk reads happen here first, on the
+  // transport, and its writes after the solve: the hooks only touch
+  // memory. The schema folds into every address: a bump reads as cold.
+  const int64_t Schema = Opts.SummaryDbSchemaOverride
+                             ? Opts.SummaryDbSchemaOverride
+                             : sched::SummaryDb::SchemaVersion;
   analysis::LinkDbHooks Hooks;
-  std::unordered_map<uint64_t, std::string> Entries;
+  std::unordered_map<uint64_t, sched::ResultCache::BlobRef> Entries;
   std::vector<std::pair<uint64_t, std::string>> Pending;
-  if (Db) {
+  if (Cache) {
     const uint32_t NumMods = static_cast<uint32_t>(Corpus.modules().size());
-    std::vector<std::optional<std::string>> Got(NumMods);
+    std::vector<std::optional<sched::ResultCache::BlobRef>> Got(NumMods);
     Transport.Parallel(NumMods, [&](size_t M) {
-      if (Corpus.exports(static_cast<uint32_t>(M)))
-        Got[M] = Db->lookup(Corpus.moduleKey(static_cast<uint32_t>(M)));
+      const uint32_t Idx = static_cast<uint32_t>(M);
+      if (Corpus.exports(Idx))
+        Got[M] = Cache->lookupBlobRef(
+            sched::SummaryDb::address(Corpus.moduleKey(Idx), Schema));
     });
     for (uint32_t M = 0; M != NumMods; ++M)
       if (Got[M])
@@ -968,7 +970,7 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
       auto It = Entries.find(K);
       if (It == Entries.end())
         return std::nullopt;
-      return It->second;
+      return std::string(It->second.bytes());
     };
     Hooks.Store = [&](uint64_t K, std::string_view P) {
       Pending.emplace_back(K, std::string(P));
@@ -985,7 +987,8 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   analysis::LinkResult LR =
       analysis::solveLink(std::move(Corpus), LO, Hooks, Summarize);
   Transport.Parallel(Pending.size(), [&](size_t K) {
-    Db->store(Pending[K].first, Pending[K].second);
+    Cache->storeBlob(sched::SummaryDb::address(Pending[K].first, Schema),
+                     Pending[K].second);
   });
 
   Plan.Env = std::move(LR.Env);
@@ -1086,7 +1089,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
         return Out;
       };
   Transport.Parallel = RunParallel;
-  LinkPlan Link = linkCorpus(Opts, Inputs, SummaryDbPtr.get(), Transport);
+  LinkPlan Link = linkCorpus(Opts, Inputs, Cache.get(), Transport);
   if (!State)
     Link.Facts.clear();
 

@@ -42,7 +42,6 @@
 #include "detectors/Detector.h"
 #include "diag/Baseline.h"
 #include "sched/ResultCache.h"
-#include "sched/SummaryDb.h"
 
 #include <functional>
 #include <memory>
@@ -222,8 +221,8 @@ struct EngineOptions {
   /// On-disk cache layer root ("" = memory-only).
   std::string CacheDir;
 
-  /// In-memory entry cap of the result cache and of the summary DB, each
-  /// (0 = unbounded).
+  /// In-memory entry cap of the result cache, the one LRU that reports,
+  /// snapshots, link facts and summaries share (0 = unbounded).
   size_t CacheMaxEntries = 4096;
 };
 
@@ -368,12 +367,10 @@ public:
   CorpusReport analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
                              CorpusState *State);
 
-  /// The engine's cache (null when disabled). Persists across
-  /// analyzeCorpus calls, which is what makes warm reruns hit.
+  /// The engine's one cache (null when disabled): reports, snapshots,
+  /// link facts and summaries. Persists across analyzeCorpus calls, which
+  /// is what makes warm reruns hit.
   sched::ResultCache *cache() { return Cache.get(); }
-
-  /// The engine's summary DB (null when the cache is disabled).
-  sched::SummaryDb *summaryDb() { return SummaryDbPtr.get(); }
 
 private:
   struct LoadedFile;
@@ -407,7 +404,6 @@ private:
   DetectorFactory Factory;
   uint64_t Salt = 0; ///< cacheSalt of Opts and the battery.
   std::unique_ptr<sched::ResultCache> Cache;
-  std::unique_ptr<sched::SummaryDb> SummaryDbPtr;
 };
 
 /// The names of \p Factory's battery (the built-in battery when null), in
@@ -467,11 +463,12 @@ struct CorpusState {
 /// Decides whether \p Inputs link (EngineOptions::WholeProgram: Auto links
 /// more than one analyzable file), and if so collects facts in input order
 /// and runs the link fixpoint through \p Transport, with persisted
-/// summaries in \p Db (null = none). EngineOptions::MaxSummaryRounds 0
-/// means 8.
+/// summaries kept as blobs in \p Cache, the run's one cache (null = none),
+/// at sched::SummaryDb::address(module key, schema).
+/// EngineOptions::MaxSummaryRounds 0 means 8.
 LinkPlan linkCorpus(const EngineOptions &Opts,
                     const std::vector<corpus::CorpusInput> &Inputs,
-                    sched::SummaryDb *Db, const LinkTransport &Transport);
+                    sched::ResultCache *Cache, const LinkTransport &Transport);
 
 } // namespace rs::engine
 

@@ -596,16 +596,17 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
     for (size_t I = 0; I != Count; ++I)
       Fn(I);
   };
-  std::optional<sched::SummaryDb> Db;
+  // The supervisor's one cache: it only ever holds the summaries, as the
+  // workers' engines keep everything else.
+  std::optional<sched::ResultCache> Cache;
   if (Opts.Engine.UseCache) {
-    sched::SummaryDb::Options DO;
-    DO.DiskDir = Opts.Engine.CacheDir;
-    DO.MaxMemoryEntries = Opts.Engine.CacheMaxEntries;
-    DO.SchemaOverride = Opts.Engine.SummaryDbSchemaOverride;
-    Db.emplace(std::move(DO));
+    sched::ResultCache::Options CO;
+    CO.DiskDir = Opts.Engine.CacheDir;
+    CO.MaxMemoryEntries = Opts.Engine.CacheMaxEntries;
+    Cache.emplace(std::move(CO));
   }
   LinkPlan Link =
-      linkCorpus(Opts.Engine, Inputs, Db ? &*Db : nullptr, Transport);
+      linkCorpus(Opts.Engine, Inputs, Cache ? &*Cache : nullptr, Transport);
   Link.Facts.clear();
 
   std::vector<std::optional<FileReport>> Results(N);

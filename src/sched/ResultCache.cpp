@@ -3,98 +3,82 @@
 #include "support/FaultInjection.h"
 #include "support/File.h"
 #include "support/Hash.h"
-#include "support/Json.h"
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <thread>
-
-#include <unistd.h>
+#include <utility>
 
 namespace fs = std::filesystem;
 
 using namespace rs;
 using namespace rs::sched;
 
+namespace {
+
+/// Little-endian fixed-width fields for the entry envelope.
+void putU32LE(std::string &Out, uint32_t V) {
+  for (int I = 0; I != 4; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+void putU64LE(std::string &Out, uint64_t V) {
+  for (int I = 0; I != 8; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+uint32_t getU32LE(const char *P) {
+  uint32_t V = 0;
+  for (int I = 0; I != 4; ++I)
+    V |= static_cast<uint32_t>(static_cast<uint8_t>(P[I])) << (8 * I);
+  return V;
+}
+
+uint64_t getU64LE(const char *P) {
+  uint64_t V = 0;
+  for (int I = 0; I != 8; ++I)
+    V |= static_cast<uint64_t>(static_cast<uint8_t>(P[I])) << (8 * I);
+  return V;
+}
+
+constexpr char BlobMagic[4] = {'R', 'S', 'C', 'B'};
+constexpr size_t BlobHeaderSize = 4 + 4 + 8 + 8 + 8;
+
+} // namespace
+
 ResultCache::ResultCache() : ResultCache(Options{}) {}
 
 ResultCache::ResultCache(Options O) : Opts(std::move(O)) {}
-
-std::string ResultCache::entryFileName(uint64_t Key) {
-  return "rscache-" + hashToHex(Key) + ".json";
-}
 
 std::string ResultCache::blobFileName(uint64_t Key) {
   return "rscache-" + hashToHex(Key) + ".bin";
 }
 
 std::optional<std::string> ResultCache::lookup(uint64_t Key) {
+  std::optional<BlobRef> Ref = find(Key, /*Report=*/true);
+  if (!Ref)
+    return std::nullopt;
+  // A disk hit owns its envelope: strip the header in place.
+  Ref->Owned.resize(Ref->Off + Ref->Len);
+  Ref->Owned.erase(0, Ref->Off);
+  return std::move(Ref->Owned);
+}
+
+std::optional<ResultCache::BlobRef> ResultCache::lookupBlobRef(uint64_t Key) {
+  return find(Key, /*Report=*/false);
+}
+
+std::optional<ResultCache::BlobRef> ResultCache::find(uint64_t Key,
+                                                      bool Report) {
+  uint64_t Stats::*Hits = Report ? &Stats::Hits : &Stats::BlobHits;
+  uint64_t Stats::*Misses = Report ? &Stats::Misses : &Stats::BlobMisses;
+  uint64_t Stats::*DiskHits = Report ? &Stats::DiskHits : &Stats::BlobDiskHits;
   {
     std::lock_guard<std::mutex> Lock(M);
     auto It = Index.find(Key);
     if (It != Index.end()) {
       Lru.splice(Lru.begin(), Lru, It->second); // Touch: move to front.
-      ++Counters.Hits;
-      return It->second->second;
-    }
-  }
-  if (!Opts.DiskDir.empty() && !diskDisabled()) {
-    if (std::optional<std::string> Payload = loadFromDisk(Key)) {
-      std::lock_guard<std::mutex> Lock(M);
-      ++Counters.Hits;
-      ++Counters.DiskHits;
-      insertMemory(Key, *Payload);
-      return Payload;
-    }
-  }
-  std::lock_guard<std::mutex> Lock(M);
-  ++Counters.Misses;
-  return std::nullopt;
-}
-
-void ResultCache::store(uint64_t Key, std::string_view Payload) {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    insertMemory(Key, std::string(Payload));
-  }
-  if (!Opts.DiskDir.empty() && !diskDisabled())
-    storeToDisk(Key, Payload);
-}
-
-std::optional<std::string> ResultCache::lookupBlob(uint64_t Key) {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Index.find(Key);
-    if (It != Index.end()) {
-      Lru.splice(Lru.begin(), Lru, It->second);
-      ++Counters.BlobHits;
-      return It->second->second;
-    }
-  }
-  if (!Opts.DiskDir.empty() && !diskDisabled()) {
-    if (std::optional<BlobRef> Ref = loadBlobFromDisk(Key)) {
-      std::string Payload(Ref->bytes());
-      std::lock_guard<std::mutex> Lock(M);
-      ++Counters.BlobHits;
-      ++Counters.BlobDiskHits;
-      insertMemory(Key, Payload);
-      return Payload;
-    }
-  }
-  std::lock_guard<std::mutex> Lock(M);
-  ++Counters.BlobMisses;
-  return std::nullopt;
-}
-
-std::optional<ResultCache::BlobRef> ResultCache::lookupBlobRef(uint64_t Key) {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    auto It = Index.find(Key);
-    if (It != Index.end()) {
-      Lru.splice(Lru.begin(), Lru, It->second);
-      ++Counters.BlobHits;
+      ++(Counters.*Hits);
       BlobRef R;
       R.Owned = It->second->second; // Copy: the LRU entry may be evicted.
       R.Len = R.Owned.size();
@@ -102,25 +86,66 @@ std::optional<ResultCache::BlobRef> ResultCache::lookupBlobRef(uint64_t Key) {
     }
   }
   if (!Opts.DiskDir.empty() && !diskDisabled()) {
-    if (std::optional<BlobRef> Ref = loadBlobFromDisk(Key)) {
+    if (std::optional<BlobRef> Ref = readEntry(Key)) {
+      std::string Promoted;
+      if (Report)
+        Promoted = Ref->bytes();
       std::lock_guard<std::mutex> Lock(M);
-      ++Counters.BlobHits;
-      ++Counters.BlobDiskHits;
+      ++(Counters.*Hits);
+      ++(Counters.*DiskHits);
+      if (Report)
+        insertMemory(Key, std::move(Promoted));
       return Ref;
     }
   }
   std::lock_guard<std::mutex> Lock(M);
-  ++Counters.BlobMisses;
+  ++(Counters.*Misses);
   return std::nullopt;
 }
 
-void ResultCache::storeBlob(uint64_t Key, std::string_view Payload) {
+void ResultCache::store(uint64_t Key, std::string_view Payload) {
+  std::string Entry(Payload);
   {
     std::lock_guard<std::mutex> Lock(M);
-    insertMemory(Key, std::string(Payload));
+    insertMemory(Key, std::move(Entry));
   }
-  if (!Opts.DiskDir.empty() && !diskDisabled())
-    storeBlobToDisk(Key, Payload);
+  if (Opts.DiskDir.empty() || diskDisabled())
+    return;
+  if (fault::shouldFail("cache.disk.store")) {
+    failStore();
+    return;
+  }
+
+  std::string Envelope;
+  Envelope.reserve(BlobHeaderSize + Payload.size());
+  Envelope.append(BlobMagic, 4);
+  putU32LE(Envelope, DiskBlobFormatVersion);
+  putU64LE(Envelope, Key);
+  putU64LE(Envelope, Payload.size());
+  putU64LE(Envelope, fnv1a64(Payload));
+  Envelope.append(Payload.data(), Payload.size());
+  if (!writeFileAtomic((fs::path(Opts.DiskDir) / blobFileName(Key)).string(),
+                       Envelope))
+    failStore();
+}
+
+/// One write failure disables the layer for the rest of the run — a full
+/// disk or revoked permission would otherwise fail identically for every
+/// file, and a cache must never turn a sick filesystem into per-file
+/// latency. The warning prints exactly once, on the transition.
+void ResultCache::failStore() {
+  bool WarnNow = false;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    ++Counters.StoreErrors;
+    WarnNow = !std::exchange(DiskDisabledFlag, true);
+  }
+  if (WarnNow)
+    std::fprintf(stderr,
+                 "rustsight: warning: cannot write result cache entry "
+                 "under '%s'; disk cache layer disabled for the rest of "
+                 "this run (in-memory layer unaffected)\n",
+                 Opts.DiskDir.c_str());
 }
 
 bool ResultCache::diskDisabled() const {
@@ -161,186 +186,7 @@ void ResultCache::insertMemory(uint64_t Key, std::string Payload) {
   }
 }
 
-std::optional<std::string> ResultCache::loadFromDisk(uint64_t Key) {
-  fs::path Path = fs::path(Opts.DiskDir) / entryFileName(Key);
-  std::string Text;
-  if (readFile(Path.string(), Text) != ReadFileError::None)
-    return std::nullopt; // Absent: a plain miss, not corruption.
-
-  // Any defect from here on is corruption: count it, drop the entry so the
-  // next run does not pay the parse again, and miss.
-  auto Corrupt = [&]() -> std::optional<std::string> {
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      ++Counters.CorruptEntries;
-    }
-    std::error_code Ec;
-    fs::remove(Path, Ec); // Best-effort.
-    return std::nullopt;
-  };
-
-  std::optional<JsonValue> Doc = JsonValue::parse(Text);
-  if (!Doc || !Doc->isObject())
-    return Corrupt();
-  if (Doc->getInt("version", -1) != DiskFormatVersion)
-    return Corrupt();
-  uint64_t StoredKey = 0;
-  if (!hexToHash(Doc->getString("key"), StoredKey) || StoredKey != Key)
-    return Corrupt();
-  const JsonValue *Payload = Doc->get("payload");
-  if (!Payload || !Payload->isString())
-    return Corrupt();
-  return Payload->asString();
-}
-
-/// Writes \p Contents to DiskDir/FileName via a temporary + atomic rename.
-/// Returns false on any failure (the caller records it); one write failure
-/// disables the layer for the rest of the run — a full disk or revoked
-/// permission would otherwise fail identically for every file, and a cache
-/// must never turn a sick filesystem into per-file latency. The warning
-/// prints exactly once, on the transition.
-bool ResultCache::writeDiskFile(const std::string &FileName,
-                                std::string_view Contents) {
-  std::error_code Ec;
-  fs::create_directories(Opts.DiskDir, Ec);
-
-  // Unique-enough temporary name per writer (pid + thread), then an atomic
-  // rename: concurrent writers of the same key race benignly because both
-  // wrote identical content for identical keys.
-  fs::path Final = fs::path(Opts.DiskDir) / FileName;
-  std::string Suffix =
-      ".tmp." + std::to_string(::getpid()) + "." +
-      hashToHex(std::hash<std::thread::id>()(std::this_thread::get_id()));
-  fs::path Tmp = Final;
-  Tmp += Suffix;
-
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(Contents.data(),
-              static_cast<std::streamsize>(Contents.size()));
-    Out.flush();
-    if (!Out) {
-      Out.close();
-      fs::remove(Tmp, Ec);
-      return false;
-    }
-  }
-  fs::rename(Tmp, Final, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return false;
-  }
-  return true;
-}
-
-namespace {
-
-/// Little-endian fixed-width fields for the blob envelope.
-void putU32LE(std::string &Out, uint32_t V) {
-  for (int I = 0; I != 4; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64LE(std::string &Out, uint64_t V) {
-  for (int I = 0; I != 8; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-uint32_t getU32LE(const char *P) {
-  uint32_t V = 0;
-  for (int I = 0; I != 4; ++I)
-    V |= static_cast<uint32_t>(static_cast<uint8_t>(P[I])) << (8 * I);
-  return V;
-}
-
-uint64_t getU64LE(const char *P) {
-  uint64_t V = 0;
-  for (int I = 0; I != 8; ++I)
-    V |= static_cast<uint64_t>(static_cast<uint8_t>(P[I])) << (8 * I);
-  return V;
-}
-
-constexpr char BlobMagic[4] = {'R', 'S', 'C', 'B'};
-constexpr size_t BlobHeaderSize = 4 + 4 + 8 + 8 + 8;
-
-} // namespace
-
-void ResultCache::storeToDisk(uint64_t Key, std::string_view Payload) {
-  auto Fail = [&] {
-    bool WarnNow = false;
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      ++Counters.StoreErrors;
-      if (!DiskDisabledFlag) {
-        DiskDisabledFlag = true;
-        WarnNow = true;
-      }
-    }
-    if (WarnNow)
-      std::fprintf(stderr,
-                   "rustsight: warning: cannot write result cache entry "
-                   "under '%s'; disk cache layer disabled for the rest of "
-                   "this run (in-memory layer unaffected)\n",
-                   Opts.DiskDir.c_str());
-  };
-
-  if (fault::shouldFail("cache.disk.store")) {
-    Fail();
-    return;
-  }
-
-  JsonWriter W;
-  W.beginObject();
-  W.field("version", DiskFormatVersion);
-  W.field("key", hashToHex(Key));
-  W.field("payload", Payload);
-  W.endObject();
-
-  if (!writeDiskFile(entryFileName(Key), W.str()))
-    Fail();
-}
-
-void ResultCache::storeBlobToDisk(uint64_t Key, std::string_view Payload) {
-  auto Fail = [&] {
-    bool WarnNow = false;
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      ++Counters.StoreErrors;
-      if (!DiskDisabledFlag) {
-        DiskDisabledFlag = true;
-        WarnNow = true;
-      }
-    }
-    if (WarnNow)
-      std::fprintf(stderr,
-                   "rustsight: warning: cannot write result cache entry "
-                   "under '%s'; disk cache layer disabled for the rest of "
-                   "this run (in-memory layer unaffected)\n",
-                   Opts.DiskDir.c_str());
-  };
-
-  if (fault::shouldFail("cache.disk.store")) {
-    Fail();
-    return;
-  }
-
-  std::string Envelope;
-  Envelope.reserve(BlobHeaderSize + Payload.size());
-  Envelope.append(BlobMagic, 4);
-  putU32LE(Envelope, DiskBlobFormatVersion);
-  putU64LE(Envelope, Key);
-  putU64LE(Envelope, Payload.size());
-  putU64LE(Envelope, fnv1a64(Payload));
-  Envelope.append(Payload.data(), Payload.size());
-
-  if (!writeDiskFile(blobFileName(Key), Envelope))
-    Fail();
-}
-
-std::optional<ResultCache::BlobRef> ResultCache::loadBlobFromDisk(
-    uint64_t Key) {
+std::optional<ResultCache::BlobRef> ResultCache::readEntry(uint64_t Key) {
   fs::path Path = fs::path(Opts.DiskDir) / blobFileName(Key);
 
   BlobRef Ref;
@@ -348,6 +194,8 @@ std::optional<ResultCache::BlobRef> ResultCache::loadBlobFromDisk(
     return std::nullopt; // Absent: a plain miss, not corruption.
   std::string_view Bytes = Ref.Owned;
 
+  // Any defect from here on is corruption: count it, drop the entry so the
+  // next run does not pay the check again, and miss.
   auto Corrupt = [&]() -> std::optional<BlobRef> {
     {
       std::lock_guard<std::mutex> Lock(M);

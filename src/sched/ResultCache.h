@@ -10,16 +10,24 @@
 /// scale because per-unit results are reusable across runs; RustSight's
 /// unit is the file, keyed by a stable 64-bit FNV-1a fingerprint of the
 /// file's canonical MIR text folded with a detector-set/version salt
-/// (the engine derives the key; the cache is payload-agnostic and stores
-/// opaque serialized reports).
+/// (the engine derives the keys; the cache is payload-agnostic).
 ///
-/// Two layers:
-///  - in-memory: an LRU map, bounded by MaxMemoryEntries, thread-safe;
-///  - on-disk (optional): one JSON file per entry in DiskDir, written to a
-///    temporary name and atomically renamed into place so readers never
-///    see a torn entry. A corrupt, truncated, mismatched or unreadable
-///    entry degrades to a cache miss — never a crash (PR 1's resilience
+/// One store holds every kind of entry the engine keeps — file reports,
+/// MIR snapshots, link facts and whole-program summaries — under keys its
+/// callers salt apart. Two layers:
+///  - in-memory: one LRU map, bounded by MaxMemoryEntries, thread-safe;
+///  - on-disk (optional): one file per entry in DiskDir,
+///    "rscache-<16 hex digits>.bin", in the one checksummed binary
+///    envelope ("RSCB" magic + version + key + size + FNV-1a checksum +
+///    payload bytes), written by rs::writeFileAtomic so readers never see
+///    a torn entry. A corrupt, truncated, mismatched or unreadable entry
+///    degrades to a cache miss — never a crash (the engine's resilience
 ///    rules apply to the cache too).
+///
+/// Every entry is read by one path and written by one path. The two API
+/// pairs, lookup/store for reports and lookupBlobRef/storeBlob for
+/// everything else, differ only in which counters they move and in
+/// whether a disk hit is promoted into memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,10 +57,11 @@ public:
   };
 
   /// Counters since construction. Reads that hit the disk layer count as
-  /// both a Hit and a DiskHit. The blob layer (lookupBlob/storeBlob) keeps
-  /// its own hit/miss counters so report-cache accounting — which feeds
+  /// both a Hit and a DiskHit. Blob lookups (lookupBlobRef) keep their own
+  /// hit/miss counters so report-cache accounting — which feeds
   /// CorpusReport::Stats and several exactness tests — is unaffected by
-  /// how many snapshot probes a run makes.
+  /// how many snapshot, facts and summary probes a run makes. The
+  /// remaining counters cover every entry.
   struct Stats {
     uint64_t Hits = 0;
     uint64_t Misses = 0;
@@ -60,16 +69,16 @@ public:
     uint64_t DiskHits = 0;
     uint64_t CorruptEntries = 0; ///< Disk entries that failed to load.
     uint64_t StoreErrors = 0;    ///< Disk writes that failed (non-fatal).
-    uint64_t BlobHits = 0;       ///< lookupBlob successes (either layer).
-    uint64_t BlobMisses = 0;     ///< lookupBlob misses.
-    uint64_t BlobDiskHits = 0;   ///< lookupBlob hits served from disk.
+    uint64_t BlobHits = 0;       ///< lookupBlobRef successes (either layer).
+    uint64_t BlobMisses = 0;     ///< lookupBlobRef misses.
+    uint64_t BlobDiskHits = 0;   ///< lookupBlobRef hits served from disk.
   };
 
   ResultCache(); ///< Default options (memory-only, default cap).
   explicit ResultCache(Options O);
 
-  /// Returns the payload stored under \p Key, or nullopt. A disk hit is
-  /// promoted into the memory layer. Thread-safe.
+  /// Returns the report payload stored under \p Key, or nullopt. A disk
+  /// hit is promoted into the memory layer. Thread-safe.
   std::optional<std::string> lookup(uint64_t Key);
 
   /// Stores \p Payload under \p Key in both layers. Disk failures are
@@ -80,16 +89,11 @@ public:
   /// Thread-safe. Fault-injection probe site: "cache.disk.store".
   void store(uint64_t Key, std::string_view Payload);
 
-  /// Binary-safe lookup: like lookup(), but the disk layer reads the
-  /// length-framed ".bin" envelope instead of the JSON one. Payloads may
-  /// contain any bytes (the MIR snapshot layer stores serialized modules
-  /// here). Callers must keep blob keys disjoint from JSON-entry keys —
-  /// the in-memory layer is shared.
-  std::optional<std::string> lookupBlob(uint64_t Key);
-
-  /// Binary-safe store; same failure/disable semantics as store().
-  /// Fault-injection probe site: "cache.disk.store".
-  void storeBlob(uint64_t Key, std::string_view Payload);
+  /// Stores a blob payload (any bytes: serialized modules, facts,
+  /// summaries); the same write as store().
+  void storeBlob(uint64_t Key, std::string_view Payload) {
+    store(Key, Payload);
+  }
 
   /// A blob payload together with the buffer that owns its bytes (a copy
   /// of the memory-layer entry, or the disk envelope as read); bytes() is
@@ -107,10 +111,10 @@ public:
     size_t Len = 0;
   };
 
-  /// Like lookupBlob(), but a disk hit hands over the envelope it read and
-  /// a view of its payload, without copying it out or promoting it into the
-  /// memory layer — snapshot blobs are typically read once per (run, file).
-  /// Counters move exactly as for lookupBlob(). Thread-safe.
+  /// Like lookup(), but moves the blob counters, and a disk hit hands over
+  /// the envelope it read and a view of its payload, without copying it
+  /// out or promoting it into the memory layer — a blob is typically read
+  /// once per (run, file). Thread-safe.
   std::optional<BlobRef> lookupBlobRef(uint64_t Key);
 
   /// True once a write failure has disabled the disk layer (memory layer
@@ -124,25 +128,22 @@ public:
 
   size_t memoryEntryCount() const;
 
-  /// The on-disk file name for \p Key: "rscache-<16 hex digits>.json".
-  static std::string entryFileName(uint64_t Key);
-
-  /// The on-disk file name for a blob entry: "rscache-<16 hex>.bin".
+  /// The on-disk file name of the entry under \p Key:
+  /// "rscache-<16 hex digits>.bin".
   static std::string blobFileName(uint64_t Key);
-
-  /// The on-disk entry format version; bump when the envelope changes.
-  static constexpr int64_t DiskFormatVersion = 1;
 
   /// The binary envelope version ("RSCB" magic + version + key + size +
   /// checksum + bytes); bump when the framing changes.
   static constexpr uint32_t DiskBlobFormatVersion = 1;
 
 private:
-  std::optional<std::string> loadFromDisk(uint64_t Key);
-  std::optional<BlobRef> loadBlobFromDisk(uint64_t Key);
-  void storeToDisk(uint64_t Key, std::string_view Payload);
-  void storeBlobToDisk(uint64_t Key, std::string_view Payload);
-  bool writeDiskFile(const std::string &FileName, std::string_view Contents);
+  /// The one read path: the memory layer, else the disk layer. \p Report
+  /// picks the report counters and promotes a disk hit into memory.
+  std::optional<BlobRef> find(uint64_t Key, bool Report);
+  std::optional<BlobRef> readEntry(uint64_t Key);
+  /// The one store-failure latch: counts the error and, on the first one,
+  /// disables the disk layer with the run's single warning.
+  void failStore();
   void insertMemory(uint64_t Key, std::string Payload);
 
   Options Opts;

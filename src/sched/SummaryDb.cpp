@@ -28,7 +28,10 @@ uint64_t SummaryDb::address(uint64_t Key, int64_t Schema) {
 }
 
 std::optional<std::string> SummaryDb::lookup(uint64_t Key) {
-  return Cache.lookupBlob(address(Key, Schema));
+  if (std::optional<ResultCache::BlobRef> Ref =
+          Cache.lookupBlobRef(address(Key, Schema)))
+    return std::string(Ref->bytes());
+  return std::nullopt;
 }
 
 void SummaryDb::store(uint64_t Key, std::string_view Payload) {

@@ -6,19 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The persisted summary database behind the whole-program link step
-/// (docs/WHOLEPROGRAM.md). Entries are opaque payloads (the link layer
+/// Addressing for the persisted summaries behind the whole-program link
+/// step (docs/WHOLEPROGRAM.md). Entries are opaque payloads (the link layer
 /// serializes/validates them), one per module, addressed by module key —
 /// the fold of the link keys of the module's functions, each a fingerprint
 /// of everything that function's summary can depend on — so a warm run
 /// skips summarizing any module whose entry hits, and a source edit
 /// invalidates exactly the modules that can observe it.
 ///
-/// Storage rides the ResultCache blob layer (checksummed binary envelope,
-/// atomic-rename writes, corrupt-entry-is-miss, disk-disable-on-first-
-/// write-failure). The DB folds its own schema version into every address,
-/// so a schema bump reads as a cold cache, never as corruption, and old
-/// entries are simply never addressed again.
+/// The engine keeps the entries in its one ResultCache, as blobs under
+/// address(moduleKey, schema): the DB's schema version is folded into
+/// every address, so a schema bump reads as a cold cache, never as
+/// corruption, and old entries are simply never addressed again.
+///
+/// The SummaryDb instance API (its own ResultCache over a directory) has
+/// no caller in the engine; it stays only for perfbench's replay and goes
+/// with it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +37,9 @@
 
 namespace rs::sched {
 
-/// On-disk summary store, payload-agnostic (the analysis layer owns the
-/// payload schema; this layer owns addressing and durability). Thread-safe.
+/// Summary addressing, plus a standalone store for perfbench's replay,
+/// payload-agnostic (the analysis layer owns the payload schema).
+/// Thread-safe.
 class SummaryDb {
 public:
   /// The DB's address-schema version. Bump together with the link layer's
@@ -72,8 +76,8 @@ public:
   ResultCache::Stats stats() const;
   bool diskDisabled() const { return Cache.diskDisabled(); }
 
-  /// The on-disk address of \p Key under schema \p Schema — exposed so
-  /// tests can assert the schema-fold actually moves addresses.
+  /// The cache address of module key \p Key under schema \p Schema: where
+  /// the engine's ResultCache keeps that module's entry.
   static uint64_t address(uint64_t Key, int64_t Schema);
 
 private:

@@ -191,7 +191,7 @@ void Session::relink(std::set<std::string> &Affected) {
       Fn(I);
   };
   engine::LinkPlan Plan =
-      engine::linkCorpus(Opts.Engine, Inputs, Engine.summaryDb(), Transport);
+      engine::linkCorpus(Opts.Engine, Inputs, Engine.cache(), Transport);
 
   Env = std::move(Plan.Env);
   for (size_t I = 0; I != Order.size(); ++I) {

@@ -6,8 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Whole-file reads. readFile() is the one the result cache and the
-/// engine use: one open, one fstat and read() straight into the result.
+/// Whole-file reads and writes. readFile() is the one the result cache and
+/// the engine use: one open, one fstat and read() straight into the result.
+/// writeFileAtomic() is the one write path of the result cache and the
+/// checkpoint journal: readers never see a torn file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,7 @@
 #define RUSTSIGHT_SUPPORT_FILE_H
 
 #include <string>
+#include <string_view>
 
 namespace rs {
 
@@ -28,6 +31,13 @@ enum class ReadFileError {
 /// Reads all of \p Path into \p Out with plain open/fstat/read calls.
 /// Non-regular files (pipes) are read to EOF.
 ReadFileError readFile(const std::string &Path, std::string &Out);
+
+/// Writes \p Bytes to a temporary file beside \p Path, named by pid and
+/// thread, then renames it into place, creating missing parent
+/// directories. Concurrent writers of one path race benignly: the last
+/// rename wins with a whole file. Returns false on any failure, with the
+/// temporary removed.
+bool writeFileAtomic(const std::string &Path, std::string_view Bytes);
 
 } // namespace rs
 

@@ -273,7 +273,7 @@ std::string deriveCandidate(const FuzzConfig &C,
 // Persistence
 //===----------------------------------------------------------------------===//
 
-std::string entryFileName(uint64_t Ordinal, const std::string &Text) {
+std::string corpusFileName(uint64_t Ordinal, const std::string &Text) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%06llu_",
                 static_cast<unsigned long long>(Ordinal));
@@ -287,7 +287,7 @@ void persistCorpus(const FuzzConfig &C, FuzzReport &Report) {
   fs::create_directories(Dir);
 
   for (FuzzEntry &E : Report.Corpus) {
-    fs::path P = Dir / entryFileName(E.Ordinal, E.Text);
+    fs::path P = Dir / corpusFileName(E.Ordinal, E.Text);
     std::ofstream Out(P, std::ios::binary);
     Out << "// fuzz corpus entry: candidate " << E.Ordinal << ", "
         << E.NewKeys << " new edge key(s)\n";

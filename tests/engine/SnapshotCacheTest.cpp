@@ -4,7 +4,8 @@
 // a report miss with a valid snapshot on disk must run detectors without
 // ever touching the Lexer/Parser (proved by arming the parse fault probe),
 // a defective snapshot must fall back to the parser, and a previous-schema
-// report entry must read as a cold miss — never as corruption.
+// report entry, or one in the retired JSON envelope, must read as a cold
+// miss — never as corruption.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,12 +14,15 @@
 #include "diag/Version.h"
 #include "mir/Snapshot.h"
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 namespace fs = std::filesystem;
 using namespace rs;
@@ -64,6 +68,34 @@ std::string readFile(const fs::path &P) {
 void writeFile(const fs::path &P, std::string_view Bytes) {
   std::ofstream Out(P, std::ios::binary | std::ios::trunc);
   Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+/// The cache envelope's header: magic, version, key, size, checksum.
+constexpr size_t EnvelopeHeader = 32;
+
+/// The one report entry in \p CacheDir, found by its payload (a report
+/// serializes as {"v":<ReportSchemaVersion>,"detectors":...}); empty when
+/// there is not exactly one.
+fs::path reportEntry(const fs::path &CacheDir) {
+  const std::string Prefix = "{\"v\":" +
+                             std::to_string(version::ReportSchemaVersion) +
+                             ",\"detectors\":";
+  std::vector<fs::path> Found;
+  for (const auto &F : fs::directory_iterator(CacheDir)) {
+    std::string Bytes = readFile(F.path());
+    if (Bytes.size() >= EnvelopeHeader &&
+        Bytes.compare(EnvelopeHeader, Prefix.size(), Prefix) == 0)
+      Found.push_back(F.path());
+  }
+  return Found.size() == 1 ? Found[0] : fs::path();
+}
+
+/// Recomputes the envelope checksum over an edited payload, so only the
+/// layers above the cache can reject it.
+void reseal(std::string &Envelope) {
+  uint64_t H = fnv1a64(std::string_view(Envelope).substr(EnvelopeHeader));
+  for (int I = 0; I != 8; ++I)
+    Envelope[24 + I] = static_cast<char>((H >> (8 * I)) & 0xff);
 }
 
 std::string renderReport(const FileReport &R) {
@@ -203,22 +235,17 @@ TEST(SnapshotCache, PreviousSchemaReportEntryIsColdNotCorrupt) {
   }
 
   // Downgrade the stored payload's schema tag in place, simulating an
-  // entry written by the previous release at the same key. The entry file
-  // is the only .json in the fresh cache dir.
-  unsigned JsonEntries = 0;
-  fs::path Found;
-  for (const auto &F : fs::directory_iterator(CacheDir))
-    if (F.path().extension() == ".json") {
-      ++JsonEntries;
-      Found = F.path();
-    }
-  ASSERT_EQ(JsonEntries, 1u);
+  // entry written by the previous release at the same key, and re-seal
+  // the envelope. The entry is found by its payload.
+  fs::path Found = reportEntry(CacheDir);
+  ASSERT_FALSE(Found.empty());
   std::string Text = readFile(Found);
-  std::string Cur = "\\\"v\\\":" + std::to_string(version::ReportSchemaVersion);
-  std::string Old = "\\\"v\\\":" + std::to_string(version::ReportSchemaVersion - 1);
-  size_t Pos = Text.find(Cur);
-  ASSERT_NE(Pos, std::string::npos) << Text;
-  Text.replace(Pos, Cur.size(), Old);
+  std::string Cur = "{\"v\":" + std::to_string(version::ReportSchemaVersion);
+  std::string Old =
+      "{\"v\":" + std::to_string(version::ReportSchemaVersion - 1);
+  ASSERT_EQ(Text.compare(EnvelopeHeader, Cur.size(), Cur), 0) << Text;
+  Text.replace(EnvelopeHeader, Cur.size(), Old);
+  reseal(Text);
   writeFile(Found, Text);
   // Drop the snapshot blob too so the rerun exercises the full cold path.
   fs::remove(snapshotPathFor(CacheDir, BuggySrc));
@@ -233,5 +260,44 @@ TEST(SnapshotCache, PreviousSchemaReportEntryIsColdNotCorrupt) {
   // zero corruption recorded. Cold, not corrupt.
   EXPECT_EQ(E.cache()->stats().CorruptEntries, 0u);
   EXPECT_EQ(E.cache()->stats().DiskHits, 1u);
+  fs::remove_all(CacheDir);
+}
+
+TEST(SnapshotCache, RetiredJsonReportEntryIsColdNotCorrupt) {
+  // A report entry left behind in the retired JSON envelope
+  // ("rscache-<key>.json") is never addressed again: the rerun is a cold
+  // miss with the same bytes, no corruption, and the report is stored
+  // again in the one binary envelope under the same key.
+  fs::path CacheDir = freshCacheDir("snap_json_envelope_cache");
+  EngineOptions O;
+  O.CacheDir = CacheDir.string();
+  std::string Cold;
+  {
+    AnalysisEngine E(O);
+    Cold = renderReport(E.analyzeFile("buggy.mir", BuggySrc));
+  }
+  fs::path Bin = reportEntry(CacheDir);
+  ASSERT_FALSE(Bin.empty());
+  ASSERT_EQ(Bin.extension(), ".bin");
+  const std::string KeyHex = Bin.stem().string().substr(8); // "rscache-".
+  JsonWriter W;
+  W.beginObject();
+  W.field("version", int64_t(1));
+  W.field("key", KeyHex);
+  W.field("payload", readFile(Bin).substr(EnvelopeHeader));
+  W.endObject();
+  fs::path Json = CacheDir / ("rscache-" + KeyHex + ".json");
+  writeFile(Json, W.str());
+  fs::remove(Bin);
+
+  AnalysisEngine E(O);
+  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
+  EXPECT_EQ(renderReport(R), Cold);
+  ASSERT_NE(E.cache(), nullptr);
+  EXPECT_EQ(E.cache()->stats().CorruptEntries, 0u);
+  EXPECT_EQ(E.cache()->stats().DiskHits, 0u);
+  EXPECT_EQ(E.cache()->stats().Misses, 1u);
+  EXPECT_EQ(reportEntry(CacheDir), Bin);
+  EXPECT_TRUE(fs::exists(Json)); // Never addressed, so never touched.
   fs::remove_all(CacheDir);
 }

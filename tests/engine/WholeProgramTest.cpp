@@ -12,13 +12,16 @@
 
 #include "diag/Diag.h"
 #include "engine/Supervisor.h"
+#include "sched/SummaryDb.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 namespace fs = std::filesystem;
 using namespace rs;
@@ -367,8 +370,78 @@ TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
   CorpusReport R = Bumped.analyzeCorpus({Dir.string()});
   EXPECT_EQ(Cold, R.renderJson());
   EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
-  ASSERT_NE(Bumped.summaryDb(), nullptr);
-  EXPECT_EQ(Bumped.summaryDb()->stats().CorruptEntries, 0u);
+  EXPECT_EQ(R.Stats.CorruptEntries, 0u);
+  ASSERT_NE(Bumped.cache(), nullptr);
+  EXPECT_EQ(Bumped.cache()->stats().CorruptEntries, 0u);
+}
+
+TEST(WholeProgram, CorruptSummaryEntryIsAMissCountedInTheRun) {
+  fs::path Dir = writePair("wp_corrupt_summary", UafUseSrc, UafDefSrc);
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_corrupt_summary_cache";
+  fs::remove_all(CacheDir);
+  std::string Cold;
+  {
+    AnalysisEngine E(cachedOptions(CacheDir));
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.Stats.SummaryDbStores, 1u) << R.Stats.renderLine();
+    Cold = R.renderJson();
+  }
+
+  // The one summary entry (the exporter's) is the only payload carrying
+  // per-parameter "drops"; flip its last byte so the checksum fails.
+  std::vector<fs::path> Summaries;
+  for (const fs::directory_entry &F : fs::directory_iterator(CacheDir)) {
+    std::ifstream In(F.path(), std::ios::binary);
+    std::ostringstream Buf;
+    Buf << In.rdbuf();
+    if (Buf.str().find("\"drops\":") != std::string::npos)
+      Summaries.push_back(F.path());
+  }
+  ASSERT_EQ(Summaries.size(), 1u);
+  {
+    std::fstream F(Summaries[0], std::ios::in | std::ios::out |
+                                     std::ios::binary);
+    F.seekg(-1, std::ios::end);
+    char Last = 0;
+    F.get(Last);
+    F.seekp(-1, std::ios::end);
+    F.put(static_cast<char>(Last ^ 0x40));
+  }
+
+  AnalysisEngine Warm(cachedOptions(CacheDir));
+  CorpusReport R = Warm.analyzeCorpus({Dir.string()});
+  EXPECT_EQ(R.renderJson(), Cold);
+  EXPECT_EQ(R.Stats.CorruptEntries, 1u) << R.Stats.renderLine();
+  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
+  EXPECT_EQ(R.Stats.SummaryDbMisses, 1u);
+  EXPECT_EQ(R.Stats.SummaryDbStores, 1u);
+  EXPECT_TRUE(fs::exists(Summaries[0])); // Stored again, sealed.
+  fs::remove_all(CacheDir);
+}
+
+TEST(WholeProgram, LinkedRunOverUnwritableCacheWarnsOnce) {
+  fs::path Dir = writePair("wp_warn_once", UafUseSrc, UafDefSrc);
+  fs::path CacheDir = fs::path(testing::TempDir()) / "wp_warn_once_cache";
+  fs::remove_all(CacheDir);
+  AnalysisEngine Fresh(baseOptions());
+  const std::string Want = Fresh.analyzeCorpus({Dir.string()}).renderJson();
+
+  // Every disk write fails: reports, snapshots, facts and summaries alike
+  // go through the one store, so the run warns once.
+  fault::ScopedFault Unwritable("cache.disk.store", 1, 1000000);
+  AnalysisEngine E(cachedOptions(CacheDir));
+  testing::internal::CaptureStderr();
+  CorpusReport R = E.analyzeCorpus({Dir.string()});
+  const std::string Err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(R.renderJson(), Want);
+  EXPECT_EQ(R.Stats.SummaryDbStores, 1u) << R.Stats.renderLine();
+  size_t Warnings = 0;
+  for (size_t Pos = Err.find("disk cache layer disabled");
+       Pos != std::string::npos;
+       Pos = Err.find("disk cache layer disabled", Pos + 1))
+    ++Warnings;
+  EXPECT_EQ(Warnings, 1u) << Err;
+  EXPECT_FALSE(fs::exists(CacheDir));
 }
 
 TEST(WholeProgram, WarmUnchangedRunNeverParsesOrDecodes) {
@@ -475,8 +548,9 @@ TEST(WholeProgram, SummaryDbHonorsTheCacheCap) {
   Opts.CacheMaxEntries = 1;
   AnalysisEngine E(Opts);
   CorpusReport R = E.analyzeCorpus({Dir.string()});
-  // Only the two exporters store an entry; the cap keeps one.
+  // Only the two exporters store an entry. Summaries share the engine's
+  // one LRU with every other entry, and the cap bounds it.
   EXPECT_EQ(R.Stats.SummaryDbStores, 2u) << R.Stats.renderLine();
-  ASSERT_NE(E.summaryDb(), nullptr);
-  EXPECT_EQ(E.summaryDb()->stats().Evictions, 1u);
+  ASSERT_NE(E.cache(), nullptr);
+  EXPECT_LE(E.cache()->memoryEntryCount(), 1u);
 }

@@ -9,6 +9,7 @@
 #include "sched/ResultCache.h"
 
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -36,6 +37,29 @@ std::string readFile(const fs::path &P) {
   std::ostringstream Buf;
   Buf << In.rdbuf();
   return Buf.str();
+}
+
+void putLE(std::string &Out, uint64_t V, int Bytes) {
+  for (int I = 0; I != Bytes; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+/// The one entry envelope, built by hand: "RSCB", version, key, size,
+/// FNV-1a checksum, payload.
+std::string envelope(uint32_t Version, uint64_t Key, std::string_view Payload,
+                     uint64_t Size, uint64_t Checksum) {
+  std::string E = "RSCB";
+  putLE(E, Version, 4);
+  putLE(E, Key, 8);
+  putLE(E, Size, 8);
+  putLE(E, Checksum, 8);
+  E.append(Payload);
+  return E;
+}
+
+std::string envelope(uint64_t Key, std::string_view Payload) {
+  return envelope(ResultCache::DiskBlobFormatVersion, Key, Payload,
+                  Payload.size(), rs::fnv1a64(Payload));
 }
 
 } // namespace
@@ -88,8 +112,8 @@ TEST(ResultCache, DiskRoundTripAcrossInstances) {
     ResultCache Writer(O);
     Writer.store(Key, "the serialized report");
   }
-  EXPECT_TRUE(fs::exists(Dir / ResultCache::entryFileName(Key)));
-  EXPECT_EQ(ResultCache::entryFileName(Key), "rscache-deadbeef12345678.json");
+  EXPECT_TRUE(fs::exists(Dir / ResultCache::blobFileName(Key)));
+  EXPECT_EQ(ResultCache::blobFileName(Key), "rscache-deadbeef12345678.bin");
 
   ResultCache::Options O;
   O.DiskDir = Dir.string();
@@ -127,17 +151,20 @@ TEST(ResultCache, CorruptEntryDegradesToMissAndIsDropped) {
   ResultCache::Options O;
   O.DiskDir = Dir.string();
 
-  const char *Cases[] = {
-      "",                                   // Empty file.
-      "not json at all",                    // Garbage.
-      "{\"version\":1,\"key\":\"zz\"}",     // Bad key, no payload.
-      "{\"version\":99,\"key\":\"0000000000000007\",\"payload\":\"x\"}",
-      "{\"version\":1,\"key\":\"0000000000000007\",\"payload\":7}",
-      "{\"version\":1,\"key\":\"0000000000000007\",\"payl", // Truncated.
-  };
   uint64_t Key = 7;
-  for (const char *Body : Cases) {
-    fs::path Entry = Dir / ResultCache::entryFileName(Key);
+  const std::string Valid = envelope(Key, "x");
+  const std::string Cases[] = {
+      "",                                   // Empty file.
+      "not an envelope at all",             // Garbage.
+      std::string("RSCB\x01\x00\x00\x00\x07", 9), // Truncated header.
+      envelope(99, Key, "x", 1, rs::fnv1a64("x")),     // Unknown version.
+      envelope(Key, "x") + "y",                        // Size mismatch.
+      envelope(ResultCache::DiskBlobFormatVersion, Key, "x", 1,
+               rs::fnv1a64("y")),                      // Bad checksum.
+      Valid.substr(0, Valid.size() - 1),               // Truncated payload.
+  };
+  for (const std::string &Body : Cases) {
+    fs::path Entry = Dir / ResultCache::blobFileName(Key);
     std::ofstream(Entry, std::ios::binary) << Body;
     ResultCache C(O);
     EXPECT_FALSE(C.lookup(Key).has_value()) << "case: " << Body;
@@ -145,6 +172,10 @@ TEST(ResultCache, CorruptEntryDegradesToMissAndIsDropped) {
     EXPECT_EQ(C.stats().Misses, 1u) << "case: " << Body;
     EXPECT_FALSE(fs::exists(Entry)) << "corrupt entry should be dropped";
   }
+  // The hand-built envelope is the one the cache reads.
+  std::ofstream(Dir / ResultCache::blobFileName(Key), std::ios::binary)
+      << Valid;
+  EXPECT_EQ(ResultCache(O).lookup(Key).value_or(""), "x");
 }
 
 TEST(ResultCache, EntryUnderWrongNameIsRejected) {
@@ -157,8 +188,8 @@ TEST(ResultCache, EntryUnderWrongNameIsRejected) {
     ResultCache W(O);
     W.store(1, "payload of key 1");
   }
-  fs::copy_file(Dir / ResultCache::entryFileName(1),
-                Dir / ResultCache::entryFileName(2));
+  fs::copy_file(Dir / ResultCache::blobFileName(1),
+                Dir / ResultCache::blobFileName(2));
   ResultCache C(O);
   EXPECT_FALSE(C.lookup(2).has_value());
   EXPECT_EQ(C.stats().CorruptEntries, 1u);
@@ -204,8 +235,8 @@ TEST(ResultCache, FirstDiskWriteFailureDisablesTheDiskLayer) {
   for (uint64_t Key = 10; Key != 20; ++Key)
     C.store(Key, "memory only");
   EXPECT_EQ(C.stats().StoreErrors, 1u);
-  EXPECT_FALSE(fs::exists(Dir / ResultCache::entryFileName(2)));
-  EXPECT_FALSE(fs::exists(Dir / ResultCache::entryFileName(10)));
+  EXPECT_FALSE(fs::exists(Dir / ResultCache::blobFileName(2)));
+  EXPECT_FALSE(fs::exists(Dir / ResultCache::blobFileName(10)));
   // A fresh cache over the same directory starts with the layer healthy.
   EXPECT_FALSE(ResultCache(O).diskDisabled());
 }
@@ -254,16 +285,14 @@ TEST(ResultCache, ConcurrentMixedUseIsSafe) {
     }
 }
 
-TEST(ResultCache, DiskEntryIsWellFormedJson) {
+TEST(ResultCache, DiskEntryIsOneSealedEnvelope) {
   fs::path Dir = freshDir("rscache_format");
   ResultCache::Options O;
   O.DiskDir = Dir.string();
   ResultCache C(O);
   C.store(0xabc, "hello");
-  std::string Text = readFile(Dir / ResultCache::entryFileName(0xabc));
-  EXPECT_NE(Text.find("\"version\":1"), std::string::npos);
-  EXPECT_NE(Text.find("\"key\":\"0000000000000abc\""), std::string::npos);
-  EXPECT_NE(Text.find("\"payload\":\"hello\""), std::string::npos);
+  std::string Bytes = readFile(Dir / ResultCache::blobFileName(0xabc));
+  EXPECT_EQ(Bytes, envelope(0xabc, "hello"));
   // No temporary files left behind.
   size_t Entries = 0;
   for (const auto &E : fs::directory_iterator(Dir)) {
@@ -274,9 +303,9 @@ TEST(ResultCache, DiskEntryIsWellFormedJson) {
 }
 
 //===----------------------------------------------------------------------===//
-// The binary blob layer (lookupBlob/storeBlob): length-framed envelopes
-// for payloads that may contain any bytes, with their own hit/miss
-// counters so report-cache accounting stays exact.
+// Blob entries (lookupBlobRef/storeBlob): the same envelope for payloads
+// that may contain any bytes, with their own hit/miss counters so
+// report-cache accounting stays exact, and no promotion of disk hits.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -294,15 +323,15 @@ std::string binaryPayload() {
 
 TEST(ResultCacheBlob, MemoryRoundTripAndSeparateCounters) {
   ResultCache C;
-  EXPECT_FALSE(C.lookupBlob(9).has_value());
+  EXPECT_FALSE(C.lookupBlobRef(9).has_value());
   C.storeBlob(9, binaryPayload());
-  auto Got = C.lookupBlob(9);
+  auto Got = C.lookupBlobRef(9);
   ASSERT_TRUE(Got.has_value());
-  EXPECT_EQ(*Got, binaryPayload());
+  EXPECT_EQ(Got->bytes(), binaryPayload());
   ResultCache::Stats S = C.stats();
   EXPECT_EQ(S.BlobHits, 1u);
   EXPECT_EQ(S.BlobMisses, 1u);
-  // The JSON-entry counters are untouched by blob traffic.
+  // The report counters are untouched by blob traffic.
   EXPECT_EQ(S.Hits, 0u);
   EXPECT_EQ(S.Misses, 0u);
 }
@@ -316,15 +345,16 @@ TEST(ResultCacheBlob, DiskRoundTripAcrossInstances) {
     C.storeBlob(0x1234, binaryPayload());
   }
   ResultCache C(O); // Fresh instance: memory layer empty.
-  auto Got = C.lookupBlob(0x1234);
+  auto Got = C.lookupBlobRef(0x1234);
   ASSERT_TRUE(Got.has_value());
-  EXPECT_EQ(*Got, binaryPayload());
+  EXPECT_EQ(Got->bytes(), binaryPayload());
   ResultCache::Stats S = C.stats();
   EXPECT_EQ(S.BlobDiskHits, 1u);
   EXPECT_EQ(S.BlobHits, 1u);
-  // Promoted into memory: the second lookup skips the disk.
-  EXPECT_TRUE(C.lookupBlob(0x1234).has_value());
-  EXPECT_EQ(C.stats().BlobDiskHits, 1u);
+  // Not promoted into memory: the second lookup reads the disk again.
+  EXPECT_EQ(C.memoryEntryCount(), 0u);
+  EXPECT_TRUE(C.lookupBlobRef(0x1234).has_value());
+  EXPECT_EQ(C.stats().BlobDiskHits, 2u);
 }
 
 TEST(ResultCacheBlob, CorruptEnvelopeDegradesToMissAndIsDropped) {
@@ -348,7 +378,7 @@ TEST(ResultCacheBlob, CorruptEnvelopeDegradesToMissAndIsDropped) {
     F.put(static_cast<char>(Last ^ 0x40));
   }
   ResultCache C(O);
-  EXPECT_FALSE(C.lookupBlob(7).has_value());
+  EXPECT_FALSE(C.lookupBlobRef(7).has_value());
   EXPECT_EQ(C.stats().CorruptEntries, 1u);
   EXPECT_EQ(C.stats().BlobMisses, 1u);
   EXPECT_FALSE(fs::exists(File)) << "corrupt blob not dropped";
@@ -369,7 +399,7 @@ TEST(ResultCacheBlob, TruncatedEnvelopeIsCorrupt) {
     Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size() / 2));
   }
   ResultCache C(O);
-  EXPECT_FALSE(C.lookupBlob(8).has_value());
+  EXPECT_FALSE(C.lookupBlobRef(8).has_value());
   EXPECT_EQ(C.stats().CorruptEntries, 1u);
 }
 
@@ -386,22 +416,36 @@ TEST(ResultCacheBlob, EnvelopeUnderWrongKeyIsRejected) {
   fs::rename(Dir / ResultCache::blobFileName(21),
              Dir / ResultCache::blobFileName(22));
   ResultCache C(O);
-  EXPECT_FALSE(C.lookupBlob(22).has_value());
+  EXPECT_FALSE(C.lookupBlobRef(22).has_value());
   EXPECT_EQ(C.stats().CorruptEntries, 1u);
 }
 
-TEST(ResultCacheBlob, JsonAndBlobEntriesCoexistOnDisk) {
+TEST(ResultCacheBlob, ReportAndBlobEntriesShareOneEnvelope) {
   fs::path Dir = freshDir("rscache_blob_coexist");
   ResultCache::Options O;
   O.DiskDir = Dir.string();
   ResultCache C(O);
-  C.store(1, "json payload");
+  C.store(1, "report payload");
   C.storeBlob(2, binaryPayload());
-  EXPECT_TRUE(fs::exists(Dir / ResultCache::entryFileName(1)));
-  EXPECT_TRUE(fs::exists(Dir / ResultCache::blobFileName(2)));
+  EXPECT_EQ(readFile(Dir / ResultCache::blobFileName(1)),
+            envelope(1, "report payload"));
+  EXPECT_EQ(readFile(Dir / ResultCache::blobFileName(2)),
+            envelope(2, binaryPayload()));
+  size_t Entries = 0;
+  for (const auto &E : fs::directory_iterator(Dir)) {
+    EXPECT_EQ(E.path().extension(), ".bin") << E.path();
+    ++Entries;
+  }
+  EXPECT_EQ(Entries, 2u);
+  // Either entry reads through either pair; only the counters differ.
   ResultCache Fresh(O);
-  EXPECT_EQ(Fresh.lookup(1).value_or(""), "json payload");
-  EXPECT_EQ(Fresh.lookupBlob(2).value_or(""), binaryPayload());
+  EXPECT_EQ(Fresh.lookup(2).value_or(""), binaryPayload());
+  auto Report = Fresh.lookupBlobRef(1);
+  ASSERT_TRUE(Report.has_value());
+  EXPECT_EQ(Report->bytes(), "report payload");
+  ResultCache::Stats S = Fresh.stats();
+  EXPECT_EQ(S.DiskHits, 1u);
+  EXPECT_EQ(S.BlobDiskHits, 1u);
 }
 
 TEST(ResultCacheBlob, StoreFaultDisablesDiskLayerForBlobsToo) {
@@ -416,6 +460,8 @@ TEST(ResultCacheBlob, StoreFaultDisablesDiskLayerForBlobsToo) {
   EXPECT_TRUE(C.diskDisabled());
   EXPECT_EQ(C.stats().StoreErrors, 1u);
   // The memory layer still serves it.
-  EXPECT_EQ(C.lookupBlob(5).value_or(""), "doomed");
+  auto Got = C.lookupBlobRef(5);
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(Got->bytes(), "doomed");
   EXPECT_FALSE(fs::exists(Dir / ResultCache::blobFileName(5)));
 }

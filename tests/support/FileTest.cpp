@@ -1,5 +1,5 @@
-// rs::readFile. The suite keeps its historical name, Mmap, so the test IDs
-// stay stable.
+// rs::readFile and rs::writeFileAtomic. The readFile suite keeps its
+// historical name, Mmap, so the test IDs stay stable.
 
 #include "support/File.h"
 
@@ -52,4 +52,22 @@ TEST(Mmap, DirectoryIsNullopt) {
   EXPECT_EQ(readFile(fs::temp_directory_path().string(), Out),
             ReadFileError::IsDirectory);
   EXPECT_TRUE(Out.empty());
+}
+
+TEST(WriteFileAtomic, CreatesParentsAndLeavesNoTemporary) {
+  fs::path Dir = fs::temp_directory_path() /
+                 ("rs-writeatomic-" + std::to_string(::getpid()));
+  fs::remove_all(Dir);
+  fs::path Target = Dir / "a" / "b" / "entry.bin";
+  std::string Bytes("bin\0ary", 7);
+  ASSERT_TRUE(writeFileAtomic(Target.string(), Bytes));
+  ASSERT_TRUE(writeFileAtomic(Target.string(), "replaced"));
+  std::string Out;
+  EXPECT_EQ(readFile(Target.string(), Out), ReadFileError::None);
+  EXPECT_EQ(Out, "replaced");
+  size_t Files = 0;
+  for (const auto &E : fs::recursive_directory_iterator(Dir))
+    Files += E.is_regular_file();
+  EXPECT_EQ(Files, 1u);
+  fs::remove_all(Dir);
 }
