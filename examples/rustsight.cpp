@@ -426,9 +426,6 @@ int usage() {
       "                           default for multi-file corpora); extern\n"
       "                           callees resolve across corpus files\n"
       "    --no-whole-program     strictly per-file analysis\n"
-      "    --summary-db-schema <N>  override the summary-db address schema\n"
-      "                           (CI schema-bump drill; bumping reads as a\n"
-      "                           cold DB, never as corruption)\n"
       "    --shards <N>           analyze through N crash-isolated worker\n"
       "                           processes (output is identical for every\n"
       "                           N; --jobs caps concurrent workers)\n"
@@ -543,7 +540,6 @@ int main(int argc, char **argv) {
   std::vector<std::string> Inputs;
   uint64_t Jobs = 0;
   uint64_t SummaryRounds = Check.Engine.MaxSummaryRounds;
-  uint64_t SummaryDbSchema = 0;
   for (int I = 2; I < argc; ++I) {
     bool Bad = false;
     if (std::strcmp(argv[I], "--json") == 0)
@@ -583,8 +579,6 @@ int main(int argc, char **argv) {
                               Bad) ||
              parseNumericFlag(argc, argv, I, "--max-retries",
                               Check.MaxRetries, Bad) ||
-             parseNumericFlag(argc, argv, I, "--summary-db-schema",
-                              SummaryDbSchema, Bad) ||
              parseStringFlag(argc, argv, I, "--isolate", Check.Isolate, Bad) ||
              parseStringFlag(argc, argv, I, "--checkpoint",
                              Check.CheckpointPath, Bad) ||
@@ -623,8 +617,6 @@ int main(int argc, char **argv) {
   }
   Check.Engine.Jobs = static_cast<unsigned>(Jobs);
   Check.Engine.MaxSummaryRounds = static_cast<unsigned>(SummaryRounds);
-  Check.Engine.SummaryDbSchemaOverride =
-      static_cast<int64_t>(SummaryDbSchema);
   if (Check.Format != "text" && Check.Format != "json" &&
       Check.Format != "sarif")
     return usage();

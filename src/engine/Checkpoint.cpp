@@ -25,9 +25,11 @@ rs::engine::fingerprintCorpus(const std::vector<corpus::CorpusInput> &Inputs) {
 }
 
 bool CheckpointJournal::load(
-    const RunKey &Key, std::vector<std::optional<FileReport>> &Out) const {
+    const RunKey &Key, const std::vector<corpus::CorpusInput> &Inputs,
+    std::vector<std::optional<FileReport>> &Out) const {
   std::string Text;
-  if (readFile(Path, Text) != ReadFileError::None)
+  if (Out.size() != Inputs.size() ||
+      readFile(Path, Text) != ReadFileError::None)
     return false;
 
   std::optional<JsonValue> Doc = JsonValue::parse(Text);
@@ -57,7 +59,8 @@ bool CheckpointJournal::load(
       return false;
     if (static_cast<size_t>(Ordinal) >= Staged.size())
       continue; // Corpus shrank out from under the key check; ignore.
-    std::optional<FileReport> R = fileReportFromJson(*Report);
+    std::optional<FileReport> R =
+        deserializeFileReport(*Report, Inputs[size_t(Ordinal)].Path);
     if (!R)
       return false;
     Staged[static_cast<size_t>(Ordinal)] = std::move(*R);
@@ -89,7 +92,7 @@ bool CheckpointJournal::write(
     // The report is itself writer-produced JSON; splice it in verbatim
     // rather than re-escaping it through a string field.
     Body += "{\"ordinal\":" + std::to_string(I) +
-            ",\"report\":" + serializeWireFileReport(*Results[I]) + "}";
+            ",\"report\":" + serializeFileReport(*Results[I]) + "}";
   }
   Body += "]}";
 

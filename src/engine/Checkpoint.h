@@ -10,9 +10,9 @@
 /// through rs::writeFileAtomic (the write the ResultCache disk layer uses
 /// too), recording every finalized FileReport of a supervised corpus run.
 /// A run that dies — SIGKILL, OOM, power loss — resumes from the journal:
-/// completed files replay verbatim (full wire fidelity, so the merged
-/// report is byte-identical to an uninterrupted run) and only the missing
-/// ordinals are re-analyzed.
+/// completed files replay verbatim (each entry is the report's one
+/// payload, serializeFileReport, so the merged report is byte-identical to
+/// an uninterrupted run) and only the missing ordinals are re-analyzed.
 ///
 /// The journal is keyed by a RunKey (corpus fingerprint + engine cache
 /// salt). A journal whose key does not match the current run — different
@@ -55,11 +55,12 @@ public:
 
   const std::string &path() const { return Path; }
 
-  /// Loads the journal into \p Out (sized by the caller to the corpus;
-  /// entries whose ordinal is out of range are dropped). Returns false —
-  /// with \p Out untouched — when the file is absent, unreadable, corrupt,
-  /// from another format version, or keyed to a different run.
-  bool load(const RunKey &Key,
+  /// Loads the journal into \p Out, aligned with \p Inputs (entries whose
+  /// ordinal is out of range are dropped). Each report is anchored at its
+  /// input's path. Returns false — with \p Out untouched — when the file
+  /// is absent, unreadable, corrupt, from another format version, or
+  /// keyed to a different run.
+  bool load(const RunKey &Key, const std::vector<corpus::CorpusInput> &Inputs,
             std::vector<std::optional<FileReport>> &Out) const;
 
   /// Atomically replaces the journal with the completed entries of
@@ -72,7 +73,8 @@ public:
   /// harmless because the RunKey gates every load).
   void remove() const;
 
-  static constexpr int64_t FormatVersion = 1;
+  /// Version 2: entries carry the path-less report payload.
+  static constexpr int64_t FormatVersion = 2;
 
 private:
   std::string Path;

@@ -23,7 +23,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 using namespace rs;
@@ -424,10 +423,12 @@ FileReport AnalysisEngine::analyze(LoadedFile &L,
   if (!L.Read)
     return std::move(L.Report);
   const uint64_t Key = reportKey(L.Fp, LinkDigest);
+  // Only ok reports are cached, so an entry saying otherwise is a miss.
   if (Cache)
     if (std::optional<std::string> Payload = Cache->lookup(Key))
       if (std::optional<FileReport> Hit =
-              deserializeFileReport(*Payload, L.Report.Path))
+              deserializeFileReport(*Payload, L.Report.Path);
+          Hit && Hit->Status == EngineStatus::Ok)
         return std::move(*Hit);
   if (Runs)
     ++*Runs;
@@ -701,91 +702,6 @@ bool readCachedDiagnostic(const JsonValue &V, const std::string *File,
   return true;
 }
 
-} // namespace
-
-std::string rs::engine::serializeFileReport(const FileReport &R) {
-  JsonWriter W;
-  W.beginObject();
-  W.field("v", static_cast<int64_t>(ReportSchemaVersion));
-  W.key("detectors");
-  W.beginArray();
-  for (const DetectorOutcome &D : R.Detectors) {
-    W.beginObject();
-    W.field("name", D.Name);
-    W.field("findings", static_cast<int64_t>(D.Findings));
-    W.endObject();
-  }
-  W.endArray();
-  W.key("findings");
-  W.beginArray();
-  for (const detectors::Diagnostic &D : R.Findings)
-    writeCachedDiagnostic(W, D, R.Path);
-  W.endArray();
-  if (!R.Notices.empty()) {
-    W.key("notices");
-    W.beginArray();
-    for (const diag::Diagnostic &D : R.Notices)
-      writeCachedDiagnostic(W, D, R.Path);
-    W.endArray();
-  }
-  if (R.SuppressedFindings != 0)
-    W.field("suppressed", static_cast<int64_t>(R.SuppressedFindings));
-  W.endObject();
-  return W.str();
-}
-
-std::optional<FileReport>
-rs::engine::deserializeFileReport(std::string_view Payload,
-                                  const std::string &Path) {
-  std::optional<JsonValue> Doc = JsonValue::parse(Payload);
-  if (!Doc || !Doc->isObject())
-    return std::nullopt;
-  if (Doc->getInt("v", -1) != static_cast<int64_t>(ReportSchemaVersion))
-    return std::nullopt;
-  const JsonValue *Dets = Doc->get("detectors");
-  const JsonValue *Finds = Doc->get("findings");
-  if (!Dets || !Dets->isArray() || !Finds || !Finds->isArray())
-    return std::nullopt;
-
-  FileReport R;
-  R.Path = Path;
-  R.Status = EngineStatus::Ok; // Only clean reports are ever cached.
-  for (const JsonValue &D : Dets->elements()) {
-    if (!D.isObject())
-      return std::nullopt;
-    DetectorOutcome O;
-    O.Name = D.getString("name");
-    O.Status = EngineStatus::Ok;
-    O.Findings = static_cast<size_t>(D.getInt("findings"));
-    R.Detectors.push_back(std::move(O));
-  }
-  const std::string *File = internFileName(Path);
-  for (const JsonValue &F : Finds->elements()) {
-    detectors::Diagnostic D;
-    if (!readCachedDiagnostic(F, File, D))
-      return std::nullopt;
-    R.Findings.push_back(std::move(D));
-  }
-  if (const JsonValue *Notices = Doc->get("notices")) {
-    if (!Notices->isArray())
-      return std::nullopt;
-    for (const JsonValue &N : Notices->elements()) {
-      diag::Diagnostic D;
-      if (!readCachedDiagnostic(N, File, D))
-        return std::nullopt;
-      R.Notices.push_back(std::move(D));
-    }
-  }
-  R.SuppressedFindings = static_cast<size_t>(Doc->getInt("suppressed", 0));
-  return R;
-}
-
-//===----------------------------------------------------------------------===//
-// Wire serialization (worker protocol + checkpoint journal)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
 bool engineStatusFromName(std::string_view Name, EngineStatus &Out) {
   if (Name == "ok")
     Out = EngineStatus::Ok;
@@ -798,10 +714,11 @@ bool engineStatusFromName(std::string_view Name, EngineStatus &Out) {
   return true;
 }
 
-bool readWireDiagnostics(const JsonValue *Arr, const std::string *File,
-                         std::vector<diag::Diagnostic> &Out) {
+/// Reads the diagnostics array \p Arr (absent means empty).
+bool readCachedDiagnostics(const JsonValue *Arr, const std::string *File,
+                           std::vector<diag::Diagnostic> &Out) {
   if (!Arr)
-    return true; // Absent array == empty.
+    return true;
   if (!Arr->isArray())
     return false;
   for (const JsonValue &V : Arr->elements()) {
@@ -815,20 +732,37 @@ bool readWireDiagnostics(const JsonValue *Arr, const std::string *File,
 
 } // namespace
 
-std::string rs::engine::serializeWireFileReport(const FileReport &R) {
+std::string rs::engine::serializeFileReport(const FileReport &R) {
   JsonWriter W;
   W.beginObject();
   W.field("v", static_cast<int64_t>(ReportSchemaVersion));
-  W.field("path", R.Path);
-  W.field("status", engineStatusName(R.Status));
+  // What only a degraded or skipped report carries is written only when it
+  // differs from an ok report's default, so an ok payload keeps the shape
+  // every cache entry has.
+  if (R.Status != EngineStatus::Ok)
+    W.field("status", engineStatusName(R.Status));
   if (!R.Reason.empty())
     W.field("reason", R.Reason);
   if (R.ItemsDropped != 0)
     W.field("items_dropped", static_cast<int64_t>(R.ItemsDropped));
-  if (R.SuppressedFindings != 0)
-    W.field("suppressed", static_cast<int64_t>(R.SuppressedFindings));
-  if (R.BaselinedFindings != 0)
-    W.field("baselined", static_cast<int64_t>(R.BaselinedFindings));
+  W.key("detectors");
+  W.beginArray();
+  for (const DetectorOutcome &D : R.Detectors) {
+    W.beginObject();
+    W.field("name", D.Name);
+    if (D.Status != EngineStatus::Ok)
+      W.field("status", engineStatusName(D.Status));
+    if (!D.Note.empty())
+      W.field("note", D.Note);
+    W.field("findings", static_cast<int64_t>(D.Findings));
+    W.endObject();
+  }
+  W.endArray();
+  W.key("findings");
+  W.beginArray();
+  for (const detectors::Diagnostic &D : R.Findings)
+    writeCachedDiagnostic(W, D, R.Path);
+  W.endArray();
   auto WriteDiags = [&](const char *Key,
                         const std::vector<diag::Diagnostic> &Diags) {
     if (Diags.empty())
@@ -842,76 +776,68 @@ std::string rs::engine::serializeWireFileReport(const FileReport &R) {
   WriteDiags("parse_errors", R.ParseErrors);
   WriteDiags("verifier_errors", R.VerifierErrors);
   WriteDiags("notices", R.Notices);
-  W.key("detectors");
-  W.beginArray();
-  for (const DetectorOutcome &D : R.Detectors) {
-    W.beginObject();
-    W.field("name", D.Name);
-    W.field("status", engineStatusName(D.Status));
-    if (!D.Note.empty())
-      W.field("note", D.Note);
-    W.field("findings", static_cast<int64_t>(D.Findings));
-    W.endObject();
-  }
-  W.endArray();
-  WriteDiags("findings", R.Findings);
+  if (R.SuppressedFindings != 0)
+    W.field("suppressed", static_cast<int64_t>(R.SuppressedFindings));
   W.endObject();
   return W.str();
 }
 
 std::optional<FileReport>
-rs::engine::fileReportFromJson(const JsonValue &Doc) {
-  if (!Doc.isObject())
+rs::engine::deserializeFileReport(const JsonValue &Doc,
+                                  const std::string &Path) {
+  if (!Doc.isObject() ||
+      Doc.getInt("v", -1) != static_cast<int64_t>(ReportSchemaVersion))
     return std::nullopt;
-  if (Doc.getInt("v", -1) != static_cast<int64_t>(ReportSchemaVersion))
+  const JsonValue *Dets = Doc.get("detectors");
+  const JsonValue *Finds = Doc.get("findings");
+  if (!Dets || !Dets->isArray() || !Finds || !Finds->isArray())
     return std::nullopt;
+
   FileReport R;
-  R.Path = std::string(Doc.getString("path"));
-  if (R.Path.empty())
-    return std::nullopt;
-  if (!engineStatusFromName(Doc.getString("status"), R.Status))
+  R.Path = Path;
+  if (!engineStatusFromName(Doc.getString("status", "ok"), R.Status))
     return std::nullopt;
   R.Reason = std::string(Doc.getString("reason"));
   R.ItemsDropped = static_cast<unsigned>(Doc.getInt("items_dropped", 0));
   R.SuppressedFindings = static_cast<size_t>(Doc.getInt("suppressed", 0));
-  R.BaselinedFindings = static_cast<size_t>(Doc.getInt("baselined", 0));
-
-  const std::string *File = internFileName(R.Path);
-  if (!readWireDiagnostics(Doc.get("parse_errors"), File, R.ParseErrors) ||
-      !readWireDiagnostics(Doc.get("verifier_errors"), File,
-                           R.VerifierErrors) ||
-      !readWireDiagnostics(Doc.get("notices"), File, R.Notices) ||
-      !readWireDiagnostics(Doc.get("findings"), File, R.Findings))
-    return std::nullopt;
-
-  const JsonValue *Dets = Doc.get("detectors");
-  if (!Dets || !Dets->isArray())
-    return std::nullopt;
   for (const JsonValue &D : Dets->elements()) {
     if (!D.isObject())
       return std::nullopt;
     DetectorOutcome O;
-    O.Name = std::string(D.getString("name"));
-    if (!engineStatusFromName(D.getString("status"), O.Status))
+    O.Name = D.getString("name");
+    if (!engineStatusFromName(D.getString("status", "ok"), O.Status))
       return std::nullopt;
-    O.Note = std::string(D.getString("note"));
+    O.Note = D.getString("note");
     O.Findings = static_cast<size_t>(D.getInt("findings"));
     R.Detectors.push_back(std::move(O));
   }
+  const std::string *File = internFileName(Path);
+  if (!readCachedDiagnostics(Finds, File, R.Findings) ||
+      !readCachedDiagnostics(Doc.get("parse_errors"), File, R.ParseErrors) ||
+      !readCachedDiagnostics(Doc.get("verifier_errors"), File,
+                             R.VerifierErrors) ||
+      !readCachedDiagnostics(Doc.get("notices"), File, R.Notices))
+    return std::nullopt;
   return R;
 }
 
 std::optional<FileReport>
-rs::engine::deserializeWireFileReport(std::string_view Payload) {
+rs::engine::deserializeFileReport(std::string_view Payload,
+                                  const std::string &Path) {
   std::optional<JsonValue> Doc = JsonValue::parse(Payload);
   if (!Doc)
     return std::nullopt;
-  return fileReportFromJson(*Doc);
+  return deserializeFileReport(*Doc, Path);
 }
 
 //===----------------------------------------------------------------------===//
 // The link step and the corpus driver
 //===----------------------------------------------------------------------===//
+
+bool rs::engine::shouldLink(WholeProgramMode Mode, size_t AnalyzableFiles) {
+  return Mode == WholeProgramMode::On ||
+         (Mode == WholeProgramMode::Auto && AnalyzableFiles >= 2);
+}
 
 LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
                                 const std::vector<corpus::CorpusInput> &Inputs,
@@ -923,8 +849,7 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   for (size_t I = 0; I != Inputs.size(); ++I)
     if (Inputs[I].SkipReason.empty())
       Analyzable.push_back(I);
-  if (Opts.WholeProgram == WholeProgramMode::Off ||
-      (Opts.WholeProgram == WholeProgramMode::Auto && Analyzable.size() < 2))
+  if (!shouldLink(Opts.WholeProgram, Analyzable.size()))
     return Plan;
 
   // Facts are kept in input order: the determinism anchor the
@@ -944,36 +869,20 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   analysis::LinkOptions LO;
   LO.MaxSummaryRounds = linkRounds(Opts);
 
-  // The solver probes and stores one entry per exporter, one after
-  // another. So the cache's disk reads happen here first, on the
-  // transport, and its writes after the solve: the hooks only touch
-  // memory. The schema folds into every address: a bump reads as cold.
-  const int64_t Schema = Opts.SummaryDbSchemaOverride
-                             ? Opts.SummaryDbSchemaOverride
-                             : sched::SummaryDb::SchemaVersion;
+  // The solver probes each exporter's entry before the first round and
+  // stores the converged ones after the last, straight through the run's
+  // one cache. The schema folds into every address: a bump reads as cold.
+  constexpr int64_t Schema = sched::SummaryDb::SchemaVersion;
   analysis::LinkDbHooks Hooks;
-  std::unordered_map<uint64_t, sched::ResultCache::BlobRef> Entries;
-  std::vector<std::pair<uint64_t, std::string>> Pending;
   if (Cache) {
-    const uint32_t NumMods = static_cast<uint32_t>(Corpus.modules().size());
-    std::vector<std::optional<sched::ResultCache::BlobRef>> Got(NumMods);
-    Transport.Parallel(NumMods, [&](size_t M) {
-      const uint32_t Idx = static_cast<uint32_t>(M);
-      if (Corpus.exports(Idx))
-        Got[M] = Cache->lookupBlobRef(
-            sched::SummaryDb::address(Corpus.moduleKey(Idx), Schema));
-    });
-    for (uint32_t M = 0; M != NumMods; ++M)
-      if (Got[M])
-        Entries.emplace(Corpus.moduleKey(M), std::move(*Got[M]));
     Hooks.Lookup = [&](uint64_t K) -> std::optional<std::string> {
-      auto It = Entries.find(K);
-      if (It == Entries.end())
-        return std::nullopt;
-      return std::string(It->second.bytes());
+      if (std::optional<sched::ResultCache::BlobRef> Entry =
+              Cache->lookupBlobRef(sched::SummaryDb::address(K, Schema)))
+        return std::string(Entry->bytes());
+      return std::nullopt;
     };
     Hooks.Store = [&](uint64_t K, std::string_view P) {
-      Pending.emplace_back(K, std::string(P));
+      Cache->storeBlob(sched::SummaryDb::address(K, Schema), P);
     };
   }
   analysis::SummarizeRoundFn Summarize =
@@ -986,10 +895,6 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
       };
   analysis::LinkResult LR =
       analysis::solveLink(std::move(Corpus), LO, Hooks, Summarize);
-  Transport.Parallel(Pending.size(), [&](size_t K) {
-    Cache->storeBlob(sched::SummaryDb::address(Pending[K].first, Schema),
-                     Pending[K].second);
-  });
 
   Plan.Env = std::move(LR.Env);
   for (uint32_t M = 0; M != ModuleInput.size(); ++M)
@@ -1088,7 +993,6 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
         });
         return Out;
       };
-  Transport.Parallel = RunParallel;
   LinkPlan Link = linkCorpus(Opts, Inputs, Cache.get(), Transport);
   if (!State)
     Link.Facts.clear();

@@ -205,11 +205,6 @@ struct EngineOptions {
   /// and let detectors consume cross-file summaries.
   WholeProgramMode WholeProgram = WholeProgramMode::Auto;
 
-  /// SummaryDb address-schema override (0 = the built-in schema). Only the
-  /// CI schema-bump drill sets this: a bumped schema must read as a cold
-  /// DB, never as corruption.
-  int64_t SummaryDbSchemaOverride = 0;
-
   /// Worker threads for analyzeCorpus (0 = the CPUs the process may run
   /// on, 1 = serial). Output is byte-identical for every value.
   unsigned Jobs = 0;
@@ -260,32 +255,28 @@ uint64_t snapshotCacheKey(uint64_t SourceFingerprint);
 /// schema folded in and its own tag.
 uint64_t factsCacheKey(uint64_t SourceFingerprint);
 
-/// Serializes a clean (Ok) FileReport into the cache payload JSON. The
-/// path is deliberately excluded: identical content at two paths shares
-/// one entry.
+/// Serializes a FileReport into its one JSON payload: the report cache
+/// entry (ok reports only), a worker's report frame and a checkpoint
+/// journal entry. The path is deliberately excluded: identical content at
+/// two paths shares one entry, and the reader supplies the path it owns.
+/// The fields only a degraded or skipped report carries (status, reason,
+/// items dropped, parse/verifier errors, detector statuses and notes) are
+/// written only when they differ from an ok report's defaults, so an ok
+/// payload keeps the cache entry's shape. BaselinedFindings is not carried:
+/// applyBaseline runs on the merged report, after every process boundary.
+/// See docs/PARALLELISM.md.
 std::string serializeFileReport(const FileReport &R);
 
-/// Rebuilds a FileReport from a cache payload, re-anchored at \p Path
-/// (finding locations are re-interned against it). Returns nullopt on any
-/// schema mismatch — the caller treats that as a miss and re-analyzes.
+/// Rebuilds a FileReport from a payload, re-anchored at \p Path (finding
+/// locations are re-interned against it). Returns nullopt on any schema
+/// defect: the cache treats that as a miss, the supervisor as a protocol
+/// error (worker retry), the checkpoint loader as an absent journal.
 std::optional<FileReport> deserializeFileReport(std::string_view Payload,
                                                 const std::string &Path);
 
-/// Full-fidelity FileReport serialization for the worker wire protocol and
-/// the checkpoint journal. Unlike the cache payload it carries the path,
-/// status, reason, parse/verifier errors, items-dropped and suppression
-/// counts, and per-detector statuses verbatim, so a report that crossed a
-/// process boundary (or a resume) renders byte-identically to one computed
-/// in-process. See docs/RESILIENCE.md ("worker wire protocol").
-std::string serializeWireFileReport(const FileReport &R);
-
-/// Rebuilds a FileReport from a parsed wire/checkpoint object. Returns
-/// nullopt on any schema defect — the supervisor treats that as a protocol
-/// error (worker retry), the checkpoint loader as an absent journal.
-std::optional<FileReport> fileReportFromJson(const JsonValue &V);
-
-/// String-payload convenience over fileReportFromJson.
-std::optional<FileReport> deserializeWireFileReport(std::string_view Payload);
+/// The same, over an already-parsed payload (a frame or journal member).
+std::optional<FileReport> deserializeFileReport(const JsonValue &Payload,
+                                                const std::string &Path);
 
 struct CorpusState;
 
@@ -430,11 +421,6 @@ struct LinkTransport {
       const std::vector<std::pair<uint32_t, size_t>> &Modules,
       const analysis::ExternalSummaries &Env)>
       Summarize;
-  /// Runs Fn(0) .. Fn(Count - 1), possibly concurrently: where the link
-  /// step reads and writes summary-DB entries. Required; a plain loop will
-  /// do.
-  std::function<void(size_t Count, const std::function<void(size_t)> &Fn)>
-      Parallel;
 };
 
 /// What the link step decided for one corpus run.
@@ -460,11 +446,15 @@ struct CorpusState {
   std::vector<unsigned> Runs;
 };
 
-/// Decides whether \p Inputs link (EngineOptions::WholeProgram: Auto links
-/// more than one analyzable file), and if so collects facts in input order
-/// and runs the link fixpoint through \p Transport, with persisted
-/// summaries kept as blobs in \p Cache, the run's one cache (null = none),
-/// at sched::SummaryDb::address(module key, schema).
+/// Whether a corpus with \p AnalyzableFiles analyzable files links under
+/// \p Mode: On always, Off never, Auto from two files up.
+bool shouldLink(WholeProgramMode Mode, size_t AnalyzableFiles);
+
+/// Decides whether \p Inputs link (shouldLink over EngineOptions::
+/// WholeProgram and the analyzable inputs), and if so collects facts in
+/// input order and runs the link fixpoint through \p Transport, with
+/// persisted summaries kept as blobs in \p Cache, the run's one cache
+/// (null = none), at sched::SummaryDb::address(module key, SchemaVersion).
 /// EngineOptions::MaxSummaryRounds 0 means 8.
 LinkPlan linkCorpus(const EngineOptions &Opts,
                     const std::vector<corpus::CorpusInput> &Inputs,

@@ -75,10 +75,11 @@ template <typename Result> struct Attempt {
   std::string Cause; ///< The classified cause ("" when Done).
 };
 
-/// Decodes the result of one "file" frame; nullopt makes the stream
-/// unusable.
+/// Decodes the result of one "file" frame for item \p Ordinal; nullopt
+/// makes the stream unusable.
 template <typename Result>
-using FrameDecoder = std::optional<Result> (*)(const JsonValue &Frame);
+using FrameDecoder =
+    std::function<std::optional<Result>(size_t Ordinal, const JsonValue &)>;
 
 /// One worker process running one attempt.
 template <typename Result> struct Worker {
@@ -119,7 +120,7 @@ void markProtocol(Worker<Result> &W, const char *Note) {
 }
 
 template <typename Result>
-void handlePayload(Worker<Result> &W, FrameDecoder<Result> Decode,
+void handlePayload(Worker<Result> &W, const FrameDecoder<Result> &Decode,
                    std::string_view Payload) {
   std::optional<JsonValue> V = JsonValue::parse(Payload);
   if (!V || !V->isObject())
@@ -139,7 +140,7 @@ void handlePayload(Worker<Result> &W, FrameDecoder<Result> Decode,
   for (const auto &P : W.A.Accepted)
     if (P.first == size_t(Ordinal))
       return markProtocol(W, "duplicate frame for one ordinal");
-  std::optional<Result> R = Decode(*V);
+  std::optional<Result> R = Decode(size_t(Ordinal), *V);
   if (!R)
     return markProtocol(W, "malformed file report");
   W.A.Accepted.emplace_back(size_t(Ordinal), std::move(*R));
@@ -147,7 +148,7 @@ void handlePayload(Worker<Result> &W, FrameDecoder<Result> Decode,
 
 /// The frame reader: consumes every complete length-prefixed frame.
 template <typename Result>
-void parseFrames(Worker<Result> &W, FrameDecoder<Result> Decode) {
+void parseFrames(Worker<Result> &W, const FrameDecoder<Result> &Decode) {
   while (W.ProtocolNote.empty() && W.OutBuf.size() >= 9) {
     size_t Len = 0;
     if (!parseHexLen(W.OutBuf.data(), Len) || W.OutBuf[8] != '\n' ||
@@ -165,7 +166,7 @@ void parseFrames(Worker<Result> &W, FrameDecoder<Result> Decode) {
 /// Drains whatever is currently readable from the worker's streams.
 /// Returns true while at least one stream is still open.
 template <typename Result>
-bool drainStreams(Worker<Result> &W, FrameDecoder<Result> Decode) {
+bool drainStreams(Worker<Result> &W, const FrameDecoder<Result> &Decode) {
   if (int Fd = W.Proc.stdoutFd(); Fd != -1) {
     W.Proc.readSome(Fd, W.OutBuf);
     parseFrames(W, Decode);
@@ -186,14 +187,9 @@ bool drainStreams(Worker<Result> &W, FrameDecoder<Result> Decode) {
   return W.Proc.stdoutFd() != -1 || W.Proc.stderrFd() != -1;
 }
 
-std::optional<FileReport> decodeReport(const JsonValue &Frame) {
-  const JsonValue *R = Frame.get("report");
-  return R ? fileReportFromJson(*R) : std::nullopt;
-}
-
 /// A link-phase payload string; null (no result for this file) is valid.
 std::optional<std::optional<std::string>>
-decodePayload(const JsonValue &Frame) {
+decodePayload(size_t, const JsonValue &Frame) {
   std::optional<std::string> Out;
   const JsonValue *P = Frame.get("payload");
   if (P && P->isString())
@@ -318,7 +314,7 @@ template <typename Result>
 void runFleet(const SupervisorOptions &Opts, unsigned MaxWorkers,
               const std::string &Preamble,
               const std::vector<std::string> &Lines,
-              FrameDecoder<Result> Decode, std::deque<Shard> &Queue,
+              const FrameDecoder<Result> &Decode, std::deque<Shard> &Queue,
               const std::function<void(Attempt<Result> &&)> &Finish,
               const bool &Stop) {
   std::vector<std::unique_ptr<Worker<Result>>> Active;
@@ -591,11 +587,6 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
               Round.push_back(std::move(*MS));
         return Round;
       };
-  Transport.Parallel = [](size_t Count,
-                          const std::function<void(size_t)> &Fn) {
-    for (size_t I = 0; I != Count; ++I)
-      Fn(I);
-  };
   // The supervisor's one cache: it only ever holds the summaries, as the
   // workers' engines keep everything else.
   std::optional<sched::ResultCache> Cache;
@@ -624,7 +615,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   if (!Opts.CheckpointPath.empty())
     Journal.emplace(Opts.CheckpointPath);
   if (Journal && Opts.Resume)
-    Journal->load(Key, Results);
+    Journal->load(Key, Inputs, Results);
 
   std::vector<size_t> PendingOrdinals;
   for (size_t I = 0; I != N; ++I)
@@ -772,7 +763,16 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
           break;
         }
       };
-  runFleet<FileReport>(Opts, MaxWorkers, Preamble, Lines, decodeReport, Queue,
+  // A report frame carries no path: it is anchored at the supervisor's own
+  // input path, so a worker cannot rename a file.
+  FrameDecoder<FileReport> DecodeReport =
+      [&](size_t Ordinal, const JsonValue &Frame) -> std::optional<FileReport> {
+    const JsonValue *R = Frame.get("report");
+    if (!R)
+      return std::nullopt;
+    return deserializeFileReport(*R, Inputs[Ordinal].Path);
+  };
+  runFleet<FileReport>(Opts, MaxWorkers, Preamble, Lines, DecodeReport, Queue,
                        Finish, Interrupted);
 
   // Only an interrupt can leave holes; a completed run resolved every
@@ -948,7 +948,7 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
       if (R.Status != EngineStatus::Ok)
         std::fprintf(stderr, "worker: %s: %s: %s\n", R.Path.c_str(),
                      engineStatusName(R.Status), R.Reason.c_str());
-      Result = "\"report\":" + serializeWireFileReport(R);
+      Result = "\"report\":" + serializeFileReport(R);
       break;
     }
     }

@@ -124,7 +124,9 @@ uint64_t journalSalt(const EngineOptions &Opts,
 /// mode's engine entry on each file (analyzeFile, collectFileFacts or
 /// summarizeFileForLink), and streams one length-prefixed JSON frame per
 /// file followed by a "done" frame on stdout (the wire protocol in
-/// docs/RESILIENCE.md). Degraded/skipped statuses are also logged to stderr
+/// docs/RESILIENCE.md). An analyze frame carries the report's one payload
+/// (serializeFileReport); the supervisor anchors it at its own path for
+/// the ordinal. Degraded/skipped statuses are also logged to stderr
 /// so the supervisor can surface fault causes. Returns the process exit
 /// code.
 int runWorker(const EngineOptions &Opts);

@@ -11,18 +11,10 @@ Session::Session(SessionOptions O)
     : Opts(std::move(O)), Engine(Opts.Engine) {}
 
 bool Session::wantsLink() const {
-  switch (Opts.Engine.WholeProgram) {
-  case engine::WholeProgramMode::Off:
-    return false;
-  case engine::WholeProgramMode::On:
-    return true;
-  case engine::WholeProgramMode::Auto:
-    break;
-  }
   size_t Analyzable = 0;
   for (const auto &[Path, St] : Files)
     Analyzable += !St.Placeholder;
-  return Analyzable >= 2;
+  return engine::shouldLink(Opts.Engine.WholeProgram, Analyzable);
 }
 
 bool Session::exportsEntry(const std::string &Path,
@@ -185,11 +177,6 @@ void Session::relink(std::set<std::string> &Affected) {
         }
         return Round;
       };
-  Transport.Parallel = [](size_t Count,
-                          const std::function<void(size_t)> &Fn) {
-    for (size_t I = 0; I != Count; ++I)
-      Fn(I);
-  };
   engine::LinkPlan Plan =
       engine::linkCorpus(Opts.Engine, Inputs, Engine.cache(), Transport);
 

@@ -133,8 +133,8 @@ private:
     bool Placeholder = false; ///< An empty root directory's entry.
   };
 
-  /// Whether the engine would link the resident files
-  /// (EngineOptions::WholeProgram; Auto links two or more).
+  /// Whether the engine would link the resident files (engine::shouldLink
+  /// over the non-placeholder ones).
   bool wantsLink() const;
 
   /// True when \p Path's facts define an entry of the link environment.

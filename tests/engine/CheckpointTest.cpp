@@ -1,8 +1,9 @@
 //===----------------------------------------------------------------------===//
 //
-// Tests for the supervisor's checkpoint journal and the full-fidelity wire
-// serialization beneath it: round-tripped reports must render
-// byte-identically (that is the whole resume guarantee), and journals that
+// Tests for the supervisor's checkpoint journal and the one FileReport
+// payload beneath it (worker frames carry it too): round-tripped reports
+// must render byte-identically (that is the whole resume guarantee), ok
+// payloads keep the cache entry's bytes, and journals that
 // are corrupt, truncated, or keyed to a different run must load as "no
 // checkpoint" without touching the caller's state.
 //
@@ -11,10 +12,14 @@
 #include "engine/Checkpoint.h"
 
 #include "corpus/CorpusWalk.h"
+#include "diag/Version.h"
 #include "engine/Engine.h"
+#include "support/Hash.h"
+#include "support/SourceLocation.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -69,39 +74,152 @@ analyze(const fs::path &Dir) {
           E.analyzeCorpus({Dir.string()})};
 }
 
-} // namespace
-
-TEST(WireFileReport, RoundTripRendersByteIdentically) {
-  fs::path Dir = writeCorpus("wire_roundtrip");
-  auto [Inputs, Report] = analyze(Dir);
-  ASSERT_FALSE(Report.Files.empty());
-
+/// Round-trips every report of \p Report through the one payload codec,
+/// re-anchored at the report's own path, as the supervisor and the journal
+/// loader do.
+CorpusReport roundTrip(const CorpusReport &Report) {
   CorpusReport Rebuilt;
   for (const FileReport &R : Report.Files) {
     std::optional<FileReport> Back =
-        deserializeWireFileReport(serializeWireFileReport(R));
-    ASSERT_TRUE(Back.has_value()) << R.Path;
-    Rebuilt.Files.push_back(std::move(*Back));
+        deserializeFileReport(serializeFileReport(R), R.Path);
+    EXPECT_TRUE(Back.has_value()) << R.Path;
+    Rebuilt.Files.push_back(Back ? std::move(*Back) : FileReport());
   }
   Rebuilt.finalize();
-  // The guarantee the supervisor and resume stand on: a report that
-  // crossed the wire is indistinguishable in every rendered surface.
-  EXPECT_EQ(Report.renderJson(), Rebuilt.renderJson());
-  EXPECT_EQ(Report.renderSarif(), Rebuilt.renderSarif());
-  EXPECT_EQ(Report.exitCode(true), Rebuilt.exitCode(true));
+  return Rebuilt;
 }
 
-TEST(WireFileReport, RejectsDefectivePayloads) {
-  EXPECT_FALSE(deserializeWireFileReport("").has_value());
-  EXPECT_FALSE(deserializeWireFileReport("not json").has_value());
-  EXPECT_FALSE(deserializeWireFileReport("{}").has_value());
-  EXPECT_FALSE(deserializeWireFileReport("{\"v\":999}").has_value());
+/// The guarantee the supervisor and resume stand on: a report that crossed
+/// a process boundary is indistinguishable in every rendered surface.
+void expectSameRendering(const CorpusReport &Want, const CorpusReport &Got) {
+  EXPECT_EQ(Want.renderJson(), Got.renderJson());
+  EXPECT_EQ(Want.renderSarif(), Got.renderSarif());
+  EXPECT_EQ(Want.renderText(), Got.renderText());
+  EXPECT_EQ(Want.exitCode(), Got.exitCode());
+  EXPECT_EQ(Want.exitCode(true), Got.exitCode(true));
+}
+
+} // namespace
+
+TEST(FileReportPayload, RoundTripRendersByteIdentically) {
+  fs::path Dir = writeCorpus("wire_roundtrip");
+  auto [Inputs, Report] = analyze(Dir);
+  ASSERT_FALSE(Report.Files.empty());
+  expectSameRendering(Report, roundTrip(Report));
+}
+
+TEST(FileReportPayload, NonOkReportsRoundTripEveryRenderer) {
+  // Each rung of the degradation ladder a worker frame or journal entry
+  // must carry: a budget-degraded file, a verifier-skipped file, a file
+  // whose parse recovered, and a file the supervisor quarantined.
+  EngineOptions Budget;
+  Budget.UseCache = false;
+  Budget.MaxDataflowIters = 1;
+  EngineOptions Plain;
+  Plain.UseCache = false;
+  CorpusReport Report;
+  Report.Files.push_back(
+      AnalysisEngine(Budget).analyzeFile("ladder/budget.mir", BuggySrc));
+  Report.Files.push_back(AnalysisEngine(Plain).analyzeFile(
+      "ladder/verifier.mir", "fn bad() {\n    bb0: { goto -> bb9; }\n}\n"));
+  Report.Files.push_back(AnalysisEngine(Plain).analyzeFile(
+      "ladder/recovered.mir",
+      std::string("fn broken( {\n    bb0: { return; }\n}\n") + BuggySrc));
+  FileReport Quarantined = FileReport::skipped(
+      "ladder/victim.mir", "quarantined after 3 isolated worker attempt(s): "
+                           "worker killed by signal 11 (SIGSEGV)");
+  diag::Diagnostic D(diag::RuleId::WorkerQuarantined);
+  D.Message = "file quarantined: worker killed by signal 11 (SIGSEGV)";
+  D.Loc = SourceLocation(internFileName("ladder/victim.mir"), 1, 1);
+  D.Notes.push_back("worker stderr: boom");
+  Quarantined.Notices.push_back(std::move(D));
+  Report.Files.push_back(std::move(Quarantined));
+  Report.finalize();
+
+  const FileReport &Degraded = Report.Files[0];
+  ASSERT_EQ(Degraded.Status, EngineStatus::Degraded);
+  ASSERT_TRUE(std::any_of(
+      Degraded.Detectors.begin(), Degraded.Detectors.end(),
+      [](const DetectorOutcome &O) { return !O.Note.empty(); }));
+  ASSERT_EQ(Report.Files[1].Status, EngineStatus::Skipped);
+  ASSERT_FALSE(Report.Files[1].VerifierErrors.empty());
+  ASSERT_EQ(Report.Files[2].Status, EngineStatus::Degraded);
+  ASSERT_EQ(Report.Files[2].ItemsDropped, 1u);
+  ASSERT_FALSE(Report.Files[2].ParseErrors.empty());
+
+  CorpusReport Rebuilt = roundTrip(Report);
+  for (size_t I = 0; I != Report.Files.size(); ++I) {
+    EXPECT_EQ(Rebuilt.Files[I].Status, Report.Files[I].Status) << I;
+    EXPECT_EQ(Rebuilt.Files[I].Reason, Report.Files[I].Reason) << I;
+  }
+  expectSameRendering(Report, Rebuilt);
+}
+
+TEST(FileReportPayload, OkPayloadKeepsTheCacheEntryBytes) {
+  // Every field an ok report carries, pinned as the bytes a cache entry has
+  // always held: the non-ok fields add nothing to an ok payload, so warm
+  // caches keep hitting across the change.
+  FileReport R;
+  R.Path = "pin/a.mir";
+  R.Status = EngineStatus::Ok;
+  R.Detectors.push_back({"use-after-free", EngineStatus::Ok, "", 1});
+  R.Detectors.push_back({"double-lock", EngineStatus::Ok, "", 0});
+  diag::Diagnostic F(diag::RuleId::UseAfterFree);
+  F.Function = "f";
+  F.Block = 2;
+  F.StmtIndex = 1;
+  F.Message = "use of dropped value";
+  F.Loc = SourceLocation(internFileName("pin/a.mir"), 12, 9);
+  F.Secondary.push_back(
+      {SourceLocation(internFileName("pin/b.mir"), 3, 5), "freed here", "g"});
+  F.Notes.push_back("a note");
+  F.Fixes.push_back(
+      {SourceLocation(internFileName("pin/a.mir"), 12, 9), "x", "fix it"});
+  R.Findings.push_back(std::move(F));
+  diag::Diagnostic N(diag::RuleId::UnknownSuppression);
+  N.Message = "unknown rule";
+  N.Loc = SourceLocation(internFileName("pin/a.mir"), 1, 4);
+  R.Notices.push_back(std::move(N));
+  R.SuppressedFindings = 2;
+
+  EXPECT_EQ(
+      serializeFileReport(R),
+      "{\"v\":4,\"detectors\":[{\"name\":\"use-after-free\",\"findings\":1},"
+      "{\"name\":\"double-lock\",\"findings\":0}],\"findings\":[{\"rule\":"
+      "\"RS-UAF-001\",\"severity\":\"error\",\"function\":\"f\",\"block\":2,"
+      "\"statement\":1,\"message\":\"use of dropped value\",\"line\":12,"
+      "\"col\":9,\"secondary\":[{\"line\":3,\"col\":5,\"file\":\"pin/b.mir\","
+      "\"function\":\"g\",\"label\":\"freed here\"}],\"notes\":[\"a note\"],"
+      "\"fixes\":[{\"line\":12,\"col\":9,\"replacement\":\"x\","
+      "\"description\":\"fix it\"}]}],\"notices\":[{\"rule\":\"RS-META-001\","
+      "\"severity\":\"warning\",\"function\":\"\",\"block\":0,\"statement\":0,"
+      "\"message\":\"unknown rule\",\"line\":1,\"col\":4}],\"suppressed\":2}");
+}
+
+TEST(FileReportPayload, RejectsDefectivePayloads) {
+  const std::string V =
+      "{\"v\":" + std::to_string(version::ReportSchemaVersion);
+  EXPECT_FALSE(deserializeFileReport("", "x.mir").has_value());
+  EXPECT_FALSE(deserializeFileReport("not json", "x.mir").has_value());
+  EXPECT_FALSE(deserializeFileReport("{}", "x.mir").has_value());
+  EXPECT_FALSE(deserializeFileReport("{\"v\":999}", "x.mir").has_value());
+  EXPECT_TRUE(deserializeFileReport(V + ",\"detectors\":[],\"findings\":[]}",
+                                    "x.mir")
+                  .has_value());
+  EXPECT_FALSE(deserializeFileReport(V + ",\"status\":\"sideways\","
+                                         "\"detectors\":[],\"findings\":[]}",
+                                     "x.mir")
+                   .has_value());
   EXPECT_FALSE(
-      deserializeWireFileReport("{\"v\":2,\"path\":\"\"}").has_value());
-  EXPECT_FALSE(
-      deserializeWireFileReport(
-          "{\"v\":2,\"path\":\"x.mir\",\"status\":\"sideways\"}")
+      deserializeFileReport(V + ",\"detectors\":[{\"name\":\"d\",\"status\":"
+                                "\"sideways\",\"findings\":0}],"
+                                "\"findings\":[]}",
+                            "x.mir")
           .has_value());
+  EXPECT_FALSE(deserializeFileReport(V + ",\"detectors\":[],\"findings\":[],"
+                                         "\"parse_errors\":{}}",
+                                     "x.mir")
+                   .has_value());
 }
 
 TEST(CorpusFingerprint, SensitiveToPathsOrderAndSkips) {
@@ -132,12 +250,13 @@ TEST(CheckpointJournal, WriteLoadRoundTripsCompletedEntries) {
   ASSERT_TRUE(J.write(Key, Partial));
 
   std::vector<std::optional<FileReport>> Loaded(Report.Files.size());
-  ASSERT_TRUE(J.load(Key, Loaded));
+  ASSERT_TRUE(J.load(Key, Inputs, Loaded));
   for (size_t I = 0; I != Report.Files.size(); ++I) {
     EXPECT_EQ(Loaded[I].has_value(), I % 2 == 0) << I;
     if (Loaded[I]) {
-      EXPECT_EQ(serializeWireFileReport(*Loaded[I]),
-                serializeWireFileReport(Report.Files[I]));
+      EXPECT_EQ(Loaded[I]->Path, Report.Files[I].Path);
+      EXPECT_EQ(serializeFileReport(*Loaded[I]),
+                serializeFileReport(Report.Files[I]));
     }
   }
   // The atomic tmp-write + rename idiom must not leave droppings.
@@ -164,10 +283,12 @@ TEST(CheckpointJournal, MismatchedKeyOrDefectLoadsAsNoCheckpoint) {
   std::vector<std::optional<FileReport>> Out(Report.Files.size());
   // Absent file.
   EXPECT_FALSE(CheckpointJournal((Dir / "missing.json").string()).load(
-      Key, Out));
+      Key, Inputs, Out));
   // Different corpus, different configuration: both halves of the key gate.
-  EXPECT_FALSE(J.load(RunKey{Key.CorpusFingerprint + 1, Key.Salt}, Out));
-  EXPECT_FALSE(J.load(RunKey{Key.CorpusFingerprint, Key.Salt + 1}, Out));
+  EXPECT_FALSE(
+      J.load(RunKey{Key.CorpusFingerprint + 1, Key.Salt}, Inputs, Out));
+  EXPECT_FALSE(
+      J.load(RunKey{Key.CorpusFingerprint, Key.Salt + 1}, Inputs, Out));
 
   // Truncation and corruption degrade to "no checkpoint", never a crash.
   {
@@ -180,12 +301,12 @@ TEST(CheckpointJournal, MismatchedKeyOrDefectLoadsAsNoCheckpoint) {
     }
     std::ofstream(Path, std::ios::binary | std::ios::trunc)
         << Text.substr(0, Text.size() / 2);
-    EXPECT_FALSE(J.load(Key, Out));
+    EXPECT_FALSE(J.load(Key, Inputs, Out));
     std::ofstream(Path, std::ios::binary | std::ios::trunc)
         << "{\"version\":999}";
-    EXPECT_FALSE(J.load(Key, Out));
+    EXPECT_FALSE(J.load(Key, Inputs, Out));
     std::ofstream(Path, std::ios::binary | std::ios::trunc) << "]][[";
-    EXPECT_FALSE(J.load(Key, Out));
+    EXPECT_FALSE(J.load(Key, Inputs, Out));
   }
   // Every failed load left the output untouched.
   for (const auto &Slot : Out)
@@ -193,4 +314,34 @@ TEST(CheckpointJournal, MismatchedKeyOrDefectLoadsAsNoCheckpoint) {
 
   J.remove();
   EXPECT_FALSE(fs::exists(Path));
+}
+
+TEST(CheckpointJournal, VersionOneJournalLoadsAsNoCheckpoint) {
+  // The format before reports dropped their path: a journal written by an
+  // older build resumes nothing, and the run analyzes from scratch.
+  fs::path Dir = writeCorpus("ck_v1");
+  auto [Inputs, Report] = analyze(Dir);
+  const RunKey Key{fingerprintCorpus(Inputs), 0x1234};
+  fs::path Path = Dir / "journal.json";
+  const std::string First = Inputs[0].Path;
+  auto WriteJournal = [&](int Version) {
+    std::ofstream(Path, std::ios::binary | std::ios::trunc)
+        << "{\"version\":" << Version << ",\"corpus\":\""
+        << hashToHex(Key.CorpusFingerprint) << "\",\"salt\":\""
+        << hashToHex(Key.Salt)
+        << "\",\"files\":[{\"ordinal\":0,\"report\":{\"v\":4,\"path\":\""
+        << First << "\",\"status\":\"ok\",\"detectors\":[],\"findings\":[]}}]}";
+  };
+  CheckpointJournal J(Path.string());
+  std::vector<std::optional<FileReport>> Out(Inputs.size());
+  WriteJournal(1);
+  EXPECT_FALSE(J.load(Key, Inputs, Out));
+  for (const auto &Slot : Out)
+    EXPECT_FALSE(Slot.has_value());
+  // The same document under the current version loads: only the version
+  // turned it away.
+  WriteJournal(static_cast<int>(CheckpointJournal::FormatVersion));
+  ASSERT_TRUE(J.load(Key, Inputs, Out));
+  ASSERT_TRUE(Out[0].has_value());
+  EXPECT_EQ(Out[0]->Path, Inputs[0].Path);
 }

@@ -9,6 +9,7 @@
 
 #include "engine/Engine.h"
 
+#include "diag/Version.h"
 #include "support/FaultInjection.h"
 #include "testgen/Mutators.h"
 
@@ -298,6 +299,33 @@ TEST(ParallelEngine, CachePayloadRoundTripsThroughSerialization) {
   ASSERT_EQ(Back->Detectors.size(), R.Detectors.size());
   EXPECT_FALSE(deserializeFileReport("@@garbage@@", "x.mir").has_value());
   EXPECT_FALSE(deserializeFileReport("{\"v\":999}", "x.mir").has_value());
+}
+
+TEST(ParallelEngine, NonOkCachedReportIsAMiss) {
+  // Only ok reports are cached, so a report-key entry whose payload says
+  // "degraded" was never the engine's to serve: the file is analyzed
+  // afresh and its clean report replaces the entry.
+  EngineOptions O;
+  O.Jobs = 1;
+  const FileReport Want = AnalysisEngine(O).analyzeFile("buggy.mir", BuggySrc);
+  ASSERT_EQ(Want.Status, EngineStatus::Ok);
+  ASSERT_FALSE(Want.Findings.empty());
+
+  AnalysisEngine E(O);
+  ASSERT_NE(E.cache(), nullptr);
+  const uint64_t Key = cacheKey(fingerprintSource(BuggySrc),
+                                cacheSalt(O, detectorNames()));
+  E.cache()->store(Key, "{\"v\":" +
+                            std::to_string(version::ReportSchemaVersion) +
+                            ",\"status\":\"degraded\",\"reason\":\"stale\","
+                            "\"detectors\":[],\"findings\":[]}");
+  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
+  EXPECT_EQ(R.Status, EngineStatus::Ok);
+  EXPECT_EQ(R.Reason, "");
+  EXPECT_EQ(serializeFileReport(R), serializeFileReport(Want));
+  std::optional<std::string> Entry = E.cache()->lookup(Key);
+  ASSERT_TRUE(Entry.has_value());
+  EXPECT_EQ(*Entry, serializeFileReport(Want));
 }
 
 TEST(ParallelEngine, FindingsAreExplicitlySorted) {

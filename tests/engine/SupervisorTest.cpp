@@ -186,8 +186,9 @@ TEST(Supervisor, CrashQuarantinesExactlyTheCulpableFile) {
   for (size_t I = 0; I != R.Files.size(); ++I) {
     if (R.Files[I].Path.find("m_victim.mir") != std::string::npos)
       continue;
-    EXPECT_EQ(serializeWireFileReport(R.Files[I]),
-              serializeWireFileReport(Clean.Files[I]));
+    EXPECT_EQ(R.Files[I].Path, Clean.Files[I].Path);
+    EXPECT_EQ(serializeFileReport(R.Files[I]),
+              serializeFileReport(Clean.Files[I]));
   }
 }
 
@@ -305,13 +306,15 @@ TEST(Supervisor, ResumeIgnoresJournalFromDifferentConfiguration) {
   // old one it was first written under. (This multi-file corpus runs
   // linked, so the key carries the whole-program marker.)
   EXPECT_FALSE(J.load(
-      RunKey{Fp, journalSalt(SO.Engine, Names, /*Linked=*/true)}, Probe));
+      RunKey{Fp, journalSalt(SO.Engine, Names, /*Linked=*/true)}, Inputs,
+      Probe));
   EXPECT_TRUE(J.load(
-      RunKey{Fp, journalSalt(Other.Engine, Names, /*Linked=*/true)}, Probe));
+      RunKey{Fp, journalSalt(Other.Engine, Names, /*Linked=*/true)}, Inputs,
+      Probe));
 }
 
 TEST(Supervisor, WorkerStderrNotesSurviveIntoSupervisedRun) {
-  // The malformed file degrades inside the worker; its wire report must
+  // The malformed file degrades inside the worker; its report frame must
   // carry the same status/reason the in-process engine produces, which is
   // what --strict keys off (satellite: fault-cause propagation).
   fs::path Dir = writeCorpus("sup_stderr");

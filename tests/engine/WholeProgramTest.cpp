@@ -3,17 +3,18 @@
 // End-to-end tests for the whole-program link step (docs/WHOLEPROGRAM.md):
 // cross-file findings with counterpart spans in both files, the
 // withheld-callee miss, and the determinism matrix — in-process vs shard
-// fleet, job counts, cold vs warm SummaryDb, the schema-bump drill, and
+// fleet, job counts, cold vs warm SummaryDb, the payload-skew drill, and
 // warm runs served without decoding a module.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
 
+#include "analysis/Link.h"
 #include "diag/Diag.h"
 #include "engine/Supervisor.h"
-#include "sched/SummaryDb.h"
 #include "support/FaultInjection.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -353,26 +354,61 @@ TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
   fs::path CacheDir = fs::path(testing::TempDir()) / "wp_schema_cache";
   fs::remove_all(CacheDir);
 
-  EngineOptions Opts = baseOptions();
-  Opts.UseCache = true;
-  Opts.CacheDir = CacheDir.string();
-
+  const EngineOptions Opts = cachedOptions(CacheDir);
   std::string Cold;
   {
     AnalysisEngine E(Opts);
     Cold = E.analyzeCorpus({Dir.string()}).renderJson();
   }
 
-  // The CI drill: a bumped address schema must read as a cold DB — same
-  // bytes, zero corruption, old entries simply never addressed.
-  Opts.SummaryDbSchemaOverride = sched::SummaryDb::SchemaVersion + 1;
-  AnalysisEngine Bumped(Opts);
-  CorpusReport R = Bumped.analyzeCorpus({Dir.string()});
+  // The CI drill: a summary payload from another schema version must read
+  // as a cold DB — same bytes, zero corruption — and be stored again. Skew
+  // the payload's leading {"v":N of every summary entry (the ones carrying
+  // per-parameter "drops") to a same-length version and re-seal the
+  // envelope checksum (bytes 24-31, FNV-1a of the payload from byte 32), so
+  // only the payload gate rejects.
+  const std::string Current =
+      "{\"v\":" + std::to_string(analysis::SummaryPayloadVersion);
+  const std::string Skew = "{\"v\":9";
+  ASSERT_EQ(Current.size(), Skew.size());
+  ASSERT_NE(Current, Skew);
+  size_t Skewed = 0;
+  for (const fs::directory_entry &F : fs::directory_iterator(CacheDir)) {
+    std::string Bytes;
+    {
+      std::ifstream In(F.path(), std::ios::binary);
+      std::ostringstream Buf;
+      Buf << In.rdbuf();
+      Bytes = Buf.str();
+    }
+    if (Bytes.find("\"drops\":") == std::string::npos)
+      continue;
+    ASSERT_EQ(Bytes.compare(32, Current.size(), Current), 0);
+    Bytes.replace(32, Current.size(), Skew);
+    uint64_t Sum = fnv1a64(std::string_view(Bytes).substr(32));
+    for (int I = 0; I != 8; ++I)
+      Bytes[24 + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
+    std::ofstream(F.path(), std::ios::binary | std::ios::trunc) << Bytes;
+    ++Skewed;
+  }
+  ASSERT_EQ(Skewed, 1u);
+
+  {
+    AnalysisEngine Bumped(Opts);
+    CorpusReport R = Bumped.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(Cold, R.renderJson());
+    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
+    EXPECT_EQ(R.Stats.SummaryDbStores, 1u);
+    EXPECT_EQ(R.Stats.CorruptEntries, 0u);
+    ASSERT_NE(Bumped.cache(), nullptr);
+    EXPECT_EQ(Bumped.cache()->stats().CorruptEntries, 0u);
+  }
+  // The re-stored entry serves the next run warm again.
+  AnalysisEngine Again(Opts);
+  CorpusReport R = Again.analyzeCorpus({Dir.string()});
   EXPECT_EQ(Cold, R.renderJson());
-  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
-  EXPECT_EQ(R.Stats.CorruptEntries, 0u);
-  ASSERT_NE(Bumped.cache(), nullptr);
-  EXPECT_EQ(Bumped.cache()->stats().CorruptEntries, 0u);
+  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u);
+  fs::remove_all(CacheDir);
 }
 
 TEST(WholeProgram, CorruptSummaryEntryIsAMissCountedInTheRun) {
