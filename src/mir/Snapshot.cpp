@@ -1,5 +1,7 @@
 #include "mir/Snapshot.h"
 
+#include "support/Hash.h"
+
 // #define RS_SNAPSHOT_PROFILE — flip on to print per-phase decode totals at exit.
 
 #ifdef RS_SNAPSHOT_PROFILE
@@ -177,30 +179,14 @@ private:
 constexpr char Magic[4] = {'R', 'S', 'M', 'S'};
 constexpr size_t HeaderSize = 4 + 4 + 4 + 8 + 8 + 8;
 
-/// Payload integrity checksum, eight bytes per multiply instead of one:
-/// each step is (H ^ chunk) * odd-constant, a bijection of H, so any
-/// single corrupted bit changes every later state and survives the final
-/// mix. Chunks are read in host byte order — snapshots are a same-host
-/// cache (the key already pins schema and interner epoch), not an
-/// interchange format, so checksum portability is not required.
+/// Payload integrity checksum: the word fold (support/Hash.h), eight
+/// bytes per multiply, so any single corrupted bit changes every later
+/// state and survives the final mix. Chunks are read in host byte order —
+/// snapshots are a same-host cache (the key already pins schema and
+/// interner epoch), not an interchange format, so checksum portability is
+/// not required. A partial tail word is folded only when there is one.
 uint64_t bodyChecksum(std::string_view B) {
-  constexpr uint64_t M = 0x9e3779b97f4a7c15ull;
-  uint64_t H = 0xcbf29ce484222325ull ^ (static_cast<uint64_t>(B.size()) * M);
-  size_t I = 0;
-  for (; I + 8 <= B.size(); I += 8) {
-    uint64_t C;
-    std::memcpy(&C, B.data() + I, 8);
-    H = (H ^ C) * M;
-  }
-  if (I < B.size()) {
-    uint64_t C = 0;
-    std::memcpy(&C, B.data() + I, B.size() - I);
-    H = (H ^ C) * M;
-  }
-  H ^= H >> 32;
-  H *= M;
-  H ^= H >> 29;
-  return H;
+  return wordFoldFinish(wordFoldBytes(wordFoldSeed(B.size()), B));
 }
 
 //===----------------------------------------------------------------------===//

@@ -251,6 +251,18 @@ TEST(ParallelEngine, FingerprintNormalizesLineEndingsOnly) {
   EXPECT_NE(fingerprintSource("a\rb"), fingerprintSource("ab")); // Lone \r.
 }
 
+TEST(ParallelEngine, FingerprintValuesArePinned) {
+  // Every report, snapshot and facts key folds the source fingerprint, so
+  // these values must never move: a changed word fold or tail rule would
+  // turn every existing cache cold. Lengths 0, 1, 10 and 16 cover an
+  // empty, partial and absent tail word (the empty one is still folded).
+  EXPECT_EQ(fingerprintSource(""), 0x860389c1cc83d5efull);
+  EXPECT_EQ(fingerprintSource("a"), 0x0e1b1e8cee47fb68ull);
+  EXPECT_EQ(fingerprintSource("fn a() {}\n"), 0x202acc753b39f0c3ull);
+  EXPECT_EQ(fingerprintSource("0123456789abcdef"), 0x468f2406b2c2fb7aull);
+  EXPECT_EQ(fingerprintSource("fn a()\r\n{}\r\n"), 0xda05a4b59930b6f8ull);
+}
+
 TEST(ParallelEngine, CorruptDiskEntryDegradesToMissNotCrash) {
   fs::path Dir = writeCorpus("par_corrupt");
   fs::path CacheDir = fs::path(testing::TempDir()) / "par_corrupt_cache";

@@ -186,6 +186,36 @@ TEST(SnapshotRoundTrip, AnchorPathReplacesEveryLocationFile) {
 // Rejection: every defect is a miss, never a crash
 //===----------------------------------------------------------------------===//
 
+TEST(SnapshotRoundTrip, BodyChecksumValuesArePinned) {
+  // Every stored snapshot carries the word-fold checksum of its body in
+  // header bytes 28..35 (little-endian). Body sizes 30 and 32 cover a
+  // partial tail word and none (which is not folded); a changed value
+  // would reject every snapshot already on disk.
+  struct Case {
+    const char *Src;
+    uint64_t BodySize;
+    uint64_t Checksum;
+  };
+  const Case Cases[] = {
+      {"fn f() { bb0: { return; } }\n", 30, 0x333c13c80e6be2e7ull},
+      {"fn fab() { bb0: { return; } }\n", 32, 0x3a400ae013e678a4ull},
+  };
+  auto U64At = [](const std::string &B, size_t Off) {
+    uint64_t V = 0;
+    for (int I = 7; I >= 0; --I)
+      V = (V << 8) | static_cast<unsigned char>(B[Off + I]);
+    return V;
+  };
+  for (const Case &C : Cases) {
+    auto R = Parser::parse(C.Src);
+    ASSERT_TRUE(R) << C.Src;
+    std::string Bytes = snapshot::write(R.take(), /*Fingerprint=*/7);
+    ASSERT_GE(Bytes.size(), 36u);
+    EXPECT_EQ(U64At(Bytes, 20), C.BodySize) << C.Src;
+    EXPECT_EQ(U64At(Bytes, 28), C.Checksum) << C.Src;
+  }
+}
+
 TEST(SnapshotReject, EveryTruncationFails) {
   const uint64_t Fp = 0xabcdef0123456789ull;
   std::string Bytes = richSnapshot(Fp);
