@@ -27,6 +27,12 @@
 /// maps on the side. Types are structurally interned by TypeContext and
 /// referenced by pointer.
 ///
+/// Three hand-written walks cover every field of a function body, in the
+/// same order: the printer (Function::toString, Mir.cpp), the snapshot
+/// codec (Writer and Reader, Snapshot.cpp) and the link fingerprint
+/// (functionFingerprint, analysis/Link.cpp). A new field goes into all
+/// three.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RUSTSIGHT_MIR_MIR_H

@@ -3,6 +3,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace rs;
 using namespace rs::mir;
@@ -389,7 +390,12 @@ bool Parser::parseBlock(DenseTable<BasicBlock> &Blocks) {
   if (!expect(TokKind::LBrace, "'{'"))
     return false;
 
+  // Statements grow in the parser's reused buffer and the block keeps an
+  // exact-size copy: one allocation per block, and a module that outlives
+  // its parse (a linked exporter stays resident) carries no growth slack.
   BasicBlock BB;
+  BB.Statements = std::move(StmtScratch);
+  BB.Statements.clear();
   bool SawTerminator = false;
   while (!SawTerminator) {
     if (Tok.is(TokKind::RBrace))
@@ -399,6 +405,9 @@ bool Parser::parseBlock(DenseTable<BasicBlock> &Blocks) {
   }
   if (!expect(TokKind::RBrace, "'}' after terminator"))
     return false;
+  StmtScratch = std::move(BB.Statements);
+  BB.Statements.assign(std::make_move_iterator(StmtScratch.begin()),
+                       std::make_move_iterator(StmtScratch.end()));
   if (!Blocks.insert(Id, std::move(BB)))
     return fail("duplicate block bb" + std::to_string(Id));
   return true;

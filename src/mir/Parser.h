@@ -188,6 +188,9 @@ private:
   Function *CurFn = nullptr;
   /// Reused buffer for multi-segment paths ("std::sync::Mutex").
   std::string PathScratch;
+  /// Reused buffer a block's statements grow in; the block itself gets an
+  /// exact-size copy (see parseBlock).
+  std::vector<Statement> StmtScratch;
 };
 
 } // namespace rs::mir

@@ -36,6 +36,35 @@ TEST(Parser, MinimalFunction) {
   EXPECT_EQ(F->Blocks[0].Term.K, Terminator::Kind::Return);
 }
 
+TEST(Parser, BlocksHoldExactlyTheirStatements) {
+  // A linked exporter's module stays resident after its parse, so its
+  // blocks carry no vector growth slack, whatever the block sizes.
+  Module M = parseOk("fn f() {\n"
+                     "    let _1: i32;\n"
+                     "    bb0: {\n"
+                     "        StorageLive(_1);\n"
+                     "        _1 = const 1_i32;\n"
+                     "        _1 = const 2_i32;\n"
+                     "        _1 = const 3_i32;\n"
+                     "        _1 = const 4_i32;\n"
+                     "        goto -> bb1;\n"
+                     "    }\n"
+                     "    bb1: {\n"
+                     "        StorageDead(_1);\n"
+                     "        goto -> bb2;\n"
+                     "    }\n"
+                     "    bb2: { return; }\n"
+                     "}\n");
+  const Function *F = M.findFunction("f");
+  ASSERT_NE(F, nullptr);
+  ASSERT_EQ(F->numBlocks(), 3u);
+  const size_t Sizes[] = {5, 1, 0};
+  for (BlockId B = 0; B != 3; ++B) {
+    EXPECT_EQ(F->Blocks[B].Statements.size(), Sizes[B]);
+    EXPECT_EQ(F->Blocks[B].Statements.capacity(), Sizes[B]);
+  }
+}
+
 TEST(Parser, SignatureAndLocals) {
   Module M = parseOk("fn add(_1: i32, _2: i32) -> i32 {\n"
                      "    let mut _3: i32;\n"
