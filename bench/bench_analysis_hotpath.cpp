@@ -9,7 +9,9 @@
 //    work AnalysisContext performs before detectors run) old vs new, where
 //    the new path adopts the analyses the scheduler already built,
 //  - per-statement state queries: O(block^2) stateBefore replay vs the
-//    streaming ForwardCursor.
+//    streaming ForwardCursor,
+//  - the detector battery over one solved AnalysisContext: the cursor
+//    reads every detector pays after the analyses are built.
 // Alongside the printed table it emits BENCH_analysis_hotpath.json in the
 // current directory so successive runs can be compared over time.
 //===----------------------------------------------------------------------===//
@@ -19,6 +21,7 @@
 #include "analysis/CallGraph.h"
 #include "analysis/Memory.h"
 #include "analysis/Summaries.h"
+#include "detectors/Detector.h"
 #include "engine/Engine.h"
 #include "mir/Parser.h"
 #include "support/Json.h"
@@ -169,7 +172,8 @@ uint64_t replayAllPoints(const MemoryAnalysis &MA) {
   return Bits;
 }
 
-/// The same visit via a streaming cursor: each transfer applied once.
+/// The same visit via a cursor read at every point: each statement transfer
+/// applied once, the terminator point copied from the kept exit state.
 uint64_t cursorAllPoints(const MemoryAnalysis &MA) {
   uint64_t Bits = 0;
   const mir::Function &F = MA.cfg().function();
@@ -197,6 +201,8 @@ struct HotpathReport {
   double SummariesRefMs = 0, SummariesSccMs = 0;
   double WholeOldMs = 0, WholeNewMs = 0;
   double ReplayMs = 0, CursorMs = 0;
+  double DetectorsMs = 0;
+  uint64_t DetectorFindings = 0;
   // Whole-program link over the eval corpus: cold vs SummaryDb-warm.
   uint64_t LinkedFiles = 0;
   uint64_t WarmModulesFromDb = 0;
@@ -299,7 +305,26 @@ void printExperiment() {
                 R.ReplayMs / R.CursorMs);
   }
 
-  // 4. Whole-program link over the eval corpus: cold vs SummaryDb-warm.
+  // 4. Every detector over one context whose analyses are already solved:
+  // the first pass builds and caches them, the timed passes only query.
+  {
+    detectors::AnalysisContext Ctx(Large);
+    std::vector<std::unique_ptr<detectors::Detector>> All =
+        detectors::makeAllDetectors();
+    auto RunAll = [&] {
+      detectors::DiagnosticEngine Diags;
+      for (const auto &D : All)
+        D->run(Ctx, Diags);
+      R.DetectorFindings = Diags.count();
+    };
+    RunAll();
+    R.DetectorsMs = bestMs(5, RunAll);
+    std::printf("    %-34s %10.2f ms   (%llu findings)\n",
+                "detector battery, solved context", R.DetectorsMs,
+                (unsigned long long)R.DetectorFindings);
+  }
+
+  // 5. Whole-program link over the eval corpus: cold vs SummaryDb-warm.
   // The warm run is a fresh engine against the populated cache dir, so
   // every exporter's module key is served by the SummaryDb and no module
   // is summarized at all (docs/WHOLEPROGRAM.md).
@@ -362,6 +387,9 @@ void printExperiment() {
   W.value(R.CursorMs);
   W.key("cursor_speedup");
   W.value(R.ReplayMs / R.CursorMs);
+  W.key("detectors_ms");
+  W.value(R.DetectorsMs);
+  W.field("detector_findings", int64_t(R.DetectorFindings));
   W.endObject();
   W.key("linked_corpus");
   W.beginObject();

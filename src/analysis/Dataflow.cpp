@@ -16,16 +16,21 @@ ForwardDataflow::ForwardDataflow(const Cfg &G, const ForwardTransfer &Transfer,
   unsigned N = G.numBlocks();
   BitVec Initial = Transfer.initialState();
   In.assign(N, BitVec(Initial.size()));
+  Exit.resize(N);
   if (N == 0)
     return;
 
+  // Exit[B] is kept in step with In[B]: recomputed exactly when In[B]
+  // changes, so each edge below is one copy plus the terminator's edge
+  // transfer instead of a replay of the predecessor block.
   std::vector<bool> Defined(N, false);
   In[0] = Initial;
   Defined[0] = true;
+  solveBlock(0);
 
   // Round-robin over RPO until fixpoint. The two scratch vectors are reused
   // for every edge of every iteration, so the solver allocates O(1) BitVecs
-  // total instead of one per visited edge.
+  // beyond the per-block states.
   BitVec Edge(Initial.size());
   BitVec NewIn(Initial.size());
   bool Changed = true;
@@ -34,14 +39,16 @@ ForwardDataflow::ForwardDataflow(const Cfg &G, const ForwardTransfer &Transfer,
     for (BlockId B : G.reversePostOrder()) {
       if (Bgt && !Bgt->consume()) {
         Converged = false;
-        return;
+        Changed = false;
+        break;
       }
       if (B != 0) {
         bool First = true;
         for (BlockId P : G.predecessors(B)) {
           if (!Defined[P])
             continue;
-          stateOnEdgeInto(P, B, Edge);
+          Edge = Exit[P];
+          Transfer.transferEdge(G.function().Blocks[P].Term, B, Edge);
           if (First) {
             NewIn = Edge;
             First = false;
@@ -56,11 +63,24 @@ ForwardDataflow::ForwardDataflow(const Cfg &G, const ForwardTransfer &Transfer,
         if (!Defined[B] || !(NewIn == In[B])) {
           In[B] = NewIn;
           Defined[B] = true;
+          solveBlock(B);
           Changed = true;
         }
       }
     }
   }
+
+  // Blocks the solve never reached (unreachable, or cut off by the budget)
+  // keep their empty in-state; their exit is its replay.
+  for (BlockId B = 0; B != N; ++B)
+    if (!Defined[B])
+      solveBlock(B);
+}
+
+void ForwardDataflow::solveBlock(BlockId B) {
+  Exit[B] = In[B];
+  for (const Statement &S : G.function().Blocks[B].Statements)
+    Transfer.transferStatement(S, Exit[B]);
 }
 
 void ForwardDataflow::stateBeforeInto(BlockId B, size_t StmtIndex,
@@ -78,16 +98,10 @@ BitVec ForwardDataflow::stateBefore(BlockId B, size_t StmtIndex) const {
   return State;
 }
 
-void ForwardDataflow::stateOnEdgeInto(BlockId B, BlockId Succ,
-                                      BitVec &Out) const {
-  const BasicBlock &BB = G.function().Blocks[B];
-  stateBeforeInto(B, BB.Statements.size(), Out);
-  Transfer.transferEdge(BB.Term, Succ, Out);
-}
-
 BitVec ForwardDataflow::stateOnEdge(BlockId B, BlockId Succ) const {
-  BitVec State;
-  stateOnEdgeInto(B, Succ, State);
+  const BasicBlock &BB = G.function().Blocks[B];
+  BitVec State = stateBefore(B, BB.Statements.size());
+  Transfer.transferEdge(BB.Term, Succ, State);
   return State;
 }
 

@@ -15,14 +15,16 @@
 /// and liveness facts.
 ///
 /// Per-point queries come in three tiers (see docs/PERFORMANCE.md):
-///  - stateBefore/stateOnEdge: allocate and return a fresh BitVec. Fine for
-///    one-off queries and tests.
-///  - stateBeforeInto/stateOnEdgeInto: write into a caller-owned scratch
-///    BitVec, so repeated queries reuse one allocation.
-///  - ForwardCursor/BackwardCursor: stream a whole block applying each
-///    transfer exactly once — O(block) total where per-statement replay
-///    queries cost O(block^2). Every per-statement consumer (detectors,
-///    summaries, reports) should use a cursor.
+///  - stateBefore/stateOnEdge: allocate and return a fresh BitVec by
+///    replaying the block from its in-state. Fine for one-off queries, and
+///    the reference the solver's kept states and the cursors are tested
+///    against.
+///  - stateBeforeInto: the same replay into a caller-owned scratch BitVec,
+///    so repeated queries reuse one allocation.
+///  - ForwardCursor/BackwardCursor: walk a block in order, paying only for
+///    the points read. Every per-statement consumer (detectors, summaries,
+///    reports) should use a cursor and read state() only where a check uses
+///    it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,8 +60,11 @@ public:
                             BitVec &State) const = 0;
 };
 
-/// Solves a forward dataflow problem to fixpoint and answers per-point
-/// queries by replaying transfers within a block.
+/// Solves a forward dataflow problem to fixpoint, keeping each block's in-
+/// and exit state, and answers other per-point queries by replaying
+/// transfers within a block. An exit state is recomputed only when its
+/// block's in-state changes, so a solve applies each statement transfer
+/// once per distinct in-state of its block.
 ///
 /// With a Budget, each block update consumes one step; when the budget runs
 /// out the solver stops where it is and converged() reports false. The
@@ -80,6 +85,11 @@ public:
   /// state.
   const BitVec &blockIn(mir::BlockId B) const { return In[B]; }
 
+  /// State immediately before the terminator of block \p B: blockIn(B)
+  /// with every statement applied, equal to stateBefore(B, Statements
+  /// .size()) for every block, reachable or not and solved or not.
+  const BitVec &blockExit(mir::BlockId B) const { return Exit[B]; }
+
   /// State immediately before statement \p StmtIndex of block \p B.
   /// Passing StmtIndex == Statements.size() yields the state before the
   /// terminator.
@@ -90,23 +100,27 @@ public:
   void stateBeforeInto(mir::BlockId B, size_t StmtIndex, BitVec &Out) const;
 
   /// State on the edge from \p B to \p Succ (after the terminator's
-  /// edge-specific effect).
+  /// edge-specific effect), replayed like stateBefore.
   BitVec stateOnEdge(mir::BlockId B, mir::BlockId Succ) const;
 
-  /// In-place variant of stateOnEdge.
-  void stateOnEdgeInto(mir::BlockId B, mir::BlockId Succ, BitVec &Out) const;
-
 private:
+  void solveBlock(mir::BlockId B);
+
   const Cfg &G;
   const ForwardTransfer &Transfer;
   std::vector<BitVec> In;
+  std::vector<BitVec> Exit; ///< In[B] with every statement of B applied.
   bool Converged = true;
 };
 
-/// Streams through one block of a solved forward problem, applying each
-/// statement transfer exactly once and exposing the state immediately
-/// before the current statement/terminator. Reusable across blocks via
-/// seek(), which recycles the internal scratch BitVec.
+/// Walks one block of a solved forward problem, exposing the state
+/// immediately before the current statement/terminator. Moving is free:
+/// advance() only steps the position, and state() applies the transfers
+/// still pending since the last read. At the terminator, state() copies the
+/// solver's blockExit() instead of applying anything, so seek(B) followed by
+/// stateAtTerminator() costs no transfer. Read state() only at the points a
+/// check uses. Reusable across blocks via seek(), which recycles the
+/// internal scratch BitVec.
 class ForwardCursor {
 public:
   /// Unpositioned cursor; call seek() before any query.
@@ -121,7 +135,7 @@ public:
     Block = B;
     Index = 0;
     BB = &DF->cfg().function().Blocks[B];
-    State = DF->blockIn(B);
+    Applied = NothingLoaded;
   }
 
   mir::BlockId block() const { return Block; }
@@ -130,20 +144,32 @@ public:
   const mir::Statement &statement() const { return BB->Statements[Index]; }
 
   /// The state immediately before the current statement/terminator.
-  const BitVec &state() const { return State; }
-
-  /// Applies the current statement and moves to the next position.
-  void advance() {
-    DF->transfer().transferStatement(statement(), State);
-    ++Index;
+  const BitVec &state() {
+    if (atTerminator()) {
+      // The solver kept this point; copying it beats replaying the rest.
+      if (Applied != Index) {
+        State = DF->blockExit(Block);
+        Applied = Index;
+      }
+      return State;
+    }
+    if (Applied > Index) {
+      State = DF->blockIn(Block);
+      Applied = 0;
+    }
+    for (; Applied != Index; ++Applied)
+      DF->transfer().transferStatement(BB->Statements[Applied], State);
+    return State;
   }
 
-  /// Advances past any remaining statements and returns the state before
-  /// the terminator.
+  /// Moves to the next position; the statement's transfer is applied only
+  /// if a later state() read needs it.
+  void advance() { ++Index; }
+
+  /// Moves to the terminator and returns the state before it.
   const BitVec &stateAtTerminator() {
-    while (!atTerminator())
-      advance();
-    return State;
+    Index = BB->Statements.size();
+    return state();
   }
 
 private:
@@ -151,6 +177,10 @@ private:
   const mir::BasicBlock *BB = nullptr;
   mir::BlockId Block = 0;
   size_t Index = 0;
+  /// State holds the state before statement Applied. The cursor only moves
+  /// forward, so Applied <= Index once loaded; NothingLoaded exceeds both.
+  static constexpr size_t NothingLoaded = ~size_t(0);
+  size_t Applied = NothingLoaded;
   BitVec State;
 };
 

@@ -527,7 +527,8 @@ std::vector<StatePoint> MemoryAnalysis::transitionSites(ObjEvent Event,
     // The bit may flip on an outgoing edge (drops and lock acquisitions
     // live on call/drop terminators); report that once, at the terminator.
     for (mir::BlockId Succ : G.successors(B)) {
-      DF->stateOnEdgeInto(B, Succ, Edge);
+      Edge = C.state();
+      transferEdge(F.Blocks[B].Term, Succ, Edge);
       if (Edge.test(Bit)) {
         Out.push_back({B, F.Blocks[B].Statements.size(), F.Blocks[B].Term.Loc});
         break;

@@ -94,6 +94,11 @@ public:
     return BlockSummary[B];
   }
 
+  /// The intrinsic classification of the callee block \p B's terminator
+  /// calls (IntrinsicKind::None for non-call terminators and for calls to
+  /// non-intrinsics), resolved once at construction.
+  mir::IntrinsicKind calleeKind(mir::BlockId B) const { return BlockKind[B]; }
+
   // --- State queries (operate on a state BitVec from the dataflow) --------
 
   bool pointsTo(const BitVec &State, mir::LocalId L, ObjId O) const {
@@ -132,9 +137,9 @@ public:
   void placeTargetObjects(const BitVec &State, const mir::Place &P,
                           BitVec &Out) const;
 
-  /// Streams through one block applying each transfer exactly once;
-  /// detectors use this to inspect the state immediately before each
-  /// statement/terminator. Reusable across blocks via seek().
+  /// Walks one block; detectors use this to inspect the state immediately
+  /// before a statement/terminator, paying transfers only for the points
+  /// whose state() they read. Reusable across blocks via seek().
   using Cursor = ForwardCursor;
 
   /// Unpositioned reusable cursor: seek() it at each block of interest.

@@ -21,8 +21,9 @@ ModuleAnalysisCache::~ModuleAnalysisCache() = default;
 namespace {
 
 /// Computes one function's summary from its (already solved) memory
-/// analysis and the current summaries of its callees. Streams each block
-/// once with a reusable cursor; callee summaries come pre-resolved per
+/// analysis and the current summaries of its callees. Reads only each
+/// block's state before the terminator, which the solver keeps, so it
+/// applies no transfer; callee kinds and summaries come pre-resolved per
 /// block from \p MA.
 FunctionSummary summarizeFromAnalysis(const Function &F, const Cfg &G,
                                       const MemoryAnalysis &MA) {
@@ -54,7 +55,7 @@ FunctionSummary summarizeFromAnalysis(const Function &F, const Cfg &G,
     // Lock acquisitions rooted at parameters (direct or via callees).
     if (BB.Term.K != Terminator::Kind::Call)
       continue;
-    IntrinsicKind Kind = classifyIntrinsic(BB.Term.Callee);
+    IntrinsicKind Kind = MA.calleeKind(B);
     if (isLockAcquire(Kind)) {
       if (BB.Term.Args.empty())
         continue;

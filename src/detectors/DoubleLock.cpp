@@ -99,7 +99,7 @@ void DoubleLockDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       if (T.K != Terminator::Kind::Call)
         continue;
       size_t AtTerm = F.Blocks[B].Statements.size();
-      IntrinsicKind Kind = classifyIntrinsic(T.Callee);
+      IntrinsicKind Kind = MA.calleeKind(B);
 
       // Direct acquisition: locks deadlock on conflict, RefCell borrows
       // panic (same discipline, different failure mode and bug kind).

@@ -101,9 +101,8 @@ void InteriorMutabilityDetector::run(AnalysisContext &Ctx,
       }
       // ptr::write into self-derived memory counts as a store too.
       const Terminator &T = F.Blocks[B].Term;
-      if (T.K == Terminator::Kind::Call &&
-          classifyIntrinsic(T.Callee) == IntrinsicKind::PtrWrite &&
-          !T.Args.empty() && T.Args[0].isPlace()) {
+      if (MA.calleeKind(B) == IntrinsicKind::PtrWrite && !T.Args.empty() &&
+          T.Args[0].isPlace()) {
         BitVec Targets(Objects.numObjects());
         MA.placeValuePointees(C.state(), T.Args[0].P, Targets);
         if (Targets.test(SelfObj) && !anyExclusiveLockHeld(MA, C.state()))

@@ -87,7 +87,7 @@ std::vector<OrderEdge> collectEdges(AnalysisContext &Ctx, const Function &F) {
     if (T.K != Terminator::Kind::Call)
       continue;
     size_t AtTerm = F.Blocks[B].Statements.size();
-    IntrinsicKind Kind = classifyIntrinsic(T.Callee);
+    IntrinsicKind Kind = MA.calleeKind(B);
 
     // The parameters whose locks this call acquires, each tagged with the
     // external callee it was acquired inside (null for direct/local).

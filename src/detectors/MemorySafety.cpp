@@ -106,8 +106,7 @@ void InvalidFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       const Place *Dropped = nullptr;
       if (T.K == Terminator::Kind::Drop)
         Dropped = &T.DropPlace;
-      else if (T.K == Terminator::Kind::Call &&
-               classifyIntrinsic(T.Callee) == IntrinsicKind::MemDrop &&
+      else if (MA.calleeKind(B) == IntrinsicKind::MemDrop &&
                !T.Args.empty() && T.Args[0].isPlace())
         Dropped = &T.Args[0].P;
       if (!Dropped || !Dropped->isLocal())
@@ -164,8 +163,7 @@ void DoubleFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       const Place *Dropped = nullptr;
       if (T.K == Terminator::Kind::Drop)
         Dropped = &T.DropPlace;
-      else if (T.K == Terminator::Kind::Call &&
-               classifyIntrinsic(T.Callee) == IntrinsicKind::MemDrop &&
+      else if (MA.calleeKind(B) == IntrinsicKind::MemDrop &&
                !T.Args.empty() && T.Args[0].isPlace())
         Dropped = &T.Args[0].P;
       if (Dropped && Dropped->isLocal()) {
@@ -186,9 +184,8 @@ void DoubleFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       }
 
       // Record ptr::read duplications.
-      if (T.K == Terminator::Kind::Call && T.HasDest && T.Dest.isLocal() &&
-          classifyIntrinsic(T.Callee) == IntrinsicKind::PtrRead &&
-          !T.Args.empty() && T.Args[0].isPlace()) {
+      if (MA.calleeKind(B) == IntrinsicKind::PtrRead && T.HasDest &&
+          T.Dest.isLocal() && !T.Args.empty() && T.Args[0].isPlace()) {
         BitVec Sources(Objects.numObjects());
         MA.placeValuePointees(State, T.Args[0].P, Sources);
         Sources.forEach([&](size_t O) {
@@ -289,13 +286,15 @@ void UninitReadDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       while (!C.atTerminator()) {
         Uses.clear();
         collectUses(C.statement(), Uses);
-        Check(C.state(), Uses, B, C.index(), C.statement().Loc);
+        if (anyDerefUse(Uses))
+          Check(C.state(), Uses, B, C.index(), C.statement().Loc);
         C.advance();
       }
       Uses.clear();
       const Terminator &T = F.Blocks[B].Term;
       collectUses(T, Uses);
-      Check(C.state(), Uses, B, C.index(), T.Loc);
+      if (anyDerefUse(Uses))
+        Check(C.state(), Uses, B, C.index(), T.Loc);
     }
   }
 }

@@ -48,3 +48,10 @@ void rs::detectors::collectUses(const Terminator &T,
     return;
   }
 }
+
+bool rs::detectors::anyDerefUse(const std::vector<PlaceUse> &Uses) {
+  for (const PlaceUse &U : Uses)
+    if (U.P->hasDeref())
+      return true;
+  return false;
+}

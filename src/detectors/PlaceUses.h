@@ -34,6 +34,11 @@ void collectUses(const mir::Statement &S, std::vector<PlaceUse> &Out);
 /// Appends the places read or written by terminator \p T.
 void collectUses(const mir::Terminator &T, std::vector<PlaceUse> &Out);
 
+/// True if some use in \p Uses dereferences its place: the only points the
+/// pointer-safety detectors check, so the only ones whose memory state they
+/// need to read.
+bool anyDerefUse(const std::vector<PlaceUse> &Uses);
+
 } // namespace rs::detectors
 
 #endif // RUSTSIGHT_DETECTORS_PLACEUSES_H

@@ -115,14 +115,16 @@ void UseAfterFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       while (!C.atTerminator()) {
         Uses.clear();
         collectUses(C.statement(), Uses);
-        checkUses(Ctx, MA, C.state(), Uses, F, B, C.index(),
-                  C.statement().Loc, Diags);
+        if (anyDerefUse(Uses))
+          checkUses(Ctx, MA, C.state(), Uses, F, B, C.index(),
+                    C.statement().Loc, Diags);
         C.advance();
       }
       Uses.clear();
       const Terminator &T = F.Blocks[B].Term;
       collectUses(T, Uses);
-      checkUses(Ctx, MA, C.state(), Uses, F, B, C.index(), T.Loc, Diags);
+      if (anyDerefUse(Uses))
+        checkUses(Ctx, MA, C.state(), Uses, F, B, C.index(), T.Loc, Diags);
     }
   }
 }

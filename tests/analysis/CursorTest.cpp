@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 using namespace rs;
 using namespace rs::analysis;
 using namespace rs::mir;
@@ -24,7 +26,9 @@ Module parseOk(std::string_view Src) {
 
 /// Checks ForwardCursor against ForwardDataflow::stateBefore and
 /// BackwardCursor against BackwardDataflow::stateBefore at every statement
-/// index of every block of \p F.
+/// index of every block of \p F, the solver's kept exit states against the
+/// replayed state before each terminator, and a cursor that skips reads
+/// against the replay at the point where it finally reads.
 void expectCursorsMatchReplay(const Function &F, const Module &M,
                               const SummaryMap *Summaries = nullptr) {
   Cfg G(F);
@@ -52,6 +56,18 @@ void expectCursorsMatchReplay(const Function &F, const Module &M,
           << F.Name << " bb" << B << " stmt " << I;
       if (I != N)
         Fwd.advance();
+    }
+    // The kept exit state is the replay, reachable block or not.
+    EXPECT_EQ(MA.dataflow().blockExit(B), MA.dataflow().stateBefore(B, N))
+        << F.Name << " bb" << B;
+    // A cursor that moves without reading applies the pending transfers
+    // (or takes the kept exit state) only when state() is finally read.
+    for (size_t K = 0; K <= N; ++K) {
+      Fwd.seek(B);
+      for (size_t I = 0; I != K; ++I)
+        Fwd.advance();
+      EXPECT_EQ(Fwd.state(), MA.dataflow().stateBefore(B, K))
+          << F.Name << " bb" << B << " skipped to stmt " << K;
     }
   }
 }
@@ -147,4 +163,87 @@ TEST(Cursor, GeneratedCorpusModules) {
                                      {Mutation::RefCellConflict, true, 1}});
   ASSERT_FALSE(M.functions().empty());
   expectCursorsMatchReplay(M);
+}
+
+namespace {
+
+/// Gen-only transfer that counts how often each statement's transfer runs:
+/// every assignment to a plain local sets that local's bit.
+class CountingTransfer : public ForwardTransfer {
+public:
+  explicit CountingTransfer(size_t NumLocals) : NumLocals(NumLocals) {}
+
+  BitVec initialState() const override { return BitVec(NumLocals); }
+
+  void transferStatement(const Statement &S, BitVec &State) const override {
+    ++Calls[&S];
+    ++Total;
+    if (S.K == Statement::Kind::Assign && S.Dest.Projs.empty())
+      State.set(S.Dest.Base);
+  }
+
+  void transferEdge(const Terminator &, BlockId, BitVec &) const override {}
+
+  mutable std::map<const Statement *, unsigned> Calls;
+  mutable unsigned Total = 0;
+
+private:
+  size_t NumLocals;
+};
+
+} // namespace
+
+TEST(Cursor, SolveAndTerminatorQueriesApplyEachTransferOnce) {
+  // A diamond (bb0-bb3), a self-loop (bb4), an exit (bb5) and a block no
+  // edge reaches (bb6).
+  Module M = parseOk("fn f(_1: i32) {\n"
+                     "    let _2: i32;\n"
+                     "    let _3: i32;\n"
+                     "    let _4: i32;\n"
+                     "    let _5: i32;\n"
+                     "    let _6: i32;\n"
+                     "    let _7: i32;\n"
+                     "    bb0: {\n"
+                     "        _2 = const 0;\n"
+                     "        _3 = const 0;\n"
+                     "        switchInt(copy _1) -> [0: bb1, otherwise: bb2];\n"
+                     "    }\n"
+                     "    bb1: { _4 = const 1; goto -> bb3; }\n"
+                     "    bb2: { _5 = const 2; _4 = const 2; goto -> bb3; }\n"
+                     "    bb3: { _2 = const 3; goto -> bb4; }\n"
+                     "    bb4: {\n"
+                     "        _6 = const 4;\n"
+                     "        switchInt(copy _1) -> [0: bb5, otherwise: bb4];\n"
+                     "    }\n"
+                     "    bb5: { _3 = const 5; return; }\n"
+                     "    bb6: { _7 = const 6; return; }\n"
+                     "}\n");
+  const Function &F = *M.findFunction("f");
+  Cfg G(F);
+  CountingTransfer T(F.numLocals());
+  ForwardDataflow DF(G, T);
+  ASSERT_TRUE(DF.converged());
+
+  // The solve applies each statement of the acyclic part, and of the
+  // unreachable block, exactly once; the loop may repeat while it changes.
+  for (BlockId B : {0u, 1u, 2u, 3u, 6u})
+    for (const Statement &S : F.Blocks[B].Statements)
+      EXPECT_EQ(T.Calls[&S], 1u) << "bb" << B;
+
+  // Reading only the terminator point costs no transfer, and neither does
+  // moving without reading.
+  T.Total = 0;
+  ForwardCursor C(DF);
+  for (BlockId B = 0; B != F.numBlocks(); ++B) {
+    C.seek(B);
+    EXPECT_EQ(C.stateAtTerminator(),
+              DF.stateBefore(B, F.Blocks[B].Statements.size()));
+    C.seek(B);
+    while (!C.atTerminator())
+      C.advance();
+  }
+  unsigned Replayed = 0;
+  for (const BasicBlock &BB : F.Blocks)
+    Replayed += BB.Statements.size();
+  EXPECT_EQ(T.Total, Replayed) << "only the stateBefore replays may apply";
 }

@@ -97,6 +97,30 @@ TEST(DataflowBudget, ExhaustionStopsWithoutConverging) {
       }
 }
 
+TEST(DataflowBudget, StoppedSolveKeepsReplayedExitStates) {
+  // Wherever the budget stops the solve (before, inside and after the
+  // loop's rounds), every block's kept exit state is the replay of its
+  // in-state, including blocks the solve never reached.
+  Module M = parseOk(LoopSrc);
+  const Function &F = *M.findFunction("looping");
+  Cfg G(F);
+  AssignedLocals T(F.numLocals());
+  for (uint64_t Steps = 1; Steps != 12; ++Steps) {
+    Budget B = Budget::steps(Steps);
+    ForwardDataflow DF(G, T, &B);
+    Budget MB = Budget::steps(Steps);
+    MemoryAnalysis MA(G, M, /*Summaries=*/nullptr, &MB);
+    for (BlockId BB = 0; BB != F.numBlocks(); ++BB) {
+      size_t N = F.Blocks[BB].Statements.size();
+      EXPECT_EQ(DF.blockExit(BB), DF.stateBefore(BB, N))
+          << Steps << " steps, bb" << BB;
+      EXPECT_EQ(MA.dataflow().blockExit(BB),
+                MA.dataflow().stateBefore(BB, N))
+          << Steps << " steps, bb" << BB;
+    }
+  }
+}
+
 TEST(DataflowBudget, GenerousBudgetStillConverges) {
   Module M = parseOk(LoopSrc);
   const Function &F = *M.findFunction("looping");

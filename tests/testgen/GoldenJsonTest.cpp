@@ -10,12 +10,16 @@
 //       examples/mir/eval/clean_0.mir > tests/golden/check.json || true
 //   ./build/examples/rustsight eval --json examples/mir/eval \
 //       > tests/golden/eval.json
+//   ./build/examples/rustsight check --json --jobs 1 --no-cache \
+//       --max-dataflow-iters 4 examples/mir/*.mir tests/mir/regress/*.mir \
+//       > tests/golden/check_budget.json || true
 
 #include "engine/Engine.h"
 #include "testgen/Scorecard.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -55,6 +59,31 @@ TEST(GoldenJsonTest, CheckJsonSchemaIsPinned) {
         E.analyzeCorpus({"examples/mir/eval/uaf_post_drop_bug_0.mir",
                          "examples/mir/eval/clean_0.mir"});
     EXPECT_EQ(Report.renderJson() + "\n", slurp("tests/golden/check.json"));
+  });
+}
+
+// A dataflow budget small enough that most functions stop mid-solve: the
+// degraded reports pin what the solver keeps for blocks a stopped solve
+// reached and for blocks it never did.
+TEST(GoldenJsonTest, BudgetDegradedCheckJsonIsPinned) {
+  atRepoRoot([] {
+    std::vector<std::string> Paths;
+    for (const char *Dir : {"examples/mir", "tests/mir/regress"}) {
+      std::vector<std::string> InDir;
+      for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+        if (E.is_regular_file() && E.path().extension() == ".mir")
+          InDir.push_back(E.path().generic_string());
+      std::sort(InDir.begin(), InDir.end());
+      Paths.insert(Paths.end(), InDir.begin(), InDir.end());
+    }
+    engine::EngineOptions Opts;
+    Opts.Jobs = 1;
+    Opts.UseCache = false;
+    Opts.MaxDataflowIters = 4;
+    engine::AnalysisEngine E(Opts);
+    engine::CorpusReport Report = E.analyzeCorpus(Paths);
+    EXPECT_EQ(Report.renderJson() + "\n",
+              slurp("tests/golden/check_budget.json"));
   });
 }
 

@@ -40,6 +40,9 @@ run_check() {
 run_check tests/golden/check.json \
   examples/mir/eval/uaf_post_drop_bug_0.mir examples/mir/eval/clean_0.mir
 run_check tests/golden/regress_check.json tests/mir/regress/*.mir
+# A dataflow budget that stops most solves mid-way: pins degraded output.
+run_check tests/golden/check_budget.json --max-dataflow-iters 4 \
+  examples/mir/*.mir tests/mir/regress/*.mir
 "$RUSTSIGHT" eval --json examples/mir/eval > tests/golden/eval.json
 
 # The paper-vs-reproduced rows each Section 7 bench prints before timing;
@@ -48,5 +51,5 @@ for b in sec7_detectors sec7_ablation; do
   "$BENCH_DIR/bench_$b" --benchmark_filter=none > "tests/golden/$b.txt"
 done
 
-echo "regenerated: tests/golden/{check,regress_check,eval}.json," \
+echo "regenerated: tests/golden/{check,regress_check,check_budget,eval}.json," \
   "tests/golden/sec7_{detectors,ablation}.txt"
