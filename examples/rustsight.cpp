@@ -47,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -95,9 +96,9 @@ struct CheckOptions {
   /// instead of the in-process corpus driver. Output is byte-identical
   /// either way.
   std::string Isolate = "none"; ///< "none" or "process".
-  uint64_t Shards = 0;          ///< Worker shard count (0 = worker slots).
+  unsigned Shards = 0;          ///< Worker shard count (0 = worker slots).
   uint64_t TimeoutMs = 0;       ///< Per-shard watchdog (0 = none).
-  uint64_t MaxRetries = 2;      ///< Attempts before quarantine/bisect.
+  unsigned MaxRetries = 2;      ///< Attempts before quarantine/bisect.
   std::string CheckpointPath;   ///< Journal ("" = <cache-dir> default).
   bool Resume = false;
 
@@ -121,10 +122,10 @@ int cmdCheck(const std::vector<std::string> &Files, const CheckOptions &Opts,
   if (Opts.supervised()) {
     engine::SupervisorOptions SO;
     SO.Engine = Opts.Engine;
-    SO.Shards = static_cast<unsigned>(Opts.Shards);
+    SO.Shards = Opts.Shards;
     SO.MaxWorkers = Opts.Engine.Jobs;
     SO.TimeoutMs = Opts.TimeoutMs;
-    SO.MaxRetries = static_cast<unsigned>(Opts.MaxRetries);
+    SO.MaxRetries = Opts.MaxRetries;
     SO.WorkerExe = proc::currentExecutablePath(Argv0);
     SO.CheckpointPath = Opts.CheckpointPath;
     if (SO.CheckpointPath.empty() && !Opts.Engine.CacheDir.empty())
@@ -477,9 +478,12 @@ int usage() {
 }
 
 /// Parses "--flag N" / "--flag=N" style numeric options; advances \p I past
-/// a consumed separate value argument.
-bool parseNumericFlag(int argc, char **argv, int &I, const char *Flag,
-                      uint64_t &Out, bool &Bad) {
+/// a consumed separate value argument. N is plain decimal digits: a sign,
+/// or a value \p Out cannot hold, is \p Bad (strtoull would wrap "-1" to
+/// 2^64-1, and a cast would truncate 2^32 to 0).
+template <typename T>
+bool parseNumericFlag(int argc, char **argv, int &I, const char *Flag, T &Out,
+                      bool &Bad) {
   size_t FlagLen = std::strlen(Flag);
   if (std::strncmp(argv[I], Flag, FlagLen) != 0)
     return false;
@@ -495,9 +499,15 @@ bool parseNumericFlag(int argc, char **argv, int &I, const char *Flag,
   } else {
     return false;
   }
-  char *End = nullptr;
-  Out = std::strtoull(Val, &End, 10);
-  Bad = End == Val || *End != '\0';
+  uint64_t V = 0;
+  Bad = *Val == '\0';
+  for (const char *P = Val; *P && !Bad; ++P) {
+    const unsigned D = static_cast<unsigned>(*P - '0');
+    Bad = D > 9 || V > (std::numeric_limits<T>::max() - D) / 10;
+    V = V * 10 + D;
+  }
+  if (!Bad)
+    Out = static_cast<T>(V);
   return true;
 }
 
@@ -538,8 +548,6 @@ int main(int argc, char **argv) {
   FuzzCliOptions Fuzz;
   ServeCliOptions Serve;
   std::vector<std::string> Inputs;
-  uint64_t Jobs = 0;
-  uint64_t SummaryRounds = Check.Engine.MaxSummaryRounds;
   for (int I = 2; I < argc; ++I) {
     bool Bad = false;
     if (std::strcmp(argv[I], "--json") == 0)
@@ -571,7 +579,7 @@ int main(int argc, char **argv) {
              parseNumericFlag(argc, argv, I, "--max-file-steps",
                               Check.Engine.MaxFileSteps, Bad) ||
              parseNumericFlag(argc, argv, I, "--max-summary-rounds",
-                              SummaryRounds, Bad) ||
+                              Check.Engine.MaxSummaryRounds, Bad) ||
              parseNumericFlag(argc, argv, I, "--max-dataflow-iters",
                               Check.Engine.MaxDataflowIters, Bad) ||
              parseNumericFlag(argc, argv, I, "--shards", Check.Shards, Bad) ||
@@ -582,7 +590,8 @@ int main(int argc, char **argv) {
              parseStringFlag(argc, argv, I, "--isolate", Check.Isolate, Bad) ||
              parseStringFlag(argc, argv, I, "--checkpoint",
                              Check.CheckpointPath, Bad) ||
-             parseNumericFlag(argc, argv, I, "--jobs", Jobs, Bad) ||
+             parseNumericFlag(argc, argv, I, "--jobs", Check.Engine.Jobs,
+                              Bad) ||
              parseNumericFlag(argc, argv, I, "--debounce-ms",
                               Serve.DebounceMs, Bad) ||
              parseNumericFlag(argc, argv, I, "--idle-timeout-ms",
@@ -615,8 +624,6 @@ int main(int argc, char **argv) {
     } else
       Inputs.emplace_back(argv[I]);
   }
-  Check.Engine.Jobs = static_cast<unsigned>(Jobs);
-  Check.Engine.MaxSummaryRounds = static_cast<unsigned>(SummaryRounds);
   if (Check.Format != "text" && Check.Format != "json" &&
       Check.Format != "sarif")
     return usage();

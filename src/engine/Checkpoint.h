@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The supervisor's checkpoint journal: a single JSON document, rewritten
-/// through rs::writeFileAtomic (the write the ResultCache disk layer uses
-/// too), recording every finalized FileReport of a supervised corpus run.
+/// through rs::writeFileAtomic, recording every finalized FileReport of a
+/// supervised corpus run.
 /// A run that dies — SIGKILL, OOM, power loss — resumes from the journal:
 /// completed files replay verbatim (each entry is the report's one
 /// payload, serializeFileReport, so the merged report is byte-identical to

@@ -63,6 +63,7 @@ AnalysisEngine::AnalysisEngine(EngineOptions O)
   sched::ResultCache::Options CO;
   CO.MaxMemoryEntries = Opts.CacheMaxEntries;
   CO.DiskDir = Opts.CacheDir;
+  CO.Generation = Opts.CacheGeneration;
   Cache = std::make_unique<sched::ResultCache>(std::move(CO));
 }
 

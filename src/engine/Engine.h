@@ -220,6 +220,11 @@ struct EngineOptions {
   /// In-memory entry cap of the result cache, the one LRU that reports,
   /// snapshots, link facts and summaries share (0 = unbounded).
   size_t CacheMaxEntries = 4096;
+
+  /// The on-disk generation the cache's segment joins (0 = its own; see
+  /// sched::ResultCache::Options::Generation). Set by a supervised run's
+  /// workers to their supervisor's.
+  uint64_t CacheGeneration = 0;
 };
 
 //===----------------------------------------------------------------------===//

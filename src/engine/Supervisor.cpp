@@ -549,6 +549,28 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   const unsigned Hardware =
       std::max(1u, std::thread::hardware_concurrency());
 
+  // The supervisor's one cache: it only ever holds the summaries, as the
+  // workers' engines keep everything else.
+  std::optional<sched::ResultCache> Cache;
+  if (Opts.Engine.UseCache) {
+    sched::ResultCache::Options CO;
+    CO.DiskDir = Opts.Engine.CacheDir;
+    CO.MaxMemoryEntries = Opts.Engine.CacheMaxEntries;
+    Cache.emplace(std::move(CO));
+  }
+  // Every preamble hands the workers this run's cache generation, so the
+  // segments of all the run's processes are one generation on disk.
+  const uint64_t Generation =
+      Cache && !Opts.Engine.CacheDir.empty() ? Cache->generation() : 0;
+  auto Preamble = [&](std::string_view Mode, std::string_view Fields) {
+    std::string P = "{\"mode\":\"" + std::string(Mode) + "\"";
+    if (Generation)
+      P += ",\"generation\":" + std::to_string(Generation);
+    if (!Fields.empty())
+      P += "," + std::string(Fields);
+    return P + "}";
+  };
+
   // The link step: the block the in-process driver runs, with the fleet as
   // its transport, so the round trajectory, the environment and the
   // per-file digests are byte-identical to an in-process run over the same
@@ -562,7 +584,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
       Lines.push_back("-\t" + Inputs[I].Path);
     std::vector<std::optional<analysis::ModuleFacts>> Facts(Ordinals.size());
     std::vector<std::optional<std::string>> Payloads =
-        runLinkPhase(Opts, LinkWorkers, "{\"mode\":\"facts\"}", Lines);
+        runLinkPhase(Opts, LinkWorkers, Preamble("facts", ""), Lines);
     for (size_t K = 0; K != Payloads.size(); ++K)
       if (Payloads[K])
         Facts[K] = analysis::deserializeModuleFacts(*Payloads[K],
@@ -578,8 +600,8 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
         std::vector<analysis::ModuleSummaries> Round;
         for (std::optional<std::string> &P : runLinkPhase(
                  Opts, LinkWorkers,
-                 "{\"mode\":\"summarize\",\"env\":" +
-                     jsonString(analysis::serializeEnv(Env)) + "}",
+                 Preamble("summarize",
+                          "\"env\":" + jsonString(analysis::serializeEnv(Env))),
                  Lines))
           if (P)
             if (std::optional<analysis::ModuleSummaries> MS =
@@ -587,15 +609,6 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
               Round.push_back(std::move(*MS));
         return Round;
       };
-  // The supervisor's one cache: it only ever holds the summaries, as the
-  // workers' engines keep everything else.
-  std::optional<sched::ResultCache> Cache;
-  if (Opts.Engine.UseCache) {
-    sched::ResultCache::Options CO;
-    CO.DiskDir = Opts.Engine.CacheDir;
-    CO.MaxMemoryEntries = Opts.Engine.CacheMaxEntries;
-    Cache.emplace(std::move(CO));
-  }
   LinkPlan Link =
       linkCorpus(Opts.Engine, Inputs, Cache ? &*Cache : nullptr, Transport);
   Link.Facts.clear();
@@ -634,9 +647,8 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   // Every analyze feed carries the preamble with the link environment. A
   // file outside the link, or one whose digest is 0 (it resolves no extern
   // callee), has "-" for its digest and is a per-file run, as in-process.
-  const std::string Preamble = "{\"mode\":\"analyze\",\"env\":" +
-                               jsonString(analysis::serializeEnv(Link.Env)) +
-                               "}";
+  const std::string AnalyzePreamble = Preamble(
+      "analyze", "\"env\":" + jsonString(analysis::serializeEnv(Link.Env)));
   std::vector<std::string> Lines(N);
   for (size_t I = 0; I != N; ++I)
     Lines[I] = (Link.Digest[I].value_or(0)
@@ -772,8 +784,8 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
       return std::nullopt;
     return deserializeFileReport(*R, Inputs[Ordinal].Path);
   };
-  runFleet<FileReport>(Opts, MaxWorkers, Preamble, Lines, DecodeReport, Queue,
-                       Finish, Interrupted);
+  runFleet<FileReport>(Opts, MaxWorkers, AnalyzePreamble, Lines, DecodeReport,
+                       Queue, Finish, Interrupted);
 
   // Only an interrupt can leave holes; a completed run resolved every
   // ordinal through done/quarantine handling.
@@ -815,7 +827,6 @@ void writeFrame(std::string_view Payload) {
 int rs::engine::runWorker(const EngineOptions &OptsIn) {
   EngineOptions Opts = OptsIn;
   Opts.Jobs = 1; // Parallelism is the supervisor's job, one level up.
-  AnalysisEngine Engine(Opts);
 
   // Fault injection must cross the process boundary, so the worker side is
   // armed through the environment rather than the in-process registry:
@@ -868,6 +879,8 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
         std::fprintf(stderr, "worker: unknown mode preamble\n");
         return 3;
       }
+      Opts.CacheGeneration =
+          static_cast<uint64_t>(std::max<int64_t>(0, P->getInt("generation")));
       std::string_view E = P->getString("env");
       if (!E.empty()) {
         std::optional<analysis::ExternalSummaries> D =
@@ -895,6 +908,7 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
     Items.push_back(std::move(It));
   }
 
+  AnalysisEngine Engine(Opts);
   for (const Item &It : Items) {
     if (FaultFile.empty() ||
         It.Path.find(FaultFile) != std::string::npos) {

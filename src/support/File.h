@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Whole-file reads and writes. readFile() is the one the result cache and
-/// the engine use: one open, one fstat and read() straight into the result.
-/// writeFileAtomic() is the one write path of the result cache and the
-/// checkpoint journal: readers never see a torn file.
+/// Whole-file reads and writes. readFile() is the one the engine and the
+/// checkpoint journal use: one open, one fstat and read() straight into the
+/// result. writeFileAtomic() is the checkpoint journal's write: readers
+/// never see a torn file.
 ///
 //===----------------------------------------------------------------------===//
 

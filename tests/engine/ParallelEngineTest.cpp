@@ -9,6 +9,8 @@
 
 #include "engine/Engine.h"
 
+#include "../sched/CacheSegments.h"
+
 #include "diag/Version.h"
 #include "support/FaultInjection.h"
 #include "testgen/Mutators.h"
@@ -276,8 +278,8 @@ TEST(ParallelEngine, CorruptDiskEntryDegradesToMissNotCrash) {
     Cold = E.analyzeCorpus({Dir.string()}).renderJson();
   }
   // Vandalize every entry.
-  for (const auto &Entry : fs::directory_iterator(CacheDir))
-    std::ofstream(Entry.path(), std::ios::trunc) << "@@corrupt@@";
+  for (const cachetest::Entry &Entry : cachetest::entries(CacheDir))
+    cachetest::corruptPayload(Entry);
   AnalysisEngine E(O);
   CorpusReport R = E.analyzeCorpus({Dir.string()});
   EXPECT_EQ(R.renderJson(), Cold);

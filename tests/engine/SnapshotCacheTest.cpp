@@ -12,6 +12,8 @@
 
 #include "engine/Engine.h"
 
+#include "../sched/CacheSegments.h"
+
 #include "diag/Version.h"
 #include "mir/Snapshot.h"
 #include "support/FaultInjection.h"
@@ -80,50 +82,27 @@ fs::path freshCacheDir(const char *Name) {
   return Dir;
 }
 
-/// The path of the snapshot blob the engine would store for \p Source.
-fs::path snapshotPathFor(const fs::path &CacheDir, std::string_view Source) {
-  return CacheDir / sched::ResultCache::blobFileName(
-                        snapshotCacheKey(fingerprintSource(Source)));
+/// The key of the snapshot blob the engine would store for \p Source.
+uint64_t snapshotKeyFor(std::string_view Source) {
+  return snapshotCacheKey(fingerprintSource(Source));
 }
 
-std::string readFile(const fs::path &P) {
-  std::ifstream In(P, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
-void writeFile(const fs::path &P, std::string_view Bytes) {
-  std::ofstream Out(P, std::ios::binary | std::ios::trunc);
-  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-}
-
-/// The cache envelope's header: magic, version, key, size, checksum.
-constexpr size_t EnvelopeHeader = 32;
-
-/// The one report entry in \p CacheDir, found by its payload (a report
-/// serializes as {"v":<ReportSchemaVersion>,"detectors":...}); empty when
-/// there is not exactly one.
-fs::path reportEntry(const fs::path &CacheDir) {
+/// True when \p Payload is a report entry's (a report serializes as
+/// {"v":<ReportSchemaVersion>,"detectors":...}).
+bool isReport(std::string_view Payload) {
   const std::string Prefix = "{\"v\":" +
                              std::to_string(version::ReportSchemaVersion) +
                              ",\"detectors\":";
-  std::vector<fs::path> Found;
-  for (const auto &F : fs::directory_iterator(CacheDir)) {
-    std::string Bytes = readFile(F.path());
-    if (Bytes.size() >= EnvelopeHeader &&
-        Bytes.compare(EnvelopeHeader, Prefix.size(), Prefix) == 0)
-      Found.push_back(F.path());
-  }
-  return Found.size() == 1 ? Found[0] : fs::path();
+  return Payload.substr(0, Prefix.size()) == Prefix;
 }
 
-/// Recomputes the envelope checksum over an edited payload, so only the
-/// layers above the cache can reject it.
-void reseal(std::string &Envelope) {
-  uint64_t H = fnv1a64(std::string_view(Envelope).substr(EnvelopeHeader));
-  for (int I = 0; I != 8; ++I)
-    Envelope[24 + I] = static_cast<char>((H >> (8 * I)) & 0xff);
+/// The keys of the report entries sealed in \p CacheDir.
+std::vector<uint64_t> reportKeys(const fs::path &CacheDir) {
+  std::vector<uint64_t> Keys;
+  for (const cachetest::Entry &E : cachetest::entries(CacheDir))
+    if (isReport(E.Payload))
+      Keys.push_back(E.Key);
+  return Keys;
 }
 
 std::string renderReport(const FileReport &R) {
@@ -144,11 +123,16 @@ TEST(SnapshotCache, CleanAnalysisStoresASnapshotBlob) {
   fs::path CacheDir = freshCacheDir("snap_store_cache");
   EngineOptions O;
   O.CacheDir = CacheDir.string();
-  AnalysisEngine E(O);
-  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
-  EXPECT_EQ(R.Status, EngineStatus::Ok);
-  EXPECT_EQ(R.Findings.size(), 1u);
-  EXPECT_TRUE(fs::exists(snapshotPathFor(CacheDir, BuggySrc)));
+  {
+    AnalysisEngine E(O);
+    FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
+    EXPECT_EQ(R.Status, EngineStatus::Ok);
+    EXPECT_EQ(R.Findings.size(), 1u);
+  }
+  std::optional<cachetest::Entry> Snap =
+      cachetest::findEntry(CacheDir, snapshotKeyFor(BuggySrc));
+  ASSERT_TRUE(Snap.has_value());
+  EXPECT_EQ(Snap->Payload.substr(0, 4), "RSMS");
   fs::remove_all(CacheDir);
 }
 
@@ -192,12 +176,11 @@ TEST(SnapshotCache, CorruptSnapshotFallsBackToTheParser) {
   // Flip one payload byte inside the blob envelope: the cache-layer
   // checksum rejects it, the engine re-parses, and the result is
   // byte-identical to the cold run.
-  fs::path Blob = snapshotPathFor(CacheDir, BuggySrc);
-  ASSERT_TRUE(fs::exists(Blob));
-  std::string Bytes = readFile(Blob);
-  ASSERT_GT(Bytes.size(), 40u);
-  Bytes[Bytes.size() - 1] = static_cast<char>(Bytes[Bytes.size() - 1] ^ 1);
-  writeFile(Blob, Bytes);
+  std::optional<cachetest::Entry> Blob =
+      cachetest::findEntry(CacheDir, snapshotKeyFor(BuggySrc));
+  ASSERT_TRUE(Blob.has_value());
+  ASSERT_GT(Blob->Payload.size(), 8u);
+  cachetest::corruptPayload(*Blob);
 
   EngineOptions Changed = O;
   Changed.MaxSummaryRounds = Changed.MaxSummaryRounds + 1;
@@ -224,19 +207,18 @@ TEST(SnapshotCache, SnapshotSchemaSkewIsAMissNotACrash) {
   // Rewrite the blob with a snapshot from "the future": valid envelope
   // (the cache layer accepts it) but a bumped snapshot schema version, so
   // the snapshot reader itself must reject it and fall back to parsing.
-  fs::path Blob = snapshotPathFor(CacheDir, BuggySrc);
-  ASSERT_TRUE(fs::exists(Blob));
+  std::optional<cachetest::Entry> Blob =
+      cachetest::findEntry(CacheDir, snapshotKeyFor(BuggySrc));
+  ASSERT_TRUE(Blob.has_value());
   {
-    std::string Skewed = readFile(Blob);
-    // Decode the envelope payload, bump the inner schema byte, restore.
-    // Envelope: magic(4) version(4) key(8) size(8) checksum(8) payload.
-    // The snapshot schema version is payload byte 4 (after "RSMS").
-    std::string Payload = Skewed.substr(32);
+    // Bump the inner schema byte (payload byte 4, after "RSMS") and store
+    // the result: the newer segment wins.
+    std::string Payload = Blob->Payload;
     Payload[4] = static_cast<char>(mir::snapshot::SnapshotSchemaVersion + 1);
     sched::ResultCache::Options CO;
     CO.DiskDir = CacheDir.string();
     sched::ResultCache C(CO);
-    C.storeBlob(snapshotCacheKey(fingerprintSource(BuggySrc)), Payload);
+    C.storeBlob(snapshotKeyFor(BuggySrc), Payload);
   }
 
   EngineOptions Changed = O;
@@ -264,19 +246,18 @@ TEST(SnapshotCache, PreviousSchemaReportEntryIsColdNotCorrupt) {
 
   // Downgrade the stored payload's schema tag in place, simulating an
   // entry written by the previous release at the same key, and re-seal
-  // the envelope. The entry is found by its payload.
-  fs::path Found = reportEntry(CacheDir);
-  ASSERT_FALSE(Found.empty());
-  std::string Text = readFile(Found);
+  // the segment. The entry is found by its payload. Drop the snapshot
+  // blob too so the rerun exercises the full cold path.
   std::string Cur = "{\"v\":" + std::to_string(version::ReportSchemaVersion);
   std::string Old =
       "{\"v\":" + std::to_string(version::ReportSchemaVersion - 1);
-  ASSERT_EQ(Text.compare(EnvelopeHeader, Cur.size(), Cur), 0) << Text;
-  Text.replace(EnvelopeHeader, Cur.size(), Old);
-  reseal(Text);
-  writeFile(Found, Text);
-  // Drop the snapshot blob too so the rerun exercises the full cold path.
-  fs::remove(snapshotPathFor(CacheDir, BuggySrc));
+  const size_t Edited = cachetest::editEntries(
+      CacheDir, [&](uint64_t Key, std::string &Payload) {
+        if (isReport(Payload))
+          Payload.replace(0, Cur.size(), Old);
+        return Key != snapshotKeyFor(BuggySrc);
+      });
+  ASSERT_EQ(Edited, 2u);
 
   AnalysisEngine E(O); // Same options: same report key as the stale entry.
   FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
@@ -295,7 +276,8 @@ TEST(SnapshotCache, RetiredJsonReportEntryIsColdNotCorrupt) {
   // A report entry left behind in the retired JSON envelope
   // ("rscache-<key>.json") is never addressed again: the rerun is a cold
   // miss with the same bytes, no corruption, and the report is stored
-  // again in the one binary envelope under the same key.
+  // again in a segment under the same key. The seal collects the JSON
+  // file with the other per-entry files of earlier releases.
   fs::path CacheDir = freshCacheDir("snap_json_envelope_cache");
   EngineOptions O;
   O.CacheDir = CacheDir.string();
@@ -304,29 +286,33 @@ TEST(SnapshotCache, RetiredJsonReportEntryIsColdNotCorrupt) {
     AnalysisEngine E(O);
     Cold = renderReport(E.analyzeFile("buggy.mir", BuggySrc));
   }
-  fs::path Bin = reportEntry(CacheDir);
-  ASSERT_FALSE(Bin.empty());
-  ASSERT_EQ(Bin.extension(), ".bin");
-  const std::string KeyHex = Bin.stem().string().substr(8); // "rscache-".
+  const std::vector<uint64_t> Reports = reportKeys(CacheDir);
+  ASSERT_EQ(Reports.size(), 1u);
+  const std::string KeyHex = hashToHex(Reports[0]);
   JsonWriter W;
   W.beginObject();
   W.field("version", int64_t(1));
   W.field("key", KeyHex);
-  W.field("payload", readFile(Bin).substr(EnvelopeHeader));
+  W.field("payload", cachetest::findEntry(CacheDir, Reports[0])->Payload);
   W.endObject();
   fs::path Json = CacheDir / ("rscache-" + KeyHex + ".json");
-  writeFile(Json, W.str());
-  fs::remove(Bin);
+  cachetest::spill(Json, W.str());
+  cachetest::editEntries(CacheDir, [&](uint64_t Key, std::string &) {
+    return Key != Reports[0];
+  });
 
-  AnalysisEngine E(O);
-  FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
-  EXPECT_EQ(renderReport(R), Cold);
-  ASSERT_NE(E.cache(), nullptr);
-  EXPECT_EQ(E.cache()->stats().CorruptEntries, 0u);
-  EXPECT_EQ(E.cache()->stats().DiskHits, 0u);
-  EXPECT_EQ(E.cache()->stats().Misses, 1u);
-  EXPECT_EQ(reportEntry(CacheDir), Bin);
-  EXPECT_TRUE(fs::exists(Json)); // Never addressed, so never touched.
+  {
+    AnalysisEngine E(O);
+    FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
+    EXPECT_EQ(renderReport(R), Cold);
+    ASSERT_NE(E.cache(), nullptr);
+    EXPECT_EQ(E.cache()->stats().CorruptEntries, 0u);
+    EXPECT_EQ(E.cache()->stats().DiskHits, 0u);
+    EXPECT_EQ(E.cache()->stats().Misses, 1u);
+    EXPECT_TRUE(fs::exists(Json)); // Never addressed, so never touched.
+  }
+  EXPECT_EQ(reportKeys(CacheDir), Reports);
+  EXPECT_FALSE(fs::exists(Json)); // Collected by the seal.
   fs::remove_all(CacheDir);
 }
 

@@ -10,6 +10,8 @@
 
 #include "engine/Engine.h"
 
+#include "../sched/CacheSegments.h"
+
 #include "analysis/Link.h"
 #include "diag/Diag.h"
 #include "engine/Supervisor.h"
@@ -18,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -365,32 +368,24 @@ TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
   // as a cold DB — same bytes, zero corruption — and be stored again. Skew
   // the payload's leading {"v":N of every summary entry (the ones carrying
   // per-parameter "drops") to a same-length version and re-seal the
-  // envelope checksum (bytes 24-31, FNV-1a of the payload from byte 32), so
-  // only the payload gate rejects.
+  // segment (envelope checksum, index and footer), so only the payload
+  // gate rejects.
   const std::string Current =
       "{\"v\":" + std::to_string(analysis::SummaryPayloadVersion);
   const std::string Skew = "{\"v\":9";
   ASSERT_EQ(Current.size(), Skew.size());
   ASSERT_NE(Current, Skew);
-  size_t Skewed = 0;
-  for (const fs::directory_entry &F : fs::directory_iterator(CacheDir)) {
-    std::string Bytes;
-    {
-      std::ifstream In(F.path(), std::ios::binary);
-      std::ostringstream Buf;
-      Buf << In.rdbuf();
-      Bytes = Buf.str();
-    }
-    if (Bytes.find("\"drops\":") == std::string::npos)
-      continue;
-    ASSERT_EQ(Bytes.compare(32, Current.size(), Current), 0);
-    Bytes.replace(32, Current.size(), Skew);
-    uint64_t Sum = fnv1a64(std::string_view(Bytes).substr(32));
-    for (int I = 0; I != 8; ++I)
-      Bytes[24 + I] = static_cast<char>((Sum >> (8 * I)) & 0xff);
-    std::ofstream(F.path(), std::ios::binary | std::ios::trunc) << Bytes;
-    ++Skewed;
-  }
+  size_t Unexpected = 0;
+  const size_t Skewed = cachetest::editEntries(
+      CacheDir, [&](uint64_t, std::string &Payload) {
+        if (Payload.find("\"drops\":") == std::string::npos)
+          return true;
+        if (Payload.compare(0, Current.size(), Current) != 0)
+          ++Unexpected;
+        Payload.replace(0, Current.size(), Skew);
+        return true;
+      });
+  ASSERT_EQ(Unexpected, 0u);
   ASSERT_EQ(Skewed, 1u);
 
   {
@@ -425,33 +420,32 @@ TEST(WholeProgram, CorruptSummaryEntryIsAMissCountedInTheRun) {
 
   // The one summary entry (the exporter's) is the only payload carrying
   // per-parameter "drops"; flip its last byte so the checksum fails.
-  std::vector<fs::path> Summaries;
-  for (const fs::directory_entry &F : fs::directory_iterator(CacheDir)) {
-    std::ifstream In(F.path(), std::ios::binary);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    if (Buf.str().find("\"drops\":") != std::string::npos)
-      Summaries.push_back(F.path());
-  }
-  ASSERT_EQ(Summaries.size(), 1u);
-  {
-    std::fstream F(Summaries[0], std::ios::in | std::ios::out |
-                                     std::ios::binary);
-    F.seekg(-1, std::ios::end);
-    char Last = 0;
-    F.get(Last);
-    F.seekp(-1, std::ios::end);
-    F.put(static_cast<char>(Last ^ 0x40));
-  }
+  auto Summaries = [&] {
+    std::vector<cachetest::Entry> Out;
+    for (cachetest::Entry &E : cachetest::entries(CacheDir))
+      if (E.Payload.find("\"drops\":") != std::string::npos)
+        Out.push_back(std::move(E));
+    return Out;
+  };
+  const std::vector<cachetest::Entry> Sealed = Summaries();
+  ASSERT_EQ(Sealed.size(), 1u);
+  cachetest::corruptPayload(Sealed[0]);
 
-  AnalysisEngine Warm(cachedOptions(CacheDir));
-  CorpusReport R = Warm.analyzeCorpus({Dir.string()});
-  EXPECT_EQ(R.renderJson(), Cold);
-  EXPECT_EQ(R.Stats.CorruptEntries, 1u) << R.Stats.renderLine();
-  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
-  EXPECT_EQ(R.Stats.SummaryDbMisses, 1u);
-  EXPECT_EQ(R.Stats.SummaryDbStores, 1u);
-  EXPECT_TRUE(fs::exists(Summaries[0])); // Stored again, sealed.
+  {
+    AnalysisEngine Warm(cachedOptions(CacheDir));
+    CorpusReport R = Warm.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.renderJson(), Cold);
+    EXPECT_EQ(R.Stats.CorruptEntries, 1u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
+    EXPECT_EQ(R.Stats.SummaryDbMisses, 1u);
+    EXPECT_EQ(R.Stats.SummaryDbStores, 1u);
+  }
+  // Stored again and sealed in the newer segment, which wins.
+  std::optional<cachetest::Entry> Again =
+      cachetest::findEntry(CacheDir, Sealed[0].Key);
+  ASSERT_TRUE(Again.has_value());
+  EXPECT_NE(Again->Segment, Sealed[0].Segment);
+  EXPECT_EQ(Again->Payload, Sealed[0].Payload);
   fs::remove_all(CacheDir);
 }
 
@@ -495,14 +489,20 @@ TEST(WholeProgram, WarmUnchangedRunNeverParsesOrDecodes) {
   // Without snapshots, any module the warm run needed would have to be
   // parsed, and the armed probe turns every parse into a Skipped file. The
   // facts cache, the summary DB and the report cache must carry the run.
+  std::vector<uint64_t> Snapshots;
   for (const fs::directory_entry &F : fs::directory_iterator(Dir)) {
     std::ifstream In(F.path());
     std::string Src((std::istreambuf_iterator<char>(In)),
                     std::istreambuf_iterator<char>());
-    fs::path Blob = CacheDir / sched::ResultCache::blobFileName(
-                                   snapshotCacheKey(fingerprintSource(Src)));
-    ASSERT_TRUE(fs::remove(Blob)) << Blob;
+    Snapshots.push_back(snapshotCacheKey(fingerprintSource(Src)));
   }
+  ASSERT_EQ(cachetest::editEntries(CacheDir,
+                                   [&](uint64_t Key, std::string &) {
+                                     return std::find(Snapshots.begin(),
+                                                      Snapshots.end(),
+                                                      Key) == Snapshots.end();
+                                   }),
+            Snapshots.size());
   fault::ScopedFault NoParse("engine.parse", 1, 1000000);
   AnalysisEngine Warm(cachedOptions(CacheDir));
   CorpusReport R = Warm.analyzeCorpus({Dir.string()});

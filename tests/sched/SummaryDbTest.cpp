@@ -91,14 +91,14 @@ TEST(SummaryDb, CorruptEntryIsAMiss) {
     SummaryDb Db(diskOpts(D));
     Db.store(11, "about-to-be-scrambled");
   }
-  // Scramble every entry file under the DB directory.
+  // Scramble the segment under the DB directory.
   for (const auto &E : fs::directory_iterator(D.Path))
     std::ofstream(E.path(), std::ios::binary | std::ios::trunc)
         << "not json at all";
   SummaryDb Fresh(diskOpts(D));
   EXPECT_FALSE(Fresh.lookup(11).has_value());
   EXPECT_EQ(Fresh.stats().CorruptEntries, 1u);
-  // The corrupt file was dropped: the next miss is plain, not corrupt.
+  // The corrupt segment was dropped: the next miss is plain, not corrupt.
   EXPECT_FALSE(Fresh.lookup(11).has_value());
   EXPECT_EQ(Fresh.stats().CorruptEntries, 1u);
 }

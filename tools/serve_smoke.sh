@@ -12,7 +12,9 @@
 #      benign body republishes the caller without RS-UAF-001;
 #   3. shutdown -> exit must terminate the daemon with exit code 0;
 #   4. an abrupt EOF without shutdown must exit nonzero (abnormal);
-#   5. --idle-timeout-ms must let an abandoned daemon exit 0 on its own.
+#   5. --idle-timeout-ms must let an abandoned daemon exit 0 on its own;
+#   6. with --cache-dir, what the initial sweep stored is there for a later
+#      `check`, both after a clean exit and after the daemon is killed.
 #
 # Usage: serve_smoke.sh <rustsight-binary> <mir-corpus-dir>
 set -euo pipefail
@@ -177,6 +179,67 @@ assert rc == 0, "idle timeout must exit 0, got %d (%s)" % (rc, err)
 assert "idle" in err or "traffic" in err, err
 print("serve_smoke: idle timeout reaped the daemon after %.1fs (exit 0)"
       % (time.time() - start))
+
+# --- 6: a session's cache entries outlive the daemon --------------------------
+# A clean exit seals the session's segment; a killed daemon leaves its
+# temporary, which the next process to open the directory recovers. Either
+# way a later `check` of the corpus finds on disk every report a `check`
+# would have stored.
+import shutil
+import tempfile
+
+
+def cache_line(args):
+    r = subprocess.run([rs, "check"] + args + [corpus], capture_output=True)
+    assert r.returncode in (0, 1), r.stderr.decode()[-500:]
+    lines = [l for l in r.stderr.decode().splitlines()
+             if l.startswith("cache: ")]
+    assert lines, r.stderr.decode()[-500:]
+    return lines[-1].split(";")[0]
+
+
+def misses(line):
+    return int(re.search(r"(\d+) miss\(es\)", line).group(1))
+
+
+# The baseline: a warm `check` after a `check` filled the directory (files
+# that fail analysis are never cached, so they miss either way).
+cache = tempfile.mkdtemp(prefix="serve_smoke_cache_")
+try:
+    cache_line(["--cache-dir", cache])
+    baseline = misses(cache_line(["--cache-dir", cache]))
+finally:
+    shutil.rmtree(cache, ignore_errors=True)
+
+for ending in ("exit", "kill"):
+    cache = tempfile.mkdtemp(prefix="serve_smoke_cache_")
+    try:
+        s = LspPipe([rs, "serve", "--cache-dir", cache, corpus])
+        s.send({"jsonrpc": "2.0", "id": 1, "method": "initialize",
+                "params": {}})
+        s.wait_for(lambda m: m.get("id") == 1, "initialize response")
+        s.send({"jsonrpc": "2.0", "method": "initialized", "params": {}})
+        seen = set()
+        while not want <= seen:
+            m = s.wait_for(lambda m: m.get("method") ==
+                           "textDocument/publishDiagnostics",
+                           "initial publishDiagnostics sweep")
+            seen.add(m["params"]["uri"])
+        if ending == "exit":
+            s.send({"jsonrpc": "2.0", "id": 2, "method": "shutdown"})
+            s.wait_for(lambda m: m.get("id") == 2, "shutdown response")
+            s.send({"jsonrpc": "2.0", "method": "exit"})
+            assert s.p.wait(timeout=30) == 0
+        else:
+            s.p.kill()
+            s.p.wait(timeout=30)
+        line = cache_line(["--cache-dir", cache])
+        assert misses(line) == baseline and ", 0 corrupt)" in line, \
+            (ending, baseline, line)
+        print("serve_smoke: after %s, check reads the session's cache: %s"
+              % (ending, line))
+    finally:
+        shutil.rmtree(cache, ignore_errors=True)
 
 print("serve_smoke: all checks passed")
 EOF
