@@ -419,8 +419,8 @@ int usage() {
       "    --budget-ms <N>        per-file wall-clock analysis budget\n"
       "    --max-dataflow-iters <N>  per-function fixpoint update cap\n"
       "    --jobs <N>             parallel analysis workers (default: all\n"
-      "                           hardware threads; output is identical\n"
-      "                           for every N)\n"
+      "                           hardware threads; at most 1024; output\n"
+      "                           is identical for every N)\n"
       "    --cache-dir <dir>      persist the result cache on disk\n"
       "    --no-cache             disable the result cache entirely\n"
       "    --whole-program        force the cross-file link step (the\n"
@@ -428,8 +428,9 @@ int usage() {
       "                           callees resolve across corpus files\n"
       "    --no-whole-program     strictly per-file analysis\n"
       "    --shards <N>           analyze through N crash-isolated worker\n"
-      "                           processes (output is identical for every\n"
-      "                           N; --jobs caps concurrent workers)\n"
+      "                           processes (at most 1024; output is\n"
+      "                           identical for every N; --jobs caps\n"
+      "                           concurrent workers)\n"
       "    --isolate <none|process>  process: supervised workers even with\n"
       "                           the default shard count\n"
       "    --timeout-ms <N>       hard per-shard watchdog; hung workers are\n"
@@ -628,6 +629,11 @@ int main(int argc, char **argv) {
       Check.Format != "sarif")
     return usage();
   if (Check.Isolate != "none" && Check.Isolate != "process")
+    return usage();
+  // One thread or process per unit of work is the most a run can use, and
+  // the engine would start that many: a count past the bound is a typo.
+  static_assert(engine::MaxJobs == 1024, "usage() states the bound");
+  if (Check.Engine.Jobs > engine::MaxJobs || Check.Shards > engine::MaxJobs)
     return usage();
   // The hidden worker mode the supervisor respawns this binary in; its
   // inputs arrive over stdin, not argv.

@@ -328,7 +328,7 @@ namespace {
 /// The names \p M defines and the names it calls without defining, each
 /// sorted and deduplicated: the two sides of its cross-module edges.
 std::pair<std::vector<std::string_view>, std::vector<std::string_view>>
-edgeNames(const ModuleFacts &M) {
+edgeNameViews(const ModuleFacts &M) {
   std::vector<std::string_view> Defs, Calls;
   for (const FunctionFacts &F : M.Functions)
     Defs.push_back(F.Name);
@@ -343,36 +343,49 @@ edgeNames(const ModuleFacts &M) {
   return {std::move(Defs), std::move(Calls)};
 }
 
+std::vector<uint64_t> hashNames(const std::vector<std::string_view> &Names) {
+  std::vector<uint64_t> Out;
+  Out.reserve(Names.size());
+  for (std::string_view N : Names)
+    Out.push_back(fnv1a64(N));
+  std::sort(Out.begin(), Out.end());
+  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+  return Out;
+}
+
 } // namespace
 
 bool rs::analysis::callsOut(const ModuleFacts &M) {
-  return !edgeNames(M).second.empty();
+  return !edgeNameViews(M).second.empty();
 }
 
-void LinkNames::update(const ModuleFacts &M, int32_t Delta) {
-  auto [Defs, Calls] = edgeNames(M);
-  auto Bump = [&](std::string_view Name, int32_t Uses::*Field) {
-    auto It = Names.try_emplace(fnv1a64(Name)).first;
+EdgeNames rs::analysis::edgeNames(const ModuleFacts &M) {
+  auto [Defs, Calls] = edgeNameViews(M);
+  return {hashNames(Defs), hashNames(Calls)};
+}
+
+void LinkNames::update(const EdgeNames &M, int32_t Delta) {
+  auto Bump = [&](uint64_t Name, int32_t Uses::*Field) {
+    auto It = Names.try_emplace(Name).first;
     It->second.*Field += Delta;
     if (It->second.Defs == 0 && It->second.Calls == 0)
       Names.erase(It);
   };
-  for (std::string_view D : Defs)
+  for (uint64_t D : M.Defs)
     Bump(D, &Uses::Defs);
-  for (std::string_view C : Calls)
+  for (uint64_t C : M.Calls)
     Bump(C, &Uses::Calls);
 }
 
-bool LinkNames::touchesEdge(const ModuleFacts &M) const {
-  auto [Defs, Calls] = edgeNames(M);
-  auto Count = [&](std::string_view Name, int32_t Uses::*Field) {
-    auto It = Names.find(fnv1a64(Name));
+bool LinkNames::touchesEdge(const EdgeNames &M) const {
+  auto Count = [&](uint64_t Name, int32_t Uses::*Field) {
+    auto It = Names.find(Name);
     return It == Names.end() ? 0 : It->second.*Field;
   };
-  for (std::string_view C : Calls)
+  for (uint64_t C : M.Calls)
     if (Count(C, &Uses::Defs) > 0)
       return true;
-  for (std::string_view D : Defs)
+  for (uint64_t D : M.Defs)
     if (Count(D, &Uses::Calls) > 0)
       return true;
   return false;

@@ -168,29 +168,41 @@ ModuleFacts collectModuleFacts(const mir::Module &M, const std::string &Path);
 /// only kind of module a link can re-analyze against other modules.
 bool callsOut(const ModuleFacts &M);
 
-/// The name-level shape of a set of resident module facts: per function
-/// name, how many modules define it and how many call it without defining
-/// it (the extern calls LinkedCorpus::build resolves across modules). A
-/// resident corpus keeps one so that, on each edit, it can tell without
-/// rebuilding the link whether the edited module's new facts touch a
-/// cross-module edge. Names are held as 64-bit hashes: a collision can only
-/// report an edge that is not there, never hide one.
+/// The two sides of one module's cross-module edges, as 64-bit name
+/// hashes: the names it defines and the names it calls (or spawns) without
+/// defining them, each sorted and deduplicated. Calls are told from local
+/// definitions by name before hashing, so a collision can only add an edge,
+/// never hide one. Empty for a module outside the link.
+struct EdgeNames {
+  std::vector<uint64_t> Defs;
+  std::vector<uint64_t> Calls;
+};
+
+EdgeNames edgeNames(const ModuleFacts &M);
+
+/// The name-level shape of a set of modules: per name hash, how many
+/// modules define it and how many call it without defining it (the extern
+/// calls LinkedCorpus::build resolves across modules). A resident corpus
+/// keeps one, and a persisted link state rebuilds one from its recorded
+/// hashes, so that after an edit it can tell without rebuilding the link
+/// whether the edited module's new facts touch a cross-module edge. A hash
+/// collision can only report an edge that is not there, never hide one.
 class LinkNames {
 public:
-  void add(const ModuleFacts &M) { update(M, 1); }
-  void remove(const ModuleFacts &M) { update(M, -1); }
+  void add(const EdgeNames &M) { update(M, 1); }
+  void remove(const EdgeNames &M) { update(M, -1); }
 
   /// True when \p M calls a name some indexed module defines, or defines a
-  /// name some indexed module calls. Remove \p M's previous facts first, so
+  /// name some indexed module calls. Remove \p M's previous names first, so
   /// that "some indexed module" means another one.
-  bool touchesEdge(const ModuleFacts &M) const;
+  bool touchesEdge(const EdgeNames &M) const;
 
 private:
   struct Uses {
     int32_t Defs = 0;
     int32_t Calls = 0;
   };
-  void update(const ModuleFacts &M, int32_t Delta);
+  void update(const EdgeNames &M, int32_t Delta);
   std::unordered_map<uint64_t, Uses> Names;
 };
 

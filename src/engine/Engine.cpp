@@ -19,6 +19,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
@@ -390,29 +391,35 @@ void AnalysisEngine::loadModule(LoadedFile &L) {
 }
 
 std::optional<analysis::ModuleFacts>
-AnalysisEngine::linkFacts(LoadedFile &L) {
-  if (!L.Read)
-    return std::nullopt;
+AnalysisEngine::cachedFacts(uint64_t Fp, const std::string &Path) {
   // Facts are a pure function of content, and only a clean module's are
   // ever stored, so a hit needs no module at all. The entry carries no
   // path: it re-anchors at whatever path the content shows up at. Facts
   // are only worth caching across processes: within one, the corpus
   // driver and the serve session keep each file's facts themselves.
-  const bool Persist = persists();
-  const uint64_t Key = factsCacheKey(L.Fp);
-  if (Persist && !L.Loaded)
+  if (persists())
     if (std::optional<sched::ResultCache::BlobRef> Blob =
-            Cache->lookupBlobRef(Key))
-      if (std::optional<analysis::ModuleFacts> Facts =
-              analysis::deserializeModuleFacts(Blob->bytes(), L.Report.Path))
-        return Facts;
+            Cache->lookupBlobRef(factsCacheKey(Fp)))
+      return analysis::deserializeModuleFacts(Blob->bytes(), Path);
+  return std::nullopt;
+}
+
+std::optional<analysis::ModuleFacts>
+AnalysisEngine::linkFacts(LoadedFile &L) {
+  if (!L.Read)
+    return std::nullopt;
+  if (!L.Loaded)
+    if (std::optional<analysis::ModuleFacts> Facts =
+            cachedFacts(L.Fp, L.Report.Path))
+      return Facts;
   loadModule(L);
   if (!L.Clean)
     return std::nullopt;
   analysis::ModuleFacts Facts =
       analysis::collectModuleFacts(*L.M, L.Report.Path);
-  if (Persist)
-    Cache->storeBlob(Key, analysis::serializeModuleFacts(Facts));
+  if (persists())
+    Cache->storeBlob(factsCacheKey(L.Fp),
+                     analysis::serializeModuleFacts(Facts));
   // A module that calls a function it does not define may resolve it in
   // another file, and the link then re-analyzes it: a second load. Its
   // snapshot saves that re-parse, so it is kept even in a memory-only
@@ -435,19 +442,26 @@ uint64_t AnalysisEngine::reportKey(uint64_t Fp, uint64_t LinkDigest) const {
   return LinkDigest != 0 ? fnv1a64U64(LinkDigest, Key) : Key;
 }
 
+std::optional<FileReport> AnalysisEngine::cachedReport(const LoadedFile &L,
+                                                      uint64_t LinkDigest) {
+  // Only ok reports are cached, so an entry saying otherwise is a miss.
+  if (Cache)
+    if (std::optional<std::string> Payload =
+            Cache->lookup(reportKey(L.Fp, LinkDigest)))
+      if (std::optional<FileReport> Hit =
+              deserializeFileReport(*Payload, L.Report.Path);
+          Hit && Hit->Status == EngineStatus::Ok)
+        return Hit;
+  return std::nullopt;
+}
+
 FileReport AnalysisEngine::analyze(LoadedFile &L,
                                    const analysis::ExternalSummaries *Env,
                                    uint64_t LinkDigest, unsigned *Runs) {
   if (!L.Read)
     return std::move(L.Report);
-  const uint64_t Key = reportKey(L.Fp, LinkDigest);
-  // Only ok reports are cached, so an entry saying otherwise is a miss.
-  if (Cache)
-    if (std::optional<std::string> Payload = Cache->lookup(Key))
-      if (std::optional<FileReport> Hit =
-              deserializeFileReport(*Payload, L.Report.Path);
-          Hit && Hit->Status == EngineStatus::Ok)
-        return std::move(*Hit);
+  if (std::optional<FileReport> Hit = cachedReport(L, LinkDigest))
+    return std::move(*Hit);
   if (Runs)
     ++*Runs;
   loadModule(L);
@@ -462,7 +476,7 @@ FileReport AnalysisEngine::analyze(LoadedFile &L,
   // wall-clock budgets and embed path-bearing error text, neither of which
   // belongs in a content-addressed entry.
   if (Cache && R.Status == EngineStatus::Ok)
-    Cache->store(Key, serializeFileReport(R));
+    Cache->store(reportKey(L.Fp, LinkDigest), serializeFileReport(R));
   return R;
 }
 
@@ -850,6 +864,7 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
                                 const LinkTransport &Transport) {
   LinkPlan Plan;
   Plan.Digest.resize(Inputs.size());
+  Plan.ExportKey.resize(Inputs.size());
   std::vector<size_t> Analyzable;
   for (size_t I = 0; I != Inputs.size(); ++I)
     if (Inputs[I].SkipReason.empty())
@@ -902,8 +917,12 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
       analysis::solveLink(std::move(Corpus), LO, Hooks, Summarize);
 
   Plan.Env = std::move(LR.Env);
-  for (uint32_t M = 0; M != ModuleInput.size(); ++M)
+  for (uint32_t M = 0; M != ModuleInput.size(); ++M) {
     Plan.Digest[ModuleInput[M]] = LR.Corpus.linkDigest(M);
+    if (LR.Corpus.exports(M))
+      Plan.ExportKey[ModuleInput[M]] = LR.Corpus.moduleKey(M);
+  }
+  Plan.Converged = LR.Converged;
   std::vector<analysis::ModuleFacts> Linked =
       std::move(LR.Corpus).takeModules();
   Plan.Facts.resize(Inputs.size());
@@ -919,6 +938,132 @@ LinkPlan rs::engine::linkCorpus(const EngineOptions &Opts,
   Plan.Stats.SummaryDbStores = LR.Stats.DbStores;
   return Plan;
 }
+
+bool rs::engine::relinkNeeded(analysis::LinkNames &Names, uint64_t OldDigest,
+                              bool OldExporter,
+                              const analysis::EdgeNames &OldEdges,
+                              const analysis::EdgeNames &NewEdges) {
+  Names.remove(OldEdges);
+  const bool Needed =
+      OldDigest != 0 || OldExporter || Names.touchesEdge(NewEdges);
+  Names.add(NewEdges);
+  return Needed;
+}
+
+namespace {
+
+/// One input's record in a link state.
+struct LinkStateFile {
+  std::optional<uint64_t> Fp; ///< Its content fingerprint, when it was read.
+  bool Linked = false;        ///< It joined the link.
+  uint64_t Digest = 0;
+  std::optional<uint64_t> ExportKey; ///< LinkPlan::ExportKey.
+  analysis::EdgeNames Edges;
+};
+
+/// The link state: what a persisted linked run leaves for the next run over
+/// the same ordered inputs, one record per input ordinal.
+using LinkState = std::vector<LinkStateFile>;
+
+/// Bump when the payload layout changes, or anything a link digest or an
+/// export key folds: an entry of another version reads as absent.
+constexpr uint32_t LinkStateVersion = 1;
+constexpr std::string_view LinkStateMagic = "RSLS";
+enum : uint8_t { LsRead = 1, LsLinked = 2, LsExporter = 4 };
+
+void putLE(std::string &Out, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I != Bytes; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+}
+
+/// The payload: "RSLS", version (u32) and record count (u64), then per
+/// record its flags (u8), fingerprint and digest (u64 each), an exporter's
+/// module key (u64), the def and call hash counts (u32 each) and the hashes
+/// (u64 each). Little-endian throughout.
+std::string encodeLinkState(const LinkState &State) {
+  std::string Out(LinkStateMagic);
+  putLE(Out, LinkStateVersion, 4);
+  putLE(Out, State.size(), 8);
+  for (const LinkStateFile &F : State) {
+    putLE(Out,
+          (F.Fp ? LsRead : 0) | (F.Linked ? LsLinked : 0) |
+              (F.ExportKey ? LsExporter : 0),
+          1);
+    putLE(Out, F.Fp.value_or(0), 8);
+    putLE(Out, F.Digest, 8);
+    if (F.ExportKey)
+      putLE(Out, *F.ExportKey, 8);
+    putLE(Out, F.Edges.Defs.size(), 4);
+    putLE(Out, F.Edges.Calls.size(), 4);
+    for (uint64_t H : F.Edges.Defs)
+      putLE(Out, H, 8);
+    for (uint64_t H : F.Edges.Calls)
+      putLE(Out, H, 8);
+  }
+  return Out;
+}
+
+/// Decodes a link state of \p Inputs records; nullopt on any defect, which
+/// the run treats as no link state at all.
+std::optional<LinkState> decodeLinkState(std::string_view Bytes,
+                                         size_t Inputs) {
+  bool Ok = Bytes.substr(0, LinkStateMagic.size()) == LinkStateMagic;
+  size_t Pos = LinkStateMagic.size();
+  auto Get = [&](unsigned Width) -> uint64_t {
+    if (!Ok || Bytes.size() - Pos < Width) {
+      Ok = false;
+      return 0;
+    }
+    uint64_t V = 0;
+    for (unsigned I = 0; I != Width; ++I)
+      V |= uint64_t(static_cast<uint8_t>(Bytes[Pos + I])) << (8 * I);
+    Pos += Width;
+    return V;
+  };
+  if (Get(4) != LinkStateVersion || Get(8) != Inputs || !Ok)
+    return std::nullopt;
+  LinkState State(Inputs);
+  for (LinkStateFile &F : State) {
+    const uint64_t Flags = Get(1);
+    const uint64_t Fp = Get(8);
+    if (Flags & LsRead)
+      F.Fp = Fp;
+    F.Linked = Flags & LsLinked;
+    F.Digest = Get(8);
+    if (Flags & LsExporter)
+      F.ExportKey = Get(8);
+    const uint64_t Defs = Get(4), Calls = Get(4);
+    if (!Ok || (Defs + Calls) > (Bytes.size() - Pos) / 8)
+      return std::nullopt;
+    for (uint64_t I = 0; I != Defs; ++I)
+      F.Edges.Defs.push_back(Get(8));
+    for (uint64_t I = 0; I != Calls; ++I)
+      F.Edges.Calls.push_back(Get(8));
+  }
+  if (!Ok || Pos != Bytes.size())
+    return std::nullopt;
+  return State;
+}
+
+/// The link state's cache key: everything the records are read against.
+/// The ordered input paths and skip reasons are in it, so a file added,
+/// removed or moved in the order is a miss (records are by ordinal, and
+/// the first definition in input order wins a name).
+uint64_t linkStateKey(const EngineOptions &Opts,
+                      const std::vector<corpus::CorpusInput> &Inputs) {
+  uint64_t H = fnv1a64("rustsight-link-state");
+  H = fnv1a64U64(LinkStateVersion, H);
+  H = fnv1a64U64(analysis::FactsSchemaVersion, H);
+  H = fnv1a64U64(Opts.MaxSummaryRounds, H);
+  H = fnv1a64U64(static_cast<uint64_t>(Opts.WholeProgram), H);
+  for (const corpus::CorpusInput &In : Inputs) {
+    H = fnv1a64U64(In.Path.size(), fnv1a64(In.Path, H));
+    H = fnv1a64U64(In.SkipReason.size(), fnv1a64(In.SkipReason, H));
+  }
+  return H;
+}
+
+} // namespace
 
 CorpusReport
 AnalysisEngine::analyzeCorpus(const std::vector<std::string> &Paths) {
@@ -936,8 +1081,8 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
 
   unsigned Jobs =
       Opts.Jobs == 0 ? sched::ThreadPool::defaultWorkerCount() : Opts.Jobs;
-  Jobs = static_cast<unsigned>(
-      std::clamp<size_t>(Jobs, 1, std::max<size_t>(N, 1)));
+  Jobs = static_cast<unsigned>(std::clamp<size_t>(
+      Jobs, 1, std::max<size_t>(std::min<size_t>(N, MaxJobs), 1)));
   std::optional<sched::ThreadPool> Pool;
   if (Jobs > 1)
     Pool.emplace(Jobs);
@@ -949,76 +1094,211 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
         Fn(I);
   };
 
+  // A persisted linked run leaves its link state for the next run over the
+  // same ordered inputs. A caller that keeps the corpus resident always
+  // gets the full plan instead.
+  const size_t Analyzable = static_cast<size_t>(
+      std::count_if(Inputs.begin(), Inputs.end(),
+                    [](const corpus::CorpusInput &In) {
+                      return In.SkipReason.empty();
+                    }));
+  const bool Links = shouldLink(Opts.WholeProgram, Analyzable);
+  const bool KeepsLinkState = Links && persists() && !State;
+  const uint64_t StateKey = KeepsLinkState ? linkStateKey(Opts, Inputs) : 0;
+  std::optional<LinkState> Prev;
+  if (KeepsLinkState)
+    if (std::optional<sched::ResultCache::BlobRef> Blob =
+            Cache->lookupBlobRef(StateKey))
+      Prev = decodeLinkState(Blob->bytes(), N);
+
   // Each task owns exactly slot I of the report — the deterministic merge:
   // results land by input ordinal, never by completion order. The per-file
-  // task reads the file once and analyzes it against the empty environment
-  // (digest 0); when the corpus links, the same load yields its facts (the
-  // facts cache, else its module). The module dies with the task.
+  // task reads the file once. A file unchanged since the link state takes
+  // its report under its recorded digest. Any other one, when the corpus
+  // links, yields its facts from the same load (the facts cache, else its
+  // module); unless those call out of the file, it is analyzed against the
+  // empty environment (digest 0). The module dies with the task.
   CorpusReport Report;
   Report.Files.resize(N);
   std::vector<unsigned> Runs(N, 0);
-  std::vector<char> Done(N, 0);
-  auto PerFile = [&](size_t I, std::optional<analysis::ModuleFacts> *Facts) {
+  /// Per input: the link digest its report was computed under.
+  std::vector<std::optional<uint64_t>> Under(N);
+  std::vector<std::optional<uint64_t>> Fps(N);
+  std::vector<std::optional<analysis::ModuleFacts>> Facts(N);
+  std::vector<char> Unchanged(N, 0);
+  std::atomic<bool> ReportMissed{false};
+  RunParallel(N, [&](size_t I) {
     const corpus::CorpusInput &In = Inputs[I];
-    Done[I] = 1;
     if (!In.SkipReason.empty()) {
       Report.Files[I] = FileReport::skipped(In.Path, In.SkipReason);
+      Under[I] = 0;
       return;
     }
     LoadedFile L = read(In);
-    if (Facts)
-      *Facts = linkFacts(L);
-    Report.Files[I] = analyze(L, nullptr, 0, &Runs[I]);
-  };
+    if (L.Read)
+      Fps[I] = L.Fp;
+    if (Prev && Fps[I] && (*Prev)[I].Fp == Fps[I]) {
+      Unchanged[I] = 1;
+      const uint64_t Digest = (*Prev)[I].Digest;
+      if (Digest == 0) {
+        Report.Files[I] = analyze(L, nullptr, 0, &Runs[I]);
+        Under[I] = 0;
+      } else if (std::optional<FileReport> Hit = cachedReport(L, Digest)) {
+        Report.Files[I] = std::move(*Hit);
+        Under[I] = Digest;
+      } else {
+        ReportMissed = true;
+      }
+      return;
+    }
+    if (Links)
+      Facts[I] = linkFacts(L);
+    // A module that calls out of its file may resolve a callee in another
+    // one: it is analyzed once, after the link, under its digest.
+    if (!Facts[I] || !analysis::callsOut(*Facts[I])) {
+      Report.Files[I] = analyze(L, nullptr, 0, &Runs[I]);
+      Under[I] = 0;
+    }
+  });
 
-  // The link step over the thread pool. An exporter's module loads in its
+  // Reuse the link state when no changed file moves a cross-file edge:
+  // every other file's digest, and the environment, are then as recorded,
+  // and each changed file's digest is 0.
+  LinkPlan Link;
+  bool Reused = false;
+  if (Prev && !ReportMissed) {
+    // The changed files' records are rewritten in place: if the run links
+    // after all, it reads only the unchanged files' records.
+    LinkState &Next = *Prev;
+    std::optional<analysis::LinkNames> Names;
+    unsigned Changed = 0;
+    bool Relink = false;
+    for (size_t I = 0; I != N && !Relink; ++I) {
+      if (Unchanged[I] || !Inputs[I].SkipReason.empty())
+        continue;
+      ++Changed;
+      if (!Names) {
+        Names.emplace();
+        for (const LinkStateFile &F : Next)
+          Names->add(F.Edges);
+      }
+      LinkStateFile &F = Next[I];
+      analysis::EdgeNames Edges =
+          Facts[I] ? analysis::edgeNames(*Facts[I]) : analysis::EdgeNames();
+      Relink = relinkNeeded(*Names, F.Digest, F.ExportKey.has_value(),
+                            F.Edges, Edges);
+      F = {Fps[I], Facts[I].has_value(), 0, std::nullopt, std::move(Edges)};
+    }
+    if (!Relink) {
+      Reused = true;
+      Link.Digest.resize(N);
+      for (size_t I = 0; I != N; ++I) {
+        const LinkStateFile &F = Next[I];
+        if (!F.Linked)
+          continue;
+        Link.Digest[I] = F.Digest;
+        ++Link.Stats.LinkedFiles;
+        // The run reads no facts, summaries or snapshots, yet a later run
+        // that relinks needs them: keep them in the window.
+        if (!Unchanged[I])
+          continue;
+        Cache->retain(factsCacheKey(*F.Fp));
+        if (F.Digest != 0 || F.ExportKey)
+          Cache->retain(snapshotCacheKey(*F.Fp));
+        if (F.ExportKey)
+          Cache->retain(sched::SummaryDb::address(
+              *F.ExportKey, sched::SummaryDb::SchemaVersion));
+      }
+      Link.Stats.LinkEnabled = true;
+      Link.Stats.LinkReused = true;
+      Link.Stats.LinkChanged = Changed;
+      if (Changed != 0)
+        Cache->storeBlob(StateKey, encodeLinkState(Next));
+    }
+  }
+
+  // The link step over the thread pool. A file unchanged since the link
+  // state collects its facts only now. An exporter's module loads in its
   // first summarize round and stays until the link is done; it is the only
   // module that outlives its per-file task.
   std::vector<std::optional<LoadedFile>> Exporters(N);
-  LinkTransport Transport;
-  Transport.Facts = [&](const std::vector<size_t> &Ordinals) {
-    std::vector<std::optional<analysis::ModuleFacts>> Facts(Ordinals.size());
-    RunParallel(Ordinals.size(),
-                [&](size_t K) { PerFile(Ordinals[K], &Facts[K]); });
-    return Facts;
-  };
-  Transport.Summarize =
-      [&](const std::vector<std::pair<uint32_t, size_t>> &Modules,
-          const analysis::ExternalSummaries &Env) {
-        std::vector<analysis::ModuleSummaries> Out(Modules.size());
-        RunParallel(Modules.size(), [&](size_t K) {
-          const auto &[Idx, Input] = Modules[K];
-          std::optional<LoadedFile> &L = Exporters[Input];
-          if (!L) {
-            L = read(Inputs[Input]);
-            loadModule(*L);
-          }
-          Out[K] = summarizeContained(L->Clean ? &*L->M : nullptr, Idx, Env,
-                                      Opts);
-        });
-        return Out;
-      };
-  LinkPlan Link = linkCorpus(Opts, Inputs, Cache.get(), Transport);
-  if (!State)
-    Link.Facts.clear();
-
-  // Files the link step did not visit run per-file now. A file whose link
-  // digest is non-zero is analyzed again, against the converged
-  // environment (an exporter from its resident module). Every other report
-  // is final: a digest-0 file resolves no extern callee, so the empty
-  // environment observes exactly what the full one would.
-  RunParallel(N, [&](size_t I) {
-    if (!Done[I]) {
-      PerFile(I, nullptr);
-      return;
+  if (!Reused) {
+    LinkTransport Transport;
+    Transport.Facts = [&](const std::vector<size_t> &Ordinals) {
+      std::vector<std::optional<analysis::ModuleFacts>> Out(Ordinals.size());
+      std::vector<size_t> Fetch;
+      for (size_t K = 0; K != Ordinals.size(); ++K) {
+        const size_t I = Ordinals[K];
+        if (!Unchanged[I])
+          Out[K] = std::move(Facts[I]);
+        else if ((*Prev)[I].Linked)
+          Fetch.push_back(K);
+      }
+      RunParallel(Fetch.size(), [&](size_t J) {
+        const size_t K = Fetch[J], I = Ordinals[K];
+        Out[K] = cachedFacts(*Fps[I], Inputs[I].Path);
+        if (!Out[K]) {
+          LoadedFile L = read(Inputs[I]);
+          Out[K] = linkFacts(L);
+        }
+      });
+      return Out;
+    };
+    Transport.Summarize =
+        [&](const std::vector<std::pair<uint32_t, size_t>> &Modules,
+            const analysis::ExternalSummaries &Env) {
+          std::vector<analysis::ModuleSummaries> Out(Modules.size());
+          RunParallel(Modules.size(), [&](size_t K) {
+            const auto &[Idx, Input] = Modules[K];
+            std::optional<LoadedFile> &L = Exporters[Input];
+            if (!L) {
+              L = read(Inputs[Input]);
+              loadModule(*L);
+            }
+            Out[K] = summarizeContained(L->Clean ? &*L->M : nullptr, Idx,
+                                        Env, Opts);
+          });
+          return Out;
+        };
+    Link = linkCorpus(Opts, Inputs, Cache.get(), Transport);
+    if (KeepsLinkState && Link.Stats.LinkEnabled && Link.Converged) {
+      LinkState Next(N);
+      for (size_t I = 0; I != N; ++I) {
+        LinkStateFile &F = Next[I];
+        F.Fp = Fps[I];
+        F.Linked = Link.Facts[I].has_value();
+        F.Digest = Link.Digest[I].value_or(0);
+        F.ExportKey = Link.ExportKey[I];
+        if (F.Linked)
+          F.Edges = analysis::edgeNames(*Link.Facts[I]);
+      }
+      Cache->storeBlob(StateKey, encodeLinkState(Next));
     }
+    if (!State)
+      Link.Facts.clear();
+  }
+
+  // Every file whose report does not match its link digest yet is analyzed
+  // now: against the converged environment when its digest is non-zero (an
+  // exporter from its resident module), else per-file. A digest-0 file
+  // resolves no extern callee, so the empty environment observes exactly
+  // what the full one would. Only those files are tasks: the pool's cost
+  // per task is a fair share of a cached report's.
+  std::vector<size_t> Pending;
+  for (size_t I = 0; I != N; ++I) {
+    if (Under[I] != Link.Digest[I].value_or(0))
+      Pending.push_back(I);
+    else
+      Exporters[I].reset();
+  }
+  RunParallel(Pending.size(), [&](size_t K) {
+    const size_t I = Pending[K];
     std::optional<LoadedFile> L = std::exchange(Exporters[I], std::nullopt);
     const uint64_t Digest = Link.Digest[I].value_or(0);
-    if (Digest == 0)
-      return;
     if (!L)
       L = read(Inputs[I]);
-    Report.Files[I] = analyze(*L, &Link.Env, Digest, &Runs[I]);
+    Report.Files[I] =
+        analyze(*L, Digest ? &Link.Env : nullptr, Digest, &Runs[I]);
   });
   Report.finalize();
 
@@ -1060,7 +1340,10 @@ std::string RunStats::renderLine() const {
       Out += " (" + std::to_string(DiskHits) + " from disk, " +
              std::to_string(CorruptEntries) + " corrupt)";
   }
-  if (LinkEnabled) {
+  if (LinkReused) {
+    Out += "; link: " + std::to_string(LinkedFiles) + " file(s) reused, " +
+           std::to_string(LinkChanged) + " changed";
+  } else if (LinkEnabled) {
     Out += "; link: " + std::to_string(LinkedFiles) + " file(s), " +
            std::to_string(LinkRounds) + " round(s), " +
            std::to_string(ModulesNeedNoSummary) + " need no summary, " +

@@ -128,6 +128,11 @@ struct RunStats {
   // Whole-program link step (all zero when the run was per-file).
   bool LinkEnabled = false;
   unsigned LinkedFiles = 0;    ///< Modules that joined the link.
+  /// The run reused the persisted link state of the last linked run over
+  /// the same inputs instead of linking (docs/WHOLEPROGRAM.md, "Reusing a
+  /// link"); the round and summary-db counters are then all zero.
+  bool LinkReused = false;
+  unsigned LinkChanged = 0; ///< Inputs a reused link saw changed.
   unsigned LinkRounds = 0;     ///< Summarization rounds the solver ran.
   /// Modules exporting nothing another module reads: never summarized.
   unsigned ModulesNeedNoSummary = 0;
@@ -185,6 +190,10 @@ diag::Baseline collectBaseline(const CorpusReport &Report);
 /// flow: only *new* findings survive). Bumps each file's BaselinedFindings
 /// by the number dropped there; returns the total dropped.
 size_t applyBaseline(CorpusReport &Report, const diag::Baseline &B);
+
+/// The most worker threads (--jobs) or worker processes (--shards) one run
+/// may ask for; the CLI rejects a larger count as a usage error.
+inline constexpr unsigned MaxJobs = 1024;
 
 /// Whole-program link mode for analyzeCorpus (docs/WHOLEPROGRAM.md).
 enum class WholeProgramMode {
@@ -349,18 +358,25 @@ public:
   /// .mir files yields one Skipped entry.
   CorpusReport analyzeCorpus(const std::vector<std::string> &Paths);
 
-  /// The corpus driver behind `check` and the serve session. Each file is
-  /// analyzed against the empty environment in the same task that collects
-  /// its link facts (when the corpus links, EngineOptions::WholeProgram),
-  /// and its module is dropped with the task. Then the link step runs
-  /// (linkCorpus: only exporters are summarized), and only the files whose
-  /// link digest is non-zero are analyzed again, against the converged
-  /// environment. Tasks run on a work-stealing pool (EngineOptions::Jobs),
-  /// each inside the containment boundary; results are merged in input
-  /// order, so the report renders byte-identically for any job count.
-  /// Clean results are served from / stored into the content-addressed
-  /// cache. With a non-null \p State the run hands back its link state and
-  /// per-file detector runs.
+  /// The corpus driver behind `check` and the serve session. One task per
+  /// file reads it and, when the corpus links (EngineOptions::WholeProgram),
+  /// collects its link facts; a file whose facts call out of it waits for
+  /// the link, every other one is analyzed against the empty environment in
+  /// that task, and its module is dropped with the task. Then the link step
+  /// runs (linkCorpus: only exporters are summarized), and the files whose
+  /// report does not match their link digest yet are analyzed against the
+  /// converged environment, each once. Tasks run on a work-stealing pool
+  /// (EngineOptions::Jobs), each inside the containment boundary; results
+  /// are merged in input order, so the report renders byte-identically for
+  /// any job count. Clean results are served from / stored into the
+  /// content-addressed cache.
+  ///
+  /// With a cache that persists, a linked run also stores its outcome, the
+  /// link state, and a later run over the same ordered inputs reuses it
+  /// instead of linking when every changed file passes relinkNeeded and
+  /// every unchanged linked file's report hits (docs/WHOLEPROGRAM.md,
+  /// "Reusing a link"). With a non-null \p State the run never reuses a
+  /// link: it hands back its full link plan and per-file detector runs.
   CorpusReport analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
                              CorpusState *State);
 
@@ -384,6 +400,10 @@ private:
   /// verify (a clean parse stores its snapshot when the cache persists()).
   /// Afterwards \p L carries a module, or a Skipped report.
   void loadModule(LoadedFile &L);
+  /// The facts cache entry of content \p Fp, anchored at \p Path (nullopt
+  /// on a miss, or when the cache does not persist).
+  std::optional<analysis::ModuleFacts> cachedFacts(uint64_t Fp,
+                                                   const std::string &Path);
   /// \p L's link facts: the facts cache, else its module's facts (stored
   /// in the cache when it persists()). A module that calls out of its file
   /// keeps its snapshot in any cache. nullopt when the file cannot join the
@@ -398,6 +418,9 @@ private:
   /// module stay.
   FileReport analyze(LoadedFile &L, const analysis::ExternalSummaries *Env,
                      uint64_t LinkDigest, unsigned *Runs = nullptr);
+  /// The report cache's ok report for \p L under \p LinkDigest, if any.
+  std::optional<FileReport> cachedReport(const LoadedFile &L,
+                                         uint64_t LinkDigest);
   uint64_t reportKey(uint64_t Fp, uint64_t LinkDigest) const;
   void runDetectors(const mir::Module &M, FileReport &R,
                     const analysis::ExternalSummaries *Ext);
@@ -444,6 +467,12 @@ struct LinkPlan {
   /// Per input ordinal: the link facts of a file that joined the link, the
   /// run's one copy of them (empty for a per-file run).
   std::vector<std::optional<analysis::ModuleFacts>> Facts;
+  /// Per input ordinal: for an exporter (a file holding the definition
+  /// another file's call resolves to), its summary DB module key; nullopt
+  /// for every other file.
+  std::vector<std::optional<uint64_t>> ExportKey;
+  /// False when a round bound truncated the fixpoint.
+  bool Converged = true;
   /// Only the link fields are set (all zero for a per-file run).
   RunStats Stats;
 };
@@ -460,6 +489,19 @@ struct CorpusState {
 /// Whether a corpus with \p AnalyzableFiles analyzable files links under
 /// \p Mode: On always, Off never, Auto from two files up.
 bool shouldLink(WholeProgramMode Mode, size_t AnalyzableFiles);
+
+/// The relink rule that `check`'s link reuse and the serve session's
+/// refresh share. A file whose content changed leaves every other file's
+/// link digest, and the environment, as they were when its old link digest
+/// was 0 (it resolved no extern callee), it exported nothing, and its new
+/// facts touch no edge of the other files in \p Names. \p OldEdges and
+/// \p NewEdges are its edge names before and after (empty outside the
+/// link). Moves the file's names in \p Names from the old to the new ones,
+/// so a file judged later is judged against this one's new facts, and
+/// returns true when the link must be rebuilt.
+bool relinkNeeded(analysis::LinkNames &Names, uint64_t OldDigest,
+                  bool OldExporter, const analysis::EdgeNames &OldEdges,
+                  const analysis::EdgeNames &NewEdges);
 
 /// Decides whether \p Inputs link (shouldLink over EngineOptions::
 /// WholeProgram and the analyzable inputs), and if so collects facts in

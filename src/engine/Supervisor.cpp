@@ -71,6 +71,8 @@ template <typename Result> struct Attempt {
   /// discard them.
   std::vector<std::pair<size_t, Result>> Accepted;
   std::string ErrTail; ///< Trailing stderr (capped).
+  /// The worker's cache counters, from its "done" frame.
+  sched::ResultCache::Stats CacheStats;
   Outcome Oc = Outcome::Done;
   std::string Cause; ///< The classified cause ("" when Done).
 };
@@ -128,6 +130,14 @@ void handlePayload(Worker<Result> &W, const FrameDecoder<Result> &Decode,
   std::string_view Type = V->getString("type");
   if (Type == "done") {
     W.Done = true;
+    if (const JsonValue *C = V->get("cache")) {
+      sched::ResultCache::Stats &S = W.A.CacheStats;
+      S.Hits = static_cast<uint64_t>(C->getInt("hits"));
+      S.Misses = static_cast<uint64_t>(C->getInt("misses"));
+      S.Evictions = static_cast<uint64_t>(C->getInt("evictions"));
+      S.DiskHits = static_cast<uint64_t>(C->getInt("disk_hits"));
+      S.CorruptEntries = static_cast<uint64_t>(C->getInt("corrupt"));
+    }
     return;
   }
   if (Type != "file")
@@ -756,11 +766,19 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
     Queue.push_back(std::move(Next));
   };
 
-  // The analyze phase's ladder: retry, bisect, quarantine, checkpoint.
+  // The analyze phase's ladder: retry, bisect, quarantine, checkpoint. The
+  // report lookups are all this phase's, so its completed workers' cache
+  // counters are the run's.
+  sched::ResultCache::Stats Fleet;
   std::function<void(Attempt<FileReport> &&)> Finish =
       [&](Attempt<FileReport> &&A) {
         switch (A.Oc) {
         case Outcome::Done:
+          Fleet.Hits += A.CacheStats.Hits;
+          Fleet.Misses += A.CacheStats.Misses;
+          Fleet.Evictions += A.CacheStats.Evictions;
+          Fleet.DiskHits += A.CacheStats.DiskHits;
+          Fleet.CorruptEntries += A.CacheStats.CorruptEntries;
           for (auto &P : A.Accepted)
             Results[P.first] = std::move(P.second);
           Checkpoint();
@@ -801,6 +819,11 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   Report.Stats = Link.Stats;
   Report.Stats.Jobs = MaxWorkers;
   Report.Stats.CacheEnabled = Opts.Engine.UseCache;
+  Report.Stats.CacheHits = Fleet.Hits;
+  Report.Stats.CacheMisses = Fleet.Misses;
+  Report.Stats.CacheEvictions = Fleet.Evictions;
+  Report.Stats.DiskHits = Fleet.DiskHits;
+  Report.Stats.CorruptEntries = Fleet.CorruptEntries;
   Report.Stats.WallMs = std::chrono::duration<double, std::milli>(
                             Clock::now() - Start)
                             .count();
@@ -969,7 +992,16 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
     writeFrame("{\"type\":\"file\",\"ordinal\":" + std::to_string(It.Ordinal) +
                "," + Result + "}");
   }
-  writeFrame("{\"type\":\"done\",\"files\":" + std::to_string(Items.size()) +
-             "}");
+  std::string Done =
+      "{\"type\":\"done\",\"files\":" + std::to_string(Items.size());
+  if (sched::ResultCache *C = Engine.cache()) {
+    const sched::ResultCache::Stats S = C->stats();
+    Done += ",\"cache\":{\"hits\":" + std::to_string(S.Hits) +
+            ",\"misses\":" + std::to_string(S.Misses) +
+            ",\"evictions\":" + std::to_string(S.Evictions) +
+            ",\"disk_hits\":" + std::to_string(S.DiskHits) +
+            ",\"corrupt\":" + std::to_string(S.CorruptEntries) + "}";
+  }
+  writeFrame(Done + "}");
   return 0;
 }

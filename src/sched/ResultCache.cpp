@@ -389,6 +389,15 @@ std::optional<ResultCache::BlobRef> ResultCache::find(uint64_t Key,
   return Ref;
 }
 
+void ResultCache::retain(uint64_t Key) {
+  std::lock_guard<std::mutex> Lock(M);
+  if (Opts.DiskDir.empty() || DiskDisabledFlag)
+    return;
+  openDisk();
+  if (auto D = DiskIndex.find(Key); D != DiskIndex.end())
+    D->second.Read = true;
+}
+
 void ResultCache::store(uint64_t Key, std::string_view Payload) {
   std::string Entry(Payload);
   {

@@ -154,6 +154,13 @@ public:
   /// once per (run, file). Thread-safe.
   std::optional<BlobRef> lookupBlobRef(uint64_t Key);
 
+  /// Keeps the disk entry under \p Key in the window as if this instance
+  /// had read it: the seal copies it forward under the same rule, without a
+  /// read now. For a run that skips a step whose entries a later run may
+  /// need (docs/PARALLELISM.md, "Link state"). No-op without a disk entry.
+  /// Thread-safe.
+  void retain(uint64_t Key);
+
   /// The generation this instance's segment joins: Options::Generation, or
   /// one past the newest in DiskDir (0 without a disk layer). Its seal
   /// joins a newer generation instead when a run that started later has
@@ -193,7 +200,7 @@ private:
     uint32_t Seg = 0;
     uint64_t Off = 0; ///< Offset of the envelope.
     uint64_t Len = 0; ///< Envelope length, header included.
-    bool Read = false; ///< Served a hit in this instance (copy-forward).
+    bool Read = false; ///< Served a hit or retained here (copy-forward).
   };
   static constexpr uint32_t NewSegment = ~uint32_t(0);
 

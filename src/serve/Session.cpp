@@ -17,16 +17,6 @@ bool Session::wantsLink() const {
   return engine::shouldLink(Opts.Engine.WholeProgram, Analyzable);
 }
 
-bool Session::exportsEntry(const std::string &Path,
-                           const FileState &St) const {
-  if (St.Facts)
-    for (const analysis::FunctionFacts &F : St.Facts->Functions)
-      if (const analysis::ExternalFunctionInfo *Info = Env.find(F.Name))
-        if (Info->File == Path)
-          return true;
-  return false;
-}
-
 void Session::count(FileState &St, unsigned Runs) {
   St.Analyses += Runs;
   TotalAnalyses += Runs;
@@ -87,11 +77,12 @@ std::vector<std::string> Session::analyzeAll() {
     St.Facts = State.Link.Facts.empty() ? std::nullopt
                                         : std::move(State.Link.Facts[I]);
     St.Digest = State.Link.Digest[I].value_or(0);
+    St.Exporter = State.Link.ExportKey[I].has_value();
     St.InCorpus = I < NumRooted;
     St.Placeholder = !Inputs[I].SkipReason.empty();
     count(St, State.Runs[I]);
     if (St.Facts)
-      Names.add(*St.Facts);
+      Names.add(analysis::edgeNames(*St.Facts));
     Order.push_back(Path);
   }
   Files = std::move(Next);
@@ -115,9 +106,9 @@ std::vector<std::string> Session::refresh() {
   if (wantsLink() != Linked)
     return analyzeAll();
 
-  // Each dirty file's per-file analysis yields its new facts. Compare them
-  // with the rest of the corpus (its old facts are out of the index by
-  // then) to tell whether it touches a cross-file edge.
+  // Each dirty file's per-file analysis yields its new facts; the engine's
+  // relink rule, the one `check` reuses a link by, judges them against the
+  // rest of the corpus.
   bool Relink = std::exchange(RelinkOwed, false);
   for (const std::string &P : DirtyNow) {
     FileState &St = Files[P];
@@ -126,14 +117,13 @@ std::vector<std::string> Session::refresh() {
     analyzeOne(P, St, nullptr, 0, Linked ? &Facts : nullptr);
     if (!Linked)
       continue;
-    if (St.Facts)
-      Names.remove(*St.Facts);
-    Relink |= St.Digest != 0 || exportsEntry(P, St) ||
-              (Facts && Names.touchesEdge(*Facts));
-    if (Facts)
-      Names.add(*Facts);
+    Relink |= engine::relinkNeeded(
+        Names, St.Digest, St.Exporter,
+        St.Facts ? analysis::edgeNames(*St.Facts) : analysis::EdgeNames(),
+        Facts ? analysis::edgeNames(*Facts) : analysis::EdgeNames());
     St.Facts = std::move(Facts);
     St.Digest = 0;
+    St.Exporter = false;
   }
 
   std::set<std::string> Affected(DirtyNow.begin(), DirtyNow.end());
@@ -185,6 +175,7 @@ void Session::relink(std::set<std::string> &Affected) {
     const std::string &Path = Order[I];
     FileState &St = Files[Path];
     St.Facts = std::move(Plan.Facts[I]);
+    St.Exporter = Plan.ExportKey[I].has_value();
     const uint64_t Digest = Plan.Digest[I].value_or(0);
     // A dirty file's per-file report stands when its digest is 0.
     if (Digest == St.Digest)
@@ -201,10 +192,10 @@ bool Session::forget(const std::string &Path) {
   if (It == Files.end() || It->second.InCorpus)
     return false;
   FileState &St = It->second;
-  if (St.Digest != 0 || exportsEntry(Path, St))
+  if (St.Digest != 0 || St.Exporter)
     RelinkOwed = true;
   if (St.Facts)
-    Names.remove(*St.Facts);
+    Names.remove(analysis::edgeNames(*St.Facts));
   Files.erase(It);
   Order.erase(std::find(Order.begin(), Order.end(), Path));
   Dirty.erase(Path);

@@ -22,10 +22,11 @@
 /// Invalidation model: an edit marks its file dirty. refresh() analyzes
 /// each dirty file against the empty environment, and the same load yields
 /// its new link facts. It relinks (engine::linkCorpus) only when a dirty
-/// file touches a cross-file edge before or after the edit: it had a
-/// non-zero link digest or exported an environment entry, or it now calls
-/// a name another resident file defines, or defines a name another resident
-/// file calls (analysis::LinkNames). A relink re-analyzes the dirty files
+/// file touches a cross-file edge before or after the edit, by the rule a
+/// `check` reuses a persisted link by (engine::relinkNeeded): it had a
+/// non-zero link digest or was an exporter, or it now calls a name another
+/// resident file defines, or defines a name another resident file calls
+/// (analysis::LinkNames). A relink re-analyzes the dirty files
 /// with a non-zero digest and every file whose digest moved; the latter's
 /// bytes are unchanged, so a cache hit there is a revalidation. No other
 /// file is touched. Per-file epoch/analysis/revalidation counters make
@@ -126,6 +127,7 @@ private:
     /// The link facts of the analyzed content (nullopt outside the link).
     std::optional<analysis::ModuleFacts> Facts;
     uint64_t Digest = 0; ///< The link digest Report was computed under.
+    bool Exporter = false; ///< Another file's call resolves into it.
     uint64_t Epoch = 0;
     uint64_t Analyses = 0;
     uint64_t Revalidations = 0;
@@ -136,9 +138,6 @@ private:
   /// Whether the engine would link the resident files (engine::shouldLink
   /// over the non-placeholder ones).
   bool wantsLink() const;
-
-  /// True when \p Path's facts define an entry of the link environment.
-  bool exportsEntry(const std::string &Path, const FileState &St) const;
 
   /// Analyzes \p Path's current content through the warm engine into \p St
   /// and bumps its counters.

@@ -99,29 +99,31 @@ TEST(Link, ExternRefsIncludeSpawnTargets) {
 TEST(Link, LinkNamesSeeCrossModuleEdges) {
   std::vector<ModuleFacts> Facts = twoModuleFacts();
   LinkNames Names;
-  Names.add(Facts[1]);
+  Names.add(edgeNames(Facts[1]));
   // caller.mir calls free_it and spawns spawned_body, both defined by the
   // indexed callee.mir; its local helper and the intrinsic are no edge.
-  EXPECT_TRUE(Names.touchesEdge(Facts[0]));
-  Names.add(Facts[0]);
+  EXPECT_TRUE(Names.touchesEdge(edgeNames(Facts[0])));
+  Names.add(edgeNames(Facts[0]));
 
   // Out of the index, callee.mir is still on an edge: caller.mir calls
   // what it defines.
-  Names.remove(Facts[1]);
-  EXPECT_TRUE(Names.touchesEdge(Facts[1]));
+  Names.remove(edgeNames(Facts[1]));
+  EXPECT_TRUE(Names.touchesEdge(edgeNames(Facts[1])));
 
   // A module whose names nobody else defines or calls is on no edge, even
   // though it calls an unresolved name of its own.
   Module Lone = parseOk("fn lone() { let _1: (); bb0: { _1 = truly_external()"
                         " -> bb1; } bb1: { return; } }\n");
-  EXPECT_FALSE(Names.touchesEdge(collectModuleFacts(Lone, "lone.mir")));
+  const EdgeNames LoneNames = edgeNames(collectModuleFacts(Lone, "lone.mir"));
+  EXPECT_FALSE(Names.touchesEdge(LoneNames));
   // Once a module defining that unresolved name joins, it is one.
   Module Def = parseOk("fn truly_external() { bb0: { return; } }\n");
-  Names.add(collectModuleFacts(Lone, "lone.mir"));
-  EXPECT_TRUE(Names.touchesEdge(collectModuleFacts(Def, "def.mir")));
-  Names.remove(collectModuleFacts(Lone, "lone.mir"));
-  Names.remove(Facts[0]);
-  EXPECT_FALSE(Names.touchesEdge(collectModuleFacts(Def, "def.mir")));
+  const EdgeNames DefNames = edgeNames(collectModuleFacts(Def, "def.mir"));
+  Names.add(LoneNames);
+  EXPECT_TRUE(Names.touchesEdge(DefNames));
+  Names.remove(LoneNames);
+  Names.remove(edgeNames(Facts[0]));
+  EXPECT_FALSE(Names.touchesEdge(DefNames));
 }
 
 TEST(Link, CollectModuleFactsShape) {

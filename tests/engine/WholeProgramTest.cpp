@@ -103,6 +103,17 @@ fs::path writeCorpus(const char *Name) {
   return Dir;
 }
 
+/// \p Names in \p Dir, in that order. A run over another order than the
+/// directory's links instead of reusing the link state a run over the
+/// directory left (its key folds the input order).
+std::vector<std::string> inOrder(const fs::path &Dir,
+                                 std::initializer_list<const char *> Names) {
+  std::vector<std::string> Out;
+  for (const char *Name : Names)
+    Out.push_back((Dir / Name).string());
+  return Out;
+}
+
 EngineOptions baseOptions() {
   EngineOptions Opts;
   Opts.Jobs = 1;
@@ -234,8 +245,10 @@ TEST(WholeProgram, AutoLinksOnlyMultiFileCorpora) {
 
 // A per-file run is a linked run with an empty environment: a leaf file
 // (link digest 0) shares its report entry with per-file mode, while a file
-// whose callee lives elsewhere is also keyed by its digest. The linked
-// driver analyzes every file per-file first, so it leaves both entries.
+// whose callee lives elsewhere is keyed by its digest. The linked driver
+// analyzes a file that calls out of its own only after the link, under its
+// digest, so it leaves the leaf's per-file entry and the caller's linked
+// one.
 TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
   fs::path Dir = writePair("wp_leaf_entry", UafUseSrc, UafDefSrc);
   fs::path CacheDir = fs::path(testing::TempDir()) / "wp_leaf_entry_cache";
@@ -247,30 +260,31 @@ TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
   AnalysisEngine E(Opts);
   CorpusReport Linked = E.analyzeCorpus({Dir.string()});
   ASSERT_TRUE(Linked.Stats.LinkEnabled);
-  // Two per-file runs, then the caller against the environment.
-  EXPECT_EQ(Linked.Stats.CacheMisses, 3u);
+  // The leaf per-file, then the caller against the environment.
+  EXPECT_EQ(Linked.Stats.CacheMisses, 2u);
   EXPECT_EQ(Linked.totalFindings(), 1u) << Linked.renderText();
 
-  // The same engine's per-file entry hits for both files (and, without the
-  // environment, the cross-file bug is invisible) ...
+  // The same engine's per-file entry hits for the leaf, and the caller's
+  // per-file analysis is a miss (without the environment, the cross-file
+  // bug is invisible) ...
   sched::ResultCache::Stats Before = E.cache()->stats();
   FileReport Def = E.analyzeFile((Dir / "a_def.mir").string());
   EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
   EXPECT_EQ(E.cache()->stats().Misses, Before.Misses);
   FileReport Use = E.analyzeFile((Dir / "b_use.mir").string());
-  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 2);
-  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses);
+  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
+  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 1);
   EXPECT_EQ(Def.Status, EngineStatus::Ok);
   EXPECT_TRUE(Use.Findings.empty());
   // ... while the caller's linked entry lives under its digest: a digest
   // no link produced misses.
   FileReport Stale = E.analyzeFile((Dir / "b_use.mir").string(), std::nullopt,
                                    nullptr, /*LinkDigest=*/42);
-  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 1);
+  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 2);
   EXPECT_TRUE(Stale.Findings.empty());
 
   // A WholeProgramMode::Off run over a cache only a linked run has written:
-  // both per-file entries serve from disk.
+  // the leaf's per-file entry serves from disk, the caller's is a miss.
   fs::remove_all(CacheDir);
   {
     AnalysisEngine Warm(Opts);
@@ -281,9 +295,9 @@ TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
   AnalysisEngine Off(OffOpts);
   CorpusReport PerFile = Off.analyzeCorpus({Dir.string()});
   EXPECT_FALSE(PerFile.Stats.LinkEnabled);
-  EXPECT_EQ(PerFile.Stats.CacheHits, 2u) << PerFile.Stats.renderLine();
-  EXPECT_EQ(PerFile.Stats.DiskHits, 2u);
-  EXPECT_EQ(PerFile.Stats.CacheMisses, 0u);
+  EXPECT_EQ(PerFile.Stats.CacheHits, 1u) << PerFile.Stats.renderLine();
+  EXPECT_EQ(PerFile.Stats.DiskHits, 1u);
+  EXPECT_EQ(PerFile.Stats.CacheMisses, 1u);
   EXPECT_EQ(PerFile.totalFindings(), 0u) << PerFile.renderText();
   fs::remove_all(CacheDir);
 }
@@ -338,22 +352,38 @@ TEST(WholeProgram, ColdVsWarmSummaryDbIsByteIdentical) {
     Cold = R.renderJson();
   }
   {
-    // A fresh engine against the same disk root: the one exporter's link
-    // key hits, so no module is summarized and the bytes match the cold
-    // run exactly. The caller exports nothing and needs no summary.
+    // A fresh engine against the same disk root reuses the cold run's link
+    // and renders its bytes exactly.
     AnalysisEngine E(Opts);
     CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_TRUE(R.Stats.LinkReused) << R.Stats.renderLine();
+    EXPECT_EQ(Cold, R.renderJson());
+  }
+  {
+    // Over the files in another order the run links: the one exporter's
+    // link key hits, so no module is summarized and the bytes match a
+    // cache-less run exactly. The caller exports nothing and needs no
+    // summary.
+    AnalysisEngine E(Opts);
+    CorpusReport R = E.analyzeCorpus(inOrder(Dir, {"b_use.mir", "a_def.mir"}));
+    EXPECT_FALSE(R.Stats.LinkReused);
     EXPECT_EQ(R.Stats.LinkRounds, 0u) << R.Stats.renderLine();
     EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u) << R.Stats.renderLine();
     EXPECT_EQ(R.Stats.ModulesNeedNoSummary, 1u);
     EXPECT_GT(R.Stats.SummaryDbHits, 0u);
     Warm = R.renderJson();
   }
-  EXPECT_EQ(Cold, Warm);
+  AnalysisEngine Fresh(baseOptions());
+  EXPECT_EQ(Fresh.analyzeCorpus(inOrder(Dir, {"b_use.mir", "a_def.mir"}))
+                .renderJson(),
+            Warm);
 }
 
 TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
   fs::path Dir = writePair("wp_schema", UafUseSrc, UafDefSrc);
+  // A third file gives the runs below three input orders: each links
+  // instead of reusing an earlier order's link state.
+  std::ofstream(Dir / "c_leaf.mir") << "fn leaf() {\n    bb0: { return; }\n}\n";
   fs::path CacheDir = fs::path(testing::TempDir()) / "wp_schema_cache";
   fs::remove_all(CacheDir);
 
@@ -388,21 +418,27 @@ TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
   ASSERT_EQ(Unexpected, 0u);
   ASSERT_EQ(Skewed, 1u);
 
+  AnalysisEngine Fresh(baseOptions());
+  const auto BumpedOrder =
+      inOrder(Dir, {"c_leaf.mir", "a_def.mir", "b_use.mir"});
+  const auto AgainOrder =
+      inOrder(Dir, {"b_use.mir", "c_leaf.mir", "a_def.mir"});
   {
     AnalysisEngine Bumped(Opts);
-    CorpusReport R = Bumped.analyzeCorpus({Dir.string()});
-    EXPECT_EQ(Cold, R.renderJson());
+    CorpusReport R = Bumped.analyzeCorpus(BumpedOrder);
+    EXPECT_EQ(Fresh.analyzeCorpus(BumpedOrder).renderJson(), R.renderJson());
+    EXPECT_FALSE(R.Stats.LinkReused);
     EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
     EXPECT_EQ(R.Stats.SummaryDbStores, 1u);
     EXPECT_EQ(R.Stats.CorruptEntries, 0u);
     ASSERT_NE(Bumped.cache(), nullptr);
     EXPECT_EQ(Bumped.cache()->stats().CorruptEntries, 0u);
   }
-  // The re-stored entry serves the next run warm again.
+  // The re-stored entry serves the next run that links warm again.
   AnalysisEngine Again(Opts);
-  CorpusReport R = Again.analyzeCorpus({Dir.string()});
-  EXPECT_EQ(Cold, R.renderJson());
-  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u);
+  CorpusReport R = Again.analyzeCorpus(AgainOrder);
+  EXPECT_EQ(Fresh.analyzeCorpus(AgainOrder).renderJson(), R.renderJson());
+  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u) << R.Stats.renderLine();
   fs::remove_all(CacheDir);
 }
 
@@ -432,9 +468,12 @@ TEST(WholeProgram, CorruptSummaryEntryIsAMissCountedInTheRun) {
   cachetest::corruptPayload(Sealed[0]);
 
   {
+    // Over another input order, so that the run links and reads the entry.
+    const auto Reversed = inOrder(Dir, {"b_use.mir", "a_def.mir"});
     AnalysisEngine Warm(cachedOptions(CacheDir));
-    CorpusReport R = Warm.analyzeCorpus({Dir.string()});
-    EXPECT_EQ(R.renderJson(), Cold);
+    CorpusReport R = Warm.analyzeCorpus(Reversed);
+    AnalysisEngine Fresh(baseOptions());
+    EXPECT_EQ(R.renderJson(), Fresh.analyzeCorpus(Reversed).renderJson());
     EXPECT_EQ(R.Stats.CorruptEntries, 1u) << R.Stats.renderLine();
     EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 0u);
     EXPECT_EQ(R.Stats.SummaryDbMisses, 1u);
@@ -503,18 +542,35 @@ TEST(WholeProgram, WarmUnchangedRunNeverParsesOrDecodes) {
                                                       Key) == Snapshots.end();
                                    }),
             Snapshots.size());
+  const auto Reordered =
+      inOrder(Dir, {"c_dl_def.mir", "d_dl_use.mir", "a_def.mir", "b_use.mir"});
+  AnalysisEngine Fresh(baseOptions());
+  const std::string Want = Fresh.analyzeCorpus(Reordered).renderJson();
   fault::ScopedFault NoParse("engine.parse", 1, 1000000);
-  AnalysisEngine Warm(cachedOptions(CacheDir));
-  CorpusReport R = Warm.analyzeCorpus({Dir.string()});
-  EXPECT_EQ(R.renderJson(), Cold);
-  EXPECT_EQ(R.countWithStatus(EngineStatus::Ok), 4u) << R.renderText();
-  // The two def files export and hit; the two callers need no summary.
-  // Every file's per-file report hits, and each caller's linked one.
-  EXPECT_EQ(R.Stats.LinkRounds, 0u) << R.Stats.renderLine();
-  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 2u) << R.Stats.renderLine();
-  EXPECT_EQ(R.Stats.ModulesNeedNoSummary, 2u);
-  EXPECT_EQ(R.Stats.SummaryDbHits, 2u);
-  EXPECT_EQ(R.Stats.CacheHits, 6u);
+  {
+    // The unchanged corpus reuses the cold run's link: each file's report
+    // under its recorded digest.
+    AnalysisEngine Warm(cachedOptions(CacheDir));
+    CorpusReport R = Warm.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.renderJson(), Cold);
+    EXPECT_TRUE(R.Stats.LinkReused) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.CacheHits, 4u);
+  }
+  {
+    // Another input order links. The two def files export and hit; the two
+    // callers need no summary. Each def file's per-file report hits, and
+    // each caller's linked one (a caller is analyzed under its digest only).
+    AnalysisEngine Warm(cachedOptions(CacheDir));
+    CorpusReport R = Warm.analyzeCorpus(Reordered);
+    EXPECT_EQ(R.renderJson(), Want);
+    EXPECT_EQ(R.countWithStatus(EngineStatus::Ok), 4u) << R.renderText();
+    EXPECT_FALSE(R.Stats.LinkReused);
+    EXPECT_EQ(R.Stats.LinkRounds, 0u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 2u) << R.Stats.renderLine();
+    EXPECT_EQ(R.Stats.ModulesNeedNoSummary, 2u);
+    EXPECT_EQ(R.Stats.SummaryDbHits, 2u);
+    EXPECT_EQ(R.Stats.CacheHits, 4u);
+  }
   fs::remove_all(CacheDir);
 }
 

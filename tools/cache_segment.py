@@ -12,12 +12,13 @@ little-endian. See src/sched/ResultCache.h.
     python3 tools/cache_segment.py list DIR
     python3 tools/cache_segment.py rewrite DIR KEY PAYLOAD_FILE
 
-`list` prints one line per segment and one per entry. `rewrite` replaces the
-payload of the newest entry under KEY (16 hex digits) and re-seals that
-segment: envelope checksum, index and footer. Only the layers above the
-cache can then tell the entry was edited, which is what the cold-not-corrupt
-drills need. Drills that edit many entries import this module and use
-segments(), read_segment() and write_segment().
+`list` prints one line per segment and one per entry, labeled by kind:
+snapshot, link-state, summary, report or blob (link facts). `rewrite`
+replaces the payload of the newest entry under KEY (16 hex digits) and
+re-seals that segment: envelope checksum, index and footer. Only the
+layers above the cache can then tell the entry was edited, which is what
+the cold-not-corrupt drills need. Drills that edit many entries import
+this module and use segments(), read_segment() and write_segment().
 """
 import argparse
 import os
@@ -105,6 +106,8 @@ def write_segment(path, entries):
 def kind(payload):
     if payload.startswith(b"RSMS"):
         return "snapshot"
+    if payload.startswith(b"RSLS"):
+        return "link-state"
     if b'"drops":' in payload:
         return "summary"
     if payload.startswith(b'{"v":') and b'"detectors":' in payload[:32]:
