@@ -239,11 +239,8 @@ struct AnalysisEngine::LoadedFile {
   bool Read = false;   ///< Source holds the bytes; else Report is final.
   bool Loaded = false; ///< The module step ran.
   std::optional<mir::Module> M;
-  /// M parsed without recovery (or came from a snapshot): only such a
-  /// module is snapshotted or joins the link.
+  /// M parsed without recovery: only such a module joins the link.
   bool Clean = false;
-  /// The cache holds M's snapshot: M came from it, or stored it.
-  bool Snapshotted = false;
 };
 
 /// The containment boundary: runs \p Body and turns any escaping exception
@@ -328,26 +325,6 @@ void AnalysisEngine::loadModule(LoadedFile &L) {
   if (!L.Read || L.Loaded)
     return;
   L.Loaded = true;
-
-  // A parsed-MIR snapshot (keyed by content only, not by the detector
-  // salt) lets the detectors run without lexing or parsing — the common
-  // case after a detector or option change. lookupBlobRef hands over the
-  // envelope it read without another copy; the decoder's string table
-  // borrows its bytes until the Module owns its data. Locations re-anchor
-  // at this file's path. A defective snapshot is a miss. Every clean
-  // module stores its snapshot only in a cache that outlives the process;
-  // a memory-only one holds just the snapshots linkFacts keeps.
-  const uint64_t SnapKey = snapshotCacheKey(L.Fp);
-  if (Cache)
-    if (std::optional<sched::ResultCache::BlobRef> Blob =
-            Cache->lookupBlobRef(SnapKey))
-      if ((L.M =
-               mir::snapshot::read(Blob->bytes(), &L.Fp, L.Report.Path))) {
-        L.Clean = true;
-        L.Snapshotted = true;
-        return;
-      }
-
   FileReport &R = L.Report;
   const std::string &Path = R.Path;
   contained(R, [&] {
@@ -376,17 +353,10 @@ void AnalysisEngine::loadModule(LoadedFile &L) {
       return;
     }
 
-    // Only a fully clean parse is worth snapshotting: a recovered parse
-    // carries ParseErrors/ItemsDropped that a snapshot-served report could
-    // not reproduce, and dropped items a linked summary must not pretend
-    // to cover.
-    const bool Clean = P.Errors.empty();
-    if (Clean && persists()) {
-      Cache->storeBlob(SnapKey, mir::snapshot::write(P.M, L.Fp));
-      L.Snapshotted = true;
-    }
+    // A recovered parse dropped items that a linked summary must not
+    // pretend to cover.
+    L.Clean = P.Errors.empty();
     L.M = std::move(P.M);
-    L.Clean = Clean;
   });
 }
 
@@ -420,16 +390,6 @@ AnalysisEngine::linkFacts(LoadedFile &L) {
   if (persists())
     Cache->storeBlob(factsCacheKey(L.Fp),
                      analysis::serializeModuleFacts(Facts));
-  // A module that calls a function it does not define may resolve it in
-  // another file, and the link then re-analyzes it: a second load. Its
-  // snapshot saves that re-parse, so it is kept even in a memory-only
-  // cache. Other modules are read back at most once more, as an exporter,
-  // and re-parse (docs/PERFORMANCE.md, "Cache interaction").
-  if (Cache && !L.Snapshotted && analysis::callsOut(Facts)) {
-    Cache->storeBlob(snapshotCacheKey(L.Fp),
-                     mir::snapshot::write(*L.M, L.Fp));
-    L.Snapshotted = true;
-  }
   return Facts;
 }
 
@@ -1198,13 +1158,11 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
           continue;
         Link.Digest[I] = F.Digest;
         ++Link.Stats.LinkedFiles;
-        // The run reads no facts, summaries or snapshots, yet a later run
-        // that relinks needs them: keep them in the window.
+        // The run reads no facts or summaries, yet a later run that
+        // relinks needs them: keep them in the window.
         if (!Unchanged[I])
           continue;
         Cache->retain(factsCacheKey(*F.Fp));
-        if (F.Digest != 0 || F.ExportKey)
-          Cache->retain(snapshotCacheKey(*F.Fp));
         if (F.ExportKey)
           Cache->retain(sched::SummaryDb::address(
               *F.ExportKey, sched::SummaryDb::SchemaVersion));

@@ -223,11 +223,11 @@ struct EngineOptions {
   bool UseCache = true;
 
   /// On-disk cache layer root ("" = memory-only, which keeps no link facts
-  /// and only the snapshots of modules that call out of their file).
+  /// and no link state).
   std::string CacheDir;
 
   /// In-memory entry cap of the result cache, the one LRU that reports,
-  /// snapshots, link facts and summaries share (0 = unbounded).
+  /// link facts, summaries and link states share (0 = unbounded).
   size_t CacheMaxEntries = 4096;
 
   /// The on-disk generation the cache's segment joins (0 = its own; see
@@ -256,18 +256,14 @@ uint64_t cacheSalt(const EngineOptions &Opts,
 /// The full cache key for one file under one engine configuration.
 uint64_t cacheKey(uint64_t SourceFingerprint, uint64_t Salt);
 
-/// The cache key for one file's parsed-MIR snapshot blob. Deliberately
-/// independent of the detector/options salt — a snapshot captures the
-/// parse, not the analysis, so changing the detector battery re-runs
-/// detectors against the cached module instead of re-lexing the world.
-/// Folds the snapshot schema version and the interner epoch so format or
-/// interner changes invalidate en masse, plus a distinct tag so snapshot
-/// keys can never collide with report keys in the shared cache.
+/// The key a parsed-MIR snapshot blob is stored under. Its only user is
+/// perfbench's pipeline replay; it is deleted with that replay (ROADMAP,
+/// "Tracing inside the engine").
 uint64_t snapshotCacheKey(uint64_t SourceFingerprint);
 
 /// The cache key for one file's link facts blob (analysis::ModuleFacts
-/// without its path). Content-only like snapshotCacheKey, with the facts
-/// schema folded in and its own tag.
+/// without its path). Content-only, independent of the detector salt,
+/// with the facts schema folded in and its own tag.
 uint64_t factsCacheKey(uint64_t SourceFingerprint);
 
 /// Serializes a FileReport into its one JSON payload: the report cache
@@ -302,8 +298,8 @@ struct CorpusState;
 /// There is one pipeline. A per-file analysis is a linked analysis against
 /// an empty environment with link digest 0, so both share cache entries.
 /// Every entry point goes through the same steps: read (read and
-/// fingerprint, or take an in-memory source), the module step (snapshot,
-/// else parse + verify) run only when something needs the module, and
+/// fingerprint, or take an in-memory source), the module step (parse +
+/// verify) run only when something needs the module, and
 /// analyze (report lookup, then detectors and suppressions inside one
 /// containment boundary).
 class AnalysisEngine {
@@ -380,9 +376,9 @@ public:
   CorpusReport analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
                              CorpusState *State);
 
-  /// The engine's one cache (null when disabled): reports, summaries and
-  /// snapshots, plus link facts when it has a disk layer. Persists across
-  /// analyzeCorpus calls, which is what makes warm reruns hit.
+  /// The engine's one cache (null when disabled): reports and summaries,
+  /// plus link facts and link states when it has a disk layer. Persists
+  /// across analyzeCorpus calls, which is what makes warm reruns hit.
   sched::ResultCache *cache() { return Cache.get(); }
 
 private:
@@ -394,23 +390,21 @@ private:
                   std::optional<std::string_view> Source);
   LoadedFile read(const corpus::CorpusInput &In);
   /// True when the cache outlives the process (a --cache-dir is set). Only
-  /// then are link facts, and every clean module's snapshot, stored.
+  /// then are link facts and link states stored.
   bool persists() const { return Cache && !Opts.CacheDir.empty(); }
-  /// The module step, at most once per file: a snapshot, else parse +
-  /// verify (a clean parse stores its snapshot when the cache persists()).
-  /// Afterwards \p L carries a module, or a Skipped report.
+  /// The module step, at most once per file: parse + verify. Afterwards
+  /// \p L carries a module, or a Skipped report.
   void loadModule(LoadedFile &L);
   /// The facts cache entry of content \p Fp, anchored at \p Path (nullopt
   /// on a miss, or when the cache does not persist).
   std::optional<analysis::ModuleFacts> cachedFacts(uint64_t Fp,
                                                    const std::string &Path);
   /// \p L's link facts: the facts cache, else its module's facts (stored
-  /// in the cache when it persists()). A module that calls out of its file
-  /// keeps its snapshot in any cache. nullopt when the file cannot join the
-  /// link.
+  /// in the cache when it persists()). nullopt when the file cannot join
+  /// the link.
   std::optional<analysis::ModuleFacts> linkFacts(LoadedFile &L);
   /// The analyze step: the report cache first, so a warm file is one
-  /// lookup with no module decode; on a miss, the module step, then
+  /// lookup with no module load; on a miss, the module step, then
   /// detectors and suppressions against \p Env inside the containment
   /// boundary (counted in \p Runs), and a clean report is stored under the
   /// \p LinkDigest-folded key. A file whose read or module step ended in a

@@ -27,11 +27,11 @@
 /// maps on the side. Types are structurally interned by TypeContext and
 /// referenced by pointer.
 ///
-/// Three hand-written walks cover every field of a function body, in the
-/// same order: the printer (Function::toString, Mir.cpp), the snapshot
-/// codec (Writer and Reader, Snapshot.cpp) and the link fingerprint
-/// (functionFingerprint, analysis/Link.cpp). A new field goes into all
-/// three.
+/// Two hand-written walks cover every field of a function body, in the
+/// same order: the printer (Function::toString, Mir.cpp) and the link
+/// fingerprint (functionFingerprint, analysis/Link.cpp). A new field goes
+/// into both. The snapshot codec (Snapshot.cpp), perfbench's alone, walks
+/// them too until it is deleted with perfbench's pipeline replay.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,13 +1,9 @@
+// The MIR snapshot codec. Its only user is perfbench's pipeline replay; it
+// is deleted with that replay (ROADMAP, "Tracing inside the engine").
+
 #include "mir/Snapshot.h"
 
 #include "support/Hash.h"
-
-// #define RS_SNAPSHOT_PROFILE — flip on to print per-phase decode totals at exit.
-
-#ifdef RS_SNAPSHOT_PROFILE
-#include <chrono>
-#include <cstdio>
-#endif
 
 #include <algorithm>
 #include <cassert>
@@ -618,24 +614,6 @@ private:
 // Reader
 //===----------------------------------------------------------------------===//
 
-#ifdef RS_SNAPSHOT_PROFILE
-struct PhaseClock {
-  double Header = 0, Strings = 0, Types = 0, Items = 0;
-  ~PhaseClock() {
-    std::fprintf(stderr,
-                 "[snapshot-prof] header %.3f ms, strings %.3f ms, "
-                 "types %.3f ms, items %.3f ms\n",
-                 Header, Strings, Types, Items);
-  }
-  static double now() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-};
-static PhaseClock Phases;
-#endif
-
 class Reader {
 public:
   /// \p Anchor, when non-null, replaces every recorded file name.
@@ -643,16 +621,9 @@ public:
 
   std::optional<Module> run(std::string_view Bytes,
                             const uint64_t *ExpectFingerprint) {
-#ifdef RS_SNAPSHOT_PROFILE
-    double T0 = PhaseClock::now();
-#endif
     std::string_view Body = validateHeader(Bytes, ExpectFingerprint);
     if (Body.data() == nullptr)
       return std::nullopt;
-#ifdef RS_SNAPSHOT_PROFILE
-    double T1 = PhaseClock::now();
-    Phases.Header += T1 - T0;
-#endif
 
     Cursor C(Body);
     if (!decodeStrings(C))
@@ -664,23 +635,12 @@ public:
     // strings the module names nothing with.
     Syms.assign(Strings.size(), Symbol());
     Files.assign(Strings.size(), nullptr);
-#ifdef RS_SNAPSHOT_PROFILE
-    double T2 = PhaseClock::now();
-    Phases.Strings += T2 - T1;
-#endif
 
     Module M;
     if (!decodeTypes(C, M))
       return std::nullopt;
-#ifdef RS_SNAPSHOT_PROFILE
-    double T3 = PhaseClock::now();
-    Phases.Types += T3 - T2;
-#endif
     if (!decodeItems(C, M))
       return std::nullopt;
-#ifdef RS_SNAPSHOT_PROFILE
-    Phases.Items += PhaseClock::now() - T3;
-#endif
     if (!C.ok() || !C.atEnd())
       return std::nullopt;
     return M;

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Versioned binary MIR snapshots: a Module serialized to bytes so warm
-/// starts and the serve daemon can skip the Lexer/Parser entirely.
+/// Versioned binary MIR snapshots: a Module serialized to bytes.
+/// Its only user is perfbench's pipeline replay; the codec is deleted with
+/// that replay (ROADMAP, "Tracing inside the engine").
 ///
 /// Wire format (all integers little-endian):
 ///

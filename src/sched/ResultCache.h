@@ -13,7 +13,7 @@
 /// (the engine derives the keys; the cache is payload-agnostic).
 ///
 /// One store holds every kind of entry the engine keeps — file reports,
-/// MIR snapshots, link facts and whole-program summaries — under keys its
+/// link facts, whole-program summaries and link states — under keys its
 /// callers salt apart. Two layers:
 ///  - in-memory: one LRU map, bounded by MaxMemoryEntries, thread-safe;
 ///  - on-disk (optional): segment files in DiskDir. Each instance writes at
@@ -89,7 +89,7 @@ public:
   /// both a Hit and a DiskHit. Blob lookups (lookupBlobRef) keep their own
   /// hit/miss counters so report-cache accounting — which feeds
   /// CorpusReport::Stats and several exactness tests — is unaffected by
-  /// how many snapshot, facts and summary probes a run makes. The
+  /// how many facts, summary and link-state probes a run makes. The
   /// remaining counters cover every entry.
   struct Stats {
     uint64_t Hits = 0;

@@ -1,5 +1,7 @@
 #include "sched/ThreadPool.h"
 
+#include <algorithm>
+
 #include <sched.h>
 
 namespace rs::sched {
@@ -134,8 +136,20 @@ void ThreadPool::wait() {
 
 void parallelFor(ThreadPool &Pool, size_t N,
                  const std::function<void(size_t)> &Fn) {
-  for (size_t I = 0; I != N; ++I)
-    Pool.submit([&Fn, I] { Fn(I); });
+  // One task per worker, each claiming indices until none are left: a
+  // pass of cheap indices (cached-report lookups) pays one submit per
+  // worker, not one per index. An exception ends only its own index.
+  std::atomic<size_t> Next{0};
+  auto Claim = [&Fn, &Next, N] {
+    for (size_t I; (I = Next.fetch_add(1, std::memory_order_relaxed)) < N;)
+      try {
+        Fn(I);
+      } catch (...) {
+      }
+  };
+  for (size_t W = 0, Tasks = std::min<size_t>(N, Pool.workerCount());
+       W != Tasks; ++W)
+    Pool.submit(Claim);
   Pool.wait();
 }
 

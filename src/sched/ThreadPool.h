@@ -100,8 +100,9 @@ private:
   std::atomic<size_t> NextQueue{0}; ///< Round-robin submission cursor.
 };
 
-/// Runs Fn(0..N-1) across the pool and waits for all of them. Exceptions
-/// escaping \p Fn are swallowed by the worker loop — callers that care
+/// Runs Fn(0..N-1) across the pool and waits for all of them: one task
+/// per worker, each claiming the next unclaimed index. An exception
+/// escaping \p Fn ends only its index and is swallowed — callers that care
 /// must capture failure state themselves (the engine records it in the
 /// per-file report).
 void parallelFor(ThreadPool &Pool, size_t N,

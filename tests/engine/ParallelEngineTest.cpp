@@ -219,13 +219,15 @@ TEST(ParallelEngine, DetectorSetSaltInvalidatesEverything) {
   // disk layer never serves a stale result.
   EngineOptions Changed = O;
   Changed.MaxSummaryRounds = 3;
-  AnalysisEngine E(Changed);
-  CorpusReport R = E.analyzeCorpus({Dir.string()});
-  EXPECT_EQ(R.Stats.DiskHits, 0u);
-  // At most the in-run duplicate file can hit (racy with the parallel
-  // driver: its twin may not have been stored yet).
-  EXPECT_LE(R.Stats.CacheHits, 1u);
-  EXPECT_GE(R.Stats.CacheMisses, 6u);
+  {
+    AnalysisEngine E(Changed);
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.Stats.DiskHits, 0u);
+    // At most the in-run duplicate file can hit (racy with the parallel
+    // driver: its twin may not have been stored yet).
+    EXPECT_LE(R.Stats.CacheHits, 1u);
+    EXPECT_GE(R.Stats.CacheMisses, 6u);
+  }
   fs::remove_all(Dir);
   fs::remove_all(CacheDir);
 }
@@ -254,7 +256,7 @@ TEST(ParallelEngine, FingerprintNormalizesLineEndingsOnly) {
 }
 
 TEST(ParallelEngine, FingerprintValuesArePinned) {
-  // Every report, snapshot and facts key folds the source fingerprint, so
+  // Every report and facts key folds the source fingerprint, so
   // these values must never move: a changed word fold or tail rule would
   // turn every existing cache cold. Lengths 0, 1, 10 and 16 cover an
   // empty, partial and absent tail word (the empty one is still folded).
@@ -280,12 +282,15 @@ TEST(ParallelEngine, CorruptDiskEntryDegradesToMissNotCrash) {
   // Vandalize every entry.
   for (const cachetest::Entry &Entry : cachetest::entries(CacheDir))
     cachetest::corruptPayload(Entry);
-  AnalysisEngine E(O);
-  CorpusReport R = E.analyzeCorpus({Dir.string()});
-  EXPECT_EQ(R.renderJson(), Cold);
-  EXPECT_EQ(R.Stats.DiskHits, 0u);
-  // Five unique clean contents were on disk; every vandalized entry counts.
-  EXPECT_GE(R.Stats.CorruptEntries, 5u);
+  {
+    AnalysisEngine E(O);
+    CorpusReport R = E.analyzeCorpus({Dir.string()});
+    EXPECT_EQ(R.renderJson(), Cold);
+    EXPECT_EQ(R.Stats.DiskHits, 0u);
+    // Five unique clean contents were on disk; every vandalized entry
+    // counts.
+    EXPECT_GE(R.Stats.CorruptEntries, 5u);
+  }
   fs::remove_all(Dir);
   fs::remove_all(CacheDir);
 }

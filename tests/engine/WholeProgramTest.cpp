@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -257,31 +256,34 @@ TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
   Opts.UseCache = true;
   Opts.CacheDir = CacheDir.string();
 
-  AnalysisEngine E(Opts);
-  CorpusReport Linked = E.analyzeCorpus({Dir.string()});
-  ASSERT_TRUE(Linked.Stats.LinkEnabled);
-  // The leaf per-file, then the caller against the environment.
-  EXPECT_EQ(Linked.Stats.CacheMisses, 2u);
-  EXPECT_EQ(Linked.totalFindings(), 1u) << Linked.renderText();
+  {
+    AnalysisEngine E(Opts);
+    CorpusReport Linked = E.analyzeCorpus({Dir.string()});
+    ASSERT_TRUE(Linked.Stats.LinkEnabled);
+    // The leaf per-file, then the caller against the environment.
+    EXPECT_EQ(Linked.Stats.CacheMisses, 2u);
+    EXPECT_EQ(Linked.totalFindings(), 1u) << Linked.renderText();
 
-  // The same engine's per-file entry hits for the leaf, and the caller's
-  // per-file analysis is a miss (without the environment, the cross-file
-  // bug is invisible) ...
-  sched::ResultCache::Stats Before = E.cache()->stats();
-  FileReport Def = E.analyzeFile((Dir / "a_def.mir").string());
-  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
-  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses);
-  FileReport Use = E.analyzeFile((Dir / "b_use.mir").string());
-  EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
-  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 1);
-  EXPECT_EQ(Def.Status, EngineStatus::Ok);
-  EXPECT_TRUE(Use.Findings.empty());
-  // ... while the caller's linked entry lives under its digest: a digest
-  // no link produced misses.
-  FileReport Stale = E.analyzeFile((Dir / "b_use.mir").string(), std::nullopt,
-                                   nullptr, /*LinkDigest=*/42);
-  EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 2);
-  EXPECT_TRUE(Stale.Findings.empty());
+    // The same engine's per-file entry hits for the leaf, and the caller's
+    // per-file analysis is a miss (without the environment, the cross-file
+    // bug is invisible) ...
+    sched::ResultCache::Stats Before = E.cache()->stats();
+    FileReport Def = E.analyzeFile((Dir / "a_def.mir").string());
+    EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
+    EXPECT_EQ(E.cache()->stats().Misses, Before.Misses);
+    FileReport Use = E.analyzeFile((Dir / "b_use.mir").string());
+    EXPECT_EQ(E.cache()->stats().Hits, Before.Hits + 1);
+    EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 1);
+    EXPECT_EQ(Def.Status, EngineStatus::Ok);
+    EXPECT_TRUE(Use.Findings.empty());
+    // ... while the caller's linked entry lives under its digest: a digest
+    // no link produced misses.
+    FileReport Stale = E.analyzeFile((Dir / "b_use.mir").string(),
+                                     std::nullopt, nullptr,
+                                     /*LinkDigest=*/42);
+    EXPECT_EQ(E.cache()->stats().Misses, Before.Misses + 2);
+    EXPECT_TRUE(Stale.Findings.empty());
+  }
 
   // A WholeProgramMode::Off run over a cache only a linked run has written:
   // the leaf's per-file entry serves from disk, the caller's is a miss.
@@ -290,15 +292,17 @@ TEST(WholeProgram, LeafEntryFromLinkedRunServesPerFileRuns) {
     AnalysisEngine Warm(Opts);
     Warm.analyzeCorpus({Dir.string()});
   }
-  EngineOptions OffOpts = Opts;
-  OffOpts.WholeProgram = WholeProgramMode::Off;
-  AnalysisEngine Off(OffOpts);
-  CorpusReport PerFile = Off.analyzeCorpus({Dir.string()});
-  EXPECT_FALSE(PerFile.Stats.LinkEnabled);
-  EXPECT_EQ(PerFile.Stats.CacheHits, 1u) << PerFile.Stats.renderLine();
-  EXPECT_EQ(PerFile.Stats.DiskHits, 1u);
-  EXPECT_EQ(PerFile.Stats.CacheMisses, 1u);
-  EXPECT_EQ(PerFile.totalFindings(), 0u) << PerFile.renderText();
+  {
+    EngineOptions OffOpts = Opts;
+    OffOpts.WholeProgram = WholeProgramMode::Off;
+    AnalysisEngine Off(OffOpts);
+    CorpusReport PerFile = Off.analyzeCorpus({Dir.string()});
+    EXPECT_FALSE(PerFile.Stats.LinkEnabled);
+    EXPECT_EQ(PerFile.Stats.CacheHits, 1u) << PerFile.Stats.renderLine();
+    EXPECT_EQ(PerFile.Stats.DiskHits, 1u);
+    EXPECT_EQ(PerFile.Stats.CacheMisses, 1u);
+    EXPECT_EQ(PerFile.totalFindings(), 0u) << PerFile.renderText();
+  }
   fs::remove_all(CacheDir);
 }
 
@@ -434,11 +438,13 @@ TEST(WholeProgram, SummaryDbSchemaBumpIsColdNotCorrupt) {
     ASSERT_NE(Bumped.cache(), nullptr);
     EXPECT_EQ(Bumped.cache()->stats().CorruptEntries, 0u);
   }
-  // The re-stored entry serves the next run that links warm again.
-  AnalysisEngine Again(Opts);
-  CorpusReport R = Again.analyzeCorpus(AgainOrder);
-  EXPECT_EQ(Fresh.analyzeCorpus(AgainOrder).renderJson(), R.renderJson());
-  EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u) << R.Stats.renderLine();
+  {
+    // The re-stored entry serves the next run that links warm again.
+    AnalysisEngine Again(Opts);
+    CorpusReport R = Again.analyzeCorpus(AgainOrder);
+    EXPECT_EQ(Fresh.analyzeCorpus(AgainOrder).renderJson(), R.renderJson());
+    EXPECT_EQ(R.Stats.ModulesFromSummaryDb, 1u) << R.Stats.renderLine();
+  }
   fs::remove_all(CacheDir);
 }
 
@@ -495,8 +501,8 @@ TEST(WholeProgram, LinkedRunOverUnwritableCacheWarnsOnce) {
   AnalysisEngine Fresh(baseOptions());
   const std::string Want = Fresh.analyzeCorpus({Dir.string()}).renderJson();
 
-  // Every disk write fails: reports, snapshots, facts and summaries alike
-  // go through the one store, so the run warns once.
+  // Every disk write fails: reports, facts, summaries and the link state
+  // alike go through the one store, so the run warns once.
   fault::ScopedFault Unwritable("cache.disk.store", 1, 1000000);
   AnalysisEngine E(cachedOptions(CacheDir));
   testing::internal::CaptureStderr();
@@ -525,23 +531,8 @@ TEST(WholeProgram, WarmUnchangedRunNeverParsesOrDecodes) {
     Cold = R.renderJson();
   }
 
-  // Without snapshots, any module the warm run needed would have to be
-  // parsed, and the armed probe turns every parse into a Skipped file. The
-  // facts cache, the summary DB and the report cache must carry the run.
-  std::vector<uint64_t> Snapshots;
-  for (const fs::directory_entry &F : fs::directory_iterator(Dir)) {
-    std::ifstream In(F.path());
-    std::string Src((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-    Snapshots.push_back(snapshotCacheKey(fingerprintSource(Src)));
-  }
-  ASSERT_EQ(cachetest::editEntries(CacheDir,
-                                   [&](uint64_t Key, std::string &) {
-                                     return std::find(Snapshots.begin(),
-                                                      Snapshots.end(),
-                                                      Key) == Snapshots.end();
-                                   }),
-            Snapshots.size());
+  // The armed probe turns every parse into a Skipped file. The facts
+  // cache, the summary DB and the report cache must carry the run.
   const auto Reordered =
       inOrder(Dir, {"c_dl_def.mir", "d_dl_use.mir", "a_def.mir", "b_use.mir"});
   AnalysisEngine Fresh(baseOptions());
@@ -586,8 +577,11 @@ TEST(WholeProgram, WarmCacheServesACopiedCorpusAtItsNewPaths) {
   }
   fs::copy(Dir, Copy);
 
-  AnalysisEngine Warm(cachedOptions(CacheDir));
-  CorpusReport Got = Warm.analyzeCorpus({Copy.string()});
+  CorpusReport Got;
+  {
+    AnalysisEngine Warm(cachedOptions(CacheDir));
+    Got = Warm.analyzeCorpus({Copy.string()});
+  }
   AnalysisEngine Fresh(baseOptions());
   CorpusReport Want = Fresh.analyzeCorpus({Copy.string()});
   EXPECT_EQ(Got.renderJson(), Want.renderJson());
@@ -626,11 +620,31 @@ TEST(WholeProgram, FileOutsideTheLinkIsReadAndParsedOnce) {
   EXPECT_EQ(R.Stats.LinkedFiles, 2u);
   EXPECT_EQ(R.countWithStatus(EngineStatus::Degraded), 1u) << R.renderText();
   EXPECT_EQ(R.countWithStatus(EngineStatus::Skipped), 1u) << R.renderText();
-  // Each file once, plus, with no snapshot cache, one more load for each
-  // linked file: the exporter's summary round and the caller's linked
-  // re-analysis. The two files outside the link load once.
+  // Each file once, plus one more load for each linked file: the
+  // exporter's summary round and the caller's linked re-analysis. The two
+  // files outside the link load once.
   EXPECT_EQ(fault::hitCount("engine.parse"), 6u);
   EXPECT_EQ(fault::hitCount("engine.verify"), 6u);
+}
+
+TEST(WholeProgram, MemoryOnlyCacheKeepsReportsAndSummariesOnly) {
+  // Link facts and link states are kept only in a cache that outlives the
+  // process, and no cache keeps a module. A memory-only cache holds the
+  // def file's report, the caller's linked report and the def file's
+  // summary, so re-analyzing unchanged content (a serve revalidation) is a
+  // report hit.
+  fs::path Dir = writePair("wp_memory_only", UafUseSrc, UafDefSrc);
+  EngineOptions Opts = baseOptions();
+  Opts.UseCache = true;
+  AnalysisEngine E(Opts);
+  CorpusReport R = E.analyzeCorpus({Dir.string()});
+  EXPECT_EQ(R.totalFindings(), 1u) << R.renderText();
+  ASSERT_NE(E.cache(), nullptr);
+  EXPECT_EQ(E.cache()->memoryEntryCount(), 3u);
+  const uint64_t Hits = E.cache()->stats().Hits;
+  FileReport Again = E.analyzeFile((Dir / "a_def.mir").string());
+  EXPECT_EQ(E.cache()->stats().Hits, Hits + 1);
+  EXPECT_EQ(serializeFileReport(Again), serializeFileReport(R.Files[0]));
 }
 
 TEST(WholeProgram, SummaryDbHonorsTheCacheCap) {

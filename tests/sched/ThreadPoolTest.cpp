@@ -47,6 +47,20 @@ TEST(ThreadPool, ParallelForZeroTasksReturnsImmediately) {
   parallelFor(Pool, 0, [](size_t) { FAIL() << "no task should run"; });
 }
 
+TEST(ThreadPool, ParallelForThrowingIndexEndsOnlyThatIndex) {
+  // One worker claims every index, so a throw that ended its claim loop
+  // would leave the later indices unrun.
+  ThreadPool Pool(1);
+  std::vector<int> Ran(64, 0);
+  parallelFor(Pool, Ran.size(), [&Ran](size_t I) {
+    if (I % 2 == 0)
+      throw std::runtime_error("index fault");
+    Ran[I] = 1;
+  });
+  for (size_t I = 0; I != Ran.size(); ++I)
+    EXPECT_EQ(Ran[I], int(I % 2)) << "index " << I;
+}
+
 TEST(ThreadPool, RunsTasksConcurrently) {
   // Two tasks that each wait for the other to start can only finish if two
   // workers run them simultaneously.
