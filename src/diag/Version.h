@@ -31,7 +31,7 @@ inline constexpr const char *ToolVersion = "0.7.0";
 
 /// The FileReport serialization schema version shared by the result cache,
 /// the worker wire protocol, and the checkpoint journal. Bump when
-/// serializeFileReport's shape changes: the version feeds the cache salt,
+/// serializeFileReport's layout changes: the version feeds the cache salt,
 /// so old entries stop matching instead of misparsing.
 /// v2: structured-diagnostics core — findings carry rule IDs, severities,
 /// secondary spans, notes and fix-its; suppression notices and the
@@ -43,13 +43,16 @@ inline constexpr const char *ToolVersion = "0.7.0";
 /// v4: whole-program link step — secondary spans and fix-its may carry an
 /// explicit "file" when they point into a counterpart file instead of
 /// re-anchoring to the report's own path (docs/WHOLEPROGRAM.md).
-inline constexpr uint64_t ReportSchemaVersion = 4;
+/// v5: the payload is binary ("RSRP", the version, then the report; see
+/// serializeFileReport) instead of JSON; the same fields, read without a
+/// JSON parse.
+inline constexpr uint64_t ReportSchemaVersion = 5;
 
 /// Total rule-catalog size (diag::numRules(), re-exported here so version
 /// consumers need only this header).
 uint64_t ruleCount();
 
-/// "rustsight 0.7.0 (report schema v2, N rules)" with the live rule count.
+/// "rustsight 0.7.0 (report schema vN, M rules)" with the live rule count.
 std::string versionLine();
 
 } // namespace rs::version

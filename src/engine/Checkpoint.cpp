@@ -55,12 +55,15 @@ bool CheckpointJournal::load(
       return false;
     int64_t Ordinal = Entry.getInt("ordinal", -1);
     const JsonValue *Report = Entry.get("report");
-    if (Ordinal < 0 || !Report)
+    if (Ordinal < 0 || !Report || !Report->isString())
       return false;
     if (static_cast<size_t>(Ordinal) >= Staged.size())
       continue; // Corpus shrank out from under the key check; ignore.
+    std::string Payload;
+    if (!hexToBytes(Report->asString(), Payload))
+      return false;
     std::optional<FileReport> R =
-        deserializeFileReport(*Report, Inputs[size_t(Ordinal)].Path);
+        deserializeFileReport(Payload, Inputs[size_t(Ordinal)].Path);
     if (!R)
       return false;
     Staged[static_cast<size_t>(Ordinal)] = std::move(*R);
@@ -89,10 +92,8 @@ bool CheckpointJournal::write(
     if (!First)
       Body += ',';
     First = false;
-    // The report is itself writer-produced JSON; splice it in verbatim
-    // rather than re-escaping it through a string field.
-    Body += "{\"ordinal\":" + std::to_string(I) +
-            ",\"report\":" + serializeFileReport(*Results[I]) + "}";
+    Body += "{\"ordinal\":" + std::to_string(I) + ",\"report\":\"" +
+            bytesToHex(serializeFileReport(*Results[I])) + "\"}";
   }
   Body += "]}";
 

@@ -11,8 +11,9 @@
 /// supervised corpus run.
 /// A run that dies — SIGKILL, OOM, power loss — resumes from the journal:
 /// completed files replay verbatim (each entry is the report's one
-/// payload, serializeFileReport, so the merged report is byte-identical to
-/// an uninterrupted run) and only the missing ordinals are re-analyzed.
+/// payload, serializeFileReport in hex, so the merged report is
+/// byte-identical to an uninterrupted run) and only the missing ordinals
+/// are re-analyzed.
 ///
 /// The journal is keyed by a RunKey (corpus fingerprint + engine cache
 /// salt). A journal whose key does not match the current run — different
@@ -73,8 +74,9 @@ public:
   /// harmless because the RunKey gates every load).
   void remove() const;
 
-  /// Version 2: entries carry the path-less report payload.
-  static constexpr int64_t FormatVersion = 2;
+  /// Version 2: entries carry the path-less report payload. Version 3:
+  /// that payload is binary, spelled in hex.
+  static constexpr int64_t FormatVersion = 3;
 
 private:
   std::string Path;

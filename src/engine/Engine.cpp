@@ -545,268 +545,222 @@ uint64_t rs::engine::factsCacheKey(uint64_t SourceFingerprint) {
 
 namespace {
 
-bool severityFromName(std::string_view Name, diag::Severity &Out) {
-  if (Name == "error")
-    Out = diag::Severity::Error;
-  else if (Name == "warning")
-    Out = diag::Severity::Warning;
-  else if (Name == "note")
-    Out = diag::Severity::Note;
-  else
-    return false;
-  return true;
+void putLE(std::string &Out, uint64_t V, unsigned Bytes) {
+  for (unsigned I = 0; I != Bytes; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
 }
 
-/// Writes one diagnostic into the cache payload. The primary location's
-/// file name is omitted: it re-anchors to whatever path the content shows
-/// up at on the way back in (fingerprints are recomputed from the
-/// re-anchored locations, so they follow). Secondary spans and fix-its
-/// carry an explicit "file" only when they point into a counterpart file
-/// (whole-program link findings, schema v4) — those names are corpus
-/// identities and must survive the round trip verbatim.
-void writeCounterpartFile(JsonWriter &W, const SourceLocation &Loc,
-                          const std::string &OwnPath) {
-  if (Loc.isValid() && !Loc.file().empty() && Loc.file() != OwnPath)
-    W.field("file", Loc.file());
+/// A string: its length (u32), then its bytes.
+void putStr(std::string &Out, std::string_view S) {
+  putLE(Out, S.size(), 4);
+  Out.append(S);
 }
 
-void writeCachedDiagnostic(JsonWriter &W, const diag::Diagnostic &D,
-                           const std::string &OwnPath) {
-  W.beginObject();
-  W.field("rule", diag::ruleStringId(D.Kind));
-  W.field("severity", diag::severityName(D.Sev));
-  W.field("function", D.Function);
-  W.field("block", static_cast<int64_t>(D.Block));
-  W.field("statement", static_cast<int64_t>(D.StmtIndex));
-  W.field("message", D.Message);
-  W.field("line", static_cast<int64_t>(D.Loc.line()));
-  W.field("col", static_cast<int64_t>(D.Loc.column()));
-  if (!D.Secondary.empty()) {
-    W.key("secondary");
-    W.beginArray();
-    for (const diag::Span &S : D.Secondary) {
-      W.beginObject();
-      W.field("line", static_cast<int64_t>(S.Loc.line()));
-      W.field("col", static_cast<int64_t>(S.Loc.column()));
-      writeCounterpartFile(W, S.Loc, OwnPath);
-      if (!S.Function.empty())
-        W.field("function", S.Function);
-      W.field("label", S.Label);
-      W.endObject();
+/// Reads what putLE and putStr wrote. The first read past the end latches
+/// Ok to false, and every read after it returns 0 or "", so a decoder
+/// checks Ok where a bad value could mislead it and once at the end.
+struct LEReader {
+  std::string_view Bytes;
+  size_t Pos = 0;
+  bool Ok = true;
+
+  uint64_t get(unsigned Width) {
+    if (!Ok || Bytes.size() - Pos < Width) {
+      Ok = false;
+      return 0;
     }
-    W.endArray();
+    uint64_t V = 0;
+    for (unsigned I = 0; I != Width; ++I)
+      V |= uint64_t(static_cast<uint8_t>(Bytes[Pos + I])) << (8 * I);
+    Pos += Width;
+    return V;
   }
-  if (!D.Notes.empty()) {
-    W.key("notes");
-    W.beginArray();
-    for (const std::string &N : D.Notes)
-      W.value(N);
-    W.endArray();
-  }
-  if (!D.Fixes.empty()) {
-    W.key("fixes");
-    W.beginArray();
-    for (const diag::FixIt &F : D.Fixes) {
-      W.beginObject();
-      W.field("line", static_cast<int64_t>(F.Loc.line()));
-      W.field("col", static_cast<int64_t>(F.Loc.column()));
-      writeCounterpartFile(W, F.Loc, OwnPath);
-      W.field("replacement", F.Replacement);
-      W.field("description", F.Description);
-      W.endObject();
+
+  std::string_view str() {
+    const uint64_t N = get(4);
+    if (!Ok || Bytes.size() - Pos < N) {
+      Ok = false;
+      return {};
     }
-    W.endArray();
+    std::string_view S = Bytes.substr(Pos, N);
+    Pos += N;
+    return S;
   }
-  W.endObject();
+
+  /// A record count (u32). Every record takes at least one byte, so a
+  /// count above the bytes left is a defect, never a huge loop.
+  uint64_t count() {
+    const uint64_t N = get(4);
+    if (N > Bytes.size() - Pos)
+      Ok = false;
+    return Ok ? N : 0;
+  }
+
+  /// Every byte was read, and nothing past the end.
+  bool atEnd() const { return Ok && Pos == Bytes.size(); }
+
+  /// An enum stored as u8, range-checked against its last value.
+  template <typename E> E enumerator(E Last) {
+    const uint64_t V = get(1);
+    if (V > static_cast<uint64_t>(Last))
+      Ok = false;
+    return Ok ? static_cast<E>(V) : E();
+  }
+};
+
+/// The FileReport payload: "RSRP" and ReportSchemaVersion (u32), then
+///   status (u8), reason, items dropped (u32), suppressed findings (u64);
+///   detectors (u32 count): name, status (u8), note, findings (u64);
+///   findings, parse errors, verifier errors, notices (u32 count each) of
+///     rule string ID, severity (u8), function, block (u32), statement
+///     (u64), message, primary line and column (u32 each);
+///     secondary spans (u32 count): location, function, label;
+///     notes (u32 count): the note;
+///     fix-its (u32 count): location, replacement, description.
+/// A location is its line and column (u32 each) and a file name, written
+/// only when it points into a counterpart file (whole-program link
+/// findings) and "" otherwise. The primary location never carries a file:
+/// it, and every "" location, re-anchors at the reader's path (fingerprints
+/// are recomputed from the re-anchored locations, so they follow). A
+/// location with line 0 has no position at all. Strings are a u32 length
+/// and their bytes; integers are little-endian. Rules are stored by their
+/// string ID, because Rules.def is not folded into the cache salt.
+constexpr std::string_view ReportMagic = "RSRP";
+
+/// A location's line and column, then, unless \p OwnPath is null (a
+/// primary location), its file: "" when it is \p OwnPath or no position.
+void putLoc(std::string &Out, const SourceLocation &Loc,
+            const std::string *OwnPath) {
+  putLE(Out, Loc.line(), 4);
+  putLE(Out, Loc.isValid() ? Loc.column() : 0, 4);
+  if (OwnPath)
+    putStr(Out, Loc.isValid() && Loc.file() != *OwnPath ? Loc.file() : "");
 }
 
-SourceLocation cachedLoc(const JsonValue &V, const std::string *File) {
-  unsigned Line = static_cast<unsigned>(V.getInt("line"));
-  unsigned Col = static_cast<unsigned>(V.getInt("col"));
+SourceLocation getLoc(LEReader &In, const std::string *Own, bool HasFile) {
+  const unsigned Line = static_cast<unsigned>(In.get(4));
+  const unsigned Col = static_cast<unsigned>(In.get(4));
+  const std::string_view File = HasFile ? In.str() : "";
   if (Line == 0)
     return SourceLocation();
-  // An explicit "file" is a counterpart-file span (schema v4): keep it
-  // verbatim instead of re-anchoring to the report's own path.
-  std::string_view Counterpart = V.getString("file");
-  if (!Counterpart.empty())
-    File = internFileName(std::string(Counterpart));
-  return SourceLocation(File, Line, Col);
+  return SourceLocation(File.empty() ? Own : internFileName(File), Line, Col);
 }
 
-bool readCachedDiagnostic(const JsonValue &V, const std::string *File,
-                          diag::Diagnostic &D) {
-  if (!V.isObject())
-    return false;
-  if (!diag::ruleFromString(V.getString("rule"), D.Kind))
-    return false;
-  if (!severityFromName(V.getString("severity"), D.Sev))
-    return false;
-  D.Function = V.getString("function");
-  D.Block = static_cast<mir::BlockId>(V.getInt("block"));
-  D.StmtIndex = static_cast<size_t>(V.getInt("statement"));
-  D.Message = V.getString("message");
-  D.Loc = cachedLoc(V, File);
-  if (const JsonValue *Spans = V.get("secondary")) {
-    if (!Spans->isArray())
-      return false;
-    for (const JsonValue &S : Spans->elements()) {
-      if (!S.isObject())
-        return false;
-      diag::Span Span;
-      Span.Loc = cachedLoc(S, File);
-      Span.Function = S.getString("function");
-      Span.Label = S.getString("label");
-      D.Secondary.push_back(std::move(Span));
+void putDiagnostics(std::string &Out, const std::vector<diag::Diagnostic> &Ds,
+                    const std::string &OwnPath) {
+  putLE(Out, Ds.size(), 4);
+  for (const diag::Diagnostic &D : Ds) {
+    putStr(Out, diag::ruleStringId(D.Kind));
+    putLE(Out, static_cast<uint8_t>(D.Sev), 1);
+    putStr(Out, D.Function);
+    putLE(Out, D.Block, 4);
+    putLE(Out, D.StmtIndex, 8);
+    putStr(Out, D.Message);
+    putLoc(Out, D.Loc, nullptr);
+    putLE(Out, D.Secondary.size(), 4);
+    for (const diag::Span &S : D.Secondary) {
+      putLoc(Out, S.Loc, &OwnPath);
+      putStr(Out, S.Function);
+      putStr(Out, S.Label);
+    }
+    putLE(Out, D.Notes.size(), 4);
+    for (const std::string &N : D.Notes)
+      putStr(Out, N);
+    putLE(Out, D.Fixes.size(), 4);
+    for (const diag::FixIt &F : D.Fixes) {
+      putLoc(Out, F.Loc, &OwnPath);
+      putStr(Out, F.Replacement);
+      putStr(Out, F.Description);
     }
   }
-  if (const JsonValue *Notes = V.get("notes")) {
-    if (!Notes->isArray())
+}
+
+bool getDiagnostics(LEReader &In, const std::string *Own,
+                    std::vector<diag::Diagnostic> &Out) {
+  const uint64_t N = In.count();
+  for (uint64_t I = 0; I != N && In.Ok; ++I) {
+    diag::Diagnostic &D = Out.emplace_back();
+    if (!diag::ruleFromString(In.str(), D.Kind))
       return false;
-    for (const JsonValue &N : Notes->elements())
-      D.Notes.push_back(N.isString() ? N.asString() : std::string());
-  }
-  if (const JsonValue *Fixes = V.get("fixes")) {
-    if (!Fixes->isArray())
-      return false;
-    for (const JsonValue &FV : Fixes->elements()) {
-      if (!FV.isObject())
-        return false;
-      diag::FixIt F;
-      F.Loc = cachedLoc(FV, File);
-      F.Replacement = FV.getString("replacement");
-      F.Description = FV.getString("description");
-      D.Fixes.push_back(std::move(F));
+    D.Sev = In.enumerator(diag::Severity::Note);
+    D.Function = In.str();
+    D.Block = static_cast<mir::BlockId>(In.get(4));
+    D.StmtIndex = static_cast<size_t>(In.get(8));
+    D.Message = In.str();
+    D.Loc = getLoc(In, Own, /*HasFile=*/false);
+    const uint64_t Spans = In.count();
+    for (uint64_t J = 0; J != Spans && In.Ok; ++J) {
+      diag::Span &S = D.Secondary.emplace_back();
+      S.Loc = getLoc(In, Own, /*HasFile=*/true);
+      S.Function = In.str();
+      S.Label = In.str();
+    }
+    const uint64_t Notes = In.count();
+    for (uint64_t J = 0; J != Notes && In.Ok; ++J)
+      D.Notes.emplace_back(In.str());
+    const uint64_t Fixes = In.count();
+    for (uint64_t J = 0; J != Fixes && In.Ok; ++J) {
+      diag::FixIt &F = D.Fixes.emplace_back();
+      F.Loc = getLoc(In, Own, /*HasFile=*/true);
+      F.Replacement = In.str();
+      F.Description = In.str();
     }
   }
-  return true;
-}
-
-bool engineStatusFromName(std::string_view Name, EngineStatus &Out) {
-  if (Name == "ok")
-    Out = EngineStatus::Ok;
-  else if (Name == "degraded")
-    Out = EngineStatus::Degraded;
-  else if (Name == "skipped")
-    Out = EngineStatus::Skipped;
-  else
-    return false;
-  return true;
-}
-
-/// Reads the diagnostics array \p Arr (absent means empty).
-bool readCachedDiagnostics(const JsonValue *Arr, const std::string *File,
-                           std::vector<diag::Diagnostic> &Out) {
-  if (!Arr)
-    return true;
-  if (!Arr->isArray())
-    return false;
-  for (const JsonValue &V : Arr->elements()) {
-    diag::Diagnostic D;
-    if (!readCachedDiagnostic(V, File, D))
-      return false;
-    Out.push_back(std::move(D));
-  }
-  return true;
+  return In.Ok;
 }
 
 } // namespace
 
 std::string rs::engine::serializeFileReport(const FileReport &R) {
-  JsonWriter W;
-  W.beginObject();
-  W.field("v", static_cast<int64_t>(ReportSchemaVersion));
-  // What only a degraded or skipped report carries is written only when it
-  // differs from an ok report's default, so an ok payload keeps the shape
-  // every cache entry has.
-  if (R.Status != EngineStatus::Ok)
-    W.field("status", engineStatusName(R.Status));
-  if (!R.Reason.empty())
-    W.field("reason", R.Reason);
-  if (R.ItemsDropped != 0)
-    W.field("items_dropped", static_cast<int64_t>(R.ItemsDropped));
-  W.key("detectors");
-  W.beginArray();
+  std::string Out(ReportMagic);
+  putLE(Out, ReportSchemaVersion, 4);
+  putLE(Out, static_cast<uint8_t>(R.Status), 1);
+  putStr(Out, R.Reason);
+  putLE(Out, R.ItemsDropped, 4);
+  putLE(Out, R.SuppressedFindings, 8);
+  putLE(Out, R.Detectors.size(), 4);
   for (const DetectorOutcome &D : R.Detectors) {
-    W.beginObject();
-    W.field("name", D.Name);
-    if (D.Status != EngineStatus::Ok)
-      W.field("status", engineStatusName(D.Status));
-    if (!D.Note.empty())
-      W.field("note", D.Note);
-    W.field("findings", static_cast<int64_t>(D.Findings));
-    W.endObject();
+    putStr(Out, D.Name);
+    putLE(Out, static_cast<uint8_t>(D.Status), 1);
+    putStr(Out, D.Note);
+    putLE(Out, D.Findings, 8);
   }
-  W.endArray();
-  W.key("findings");
-  W.beginArray();
-  for (const detectors::Diagnostic &D : R.Findings)
-    writeCachedDiagnostic(W, D, R.Path);
-  W.endArray();
-  auto WriteDiags = [&](const char *Key,
-                        const std::vector<diag::Diagnostic> &Diags) {
-    if (Diags.empty())
-      return;
-    W.key(Key);
-    W.beginArray();
-    for (const diag::Diagnostic &D : Diags)
-      writeCachedDiagnostic(W, D, R.Path);
-    W.endArray();
-  };
-  WriteDiags("parse_errors", R.ParseErrors);
-  WriteDiags("verifier_errors", R.VerifierErrors);
-  WriteDiags("notices", R.Notices);
-  if (R.SuppressedFindings != 0)
-    W.field("suppressed", static_cast<int64_t>(R.SuppressedFindings));
-  W.endObject();
-  return W.str();
-}
-
-std::optional<FileReport>
-rs::engine::deserializeFileReport(const JsonValue &Doc,
-                                  const std::string &Path) {
-  if (!Doc.isObject() ||
-      Doc.getInt("v", -1) != static_cast<int64_t>(ReportSchemaVersion))
-    return std::nullopt;
-  const JsonValue *Dets = Doc.get("detectors");
-  const JsonValue *Finds = Doc.get("findings");
-  if (!Dets || !Dets->isArray() || !Finds || !Finds->isArray())
-    return std::nullopt;
-
-  FileReport R;
-  R.Path = Path;
-  if (!engineStatusFromName(Doc.getString("status", "ok"), R.Status))
-    return std::nullopt;
-  R.Reason = std::string(Doc.getString("reason"));
-  R.ItemsDropped = static_cast<unsigned>(Doc.getInt("items_dropped", 0));
-  R.SuppressedFindings = static_cast<size_t>(Doc.getInt("suppressed", 0));
-  for (const JsonValue &D : Dets->elements()) {
-    if (!D.isObject())
-      return std::nullopt;
-    DetectorOutcome O;
-    O.Name = D.getString("name");
-    if (!engineStatusFromName(D.getString("status", "ok"), O.Status))
-      return std::nullopt;
-    O.Note = D.getString("note");
-    O.Findings = static_cast<size_t>(D.getInt("findings"));
-    R.Detectors.push_back(std::move(O));
-  }
-  const std::string *File = internFileName(Path);
-  if (!readCachedDiagnostics(Finds, File, R.Findings) ||
-      !readCachedDiagnostics(Doc.get("parse_errors"), File, R.ParseErrors) ||
-      !readCachedDiagnostics(Doc.get("verifier_errors"), File,
-                             R.VerifierErrors) ||
-      !readCachedDiagnostics(Doc.get("notices"), File, R.Notices))
-    return std::nullopt;
-  return R;
+  putDiagnostics(Out, R.Findings, R.Path);
+  putDiagnostics(Out, R.ParseErrors, R.Path);
+  putDiagnostics(Out, R.VerifierErrors, R.Path);
+  putDiagnostics(Out, R.Notices, R.Path);
+  return Out;
 }
 
 std::optional<FileReport>
 rs::engine::deserializeFileReport(std::string_view Payload,
                                   const std::string &Path) {
-  std::optional<JsonValue> Doc = JsonValue::parse(Payload);
-  if (!Doc)
+  if (Payload.substr(0, ReportMagic.size()) != ReportMagic)
     return std::nullopt;
-  return deserializeFileReport(*Doc, Path);
+  LEReader In{Payload, ReportMagic.size()};
+  if (In.get(4) != ReportSchemaVersion)
+    return std::nullopt;
+  FileReport R;
+  R.Path = Path;
+  R.Status = In.enumerator(EngineStatus::Skipped);
+  R.Reason = In.str();
+  R.ItemsDropped = static_cast<unsigned>(In.get(4));
+  R.SuppressedFindings = static_cast<size_t>(In.get(8));
+  const uint64_t Detectors = In.count();
+  for (uint64_t I = 0; I != Detectors && In.Ok; ++I) {
+    DetectorOutcome &D = R.Detectors.emplace_back();
+    D.Name = In.str();
+    D.Status = In.enumerator(EngineStatus::Skipped);
+    D.Note = In.str();
+    D.Findings = static_cast<size_t>(In.get(8));
+  }
+  const std::string *File = internFileName(Path);
+  if (!getDiagnostics(In, File, R.Findings) ||
+      !getDiagnostics(In, File, R.ParseErrors) ||
+      !getDiagnostics(In, File, R.VerifierErrors) ||
+      !getDiagnostics(In, File, R.Notices) || !In.atEnd())
+    return std::nullopt;
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -931,11 +885,6 @@ constexpr uint32_t LinkStateVersion = 1;
 constexpr std::string_view LinkStateMagic = "RSLS";
 enum : uint8_t { LsRead = 1, LsLinked = 2, LsExporter = 4 };
 
-void putLE(std::string &Out, uint64_t V, unsigned Bytes) {
-  for (unsigned I = 0; I != Bytes; ++I)
-    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
 /// The payload: "RSLS", version (u32) and record count (u64), then per
 /// record its flags (u8), fingerprint and digest (u64 each), an exporter's
 /// module key (u64), the def and call hash counts (u32 each) and the hashes
@@ -967,40 +916,30 @@ std::string encodeLinkState(const LinkState &State) {
 /// the run treats as no link state at all.
 std::optional<LinkState> decodeLinkState(std::string_view Bytes,
                                          size_t Inputs) {
-  bool Ok = Bytes.substr(0, LinkStateMagic.size()) == LinkStateMagic;
-  size_t Pos = LinkStateMagic.size();
-  auto Get = [&](unsigned Width) -> uint64_t {
-    if (!Ok || Bytes.size() - Pos < Width) {
-      Ok = false;
-      return 0;
-    }
-    uint64_t V = 0;
-    for (unsigned I = 0; I != Width; ++I)
-      V |= uint64_t(static_cast<uint8_t>(Bytes[Pos + I])) << (8 * I);
-    Pos += Width;
-    return V;
-  };
-  if (Get(4) != LinkStateVersion || Get(8) != Inputs || !Ok)
+  if (Bytes.substr(0, LinkStateMagic.size()) != LinkStateMagic)
+    return std::nullopt;
+  LEReader In{Bytes, LinkStateMagic.size()};
+  if (In.get(4) != LinkStateVersion || In.get(8) != Inputs || !In.Ok)
     return std::nullopt;
   LinkState State(Inputs);
   for (LinkStateFile &F : State) {
-    const uint64_t Flags = Get(1);
-    const uint64_t Fp = Get(8);
+    const uint64_t Flags = In.get(1);
+    const uint64_t Fp = In.get(8);
     if (Flags & LsRead)
       F.Fp = Fp;
     F.Linked = Flags & LsLinked;
-    F.Digest = Get(8);
+    F.Digest = In.get(8);
     if (Flags & LsExporter)
-      F.ExportKey = Get(8);
-    const uint64_t Defs = Get(4), Calls = Get(4);
-    if (!Ok || (Defs + Calls) > (Bytes.size() - Pos) / 8)
+      F.ExportKey = In.get(8);
+    const uint64_t Defs = In.get(4), Calls = In.get(4);
+    if (!In.Ok || (Defs + Calls) > (Bytes.size() - In.Pos) / 8)
       return std::nullopt;
     for (uint64_t I = 0; I != Defs; ++I)
-      F.Edges.Defs.push_back(Get(8));
+      F.Edges.Defs.push_back(In.get(8));
     for (uint64_t I = 0; I != Calls; ++I)
-      F.Edges.Calls.push_back(Get(8));
+      F.Edges.Calls.push_back(In.get(8));
   }
-  if (!Ok || Pos != Bytes.size())
+  if (!In.atEnd())
     return std::nullopt;
   return State;
 }

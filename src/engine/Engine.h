@@ -50,10 +50,6 @@
 #include <string_view>
 #include <vector>
 
-namespace rs {
-class JsonValue;
-} // namespace rs
-
 namespace rs::diag {
 class SourceManager;
 } // namespace rs::diag
@@ -266,27 +262,21 @@ uint64_t snapshotCacheKey(uint64_t SourceFingerprint);
 /// with the facts schema folded in and its own tag.
 uint64_t factsCacheKey(uint64_t SourceFingerprint);
 
-/// Serializes a FileReport into its one JSON payload: the report cache
-/// entry (ok reports only), a worker's report frame and a checkpoint
-/// journal entry. The path is deliberately excluded: identical content at
-/// two paths shares one entry, and the reader supplies the path it owns.
-/// The fields only a degraded or skipped report carries (status, reason,
-/// items dropped, parse/verifier errors, detector statuses and notes) are
-/// written only when they differ from an ok report's defaults, so an ok
-/// payload keeps the cache entry's shape. BaselinedFindings is not carried:
-/// applyBaseline runs on the merged report, after every process boundary.
-/// See docs/PARALLELISM.md.
+/// Serializes a FileReport into its one binary payload: the report cache
+/// entry (ok reports only), and, hex-encoded, a worker's report frame and a
+/// checkpoint journal entry. The path is deliberately excluded: identical
+/// content at two paths shares one entry, and the reader supplies the path
+/// it owns. BaselinedFindings is not carried: applyBaseline runs on the
+/// merged report, after every process boundary. See docs/PARALLELISM.md.
 std::string serializeFileReport(const FileReport &R);
 
 /// Rebuilds a FileReport from a payload, re-anchored at \p Path (finding
-/// locations are re-interned against it). Returns nullopt on any schema
-/// defect: the cache treats that as a miss, the supervisor as a protocol
-/// error (worker retry), the checkpoint loader as an absent journal.
+/// locations are re-interned against it). Returns nullopt on any defect
+/// (another magic or schema version, a short read, an out-of-range enum,
+/// an unknown rule, trailing bytes): the cache treats that as a miss, the
+/// supervisor as a protocol error (worker retry), the checkpoint loader as
+/// an absent journal.
 std::optional<FileReport> deserializeFileReport(std::string_view Payload,
-                                                const std::string &Path);
-
-/// The same, over an already-parsed payload (a frame or journal member).
-std::optional<FileReport> deserializeFileReport(const JsonValue &Payload,
                                                 const std::string &Path);
 
 struct CorpusState;

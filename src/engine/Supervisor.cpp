@@ -798,9 +798,10 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   FrameDecoder<FileReport> DecodeReport =
       [&](size_t Ordinal, const JsonValue &Frame) -> std::optional<FileReport> {
     const JsonValue *R = Frame.get("report");
-    if (!R)
+    std::string Payload;
+    if (!R || !R->isString() || !hexToBytes(R->asString(), Payload))
       return std::nullopt;
-    return deserializeFileReport(*R, Inputs[Ordinal].Path);
+    return deserializeFileReport(Payload, Inputs[Ordinal].Path);
   };
   runFleet<FileReport>(Opts, MaxWorkers, AnalyzePreamble, Lines, DecodeReport,
                        Queue, Finish, Interrupted);
@@ -985,7 +986,7 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
       if (R.Status != EngineStatus::Ok)
         std::fprintf(stderr, "worker: %s: %s: %s\n", R.Path.c_str(),
                      engineStatusName(R.Status), R.Reason.c_str());
-      Result = "\"report\":" + serializeFileReport(R);
+      Result = "\"report\":\"" + bytesToHex(serializeFileReport(R)) + "\"";
       break;
     }
     }

@@ -125,10 +125,10 @@ uint64_t journalSalt(const EngineOptions &Opts,
 /// summarizeFileForLink), and streams one length-prefixed JSON frame per
 /// file followed by a "done" frame on stdout (the wire protocol in
 /// docs/RESILIENCE.md). An analyze frame carries the report's one payload
-/// (serializeFileReport); the supervisor anchors it at its own path for
-/// the ordinal. Degraded/skipped statuses are also logged to stderr
-/// so the supervisor can surface fault causes. Returns the process exit
-/// code.
+/// (serializeFileReport, in hex); the supervisor anchors it at its own
+/// path for the ordinal. Degraded/skipped statuses are also logged to
+/// stderr so the supervisor can surface fault causes. Returns the process
+/// exit code.
 int runWorker(const EngineOptions &Opts);
 
 } // namespace rs::engine

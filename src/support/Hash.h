@@ -100,6 +100,14 @@ std::string hashToHex(uint64_t H);
 /// Parses the hashToHex spelling back; returns false on malformed input.
 bool hexToHash(std::string_view Hex, uint64_t &Out);
 
+/// Renders bytes as lowercase hex, two digits a byte: how a binary payload
+/// rides in a JSON string (worker frames, the checkpoint journal).
+std::string bytesToHex(std::string_view Bytes);
+
+/// Parses the bytesToHex spelling back; returns false on an odd length or
+/// a character that is not a lowercase hex digit.
+bool hexToBytes(std::string_view Hex, std::string &Out);
+
 } // namespace rs
 
 #endif // RUSTSIGHT_SUPPORT_HASH_H

@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -25,7 +26,14 @@ void JsonWriter::preValue() {
 
 void JsonWriter::appendEscaped(std::string_view S) {
   Out += '"';
-  for (char C : S) {
+  // Bytes that need no escape are appended a run at a time.
+  size_t Run = 0;
+  for (size_t I = 0; I != S.size(); ++I) {
+    const char C = S[I];
+    if (static_cast<unsigned char>(C) >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -42,16 +50,14 @@ void JsonWriter::appendEscaped(std::string_view S) {
     case '\r':
       Out += "\\r";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
+  Out.append(S.data() + Run, S.size() - Run);
   Out += '"';
 }
 
@@ -99,12 +105,14 @@ void JsonWriter::value(std::string_view S) {
 
 void JsonWriter::value(int64_t N) {
   preValue();
-  Out += std::to_string(N);
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
 }
 
 void JsonWriter::value(uint64_t N) {
   preValue();
-  Out += std::to_string(N);
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), N).ptr);
 }
 
 void JsonWriter::value(double D) {

@@ -46,13 +46,16 @@ fs::path freshDir(const char *Name) {
   return Dir;
 }
 
-/// True when \p Payload is a report entry's (a report serializes as
-/// {"v":<ReportSchemaVersion>,"detectors":...}).
+/// A report payload's header: "RSRP", then \p Version as a little-endian
+/// u32.
+std::string reportHeader(uint64_t Version) {
+  return std::string("RSRP") + char(Version) + '\0' + '\0' + '\0';
+}
+
+/// True when \p Payload is a report entry's.
 bool isReport(std::string_view Payload) {
-  const std::string Prefix = "{\"v\":" +
-                             std::to_string(version::ReportSchemaVersion) +
-                             ",\"detectors\":";
-  return Payload.substr(0, Prefix.size()) == Prefix;
+  const std::string Header = reportHeader(version::ReportSchemaVersion);
+  return Payload.substr(0, Header.size()) == Header;
 }
 
 /// The keys of the report entries sealed in \p CacheDir.
@@ -68,7 +71,7 @@ std::vector<uint64_t> reportKeys(const fs::path &CacheDir) {
 
 TEST(CacheCompat, PreviousSchemaReportEntryIsColdNotCorrupt) {
   // After a ReportSchemaVersion bump, an on-disk report entry whose
-  // payload says "v":<old> must behave like a cold cache: deserialization
+  // payload header says <old> must behave like a cold cache: deserialization
   // declines, the file is re-analyzed, and the corruption counter stays at
   // zero (the envelope itself is fine).
   fs::path CacheDir = freshDir("compat_v2_cache");
@@ -83,13 +86,11 @@ TEST(CacheCompat, PreviousSchemaReportEntryIsColdNotCorrupt) {
   // Downgrade the stored payload's schema tag in place, simulating an
   // entry written by the previous release at the same key, and re-seal
   // the segment. The entry is found by its payload.
-  std::string Cur = "{\"v\":" + std::to_string(version::ReportSchemaVersion);
-  std::string Old =
-      "{\"v\":" + std::to_string(version::ReportSchemaVersion - 1);
+  const std::string Old = reportHeader(version::ReportSchemaVersion - 1);
   const size_t Edited = cachetest::editEntries(
       CacheDir, [&](uint64_t, std::string &Payload) {
         if (isReport(Payload))
-          Payload.replace(0, Cur.size(), Old);
+          Payload.replace(0, Old.size(), Old);
         return true;
       });
   ASSERT_EQ(Edited, 1u);

@@ -2,8 +2,8 @@
 //
 // Tests for the supervisor's checkpoint journal and the one FileReport
 // payload beneath it (worker frames carry it too): round-tripped reports
-// must render byte-identically (that is the whole resume guarantee), ok
-// payloads keep the cache entry's bytes, and journals that
+// must render byte-identically (that is the whole resume guarantee), the
+// payload's bytes are pinned, and journals that
 // are corrupt, truncated, or keyed to a different run must load as "no
 // checkpoint" without touching the caller's state.
 //
@@ -89,6 +89,18 @@ CorpusReport roundTrip(const CorpusReport &Report) {
   return Rebuilt;
 }
 
+/// \p V as \p Bytes little-endian bytes: a payload spelled independently
+/// of the codec, so a layout change shows up as a diff here.
+std::string le(uint64_t V, int Bytes) {
+  std::string Out;
+  for (int I = 0; I != Bytes; ++I)
+    Out.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
+  return Out;
+}
+
+/// A payload string: its u32 length, then its bytes.
+std::string str(std::string_view S) { return le(S.size(), 4) + std::string(S); }
+
 /// The guarantee the supervisor and resume stand on: a report that crossed
 /// a process boundary is indistinguishable in every rendered surface.
 void expectSameRendering(const CorpusReport &Want, const CorpusReport &Got) {
@@ -156,9 +168,9 @@ TEST(FileReportPayload, NonOkReportsRoundTripEveryRenderer) {
 }
 
 TEST(FileReportPayload, OkPayloadKeepsTheCacheEntryBytes) {
-  // Every field an ok report carries, pinned as the bytes a cache entry has
-  // always held: the non-ok fields add nothing to an ok payload, so warm
-  // caches keep hitting across the change.
+  // Every field an ok report carries, pinned byte for byte: a change to
+  // these bytes must come with a ReportSchemaVersion bump, or a warm cache
+  // would misread the entries the previous build left.
   FileReport R;
   R.Path = "pin/a.mir";
   R.Status = EngineStatus::Ok;
@@ -182,44 +194,79 @@ TEST(FileReportPayload, OkPayloadKeepsTheCacheEntryBytes) {
   R.Notices.push_back(std::move(N));
   R.SuppressedFindings = 2;
 
-  EXPECT_EQ(
-      serializeFileReport(R),
-      "{\"v\":4,\"detectors\":[{\"name\":\"use-after-free\",\"findings\":1},"
-      "{\"name\":\"double-lock\",\"findings\":0}],\"findings\":[{\"rule\":"
-      "\"RS-UAF-001\",\"severity\":\"error\",\"function\":\"f\",\"block\":2,"
-      "\"statement\":1,\"message\":\"use of dropped value\",\"line\":12,"
-      "\"col\":9,\"secondary\":[{\"line\":3,\"col\":5,\"file\":\"pin/b.mir\","
-      "\"function\":\"g\",\"label\":\"freed here\"}],\"notes\":[\"a note\"],"
-      "\"fixes\":[{\"line\":12,\"col\":9,\"replacement\":\"x\","
-      "\"description\":\"fix it\"}]}],\"notices\":[{\"rule\":\"RS-META-001\","
-      "\"severity\":\"warning\",\"function\":\"\",\"block\":0,\"statement\":0,"
-      "\"message\":\"unknown rule\",\"line\":1,\"col\":4}],\"suppressed\":2}");
+  const std::string NoSpans = le(0, 4) + le(0, 4) + le(0, 4);
+  EXPECT_EQ(serializeFileReport(R),
+            "RSRP" + le(5, 4) +
+                // status, reason, items dropped, suppressed
+                le(0, 1) + str("") + le(0, 4) + le(2, 8) +
+                // detectors
+                le(2, 4) + str("use-after-free") + le(0, 1) + str("") +
+                le(1, 8) + str("double-lock") + le(0, 1) + str("") +
+                le(0, 8) +
+                // findings: the primary location carries no file
+                le(1, 4) + str("RS-UAF-001") + le(0, 1) + str("f") +
+                le(2, 4) + le(1, 8) + str("use of dropped value") +
+                le(12, 4) + le(9, 4) +
+                // a counterpart-file span keeps its file
+                le(1, 4) + le(3, 4) + le(5, 4) + str("pin/b.mir") + str("g") +
+                str("freed here") +
+                // notes
+                le(1, 4) + str("a note") +
+                // a fix-it in the report's own file re-anchors
+                le(1, 4) + le(12, 4) + le(9, 4) + str("") + str("x") +
+                str("fix it") +
+                // parse errors, verifier errors
+                le(0, 4) + le(0, 4) +
+                // notices
+                le(1, 4) + str("RS-META-001") + le(1, 1) + str("") +
+                le(0, 4) + le(0, 8) + str("unknown rule") + le(1, 4) +
+                le(4, 4) + NoSpans);
 }
 
 TEST(FileReportPayload, RejectsDefectivePayloads) {
-  const std::string V =
-      "{\"v\":" + std::to_string(version::ReportSchemaVersion);
   EXPECT_FALSE(deserializeFileReport("", "x.mir").has_value());
   EXPECT_FALSE(deserializeFileReport("not json", "x.mir").has_value());
   EXPECT_FALSE(deserializeFileReport("{}", "x.mir").has_value());
   EXPECT_FALSE(deserializeFileReport("{\"v\":999}", "x.mir").has_value());
-  EXPECT_TRUE(deserializeFileReport(V + ",\"detectors\":[],\"findings\":[]}",
-                                    "x.mir")
-                  .has_value());
-  EXPECT_FALSE(deserializeFileReport(V + ",\"status\":\"sideways\","
-                                         "\"detectors\":[],\"findings\":[]}",
-                                     "x.mir")
-                   .has_value());
-  EXPECT_FALSE(
-      deserializeFileReport(V + ",\"detectors\":[{\"name\":\"d\",\"status\":"
-                                "\"sideways\",\"findings\":0}],"
-                                "\"findings\":[]}",
-                            "x.mir")
-          .has_value());
-  EXPECT_FALSE(deserializeFileReport(V + ",\"detectors\":[],\"findings\":[],"
-                                         "\"parse_errors\":{}}",
-                                     "x.mir")
-                   .has_value());
+  // An ok report with one detector, then \p Diags (the four diagnostic
+  // lists) and \p Tail.
+  const std::string NoDiags = le(0, 4) + le(0, 4) + le(0, 4) + le(0, 4);
+  auto Payload = [&](uint64_t Status, uint64_t DetectorStatus,
+                     const std::string &Diags, const std::string &Tail) {
+    return "RSRP" + le(version::ReportSchemaVersion, 4) + le(Status, 1) +
+           str("") + le(0, 4) + le(0, 8) + le(1, 4) + str("d") +
+           le(DetectorStatus, 1) + str("") + le(0, 8) + Diags + Tail;
+  };
+  auto Decodes = [](const std::string &P) {
+    return deserializeFileReport(P, "x.mir").has_value();
+  };
+  EXPECT_TRUE(Decodes(Payload(0, 0, NoDiags, "")));
+  EXPECT_TRUE(Decodes(Payload(2, 1, NoDiags, "")));
+  // A status past "skipped", the report's or a detector's.
+  EXPECT_FALSE(Decodes(Payload(3, 0, NoDiags, "")));
+  EXPECT_FALSE(Decodes(Payload(0, 3, NoDiags, "")));
+  // A trailing byte, and a payload cut short.
+  EXPECT_FALSE(Decodes(Payload(0, 0, NoDiags, "x")));
+  EXPECT_FALSE(Decodes(Payload(0, 0, le(0, 4), "")));
+  // Another magic, and another version.
+  std::string Other = Payload(0, 0, NoDiags, "");
+  Other[0] = 'X';
+  EXPECT_FALSE(Decodes(Other));
+  Other = Payload(0, 0, NoDiags, "");
+  Other[4] = static_cast<char>(version::ReportSchemaVersion + 1);
+  EXPECT_FALSE(Decodes(Other));
+  // A finding count past the end of the payload.
+  EXPECT_FALSE(Decodes(Payload(0, 0, le(0xffffffff, 4) + NoDiags, "")));
+  // A finding under an unknown rule, and one with a severity past "note";
+  // the same finding under a known rule and severity decodes.
+  auto Finding = [&](const char *Rule, uint64_t Severity) {
+    return le(1, 4) + str(Rule) + le(Severity, 1) + str("f") + le(0, 4) +
+           le(0, 8) + str("m") + le(1, 4) + le(1, 4) + le(0, 4) + le(0, 4) +
+           le(0, 4) + le(0, 4) + le(0, 4) + le(0, 4);
+  };
+  EXPECT_TRUE(Decodes(Payload(0, 0, Finding("RS-UAF-001", 2), "")));
+  EXPECT_FALSE(Decodes(Payload(0, 0, Finding("RS-NOPE-001", 0), "")));
+  EXPECT_FALSE(Decodes(Payload(0, 0, Finding("RS-UAF-001", 3), "")));
 }
 
 TEST(CorpusFingerprint, SensitiveToPathsOrderAndSkips) {
@@ -317,30 +364,43 @@ TEST(CheckpointJournal, MismatchedKeyOrDefectLoadsAsNoCheckpoint) {
 }
 
 TEST(CheckpointJournal, VersionOneJournalLoadsAsNoCheckpoint) {
-  // The format before reports dropped their path: a journal written by an
-  // older build resumes nothing, and the run analyzes from scratch.
+  // Journals of the earlier formats resume nothing, and the run analyzes
+  // from scratch: version 1 held each report as JSON with its path, version
+  // 2 as the path-less JSON payload.
   fs::path Dir = writeCorpus("ck_v1");
   auto [Inputs, Report] = analyze(Dir);
   const RunKey Key{fingerprintCorpus(Inputs), 0x1234};
   fs::path Path = Dir / "journal.json";
   const std::string First = Inputs[0].Path;
-  auto WriteJournal = [&](int Version) {
+  auto WriteJournal = [&](int Version, const std::string &Entry) {
     std::ofstream(Path, std::ios::binary | std::ios::trunc)
         << "{\"version\":" << Version << ",\"corpus\":\""
         << hashToHex(Key.CorpusFingerprint) << "\",\"salt\":\""
-        << hashToHex(Key.Salt)
-        << "\",\"files\":[{\"ordinal\":0,\"report\":{\"v\":4,\"path\":\""
-        << First << "\",\"status\":\"ok\",\"detectors\":[],\"findings\":[]}}]}";
+        << hashToHex(Key.Salt) << "\",\"files\":[{\"ordinal\":0,\"report\":"
+        << Entry << "}]}";
   };
+  FileReport Ok;
+  Ok.Status = EngineStatus::Ok;
+  const std::string Current =
+      "\"" + bytesToHex(serializeFileReport(Ok)) + "\"";
   CheckpointJournal J(Path.string());
   std::vector<std::optional<FileReport>> Out(Inputs.size());
-  WriteJournal(1);
-  EXPECT_FALSE(J.load(Key, Inputs, Out));
-  for (const auto &Slot : Out)
-    EXPECT_FALSE(Slot.has_value());
-  // The same document under the current version loads: only the version
-  // turned it away.
-  WriteJournal(static_cast<int>(CheckpointJournal::FormatVersion));
+  const std::pair<int, std::string> Retired[] = {
+      {1, "{\"v\":4,\"path\":\"" + First +
+              "\",\"status\":\"ok\",\"detectors\":[],\"findings\":[]}"},
+      {2, "{\"v\":4,\"detectors\":[],\"findings\":[]}"},
+      // The current entry under an old version: the version alone turns
+      // the journal away.
+      {1, Current},
+      {2, Current}};
+  for (const auto &[Version, Entry] : Retired) {
+    WriteJournal(Version, Entry);
+    EXPECT_FALSE(J.load(Key, Inputs, Out)) << Version << " " << Entry;
+    for (const auto &Slot : Out)
+      EXPECT_FALSE(Slot.has_value());
+  }
+  // The same entry under the current version loads.
+  WriteJournal(static_cast<int>(CheckpointJournal::FormatVersion), Current);
   ASSERT_TRUE(J.load(Key, Inputs, Out));
   ASSERT_TRUE(Out[0].has_value());
   EXPECT_EQ(Out[0]->Path, Inputs[0].Path);

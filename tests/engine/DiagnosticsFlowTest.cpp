@@ -295,10 +295,9 @@ TEST(DiagnosticsFlow, CacheV2PayloadKeepsSuppressionState) {
 TEST(DiagnosticsFlow, StaleSchemaVersionMisses) {
   FileReport R = analyze(BuggySrc);
   std::string Payload = serializeFileReport(R);
-  std::string Current =
-      "\"v\":" + std::to_string(version::ReportSchemaVersion);
-  size_t Pos = Payload.find(Current);
-  ASSERT_NE(Pos, std::string::npos) << Payload;
-  Payload.replace(Pos, Current.size(), "\"v\":1");
+  // The version is the little-endian u32 after the 4-byte magic.
+  ASSERT_EQ(Payload.substr(4, 4),
+            std::string({char(version::ReportSchemaVersion), 0, 0, 0}));
+  Payload.replace(4, 4, std::string({1, 0, 0, 0}));
   EXPECT_FALSE(deserializeFileReport(Payload, "test.mir").has_value());
 }

@@ -11,7 +11,6 @@
 
 #include "../sched/CacheSegments.h"
 
-#include "diag/Version.h"
 #include "support/FaultInjection.h"
 #include "testgen/Mutators.h"
 
@@ -334,10 +333,10 @@ TEST(ParallelEngine, NonOkCachedReportIsAMiss) {
   ASSERT_NE(E.cache(), nullptr);
   const uint64_t Key = cacheKey(fingerprintSource(BuggySrc),
                                 cacheSalt(O, detectorNames()));
-  E.cache()->store(Key, "{\"v\":" +
-                            std::to_string(version::ReportSchemaVersion) +
-                            ",\"status\":\"degraded\",\"reason\":\"stale\","
-                            "\"detectors\":[],\"findings\":[]}");
+  FileReport Stale;
+  Stale.Status = EngineStatus::Degraded;
+  Stale.Reason = "stale";
+  E.cache()->store(Key, serializeFileReport(Stale));
   FileReport R = E.analyzeFile("buggy.mir", BuggySrc);
   EXPECT_EQ(R.Status, EngineStatus::Ok);
   EXPECT_EQ(R.Reason, "");

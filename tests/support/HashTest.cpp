@@ -59,3 +59,21 @@ TEST(Hash, MalformedHexRejected) {
   EXPECT_FALSE(hexToHash("000000000000000G", Out));    // Bad digit.
   EXPECT_FALSE(hexToHash("000000000000000A", Out));    // Uppercase.
 }
+
+TEST(Hash, BytesHexRoundTripsEveryByte) {
+  std::string All;
+  for (int B = 0; B != 256; ++B)
+    All.push_back(static_cast<char>(B));
+  const std::string Hex = bytesToHex(All);
+  EXPECT_EQ(Hex.size(), 512u);
+  EXPECT_EQ(Hex.substr(0, 6), "000102");
+  EXPECT_EQ(Hex.substr(506), "fdfeff");
+  std::string Back = "stale";
+  ASSERT_TRUE(hexToBytes(Hex, Back));
+  EXPECT_EQ(Back, All);
+  ASSERT_TRUE(hexToBytes("", Back));
+  EXPECT_EQ(Back, "");
+  EXPECT_FALSE(hexToBytes("abc", Back)); // Odd length.
+  EXPECT_FALSE(hexToBytes("0g", Back));  // Bad digit.
+  EXPECT_FALSE(hexToBytes("0A", Back));  // Uppercase.
+}

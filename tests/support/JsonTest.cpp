@@ -1,6 +1,12 @@
 #include "support/Json.h"
 
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
 
 using namespace rs;
 
@@ -45,6 +51,98 @@ TEST(Json, NullAndNumbers) {
   W.value(uint64_t(7));
   W.endArray();
   EXPECT_EQ(W.str(), "[null,-7,7]");
+}
+
+namespace {
+
+/// The writer's string escaping one character at a time, as it was before
+/// runs of plain bytes were appended in bulk.
+std::string referenceEscaped(std::string_view S) {
+  std::string Out = "\"";
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out + "\"";
+}
+
+std::string written(std::string_view S) {
+  JsonWriter W;
+  W.value(S);
+  return W.str();
+}
+
+} // namespace
+
+TEST(Json, BulkEscapingWritesTheReferenceBytes) {
+  for (int B = 0; B != 256; ++B) {
+    const std::string One(1, static_cast<char>(B));
+    EXPECT_EQ(written(One), referenceEscaped(One)) << B;
+    // The same byte between plain runs, and as a key.
+    const std::string Mixed = "ab" + One + "cd" + One;
+    EXPECT_EQ(written(Mixed), referenceEscaped(Mixed)) << B;
+    JsonWriter W;
+    W.beginObject();
+    W.key(Mixed);
+    W.nullValue();
+    W.endObject();
+    EXPECT_EQ(W.str(), "{" + referenceEscaped(Mixed) + ":null}") << B;
+  }
+  Rng R(0x15011);
+  for (int I = 0; I != 2000; ++I) {
+    std::string S;
+    for (uint64_t J = 0, N = R.below(64); J != N; ++J)
+      // Mostly plain bytes, so runs of every length occur.
+      S.push_back(static_cast<char>(R.chance(1, 4) ? R.below(0x30)
+                                                   : R.range(0x20, 0xff)));
+    EXPECT_EQ(written(S), referenceEscaped(S)) << I;
+  }
+}
+
+TEST(Json, IntegerExtremesMatchToString) {
+  const int64_t Signed[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX};
+  for (int64_t N : Signed) {
+    JsonWriter W;
+    W.value(N);
+    EXPECT_EQ(W.str(), std::to_string(N));
+  }
+  const uint64_t Unsigned[] = {0, 1, uint64_t(INT64_MAX) + 1, UINT64_MAX};
+  for (uint64_t N : Unsigned) {
+    JsonWriter W;
+    W.value(N);
+    EXPECT_EQ(W.str(), std::to_string(N));
+  }
+  JsonWriter W;
+  W.beginArray();
+  W.value(INT64_MIN);
+  W.value(INT64_MAX);
+  W.value(UINT64_MAX);
+  W.endArray();
+  EXPECT_EQ(W.str(),
+            "[-9223372036854775808,9223372036854775807,18446744073709551615]");
 }
 
 TEST(Json, TopLevelScalar) {

@@ -13,7 +13,8 @@ little-endian. See src/sched/ResultCache.h.
     python3 tools/cache_segment.py rewrite DIR KEY PAYLOAD_FILE
 
 `list` prints one line per segment and one per entry, labeled by kind:
-snapshot, link-state, summary, report or blob (link facts). `rewrite`
+snapshot ("RSMS"), link-state ("RSLS"), summary (JSON with "drops"),
+report ("RSRP", the binary FileReport payload) or blob (link facts). `rewrite`
 replaces the payload of the newest entry under KEY (16 hex digits) and
 re-seals that segment: envelope checksum, index and footer. Only the
 layers above the cache can then tell the entry was edited, which is what
@@ -110,7 +111,7 @@ def kind(payload):
         return "link-state"
     if b'"drops":' in payload:
         return "summary"
-    if payload.startswith(b'{"v":') and b'"detectors":' in payload[:32]:
+    if payload.startswith(b"RSRP"):
         return "report"
     return "blob"
 
