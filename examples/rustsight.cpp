@@ -287,7 +287,8 @@ int cmdFuzz(const CheckOptions &Check, const FuzzCliOptions &Opts) {
   testgen::FuzzConfig C;
   C.Seed = Opts.FuzzSeed;
   C.Iterations = Opts.FuzzIters;
-  C.Jobs = Check.Engine.Jobs; // 0 = all hardware threads; digest-invariant.
+  // 0 = the CPUs this process may run on; the digest is the same for any N.
+  C.Jobs = Check.Engine.Jobs;
   C.CorpusDir = Opts.CorpusDir;
   C.Minimize = !Opts.NoMinimize;
 
@@ -418,9 +419,9 @@ int usage() {
       "    --strict               exit 2 on any skipped/degraded file\n"
       "    --budget-ms <N>        per-file wall-clock analysis budget\n"
       "    --max-dataflow-iters <N>  per-function fixpoint update cap\n"
-      "    --jobs <N>             parallel analysis workers (default: all\n"
-      "                           hardware threads; at most 1024; output\n"
-      "                           is identical for every N)\n"
+      "    --jobs <N>             parallel analysis workers (default: the\n"
+      "                           CPUs this process may run on; at most\n"
+      "                           1024; output is identical for every N)\n"
       "    --cache-dir <dir>      persist the result cache on disk\n"
       "    --no-cache             disable the result cache entirely\n"
       "    --whole-program        force the cross-file link step (the\n"

@@ -10,8 +10,8 @@
 #include "mir/Parser.h"
 #include "mir/Snapshot.h"
 #include "mir/Verifier.h"
+#include "sched/Parallel.h"
 #include "sched/SummaryDb.h"
-#include "sched/ThreadPool.h"
 #include "support/FaultInjection.h"
 #include "support/File.h"
 #include "support/Hash.h"
@@ -978,20 +978,9 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
   if (Cache)
     Before = Cache->stats();
 
-  unsigned Jobs =
-      Opts.Jobs == 0 ? sched::ThreadPool::defaultWorkerCount() : Opts.Jobs;
+  unsigned Jobs = Opts.Jobs == 0 ? sched::defaultWorkerCount() : Opts.Jobs;
   Jobs = static_cast<unsigned>(std::clamp<size_t>(
       Jobs, 1, std::max<size_t>(std::min<size_t>(N, MaxJobs), 1)));
-  std::optional<sched::ThreadPool> Pool;
-  if (Jobs > 1)
-    Pool.emplace(Jobs);
-  auto RunParallel = [&](size_t Count, const std::function<void(size_t)> &Fn) {
-    if (Pool && Count > 1)
-      sched::parallelFor(*Pool, Count, Fn);
-    else
-      for (size_t I = 0; I != Count; ++I)
-        Fn(I);
-  };
 
   // A persisted linked run leaves its link state for the next run over the
   // same ordered inputs. A caller that keeps the corpus resident always
@@ -1026,7 +1015,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
   std::vector<std::optional<analysis::ModuleFacts>> Facts(N);
   std::vector<char> Unchanged(N, 0);
   std::atomic<bool> ReportMissed{false};
-  RunParallel(N, [&](size_t I) {
+  sched::parallelFor(Jobs, N, [&](size_t I) {
     const corpus::CorpusInput &In = Inputs[I];
     if (!In.SkipReason.empty()) {
       Report.Files[I] = FileReport::skipped(In.Path, In.SkipReason);
@@ -1131,7 +1120,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
         else if ((*Prev)[I].Linked)
           Fetch.push_back(K);
       }
-      RunParallel(Fetch.size(), [&](size_t J) {
+      sched::parallelFor(Jobs, Fetch.size(), [&](size_t J) {
         const size_t K = Fetch[J], I = Ordinals[K];
         Out[K] = cachedFacts(*Fps[I], Inputs[I].Path);
         if (!Out[K]) {
@@ -1145,7 +1134,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
         [&](const std::vector<std::pair<uint32_t, size_t>> &Modules,
             const analysis::ExternalSummaries &Env) {
           std::vector<analysis::ModuleSummaries> Out(Modules.size());
-          RunParallel(Modules.size(), [&](size_t K) {
+          sched::parallelFor(Jobs, Modules.size(), [&](size_t K) {
             const auto &[Idx, Input] = Modules[K];
             std::optional<LoadedFile> &L = Exporters[Input];
             if (!L) {
@@ -1179,8 +1168,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
   // now: against the converged environment when its digest is non-zero (an
   // exporter from its resident module), else per-file. A digest-0 file
   // resolves no extern callee, so the empty environment observes exactly
-  // what the full one would. Only those files are tasks: the pool's cost
-  // per task is a fair share of a cached report's.
+  // what the full one would. Only those files are claimed.
   std::vector<size_t> Pending;
   for (size_t I = 0; I != N; ++I) {
     if (Under[I] != Link.Digest[I].value_or(0))
@@ -1188,7 +1176,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
     else
       Exporters[I].reset();
   }
-  RunParallel(Pending.size(), [&](size_t K) {
+  sched::parallelFor(Jobs, Pending.size(), [&](size_t K) {
     const size_t I = Pending[K];
     std::optional<LoadedFile> L = std::exchange(Exporters[I], std::nullopt);
     const uint64_t Digest = Link.Digest[I].value_or(0);

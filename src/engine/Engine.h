@@ -351,11 +351,11 @@ public:
   /// that task, and its module is dropped with the task. Then the link step
   /// runs (linkCorpus: only exporters are summarized), and the files whose
   /// report does not match their link digest yet are analyzed against the
-  /// converged environment, each once. Tasks run on a work-stealing pool
-  /// (EngineOptions::Jobs), each inside the containment boundary; results
-  /// are merged in input order, so the report renders byte-identically for
-  /// any job count. Clean results are served from / stored into the
-  /// content-addressed cache.
+  /// converged environment, each once. Each pass is one parallelFor over
+  /// EngineOptions::Jobs threads, each task inside the containment
+  /// boundary; results are merged in input order, so the report renders
+  /// byte-identically for any job count. Clean results are served from /
+  /// stored into the content-addressed cache.
   ///
   /// With a cache that persists, a linked run also stores its outcome, the
   /// link state, and a later run over the same ordered inputs reuses it

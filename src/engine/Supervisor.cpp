@@ -4,6 +4,7 @@
 #include "corpus/CorpusWalk.h"
 #include "diag/Diag.h"
 #include "engine/Checkpoint.h"
+#include "sched/Parallel.h"
 #include "support/FaultInjection.h"
 #include "support/Hash.h"
 #include "support/Json.h"
@@ -556,8 +557,7 @@ CorpusReport Supervisor::run(const std::vector<std::string> &Paths) {
   const auto Start = Clock::now();
   std::vector<corpus::CorpusInput> Inputs = corpus::expandMirPaths(Paths);
   const size_t N = Inputs.size();
-  const unsigned Hardware =
-      std::max(1u, std::thread::hardware_concurrency());
+  const unsigned Hardware = sched::defaultWorkerCount();
 
   // The supervisor's one cache: it only ever holds the summaries, as the
   // workers' engines keep everything else.

@@ -62,7 +62,8 @@ struct SupervisorOptions {
   /// byte-identical for every value.
   unsigned Shards = 0;
 
-  /// Concurrent worker processes (0 = min(shards, hardware threads)).
+  /// Concurrent worker processes (0 = min(shards, the CPUs this process may
+  /// run on)).
   unsigned MaxWorkers = 0;
 
   /// Hard per-shard wall-clock watchdog in milliseconds (0 = none). This

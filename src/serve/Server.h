@@ -24,9 +24,9 @@
 /// files, plus the files whose link digest moved when an edit touches a
 /// cross-file edge, Session::refresh) that runs under the engine's
 /// cooperative rs::Budget options. The initial sweep is the engine's
-/// corpus driver on its work-stealing ThreadPool. Requests that need fresh state (codeAction) defer
-/// until the flush; $/cancelRequest aborts them while queued with the LSP
-/// RequestCancelled error.
+/// corpus driver, run with parallelFor. Requests that need fresh state
+/// (codeAction) defer until the flush; $/cancelRequest aborts them while
+/// queued with the LSP RequestCancelled error.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,7 +8,7 @@
 #include "testgen/Fuzz.h"
 
 #include "mir/Parser.h"
-#include "sched/ThreadPool.h"
+#include "sched/Parallel.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Rng.h"
@@ -326,7 +326,6 @@ FuzzReport runFuzz(const FuzzConfig &C) {
   uint64_t Digest = Fnv1a64OffsetBasis;
   uint64_t Ordinal = 0;
 
-  sched::ThreadPool Pool(C.Jobs);
   while (Report.Iterations < C.Iterations) {
     size_t N = static_cast<size_t>(
         std::min<uint64_t>(BatchSize, C.Iterations - Report.Iterations));
@@ -335,7 +334,7 @@ FuzzReport runFuzz(const FuzzConfig &C) {
     // Parallel phase: derive and execute each candidate against the
     // round-start corpus snapshot.
     std::vector<CandidateResult> Results(N);
-    sched::parallelFor(Pool, N, [&](size_t I) {
+    sched::parallelFor(C.Jobs, N, [&](size_t I) {
       Results[I] =
           evaluateCandidate(deriveCandidate(C, CorpusTexts, Base + I), C);
     });

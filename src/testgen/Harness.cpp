@@ -9,7 +9,7 @@
 
 #include "mir/Parser.h"
 #include "mir/Verifier.h"
-#include "sched/ThreadPool.h"
+#include "sched/Parallel.h"
 #include "support/FaultInjection.h"
 #include "support/Hash.h"
 #include "support/Rng.h"
@@ -136,12 +136,9 @@ SweepReport runSweep(const SweepConfig &C) {
     return Report;
   }
   std::vector<SeedOutcome> Outcomes(C.SeedCount);
-  {
-    sched::ThreadPool Pool(C.Jobs);
-    sched::parallelFor(Pool, Outcomes.size(), [&](size_t I) {
-      checkSeed(C, C.SeedStart + I, Outcomes[I]);
-    });
-  }
+  sched::parallelFor(C.Jobs, Outcomes.size(), [&](size_t I) {
+    checkSeed(C, C.SeedStart + I, Outcomes[I]);
+  });
 
   SweepReport Report;
   Report.SeedsRun = C.SeedCount;
