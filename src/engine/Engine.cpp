@@ -402,12 +402,13 @@ uint64_t AnalysisEngine::reportKey(uint64_t Fp, uint64_t LinkDigest) const {
   return LinkDigest != 0 ? fnv1a64U64(LinkDigest, Key) : Key;
 }
 
-std::optional<FileReport> AnalysisEngine::cachedReport(const LoadedFile &L,
-                                                      uint64_t LinkDigest) {
+std::optional<FileReport>
+AnalysisEngine::cachedReport(const LoadedFile &L, uint64_t LinkDigest,
+                             uint64_t StoredBefore) {
   // Only ok reports are cached, so an entry saying otherwise is a miss.
   if (Cache)
     if (std::optional<std::string> Payload =
-            Cache->lookup(reportKey(L.Fp, LinkDigest)))
+            Cache->lookup(reportKey(L.Fp, LinkDigest), StoredBefore))
       if (std::optional<FileReport> Hit =
               deserializeFileReport(*Payload, L.Report.Path);
           Hit && Hit->Status == EngineStatus::Ok)
@@ -417,10 +418,12 @@ std::optional<FileReport> AnalysisEngine::cachedReport(const LoadedFile &L,
 
 FileReport AnalysisEngine::analyze(LoadedFile &L,
                                    const analysis::ExternalSummaries *Env,
-                                   uint64_t LinkDigest, unsigned *Runs) {
+                                   uint64_t LinkDigest, unsigned *Runs,
+                                   uint64_t StoredBefore) {
   if (!L.Read)
     return std::move(L.Report);
-  if (std::optional<FileReport> Hit = cachedReport(L, LinkDigest))
+  if (std::optional<FileReport> Hit =
+          cachedReport(L, LinkDigest, StoredBefore))
     return std::move(*Hit);
   if (Runs)
     ++*Runs;
@@ -443,11 +446,11 @@ FileReport AnalysisEngine::analyze(LoadedFile &L,
 FileReport AnalysisEngine::analyzeFile(
     const std::string &Path, std::optional<std::string_view> Source,
     const analysis::ExternalSummaries *Env, uint64_t LinkDigest,
-    std::optional<analysis::ModuleFacts> *Facts) {
+    std::optional<analysis::ModuleFacts> *Facts, uint64_t StoredBefore) {
   LoadedFile L = read(Path, Source);
   if (Facts)
     *Facts = linkFacts(L);
-  return analyze(L, Env, LinkDigest);
+  return analyze(L, Env, LinkDigest, nullptr, StoredBefore);
 }
 
 std::optional<analysis::ModuleFacts>
@@ -975,8 +978,14 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
   auto Start = std::chrono::steady_clock::now();
   const size_t N = Inputs.size();
   sched::ResultCache::Stats Before;
-  if (Cache)
+  // Report lookups see only what was cached before this call, so two
+  // inputs with the same key both miss on a cold run, however their tasks
+  // interleave: the stats line is the same on every run.
+  uint64_t Epoch = ~uint64_t(0);
+  if (Cache) {
     Before = Cache->stats();
+    Epoch = Cache->beginEpoch();
+  }
 
   unsigned Jobs = Opts.Jobs == 0 ? sched::defaultWorkerCount() : Opts.Jobs;
   Jobs = static_cast<unsigned>(std::clamp<size_t>(
@@ -1029,9 +1038,10 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
       Unchanged[I] = 1;
       const uint64_t Digest = (*Prev)[I].Digest;
       if (Digest == 0) {
-        Report.Files[I] = analyze(L, nullptr, 0, &Runs[I]);
+        Report.Files[I] = analyze(L, nullptr, 0, &Runs[I], Epoch);
         Under[I] = 0;
-      } else if (std::optional<FileReport> Hit = cachedReport(L, Digest)) {
+      } else if (std::optional<FileReport> Hit =
+                     cachedReport(L, Digest, Epoch)) {
         Report.Files[I] = std::move(*Hit);
         Under[I] = Digest;
       } else {
@@ -1044,7 +1054,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
     // A module that calls out of its file may resolve a callee in another
     // one: it is analyzed once, after the link, under its digest.
     if (!Facts[I] || !analysis::callsOut(*Facts[I])) {
-      Report.Files[I] = analyze(L, nullptr, 0, &Runs[I]);
+      Report.Files[I] = analyze(L, nullptr, 0, &Runs[I], Epoch);
       Under[I] = 0;
     }
   });
@@ -1183,7 +1193,7 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
     if (!L)
       L = read(Inputs[I]);
     Report.Files[I] =
-        analyze(*L, Digest ? &Link.Env : nullptr, Digest, &Runs[I]);
+        analyze(*L, Digest ? &Link.Env : nullptr, Digest, &Runs[I], Epoch);
   });
   Report.finalize();
 

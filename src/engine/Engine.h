@@ -312,13 +312,15 @@ public:
   /// is folded into the report cache key so cross-file changes invalidate
   /// this file's entry; the defaults are the per-file run. With \p Facts
   /// the same load also yields the file's link facts (nullopt when it
-  /// cannot join the link). This is the shard worker's and the serve
-  /// session's analyze entry.
+  /// cannot join the link). Only a cached report stored before epoch
+  /// \p StoredBefore counts (ResultCache::lookup). This is the shard
+  /// worker's and the serve session's analyze entry.
   FileReport analyzeFile(const std::string &Path,
                          std::optional<std::string_view> Source = std::nullopt,
                          const analysis::ExternalSummaries *Env = nullptr,
                          uint64_t LinkDigest = 0,
-                         std::optional<analysis::ModuleFacts> *Facts = nullptr);
+                         std::optional<analysis::ModuleFacts> *Facts = nullptr,
+                         uint64_t StoredBefore = ~uint64_t(0));
 
   /// Link facts for one file: the facts cache, else the module step and
   /// the linker-visible shape. Returns nullopt when the file cannot join
@@ -399,12 +401,16 @@ private:
   /// boundary (counted in \p Runs), and a clean report is stored under the
   /// \p LinkDigest-folded key. A file whose read or module step ended in a
   /// final report passes it through. Takes \p L's report; its source and
-  /// module stay.
+  /// module stay. Only a cached report stored before epoch \p StoredBefore
+  /// counts (ResultCache::lookup).
   FileReport analyze(LoadedFile &L, const analysis::ExternalSummaries *Env,
-                     uint64_t LinkDigest, unsigned *Runs = nullptr);
-  /// The report cache's ok report for \p L under \p LinkDigest, if any.
+                     uint64_t LinkDigest, unsigned *Runs = nullptr,
+                     uint64_t StoredBefore = ~uint64_t(0));
+  /// The report cache's ok report for \p L under \p LinkDigest, if any,
+  /// stored before epoch \p StoredBefore.
   std::optional<FileReport> cachedReport(const LoadedFile &L,
-                                         uint64_t LinkDigest);
+                                         uint64_t LinkDigest,
+                                         uint64_t StoredBefore);
   uint64_t reportKey(uint64_t Fp, uint64_t LinkDigest) const;
   void runDetectors(const mir::Module &M, FileReport &R,
                     const analysis::ExternalSummaries *Ext);

@@ -933,6 +933,11 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
   }
 
   AnalysisEngine Engine(Opts);
+  // As in analyzeCorpus, report lookups see only what was cached before
+  // the worker began, so a duplicate pair counts the same in every shard
+  // layout as in process.
+  const uint64_t Epoch =
+      Engine.cache() ? Engine.cache()->beginEpoch() : ~uint64_t(0);
   for (const Item &It : Items) {
     if (FaultFile.empty() ||
         It.Path.find(FaultFile) != std::string::npos) {
@@ -982,7 +987,7 @@ int rs::engine::runWorker(const EngineOptions &OptsIn) {
       // "-" is a per-file run: the empty environment and digest 0.
       FileReport R = Engine.analyzeFile(It.Path, std::nullopt,
                                         It.Aux ? &Env : nullptr,
-                                        It.Aux.value_or(0));
+                                        It.Aux.value_or(0), nullptr, Epoch);
       if (R.Status != EngineStatus::Ok)
         std::fprintf(stderr, "worker: %s: %s: %s\n", R.Path.c_str(),
                      engineStatusName(R.Status), R.Reason.c_str());

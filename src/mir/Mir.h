@@ -70,7 +70,7 @@ inline constexpr BlockId InvalidBlock = ~0u;
 
 /// One step of a place projection: (*p), p.field, or p[index].
 struct ProjectionElem {
-  enum class Kind { Deref, Field, Index };
+  enum class Kind : uint8_t { Deref, Field, Index };
 
   Kind K;
   /// Field number for Kind::Field (RustLite fields are numbered).
@@ -133,12 +133,12 @@ struct Place {
 
 /// A compile-time constant operand.
 struct ConstValue {
-  enum class Kind { Int, Bool, Str, Unit };
+  enum class Kind : uint8_t { Int, Bool, Str, Unit };
 
   Kind K = Kind::Unit;
-  int64_t Int = 0;
   bool Bool = false;
   Symbol Str;
+  int64_t Int = 0;
   /// Optional type ascription from a literal suffix ("const 0_i32").
   const Type *Ty = nullptr;
 
@@ -174,7 +174,7 @@ struct ConstValue {
 
 /// A use of a value: by copy, by move (transferring ownership), or a const.
 struct Operand {
-  enum class Kind { Copy, Move, Const };
+  enum class Kind : uint8_t { Copy, Move, Const };
 
   Kind K = Kind::Const;
   Place P;
@@ -210,7 +210,7 @@ using OperandList = SmallVector<Operand, 2>;
 
 /// Binary operations (a subset of MIR's BinOp; Offset is pointer arithmetic,
 /// the MIR form of ptr::offset used by the paper's performance experiments).
-enum class BinOp {
+enum class BinOp : uint8_t {
   Add,
   Sub,
   Mul,
@@ -231,14 +231,14 @@ enum class BinOp {
 };
 
 /// Unary operations.
-enum class UnOp { Not, Neg };
+enum class UnOp : uint8_t { Not, Neg };
 
 const char *binOpName(BinOp Op);
 const char *unOpName(UnOp Op);
 
 /// The right-hand side of an assignment.
 struct Rvalue {
-  enum class Kind {
+  enum class Kind : uint8_t {
     Use,          ///< operand
     Ref,          ///< &place or &mut place
     AddressOf,    ///< &raw const place or &raw mut place
@@ -251,14 +251,14 @@ struct Rvalue {
   };
 
   Kind K = Kind::Use;
-  OperandList Ops;             ///< Use: 1; BinaryOp: 2; UnaryOp/Cast: 1;
-                               ///< Aggregate: N.
-  Place P;                     ///< Ref/AddressOf/Discriminant/Len.
   bool Mut = false;            ///< Ref/AddressOf mutability.
   BinOp BOp = BinOp::Add;      ///< BinaryOp.
   UnOp UOp = UnOp::Not;        ///< UnaryOp.
-  const Type *CastTy = nullptr;///< Cast target type.
   Symbol AggName;              ///< Aggregate ADT name; empty for tuples.
+  const Type *CastTy = nullptr;///< Cast target type.
+  OperandList Ops;             ///< Use: 1; BinaryOp: 2; UnaryOp/Cast: 1;
+                               ///< Aggregate: N.
+  Place P;                     ///< Ref/AddressOf/Discriminant/Len.
 
   static Rvalue use(Operand O);
   static Rvalue ref(Place P, bool Mut);
@@ -281,7 +281,7 @@ struct Rvalue {
 
 /// A non-control-flow instruction.
 struct Statement {
-  enum class Kind {
+  enum class Kind : uint8_t {
     Assign,      ///< place = rvalue
     StorageLive, ///< StorageLive(_n): the local's storage begins
     StorageDead, ///< StorageDead(_n): the local's storage ends
@@ -289,9 +289,9 @@ struct Statement {
   };
 
   Kind K = Kind::Nop;
+  LocalId Local = 0; ///< StorageLive/StorageDead subject.
   Place Dest;
   Rvalue RV;
-  LocalId Local = 0; ///< StorageLive/StorageDead subject.
   SourceLocation Loc;
 
   static Statement assign(Place Dest, Rvalue RV,
@@ -334,7 +334,7 @@ using SuccList = SmallVector<BlockId, 4>;
 
 /// The single control-flow instruction ending a basic block.
 struct Terminator {
-  enum class Kind {
+  enum class Kind : uint8_t {
     Goto,        ///< goto -> bb
     SwitchInt,   ///< switchInt(op) -> [v: bb, ..., otherwise: bb]
     Return,
@@ -346,15 +346,15 @@ struct Terminator {
   };
 
   Kind K = Kind::Return;
-  Operand Discr;                  ///< SwitchInt/Assert operand.
-  CaseList Cases;                 ///< SwitchInt arms.
+  bool HasDest = false;           ///< Whether the call writes a destination.
   BlockId Target = InvalidBlock;  ///< Goto target; SwitchInt otherwise;
                                   ///< Drop/Call return; Assert success.
   BlockId Unwind = InvalidBlock;  ///< Drop/Call unwind edge, if any.
+  Symbol Callee;                  ///< Call target: a function path.
+  Operand Discr;                  ///< SwitchInt/Assert operand.
+  CaseList Cases;                 ///< SwitchInt arms.
   Place DropPlace;                ///< Drop subject.
   Place Dest;                     ///< Call destination (unit type if unused).
-  bool HasDest = false;           ///< Whether the call writes a destination.
-  Symbol Callee;                  ///< Call target: a function path.
   OperandList Args;               ///< Call arguments.
   SourceLocation Loc;
 

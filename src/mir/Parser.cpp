@@ -1,23 +1,20 @@
 #include "mir/Parser.h"
 
-#include "support/StringUtils.h"
-
 #include <algorithm>
-#include <iterator>
 
 using namespace rs;
 using namespace rs::mir;
 
-Parser::Parser(std::string_view Buffer, std::string_view FileName)
-    : Lex(Buffer, FileName) {
-  Tok = Lex.next();
+Parser::Parser(std::string_view Buffer, std::string_view FileName, Module &M)
+    : Lex(Buffer, FileName), M(M) {
+  Toks.reserve(std::min(Buffer.size() / 3 + 16, 2 * BatchTokens));
+  Lex.tokenizeItems(Toks, BatchTokens);
+  Tok = Toks.data();
 }
-
-void Parser::bump() { Tok = Lex.next(); }
 
 bool Parser::fail(const std::string &Message) {
   if (!Err)
-    Err = Error(Message, Tok.Loc.isValid() ? Tok.Loc : Lex.currentLocation());
+    Err = Error(Message, Tok->Loc); // Every lexed token, Eof too, has one.
   return false;
 }
 
@@ -75,54 +72,88 @@ static const char *tokKindName(TokKind K) {
   return "?";
 }
 
-bool Parser::expect(TokKind K, const char *What) {
-  if (Tok.K != K)
-    return fail(std::string("expected ") + What + ", found " +
-                tokKindName(Tok.K) +
-                (Tok.K == TokKind::Ident ? " '" + std::string(Tok.Text) + "'"
-                                         : std::string()));
+bool Parser::expected(const char *What) {
+  return fail(std::string("expected ") + What + ", found " +
+              tokKindName(Tok->K) +
+              (Tok->K == TokKind::Ident ? " '" + std::string(Tok->Text) + "'"
+                                        : std::string()));
+}
+
+bool Parser::expectKw(Kw Id, const char *Spelling) {
+  if (!Tok->is(Id))
+    return fail(std::string("expected '") + Spelling + "'");
   bump();
   return true;
 }
 
-bool Parser::expectIdent(std::string_view S) {
-  if (!Tok.isIdent(S))
-    return fail("expected '" + std::string(S) + "'");
-  bump();
-  return true;
-}
-
-bool Parser::consumeIdent(std::string_view S) {
-  if (!Tok.isIdent(S))
+bool Parser::consume(Kw Id) {
+  if (!Tok->is(Id))
     return false;
   bump();
   return true;
 }
 
 //===----------------------------------------------------------------------===//
+// Keyword ids to MIR enums
+//===----------------------------------------------------------------------===//
+
+static_assert(static_cast<int>(Kw::Offset) - static_cast<int>(Kw::Add) ==
+                  static_cast<int>(BinOp::Offset),
+              "Kw's binary operators run in BinOp order");
+static_assert(static_cast<int>(Kw::Neg) - static_cast<int>(Kw::Not) ==
+                  static_cast<int>(UnOp::Neg),
+              "Kw's unary operators run in UnOp order");
+static_assert(static_cast<int>(Kw::F64) - static_cast<int>(Kw::Bool) ==
+                  static_cast<int>(PrimKind::F64) -
+                      static_cast<int>(PrimKind::Bool),
+              "Kw's primitive types run in PrimKind order");
+
+static bool isBinOp(Kw K) { return K >= Kw::Add && K <= Kw::Offset; }
+static bool isUnOp(Kw K) { return K >= Kw::Not && K <= Kw::Neg; }
+
+static BinOp binOpOf(Kw K) {
+  return static_cast<BinOp>(static_cast<int>(K) - static_cast<int>(Kw::Add));
+}
+static UnOp unOpOf(Kw K) {
+  return static_cast<UnOp>(static_cast<int>(K) - static_cast<int>(Kw::Not));
+}
+
+/// The primitive type a keyword names ("i32" -> I32), if any.
+static std::optional<PrimKind> primOf(Kw K) {
+  if (K < Kw::Bool || K > Kw::F64)
+    return std::nullopt;
+  return static_cast<PrimKind>(static_cast<int>(PrimKind::Bool) +
+                               static_cast<int>(K) -
+                               static_cast<int>(Kw::Bool));
+}
+
+//===----------------------------------------------------------------------===//
 // Items
 //===----------------------------------------------------------------------===//
 
-Result<Module> Parser::parseModule() {
-  while (!Tok.is(TokKind::Eof)) {
-    if (!parseItem())
-      return *Err;
+Result<Module> Parser::parse(std::string_view Buffer,
+                             std::string_view FileName) {
+  Module M;
+  Parser P(Buffer, FileName, M);
+  while (!P.Tok->is(TokKind::Eof)) {
+    if (!P.parseItem())
+      return *P.Err;
   }
-  return std::move(M);
+  return M;
 }
 
-ModuleParse Parser::parseModuleRecover() {
+ModuleParse Parser::parseRecover(std::string_view Buffer,
+                                 std::string_view FileName) {
   ModuleParse Out;
-  while (!Tok.is(TokKind::Eof)) {
-    if (parseItem())
+  Parser P(Buffer, FileName, Out.M);
+  while (!P.Tok->is(TokKind::Eof)) {
+    if (P.parseItem())
       continue;
-    Out.Errors.push_back(*Err);
+    Out.Errors.push_back(*P.Err);
     ++Out.ItemsDropped;
-    Err.reset();
-    CurFn = nullptr;
-    recoverToItemBoundary();
+    P.Err.reset();
+    P.recoverToItemBoundary();
   }
-  Out.M = std::move(M);
   return Out;
 }
 
@@ -131,57 +162,60 @@ void Parser::recoverToItemBoundary() {
   // boundary once we have closed at least as many braces as we opened, i.e.
   // we are no deeper than where the malformed item began.
   int Depth = 0;
-  while (!Tok.is(TokKind::Eof)) {
-    if (Tok.is(TokKind::LBrace)) {
+  while (!Tok->is(TokKind::Eof)) {
+    if (Tok->is(TokKind::LBrace)) {
       ++Depth;
-    } else if (Tok.is(TokKind::RBrace)) {
+    } else if (Tok->is(TokKind::RBrace)) {
       --Depth;
-    } else if (Depth <= 0 &&
-               (atIdent("fn") || atIdent("struct") || atIdent("static") ||
-                atIdent("unsafe"))) {
-      return;
+    } else if (Depth <= 0) {
+      Kw K = kw();
+      if (K == Kw::Fn || K == Kw::Struct || K == Kw::Static ||
+          K == Kw::Unsafe)
+        return;
     }
     bump();
   }
 }
 
 bool Parser::parseItem() {
-  if (atIdent("struct"))
+  switch (kw()) {
+  case Kw::Struct:
     return parseStruct();
-  if (atIdent("static"))
+  case Kw::Static:
     return parseStatic();
-  if (atIdent("fn"))
+  case Kw::Fn:
     return parseFunction(/*IsUnsafe=*/false);
-  if (atIdent("unsafe")) {
+  case Kw::Unsafe:
     bump();
-    if (atIdent("fn"))
+    if (Tok->is(Kw::Fn))
       return parseFunction(/*IsUnsafe=*/true);
-    if (atIdent("impl"))
+    if (Tok->is(Kw::Impl))
       return parseSyncImpl();
     return fail("expected 'fn' or 'impl' after 'unsafe'");
+  default:
+    return fail("expected 'struct', 'static', 'fn', or 'unsafe' item");
   }
-  return fail("expected 'struct', 'static', 'fn', or 'unsafe' item");
 }
 
 bool Parser::parseStruct() {
   bump(); // struct
-  if (!Tok.is(TokKind::Ident))
+  if (!Tok->is(TokKind::Ident))
     return fail("expected struct name");
   StructDecl S;
-  S.Name = Symbol::intern(Tok.Text);
+  S.Name = Names.intern(Tok->Text);
   bump();
-  if (Tok.is(TokKind::Colon)) {
+  if (Tok->is(TokKind::Colon)) {
     bump();
-    if (!expectIdent("Drop"))
+    if (!expectKw(Kw::DropTrait, "Drop"))
       return false;
     S.HasDrop = true;
   }
   if (!expect(TokKind::LBrace, "'{'"))
     return false;
-  while (!Tok.is(TokKind::RBrace)) {
-    if (!Tok.is(TokKind::Ident))
+  while (!Tok->is(TokKind::RBrace)) {
+    if (!Tok->is(TokKind::Ident))
       return fail("expected field name");
-    std::string FieldName(Tok.Text);
+    std::string FieldName(Tok->Text);
     bump();
     if (!expect(TokKind::Colon, "':'"))
       return false;
@@ -189,7 +223,7 @@ bool Parser::parseStruct() {
     if (!parseType(Ty))
       return false;
     S.Fields.emplace_back(std::move(FieldName), Ty);
-    if (Tok.is(TokKind::Comma)) {
+    if (Tok->is(TokKind::Comma)) {
       bump();
       continue;
     }
@@ -205,13 +239,13 @@ bool Parser::parseStruct() {
 
 bool Parser::parseSyncImpl() {
   bump(); // impl
-  if (!expectIdent("Sync"))
+  if (!expectKw(Kw::Sync, "Sync"))
     return false;
-  if (!expectIdent("for"))
+  if (!expectKw(Kw::For, "for"))
     return false;
-  if (!Tok.is(TokKind::Ident))
+  if (!Tok->is(TokKind::Ident))
     return fail("expected type name in Sync impl");
-  std::string_view Name = Tok.Text;
+  std::string_view Name = Tok->Text;
   bump();
   if (!expect(TokKind::Semi, "';'"))
     return false;
@@ -222,11 +256,11 @@ bool Parser::parseSyncImpl() {
 bool Parser::parseStatic() {
   bump(); // static
   StaticDecl S;
-  if (consumeIdent("mut"))
+  if (consume(Kw::Mut))
     S.Mutable = true;
-  if (!Tok.is(TokKind::Ident))
+  if (!Tok->is(TokKind::Ident))
     return fail("expected static name");
-  S.Name = Symbol::intern(Tok.Text);
+  S.Name = Names.intern(Tok->Text);
   bump();
   if (!expect(TokKind::Colon, "':'"))
     return false;
@@ -239,7 +273,7 @@ bool Parser::parseStatic() {
 }
 
 bool Parser::parseFunction(bool IsUnsafe) {
-  SourceLocation FnLoc = Tok.Loc;
+  SourceLocation FnLoc = Tok->Loc;
   bump(); // fn
   Function F;
   F.IsUnsafe = IsUnsafe;
@@ -250,11 +284,11 @@ bool Parser::parseFunction(bool IsUnsafe) {
     return false;
 
   // Parameters must be _1, _2, ... in order.
-  std::vector<const Type *> ParamTypes;
-  while (!Tok.is(TokKind::RParen)) {
-    if (!Tok.is(TokKind::Local))
+  ParamTypes.clear();
+  while (!Tok->is(TokKind::RParen)) {
+    if (!Tok->is(TokKind::Local))
       return fail("expected parameter local '_N'");
-    if (static_cast<LocalId>(Tok.IntVal) != ParamTypes.size() + 1)
+    if (static_cast<LocalId>(Tok->IntVal) != ParamTypes.size() + 1)
       return fail("parameters must be numbered _1, _2, ... in order");
     bump();
     if (!expect(TokKind::Colon, "':'"))
@@ -263,7 +297,7 @@ bool Parser::parseFunction(bool IsUnsafe) {
     if (!parseType(Ty))
       return false;
     ParamTypes.push_back(Ty);
-    if (Tok.is(TokKind::Comma)) {
+    if (Tok->is(TokKind::Comma)) {
       bump();
       continue;
     }
@@ -273,52 +307,63 @@ bool Parser::parseFunction(bool IsUnsafe) {
     return false;
 
   const Type *RetTy = M.types().getUnit();
-  if (Tok.is(TokKind::Arrow)) {
+  if (Tok->is(TokKind::Arrow)) {
     bump();
     if (!parseType(RetTy))
       return false;
   }
+  // The body's braces count its 'let's and its blocks, so the locals and
+  // blocks vectors are sized once.
+  unsigned NumLets = Tok->innerSemis(), NumBlocks = Tok->innerGroups();
   if (!expect(TokKind::LBrace, "'{'"))
     return false;
 
   F.NumArgs = static_cast<unsigned>(ParamTypes.size());
-  DenseTable<LocalDecl> Decls;
-  Decls.insert(0, LocalDecl{RetTy, true, {}});
-  for (unsigned I = 0; I != ParamTypes.size(); ++I)
-    Decls.insert(I + 1, LocalDecl{ParamTypes[I], false, {}});
+  // A leading "let mut _0: T;" (as the printer emits) fills the return
+  // place rather than adding a local.
+  const Token &Decl = peek(peek(1).is(Kw::Mut) ? 2 : 1);
+  bool LetsReturnPlace = Tok->is(Kw::Let) && Decl.is(TokKind::Local) &&
+                         Decl.IntVal == 0;
+  F.Locals.reserve(1 + F.NumArgs + NumLets - (LetsReturnPlace ? 1 : 0));
+  F.Locals.push_back(LocalDecl{RetTy, true, {}});
+  for (const Type *Ty : ParamTypes)
+    F.Locals.push_back(LocalDecl{Ty, false, {}});
 
   // Body: local declarations, then basic blocks.
-  while (atIdent("let")) {
-    if (!parseLocalDecl(Decls))
+  DenseTable<LocalDecl> UnorderedLocals;
+  while (Tok->is(Kw::Let)) {
+    if (!parseLocalDecl(F.Locals, UnorderedLocals))
       return false;
   }
+  if (UnorderedLocals.Count != 0) {
+    if (unsigned Gap = UnorderedLocals.firstGap();
+        Gap != UnorderedLocals.Count)
+      return fail("function '" + F.Name.str() +
+                  "' is missing a declaration for _" + std::to_string(Gap));
+    UnorderedLocals.moveDenseTo(F.Locals);
+  }
+  if (F.Locals.capacity() != F.Locals.size())
+    F.Locals.shrink_to_fit();
 
-  // Validate local density and build the locals table.
-  if (unsigned Gap = Decls.firstGap(); Gap != Decls.Count)
-    return fail("function '" + F.Name.str() +
-                "' is missing a declaration for _" + std::to_string(Gap));
-  F.Locals.resize(Decls.Count);
-  for (LocalId I = 0; I != Decls.Count; ++I)
-    F.Locals[I] = std::move(Decls.Slots[I]);
-
-  DenseTable<BasicBlock> Blocks;
-  while (!Tok.is(TokKind::RBrace)) {
-    CurFn = &F;
-    bool Ok = parseBlock(Blocks);
-    CurFn = nullptr;
-    if (!Ok)
+  F.Blocks.reserve(NumBlocks);
+  DenseTable<BasicBlock> UnorderedBlocks;
+  while (!Tok->is(TokKind::RBrace)) {
+    if (!parseBlock(F.Blocks, UnorderedBlocks))
       return false;
   }
   bump(); // '}'
 
-  if (Blocks.Count == 0)
+  if (UnorderedBlocks.Count != 0) {
+    if (unsigned Gap = UnorderedBlocks.firstGap();
+        Gap != UnorderedBlocks.Count)
+      return fail("function '" + F.Name.str() + "' is missing block bb" +
+                  std::to_string(Gap));
+    UnorderedBlocks.moveDenseTo(F.Blocks);
+  }
+  if (F.Blocks.empty())
     return fail("function '" + F.Name.str() + "' has no basic blocks");
-  if (unsigned Gap = Blocks.firstGap(); Gap != Blocks.Count)
-    return fail("function '" + F.Name.str() + "' is missing block bb" +
-                std::to_string(Gap));
-  F.Blocks.resize(Blocks.Count);
-  for (BlockId I = 0; I != Blocks.Count; ++I)
-    F.Blocks[I] = std::move(Blocks.Slots[I]);
+  if (F.Blocks.capacity() != F.Blocks.size())
+    F.Blocks.shrink_to_fit();
 
   if (M.findFunction(F.Name))
     return fail("duplicate function '" + F.Name.str() + "'");
@@ -326,14 +371,15 @@ bool Parser::parseFunction(bool IsUnsafe) {
   return true;
 }
 
-bool Parser::parseLocalDecl(DenseTable<LocalDecl> &Decls) {
+bool Parser::parseLocalDecl(std::vector<LocalDecl> &Locals,
+                            DenseTable<LocalDecl> &Unordered) {
   bump(); // let
   LocalDecl D;
-  if (consumeIdent("mut"))
+  if (consume(Kw::Mut))
     D.Mutable = true;
-  if (!Tok.is(TokKind::Local))
+  if (!Tok->is(TokKind::Local))
     return fail("expected local '_N' in let declaration");
-  LocalId Id = static_cast<LocalId>(Tok.IntVal);
+  LocalId Id = static_cast<LocalId>(Tok->IntVal);
   bump();
   if (!expect(TokKind::Colon, "':'"))
     return false;
@@ -344,12 +390,22 @@ bool Parser::parseLocalDecl(DenseTable<LocalDecl> &Decls) {
   // The return place _0 is pre-declared from the signature; an explicit
   // "let mut _0: T;" (as the printer emits) is accepted if the type agrees.
   if (Id == 0) {
-    if (Decls.Slots[0].Ty != D.Ty)
+    LocalDecl &Ret = Unordered.Count ? Unordered.Slots[0] : Locals[0];
+    if (Ret.Ty != D.Ty)
       return fail("declared type of _0 does not match the return type");
-    Decls.overwrite(0, D);
+    Ret = D;
     return true;
   }
-  if (!Decls.insert(Id, D))
+  if (Unordered.Count == 0) {
+    if (Id == Locals.size()) {
+      Locals.push_back(D);
+      return true;
+    }
+    if (Id < Locals.size())
+      return fail("duplicate declaration of _" + std::to_string(Id));
+    Unordered.takeDense(Locals);
+  }
+  if (!Unordered.insert(Id, D))
     return fail("duplicate declaration of _" + std::to_string(Id));
   return true;
 }
@@ -358,74 +414,68 @@ bool Parser::parseLocalDecl(DenseTable<LocalDecl> &Decls) {
 // Blocks, statements, terminators
 //===----------------------------------------------------------------------===//
 
-/// Parses "bbN" out of an identifier token, or returns false.
-static bool blockIdFromIdent(const Token &T, BlockId &Out) {
-  if (T.K != TokKind::Ident || T.Text.size() < 3 ||
-      T.Text.substr(0, 2) != "bb")
-    return false;
-  BlockId Id = 0;
-  for (char C : T.Text.substr(2)) {
-    if (!isDigit(C))
-      return false;
-    Id = Id * 10 + static_cast<BlockId>(C - '0');
-  }
-  Out = Id;
-  return true;
-}
-
 bool Parser::parseBlockRef(BlockId &Out) {
-  if (!blockIdFromIdent(Tok, Out))
+  if (!Tok->is(Kw::BlockLabel))
     return fail("expected block reference 'bbN'");
+  Out = static_cast<BlockId>(Tok->IntVal);
   bump();
   return true;
 }
 
-bool Parser::parseBlock(DenseTable<BasicBlock> &Blocks) {
-  BlockId Id = 0;
-  if (!blockIdFromIdent(Tok, Id))
+bool Parser::parseBlock(std::vector<BasicBlock> &Blocks,
+                        DenseTable<BasicBlock> &Unordered) {
+  if (!Tok->is(Kw::BlockLabel))
     return fail("expected basic block label 'bbN'");
+  BlockId Id = static_cast<BlockId>(Tok->IntVal);
   bump();
   if (!expect(TokKind::Colon, "':'"))
     return false;
+  // One ';' per statement plus the terminator's.
+  unsigned NumSemis = Tok->innerSemis();
   if (!expect(TokKind::LBrace, "'{'"))
     return false;
 
-  // Statements grow in the parser's reused buffer and the block keeps an
-  // exact-size copy: one allocation per block, and a module that outlives
-  // its parse (a linked exporter stays resident) carries no growth slack.
-  BasicBlock BB;
-  BB.Statements = std::move(StmtScratch);
-  BB.Statements.clear();
+  // The block is built where it will live: appended to the function's
+  // blocks when its id is the next one, else aside for the id table. Its
+  // statements vector is sized once, so a module that outlives its parse
+  // (a linked exporter stays resident) carries no growth slack.
+  bool InOrder = Unordered.Count == 0 && Id == Blocks.size();
+  std::optional<BasicBlock> Aside;
+  BasicBlock &BB = InOrder ? Blocks.emplace_back() : Aside.emplace();
+  BB.Statements.reserve(NumSemis ? NumSemis - 1 : 0);
   bool SawTerminator = false;
   while (!SawTerminator) {
-    if (Tok.is(TokKind::RBrace))
+    if (Tok->is(TokKind::RBrace))
       return fail("block bb" + std::to_string(Id) + " has no terminator");
     if (!parseBlockItem(BB, SawTerminator))
       return false;
   }
   if (!expect(TokKind::RBrace, "'}' after terminator"))
     return false;
-  StmtScratch = std::move(BB.Statements);
-  BB.Statements.assign(std::make_move_iterator(StmtScratch.begin()),
-                       std::make_move_iterator(StmtScratch.end()));
-  if (!Blocks.insert(Id, std::move(BB)))
+  if (BB.Statements.capacity() != BB.Statements.size())
+    BB.Statements.shrink_to_fit();
+  if (InOrder)
+    return true;
+  if (Unordered.Count == 0)
+    Unordered.takeDense(Blocks);
+  if (!Unordered.insert(Id, std::move(*Aside)))
     return fail("duplicate block bb" + std::to_string(Id));
   return true;
 }
 
 bool Parser::parseCallTargets(BlockId &Target, BlockId &Unwind) {
   Unwind = InvalidBlock;
-  if (Tok.is(TokKind::LBracket)) {
+  if (Tok->is(TokKind::LBracket)) {
     bump();
-    if (!expectIdent("return"))
+    if (!expectKw(Kw::Return, "return"))
       return false;
     if (!expect(TokKind::Colon, "':'"))
       return false;
     if (!parseBlockRef(Target))
       return false;
-    if (Tok.is(TokKind::Comma)) {
+    if (Tok->is(TokKind::Comma)) {
       bump();
-      if (!expectIdent("unwind"))
+      if (!expectKw(Kw::Unwind, "unwind"))
         return false;
       if (!expect(TokKind::Colon, "':'"))
         return false;
@@ -438,88 +488,86 @@ bool Parser::parseCallTargets(BlockId &Target, BlockId &Unwind) {
 }
 
 bool Parser::parseBlockItem(BasicBlock &BB, bool &SawTerminator) {
-  SourceLocation Loc = Tok.Loc;
+  SourceLocation Loc = Tok->Loc;
+  Terminator &T = BB.Term;
 
+  switch (kw()) {
   // Keyword-led statements.
-  if (atIdent("StorageLive") || atIdent("StorageDead")) {
-    bool IsLive = Tok.Text == "StorageLive";
+  case Kw::StorageLive:
+  case Kw::StorageDead: {
+    bool IsLive = kw() == Kw::StorageLive;
     bump();
     if (!expect(TokKind::LParen, "'('"))
       return false;
-    if (!Tok.is(TokKind::Local))
+    if (!Tok->is(TokKind::Local))
       return fail("expected local in storage statement");
-    LocalId L = static_cast<LocalId>(Tok.IntVal);
+    LocalId L = static_cast<LocalId>(Tok->IntVal);
     bump();
     if (!expect(TokKind::RParen, "')'"))
       return false;
     if (!expect(TokKind::Semi, "';'"))
       return false;
-    BB.Statements.push_back(IsLive ? Statement::storageLive(L, Loc)
-                                   : Statement::storageDead(L, Loc));
+    Statement &S = BB.Statements.emplace_back();
+    S.K = IsLive ? Statement::Kind::StorageLive : Statement::Kind::StorageDead;
+    S.Local = L;
+    S.Loc = Loc;
     return true;
   }
-  if (atIdent("nop")) {
+  case Kw::Nop:
     bump();
     if (!expect(TokKind::Semi, "';'"))
       return false;
-    BB.Statements.push_back(Statement::nop());
+    BB.Statements.emplace_back();
     return true;
-  }
 
   // Keyword-led terminators.
-  if (atIdent("goto")) {
+  case Kw::Goto:
     bump();
     if (!expect(TokKind::Arrow, "'->'"))
       return false;
-    BlockId B = 0;
-    if (!parseBlockRef(B))
+    if (!parseBlockRef(T.Target))
       return false;
     if (!expect(TokKind::Semi, "';'"))
       return false;
-    BB.Term = Terminator::gotoBlock(B);
-    BB.Term.Loc = Loc;
+    T.K = Terminator::Kind::Goto;
+    T.Loc = Loc;
     SawTerminator = true;
     return true;
-  }
-  if (atIdent("return") || atIdent("resume") || atIdent("unreachable")) {
-    Terminator T = atIdent("return")   ? Terminator::ret()
-                   : atIdent("resume") ? Terminator::resume()
-                                       : Terminator::unreachable();
+  case Kw::Return:
+  case Kw::Resume:
+  case Kw::Unreachable:
+    T.K = kw() == Kw::Return   ? Terminator::Kind::Return
+          : kw() == Kw::Resume ? Terminator::Kind::Resume
+                               : Terminator::Kind::Unreachable;
     bump();
     if (!expect(TokKind::Semi, "';'"))
       return false;
     T.Loc = Loc;
-    BB.Term = std::move(T);
     SawTerminator = true;
     return true;
-  }
-  if (atIdent("drop")) {
+  case Kw::Drop:
     bump();
     if (!expect(TokKind::LParen, "'('"))
       return false;
-    Place P;
-    if (!parsePlace(P))
+    if (!parsePlace(T.DropPlace))
       return false;
     if (!expect(TokKind::RParen, "')'"))
       return false;
     if (!expect(TokKind::Arrow, "'->'"))
       return false;
-    BlockId Target = 0, Unwind = InvalidBlock;
-    if (!parseCallTargets(Target, Unwind))
+    if (!parseCallTargets(T.Target, T.Unwind))
       return false;
     if (!expect(TokKind::Semi, "';'"))
       return false;
-    BB.Term = Terminator::drop(std::move(P), Target, Unwind);
-    BB.Term.Loc = Loc;
+    T.K = Terminator::Kind::Drop;
+    T.Loc = Loc;
     SawTerminator = true;
     return true;
-  }
-  if (atIdent("switchInt")) {
+  case Kw::SwitchInt: {
     bump();
     if (!expect(TokKind::LParen, "'('"))
       return false;
-    Operand Discr;
-    if (!parseOperand(Discr))
+    if (!parseOperand(T.Discr))
       return false;
     if (!expect(TokKind::RParen, "')'"))
       return false;
@@ -527,32 +575,31 @@ bool Parser::parseBlockItem(BasicBlock &BB, bool &SawTerminator) {
       return false;
     if (!expect(TokKind::LBracket, "'['"))
       return false;
-    CaseList Cases;
-    BlockId Otherwise = InvalidBlock;
     while (true) {
-      if (atIdent("otherwise")) {
+      if (Tok->is(Kw::Otherwise)) {
         bump();
         if (!expect(TokKind::Colon, "':'"))
           return false;
-        if (!parseBlockRef(Otherwise))
+        if (!parseBlockRef(T.Target))
           return false;
         break;
       }
       bool Negate = false;
-      if (Tok.is(TokKind::Minus)) {
+      if (Tok->is(TokKind::Minus)) {
         Negate = true;
         bump();
       }
-      if (!Tok.is(TokKind::Int))
+      if (!Tok->is(TokKind::Int))
         return fail("expected case value or 'otherwise' in switchInt");
-      int64_t Value = Negate ? -Tok.IntVal : Tok.IntVal;
+      uint64_t Raw = static_cast<uint64_t>(Tok->IntVal);
+      int64_t Value = static_cast<int64_t>(Negate ? 0 - Raw : Raw);
       bump();
       if (!expect(TokKind::Colon, "':'"))
         return false;
       BlockId B = 0;
       if (!parseBlockRef(B))
         return false;
-      Cases.emplace_back(Value, B);
+      T.Cases.emplace_back(Value, B);
       if (!expect(TokKind::Comma, "','"))
         return false;
     }
@@ -560,82 +607,82 @@ bool Parser::parseBlockItem(BasicBlock &BB, bool &SawTerminator) {
       return false;
     if (!expect(TokKind::Semi, "';'"))
       return false;
-    BB.Term = Terminator::switchInt(std::move(Discr), std::move(Cases),
-                                    Otherwise);
-    BB.Term.Loc = Loc;
+    T.K = Terminator::Kind::SwitchInt;
+    T.Loc = Loc;
     SawTerminator = true;
     return true;
   }
-  if (atIdent("assert")) {
+  case Kw::Assert:
     bump();
     if (!expect(TokKind::LParen, "'('"))
       return false;
-    Operand Cond;
-    if (!parseOperand(Cond))
+    if (!parseOperand(T.Discr))
       return false;
     if (!expect(TokKind::RParen, "')'"))
       return false;
     if (!expect(TokKind::Arrow, "'->'"))
       return false;
-    BlockId Target = 0;
-    if (!parseBlockRef(Target))
+    if (!parseBlockRef(T.Target))
       return false;
     if (!expect(TokKind::Semi, "';'"))
       return false;
-    BB.Term = Terminator::assertCond(std::move(Cond), Target);
-    BB.Term.Loc = Loc;
+    T.K = Terminator::Kind::Assert;
+    T.Loc = Loc;
     SawTerminator = true;
     return true;
+  default:
+    break;
   }
 
   // "place = ..." : assignment statement or call-with-destination.
-  if (Tok.is(TokKind::Local) || Tok.is(TokKind::LParen)) {
-    Place Dest;
-    if (!parsePlace(Dest))
+  if (Tok->is(TokKind::Local) || Tok->is(TokKind::LParen)) {
+    // The statements vector has room for every ';' but the terminator's. With
+    // no room left this item is the block's call terminator (or the block
+    // is malformed), so it is built aside instead of past the reservation.
+    bool Room = BB.Statements.size() < BB.Statements.capacity();
+    std::optional<Statement> Aside;
+    Statement &S = Room ? BB.Statements.emplace_back() : Aside.emplace();
+    S.K = Statement::Kind::Assign;
+    S.Loc = Loc;
+    if (!parsePlace(S.Dest))
       return false;
     if (!expect(TokKind::Eq, "'='"))
       return false;
-    Rvalue RV;
-    Terminator Call;
     bool IsCall = false;
-    if (!parseAssignRhs(RV, Call, IsCall))
+    if (!parseAssignRhs(S.RV, T, IsCall))
       return false;
     if (!expect(TokKind::Semi, "';'"))
       return false;
     if (IsCall) {
-      Call.Dest = std::move(Dest);
-      Call.HasDest = true;
-      Call.Loc = Loc;
-      BB.Term = std::move(Call);
+      T.Dest = std::move(S.Dest);
+      T.HasDest = true;
+      T.Loc = Loc;
+      if (Room)
+        BB.Statements.pop_back();
       SawTerminator = true;
       return true;
     }
-    BB.Statements.push_back(
-        Statement::assign(std::move(Dest), std::move(RV), Loc));
+    if (!Room)
+      BB.Statements.push_back(std::move(*Aside));
     return true;
   }
 
   // Bare call terminator: "callee(args) -> target;".
-  if (Tok.is(TokKind::Ident)) {
-    Symbol Callee;
-    if (!parsePath(Callee))
+  if (Tok->is(TokKind::Ident)) {
+    if (!parsePath(T.Callee))
       return false;
     if (!expect(TokKind::LParen, "'(' after callee"))
       return false;
-    OperandList Args;
-    if (!parseOperandList(Args, TokKind::RParen))
+    if (!parseOperandList(T.Args, TokKind::RParen))
       return false;
     if (!expect(TokKind::Arrow, "'->' after call"))
       return false;
-    BlockId Target = 0, Unwind = InvalidBlock;
-    if (!parseCallTargets(Target, Unwind))
+    if (!parseCallTargets(T.Target, T.Unwind))
       return false;
     if (!expect(TokKind::Semi, "';'"))
       return false;
-    BB.Term =
-        Terminator::callNoDest(std::move(Callee), std::move(Args), Target,
-                               Unwind);
-    BB.Term.Loc = Loc;
+    T.K = Terminator::Kind::Call;
+    T.Loc = Loc;
     SawTerminator = true;
     return true;
   }
@@ -647,126 +694,104 @@ bool Parser::parseBlockItem(BasicBlock &BB, bool &SawTerminator) {
 // Rvalues, operands, places, paths, types
 //===----------------------------------------------------------------------===//
 
-std::optional<BinOp> Parser::binOpFromName(std::string_view Name) const {
-  static const std::pair<std::string_view, BinOp> Names[] = {
-      {"Add", BinOp::Add},       {"Sub", BinOp::Sub},
-      {"Mul", BinOp::Mul},       {"Div", BinOp::Div},
-      {"Rem", BinOp::Rem},       {"BitAnd", BinOp::BitAnd},
-      {"BitOr", BinOp::BitOr},   {"BitXor", BinOp::BitXor},
-      {"Shl", BinOp::Shl},       {"Shr", BinOp::Shr},
-      {"Eq", BinOp::Eq},         {"Ne", BinOp::Ne},
-      {"Lt", BinOp::Lt},         {"Le", BinOp::Le},
-      {"Gt", BinOp::Gt},         {"Ge", BinOp::Ge},
-      {"Offset", BinOp::Offset},
-  };
-  for (const auto &[N, Op] : Names)
-    if (N == Name)
-      return Op;
-  return std::nullopt;
-}
-
-std::optional<UnOp> Parser::unOpFromName(std::string_view Name) const {
-  if (Name == "Not")
-    return UnOp::Not;
-  if (Name == "Neg")
-    return UnOp::Neg;
-  return std::nullopt;
-}
-
 bool Parser::parseAssignRhs(Rvalue &RV, Terminator &Call, bool &IsCall) {
   IsCall = false;
 
+  switch (kw()) {
   // Operand-led rvalue, possibly a cast.
-  if (atIdent("copy") || atIdent("move") || atIdent("const")) {
-    Operand O;
-    if (!parseOperand(O))
+  case Kw::Copy:
+  case Kw::Move:
+  case Kw::Const:
+    if (!parseOperand(RV.Ops.emplace_back()))
       return false;
-    if (consumeIdent("as")) {
-      const Type *Ty = nullptr;
-      if (!parseType(Ty))
-        return false;
+    if (consume(Kw::As)) {
       // Chained casts: "x as *const i32 as *mut i32".
-      while (consumeIdent("as"))
-        if (!parseType(Ty))
+      do {
+        if (!parseType(RV.CastTy))
           return false;
-      RV = Rvalue::cast(std::move(O), Ty);
-      return true;
+      } while (consume(Kw::As));
+      RV.K = Rvalue::Kind::Cast;
     }
-    RV = Rvalue::use(std::move(O));
     return true;
-  }
-
-  // References and raw address-of.
-  if (Tok.is(TokKind::Amp)) {
-    bump();
-    if (consumeIdent("raw")) {
-      bool Mut;
-      if (consumeIdent("mut"))
-        Mut = true;
-      else if (consumeIdent("const"))
-        Mut = false;
-      else
-        return fail("expected 'const' or 'mut' after '&raw'");
-      Place P;
-      if (!parsePlace(P))
-        return false;
-      RV = Rvalue::addressOf(std::move(P), Mut);
-      return true;
-    }
-    bool Mut = consumeIdent("mut");
-    Place P;
-    if (!parsePlace(P))
-      return false;
-    RV = Rvalue::ref(std::move(P), Mut);
-    return true;
-  }
-
-  // Tuple aggregate.
-  if (Tok.is(TokKind::LParen)) {
-    bump();
-    OperandList Elems;
-    if (!parseOperandList(Elems, TokKind::RParen))
-      return false;
-    RV = Rvalue::tuple(std::move(Elems));
-    return true;
-  }
-
-  if (atIdent("discriminant") || atIdent("Len")) {
-    bool IsDiscr = Tok.Text == "discriminant";
+  case Kw::Discriminant:
+  case Kw::Len: {
+    bool IsDiscr = kw() == Kw::Discriminant;
     bump();
     if (!expect(TokKind::LParen, "'('"))
       return false;
-    Place P;
-    if (!parsePlace(P))
+    if (!parsePlace(RV.P))
       return false;
     if (!expect(TokKind::RParen, "')'"))
       return false;
-    RV = IsDiscr ? Rvalue::discriminant(std::move(P))
-                 : Rvalue::len(std::move(P));
+    RV.K = IsDiscr ? Rvalue::Kind::Discriminant : Rvalue::Kind::Len;
     return true;
+  }
+  default:
+    break;
+  }
+
+  // References and raw address-of.
+  if (Tok->is(TokKind::Amp)) {
+    bump();
+    if (consume(Kw::Raw)) {
+      if (consume(Kw::Mut))
+        RV.Mut = true;
+      else if (!consume(Kw::Const))
+        return fail("expected 'const' or 'mut' after '&raw'");
+      RV.K = Rvalue::Kind::AddressOf;
+      return parsePlace(RV.P);
+    }
+    RV.Mut = consume(Kw::Mut);
+    RV.K = Rvalue::Kind::Ref;
+    return parsePlace(RV.P);
+  }
+
+  // Tuple aggregate.
+  if (Tok->is(TokKind::LParen)) {
+    bump();
+    RV.K = Rvalue::Kind::Aggregate;
+    return parseOperandList(RV.Ops, TokKind::RParen);
   }
 
   // Path-led: struct aggregate, binop/unop, or call terminator.
-  if (Tok.is(TokKind::Ident)) {
+  if (Tok->is(TokKind::Ident)) {
+    // An operator name is a one-segment path spelled like the operator; it
+    // is interned only if it turns out to name a call or an aggregate.
+    Kw Op = peek(1).is(TokKind::ColonColon) ? Kw::None : kw();
+    bool IsOp = isBinOp(Op) || isUnOp(Op);
+    std::string_view OpName = Tok->Text;
     Symbol PathName;
-    if (!parsePath(PathName))
-      return false;
-
-    if (Tok.is(TokKind::LBrace)) {
+    if (IsOp)
       bump();
-      std::vector<std::pair<unsigned, Operand>> Fields;
-      while (!Tok.is(TokKind::RBrace)) {
-        if (!Tok.is(TokKind::Int))
+    else if (!parsePath(PathName))
+      return false;
+    auto Name = [&] { return IsOp ? Names.intern(OpName) : PathName; };
+
+    if (Tok->is(TokKind::LBrace)) {
+      bump();
+      // Printed MIR lists fields in index order; they go straight into the
+      // rvalue. Any other order is collected and sorted once at the end.
+      std::vector<std::pair<unsigned, Operand>> Unordered;
+      while (!Tok->is(TokKind::RBrace)) {
+        if (!Tok->is(TokKind::Int))
           return fail("expected field index in aggregate");
-        unsigned Idx = static_cast<unsigned>(Tok.IntVal);
+        unsigned Idx = static_cast<unsigned>(Tok->IntVal);
         bump();
         if (!expect(TokKind::Colon, "':'"))
           return false;
-        Operand O;
-        if (!parseOperand(O))
-          return false;
-        Fields.emplace_back(Idx, std::move(O));
-        if (Tok.is(TokKind::Comma)) {
+        if (Unordered.empty() && Idx == RV.Ops.size()) {
+          if (!parseOperand(RV.Ops.emplace_back()))
+            return false;
+        } else {
+          if (Unordered.empty()) {
+            for (unsigned I = 0; I != RV.Ops.size(); ++I)
+              Unordered.emplace_back(I, std::move(RV.Ops[I]));
+            RV.Ops.clear();
+          }
+          if (!parseOperand(Unordered.emplace_back(Idx, Operand()).second))
+            return false;
+        }
+        if (Tok->is(TokKind::Comma)) {
           bump();
           continue;
         }
@@ -774,44 +799,50 @@ bool Parser::parseAssignRhs(Rvalue &RV, Terminator &Call, bool &IsCall) {
       }
       if (!expect(TokKind::RBrace, "'}'"))
         return false;
-      std::sort(Fields.begin(), Fields.end(),
+      std::sort(Unordered.begin(), Unordered.end(),
                 [](const auto &A, const auto &B) { return A.first < B.first; });
-      OperandList Ops;
-      for (auto &[Idx, O] : Fields) {
-        if (Idx != Ops.size())
+      for (auto &[Idx, O] : Unordered) {
+        if (Idx != RV.Ops.size())
           return fail("aggregate fields must cover 0..N once each");
-        Ops.push_back(std::move(O));
+        RV.Ops.push_back(std::move(O));
       }
-      RV = Rvalue::aggregate(PathName, std::move(Ops));
+      RV.K = Rvalue::Kind::Aggregate;
+      RV.AggName = Name();
       return true;
     }
 
     if (!expect(TokKind::LParen, "'(' after name in rvalue"))
       return false;
-    OperandList Args;
+    // Operands go where they most likely stay: an operator's into the
+    // rvalue, anything else's into the call.
+    OperandList &Args = IsOp ? RV.Ops : Call.Args;
     if (!parseOperandList(Args, TokKind::RParen))
       return false;
 
-    if (Tok.is(TokKind::Arrow)) {
+    if (Tok->is(TokKind::Arrow)) {
       bump();
-      BlockId Target = 0, Unwind = InvalidBlock;
-      if (!parseCallTargets(Target, Unwind))
+      if (!parseCallTargets(Call.Target, Call.Unwind))
         return false;
-      Call = Terminator::callNoDest(PathName, std::move(Args), Target, Unwind);
+      if (IsOp)
+        Call.Args = std::move(RV.Ops);
+      Call.K = Terminator::Kind::Call;
+      Call.Callee = Name();
       IsCall = true;
       return true;
     }
 
-    if (auto BOp = binOpFromName(PathName.view())) {
-      if (Args.size() != 2)
-        return fail(PathName.str() + " expects exactly two operands");
-      RV = Rvalue::binary(*BOp, std::move(Args[0]), std::move(Args[1]));
+    if (isBinOp(Op)) {
+      if (RV.Ops.size() != 2)
+        return fail(std::string(OpName) + " expects exactly two operands");
+      RV.K = Rvalue::Kind::BinaryOp;
+      RV.BOp = binOpOf(Op);
       return true;
     }
-    if (auto UOp = unOpFromName(PathName.view())) {
-      if (Args.size() != 1)
-        return fail(PathName.str() + " expects exactly one operand");
-      RV = Rvalue::unary(*UOp, std::move(Args[0]));
+    if (isUnOp(Op)) {
+      if (RV.Ops.size() != 1)
+        return fail(std::string(OpName) + " expects exactly one operand");
+      RV.K = Rvalue::Kind::UnaryOp;
+      RV.UOp = unOpOf(Op);
       return true;
     }
     return fail("call to '" + PathName.str() +
@@ -822,33 +853,33 @@ bool Parser::parseAssignRhs(Rvalue &RV, Terminator &Call, bool &IsCall) {
 }
 
 bool Parser::parsePath(Symbol &Out) {
-  if (!Tok.is(TokKind::Ident))
+  if (!Tok->is(TokKind::Ident))
     return fail("expected path");
-  std::string_view First = Tok.Text;
+  std::string_view First = Tok->Text;
   bump();
-  if (!Tok.is(TokKind::ColonColon)) {
+  if (!Tok->is(TokKind::ColonColon)) {
     // Single-segment path: intern straight from the buffer, no copy.
-    Out = Symbol::intern(First);
+    Out = Names.intern(First);
     return true;
   }
   PathScratch.assign(First);
-  while (Tok.is(TokKind::ColonColon)) {
+  while (Tok->is(TokKind::ColonColon)) {
     bump();
-    if (!Tok.is(TokKind::Ident))
+    if (!Tok->is(TokKind::Ident))
       return fail("expected identifier after '::'");
     PathScratch += "::";
-    PathScratch += Tok.Text;
+    PathScratch += Tok->Text;
     bump();
   }
-  Out = Symbol::intern(PathScratch);
+  Out = Names.intern(PathScratch);
   return true;
 }
 
 bool Parser::parsePlace(Place &Out) {
-  if (Tok.is(TokKind::Local)) {
-    Out = Place(static_cast<LocalId>(Tok.IntVal));
+  if (Tok->is(TokKind::Local)) {
+    Out.Base = static_cast<LocalId>(Tok->IntVal);
     bump();
-  } else if (Tok.is(TokKind::LParen)) {
+  } else if (Tok->is(TokKind::LParen)) {
     bump();
     if (!expect(TokKind::Star, "'*' in deref place"))
       return false;
@@ -862,21 +893,21 @@ bool Parser::parsePlace(Place &Out) {
   }
 
   while (true) {
-    if (Tok.is(TokKind::Dot)) {
+    if (Tok->is(TokKind::Dot)) {
       bump();
-      if (!Tok.is(TokKind::Int))
+      if (!Tok->is(TokKind::Int))
         return fail("expected field index after '.'");
       Out.Projs.push_back(
-          ProjectionElem::field(static_cast<unsigned>(Tok.IntVal)));
+          ProjectionElem::field(static_cast<unsigned>(Tok->IntVal)));
       bump();
       continue;
     }
-    if (Tok.is(TokKind::LBracket)) {
+    if (Tok->is(TokKind::LBracket)) {
       bump();
-      if (!Tok.is(TokKind::Local))
+      if (!Tok->is(TokKind::Local))
         return fail("expected index local in '[...]'");
       Out.Projs.push_back(
-          ProjectionElem::index(static_cast<LocalId>(Tok.IntVal)));
+          ProjectionElem::index(static_cast<LocalId>(Tok->IntVal)));
       bump();
       if (!expect(TokKind::RBracket, "']'"))
         return false;
@@ -886,98 +917,73 @@ bool Parser::parsePlace(Place &Out) {
   }
 }
 
-/// Maps a primitive type name to its kind ("i32" -> I32).
-static std::optional<PrimKind> primFromName(std::string_view Name) {
-  static const std::pair<std::string_view, PrimKind> Names[] = {
-      {"bool", PrimKind::Bool},   {"char", PrimKind::Char},
-      {"str", PrimKind::Str},     {"i8", PrimKind::I8},
-      {"i16", PrimKind::I16},     {"i32", PrimKind::I32},
-      {"i64", PrimKind::I64},     {"isize", PrimKind::ISize},
-      {"u8", PrimKind::U8},       {"u16", PrimKind::U16},
-      {"u32", PrimKind::U32},     {"u64", PrimKind::U64},
-      {"usize", PrimKind::USize}, {"f32", PrimKind::F32},
-      {"f64", PrimKind::F64},
-  };
-  for (const auto &[N, K] : Names)
-    if (N == Name)
-      return K;
-  return std::nullopt;
+bool Parser::parseOperand(Operand &Out) {
+  switch (kw()) {
+  case Kw::Copy:
+    bump();
+    Out.K = Operand::Kind::Copy;
+    return parsePlace(Out.P);
+  case Kw::Move:
+    bump();
+    Out.K = Operand::Kind::Move;
+    return parsePlace(Out.P);
+  case Kw::Const:
+    bump();
+    Out.K = Operand::Kind::Const;
+    return parseConstant(Out.C);
+  default:
+    return fail("expected operand ('copy', 'move', or 'const')");
+  }
 }
 
-bool Parser::parseOperand(Operand &Out) {
-  if (consumeIdent("copy")) {
-    Place P;
-    if (!parsePlace(P))
-      return false;
-    Out = Operand::copy(std::move(P));
+bool Parser::parseConstant(ConstValue &Out) {
+  bool Negate = Tok->is(TokKind::Minus);
+  if (Negate) {
+    bump();
+    if (!Tok->is(TokKind::Int))
+      return fail("expected integer after '-'");
+  }
+  if (Tok->is(TokKind::Int)) {
+    const Type *Ty = nullptr;
+    if (!Tok->Suffix.empty()) {
+      auto K = primOf(Tok->Keyword);
+      if (!K)
+        return fail("unknown literal suffix '" + std::string(Tok->Suffix) +
+                    "'");
+      Ty = M.types().getPrim(*K);
+    }
+    uint64_t Raw = static_cast<uint64_t>(Tok->IntVal);
+    Out = ConstValue::makeInt(static_cast<int64_t>(Negate ? 0 - Raw : Raw),
+                              Ty);
+    bump();
     return true;
   }
-  if (consumeIdent("move")) {
-    Place P;
-    if (!parsePlace(P))
-      return false;
-    Out = Operand::move(std::move(P));
+  if (Tok->is(TokKind::String)) {
+    Out = ConstValue::makeStrSym(
+        Names.intern(decodeStringLiteral(Tok->Text, StrScratch)));
+    bump();
     return true;
   }
-  if (consumeIdent("const")) {
-    if (Tok.is(TokKind::Minus)) {
-      bump();
-      if (!Tok.is(TokKind::Int))
-        return fail("expected integer after '-'");
-      const Type *Ty = nullptr;
-      if (!Tok.Suffix.empty()) {
-        auto K = primFromName(Tok.Suffix);
-        if (!K)
-          return fail("unknown literal suffix '" + std::string(Tok.Suffix) +
-                      "'");
-        Ty = M.types().getPrim(*K);
-      }
-      Out = Operand::constant(ConstValue::makeInt(-Tok.IntVal, Ty));
-      bump();
-      return true;
-    }
-    if (Tok.is(TokKind::Int)) {
-      const Type *Ty = nullptr;
-      if (!Tok.Suffix.empty()) {
-        auto K = primFromName(Tok.Suffix);
-        if (!K)
-          return fail("unknown literal suffix '" + std::string(Tok.Suffix) +
-                      "'");
-        Ty = M.types().getPrim(*K);
-      }
-      Out = Operand::constant(ConstValue::makeInt(Tok.IntVal, Ty));
-      bump();
-      return true;
-    }
-    if (Tok.is(TokKind::String)) {
-      Out = Operand::constant(ConstValue::makeStr(decodeStringLiteral(Tok.Text)));
-      bump();
-      return true;
-    }
-    if (atIdent("true") || atIdent("false")) {
-      Out = Operand::constant(ConstValue::makeBool(Tok.Text == "true"));
-      bump();
-      return true;
-    }
-    if (Tok.is(TokKind::LParen)) {
-      bump();
-      if (!expect(TokKind::RParen, "')' in unit constant"))
-        return false;
-      Out = Operand::constant(ConstValue::makeUnit());
-      return true;
-    }
-    return fail("expected literal after 'const'");
+  if (Tok->is(Kw::True) || Tok->is(Kw::False)) {
+    Out = ConstValue::makeBool(Tok->is(Kw::True));
+    bump();
+    return true;
   }
-  return fail("expected operand ('copy', 'move', or 'const')");
+  if (Tok->is(TokKind::LParen)) {
+    bump();
+    if (!expect(TokKind::RParen, "')' in unit constant"))
+      return false;
+    Out = ConstValue::makeUnit();
+    return true;
+  }
+  return fail("expected literal after 'const'");
 }
 
 bool Parser::parseOperandList(OperandList &Out, TokKind Close) {
-  while (!Tok.is(Close)) {
-    Operand O;
-    if (!parseOperand(O))
+  while (!Tok->is(Close)) {
+    if (!parseOperand(Out.emplace_back()))
       return false;
-    Out.push_back(std::move(O));
-    if (Tok.is(TokKind::Comma)) {
+    if (Tok->is(TokKind::Comma)) {
       bump();
       continue;
     }
@@ -989,21 +995,21 @@ bool Parser::parseOperandList(OperandList &Out, TokKind Close) {
 bool Parser::parseType(const Type *&Out) {
   TypeContext &TC = M.types();
 
-  if (Tok.is(TokKind::Amp)) {
+  if (Tok->is(TokKind::Amp)) {
     bump();
-    bool Mut = consumeIdent("mut");
+    bool Mut = consume(Kw::Mut);
     const Type *Pointee = nullptr;
     if (!parseType(Pointee))
       return false;
     Out = TC.getRef(Pointee, Mut);
     return true;
   }
-  if (Tok.is(TokKind::Star)) {
+  if (Tok->is(TokKind::Star)) {
     bump();
     bool Mut;
-    if (consumeIdent("mut"))
+    if (consume(Kw::Mut))
       Mut = true;
-    else if (consumeIdent("const"))
+    else if (consume(Kw::Const))
       Mut = false;
     else
       return fail("expected 'const' or 'mut' after '*' in type");
@@ -1013,15 +1019,13 @@ bool Parser::parseType(const Type *&Out) {
     Out = TC.getRawPtr(Pointee, Mut);
     return true;
   }
-  if (Tok.is(TokKind::LParen)) {
+  if (Tok->is(TokKind::LParen)) {
     bump();
-    std::vector<const Type *> Elems;
-    while (!Tok.is(TokKind::RParen)) {
-      const Type *Elem = nullptr;
-      if (!parseType(Elem))
+    SmallVector<const Type *, 4> Elems;
+    while (!Tok->is(TokKind::RParen)) {
+      if (!parseType(Elems.emplace_back()))
         return false;
-      Elems.push_back(Elem);
-      if (Tok.is(TokKind::Comma)) {
+      if (Tok->is(TokKind::Comma)) {
         bump();
         continue;
       }
@@ -1029,19 +1033,19 @@ bool Parser::parseType(const Type *&Out) {
     }
     if (!expect(TokKind::RParen, "')'"))
       return false;
-    Out = TC.getTuple(std::move(Elems));
+    Out = TC.getTuple(Elems.data(), Elems.size());
     return true;
   }
-  if (Tok.is(TokKind::LBracket)) {
+  if (Tok->is(TokKind::LBracket)) {
     bump();
     const Type *Elem = nullptr;
     if (!parseType(Elem))
       return false;
-    if (Tok.is(TokKind::Semi)) {
+    if (Tok->is(TokKind::Semi)) {
       bump();
-      if (!Tok.is(TokKind::Int))
+      if (!Tok->is(TokKind::Int))
         return fail("expected array length");
-      uint64_t Len = static_cast<uint64_t>(Tok.IntVal);
+      uint64_t Len = static_cast<uint64_t>(Tok->IntVal);
       bump();
       if (!expect(TokKind::RBracket, "']'"))
         return false;
@@ -1053,8 +1057,8 @@ bool Parser::parseType(const Type *&Out) {
     Out = TC.getSlice(Elem);
     return true;
   }
-  if (Tok.is(TokKind::Ident)) {
-    if (auto K = primFromName(Tok.Text)) {
+  if (Tok->is(TokKind::Ident)) {
+    if (auto K = primOf(kw())) {
       Out = TC.getPrim(*K);
       bump();
       return true;
@@ -1062,15 +1066,13 @@ bool Parser::parseType(const Type *&Out) {
     Symbol Name;
     if (!parsePath(Name))
       return false;
-    std::vector<const Type *> Args;
-    if (Tok.is(TokKind::Lt)) {
+    SmallVector<const Type *, 4> Args;
+    if (Tok->is(TokKind::Lt)) {
       bump();
-      while (!Tok.is(TokKind::Gt)) {
-        const Type *Arg = nullptr;
-        if (!parseType(Arg))
+      while (!Tok->is(TokKind::Gt)) {
+        if (!parseType(Args.emplace_back()))
           return false;
-        Args.push_back(Arg);
-        if (Tok.is(TokKind::Comma)) {
+        if (Tok->is(TokKind::Comma)) {
           bump();
           continue;
         }
@@ -1079,7 +1081,7 @@ bool Parser::parseType(const Type *&Out) {
       if (!expect(TokKind::Gt, "'>'"))
         return false;
     }
-    Out = TC.getAdt(Name, std::move(Args));
+    Out = TC.getAdt(Name, Args.data(), Args.size());
     return true;
   }
   return fail("expected type");

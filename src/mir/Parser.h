@@ -51,6 +51,7 @@
 #include "mir/Mir.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <optional>
 
 namespace rs::mir {
@@ -70,37 +71,54 @@ struct ModuleParse {
 /// Parses one RustLite MIR buffer into a Module.
 class Parser {
 public:
-  Parser(std::string_view Buffer, std::string_view FileName = "<mir>");
-
   /// Parses the whole buffer. On failure returns the first error.
-  Result<Module> parseModule();
+  static Result<Module> parse(std::string_view Buffer,
+                              std::string_view FileName = "<mir>");
 
   /// Parses the whole buffer with error recovery: a malformed item records
   /// one diagnostic, the parser resynchronizes at the next top-level item
   /// boundary ('fn' / 'struct' / 'static' / 'unsafe' once braces balance),
   /// and parsing continues. One malformed function costs one diagnostic,
   /// not the module.
-  ModuleParse parseModuleRecover();
-
-  /// Convenience entry point.
-  static Result<Module> parse(std::string_view Buffer,
-                              std::string_view FileName = "<mir>") {
-    return Parser(Buffer, FileName).parseModule();
-  }
-
-  /// Convenience recovering entry point.
   static ModuleParse parseRecover(std::string_view Buffer,
-                                  std::string_view FileName = "<mir>") {
-    return Parser(Buffer, FileName).parseModuleRecover();
-  }
+                                  std::string_view FileName = "<mir>");
 
 private:
-  // Token plumbing. Tok is the current token.
-  void bump();
-  bool expect(TokKind K, const char *What);
-  bool expectIdent(std::string_view S);
-  bool atIdent(std::string_view S) const { return Tok.isIdent(S); }
-  bool consumeIdent(std::string_view S);
+  /// A parser that adds the buffer's items to \p M.
+  Parser(std::string_view Buffer, std::string_view FileName, Module &M);
+
+  /// Tokens are lexed a batch of whole top-level items at a time (at
+  /// least this many tokens), so every brace of the item being parsed
+  /// already carries its inner counts and the token buffer stays bounded
+  /// by the largest item, not the file.
+  static constexpr size_t BatchTokens = 4096;
+
+  // Token plumbing. Tok is the current token, in the batch Toks.
+  void bump() {
+    if (Tok->K == TokKind::Eof)
+      return;
+    if (++Tok == Toks.data() + Toks.size()) {
+      Lex.tokenizeItems(Toks, BatchTokens);
+      Tok = Toks.data();
+    }
+  }
+  /// The token \p Ahead places past Tok, or the batch's last token.
+  const Token &peek(size_t Ahead) const {
+    size_t At = static_cast<size_t>(Tok - Toks.data()) + Ahead;
+    return Toks[std::min(At, Toks.size() - 1)];
+  }
+  /// Tok's keyword id; None for anything but an identifier.
+  Kw kw() const { return Tok->K == TokKind::Ident ? Tok->Keyword : Kw::None; }
+  bool expect(TokKind K, const char *What) {
+    if (Tok->K != K)
+      return expected(What);
+    bump();
+    return true;
+  }
+  /// Fails with "expected <What>, found <Tok>".
+  bool expected(const char *What);
+  bool expectKw(Kw Id, const char *Spelling);
+  bool consume(Kw Id);
 
   // Failure handling: fail() records the first error and returns false.
   bool fail(const std::string &Message);
@@ -118,9 +136,9 @@ private:
   bool parseFunction(bool IsUnsafe);
   bool parseSyncImpl();
 
-  /// Dense id-indexed build table for locals and blocks: the common case is
-  /// ids arriving in order, so this replaces the std::map (one allocation
-  /// per entry) the parser used to build per function.
+  /// Id-indexed build table for locals and blocks whose ids arrive out of
+  /// order. In-order ids (the printer's form) go straight into the
+  /// function's vectors instead.
   template <typename T> struct DenseTable {
     std::vector<T> Slots;
     std::vector<char> Present;
@@ -142,12 +160,11 @@ private:
       ++Count;
       return true;
     }
-    void overwrite(unsigned Id, T V) {
-      if (!contains(Id)) {
-        insert(Id, std::move(V));
-        return;
-      }
-      Slots[Id] = std::move(V);
+    /// Moves the dense prefix \p Items into the table, leaving it empty.
+    void takeDense(std::vector<T> &Items) {
+      for (unsigned I = 0; I != Items.size(); ++I)
+        insert(I, std::move(Items[I]));
+      Items.clear();
     }
     /// First id in [0, Count) with no entry, or Count if dense.
     unsigned firstGap() const {
@@ -156,41 +173,53 @@ private:
           return I;
       return Count;
     }
+    /// Moves the entries, known dense, into \p Out at exact size.
+    void moveDenseTo(std::vector<T> &Out) {
+      std::vector<T> Dense;
+      Dense.reserve(Count);
+      for (unsigned I = 0; I != Count; ++I)
+        Dense.push_back(std::move(Slots[I]));
+      Out = std::move(Dense);
+    }
   };
 
   // Function-body parsers.
-  bool parseLocalDecl(DenseTable<LocalDecl> &Decls);
-  bool parseBlock(DenseTable<BasicBlock> &Blocks);
-  /// Parses one statement or terminator within a block. Statements are
-  /// appended to \p BB; when the terminator is parsed, it is stored and
-  /// \p SawTerminator set.
+  bool parseLocalDecl(std::vector<LocalDecl> &Locals,
+                      DenseTable<LocalDecl> &Unordered);
+  bool parseBlock(std::vector<BasicBlock> &Blocks,
+                  DenseTable<BasicBlock> &Unordered);
+  /// Parses one statement or terminator within a block, building it in
+  /// place: a statement in \p BB's Statements, a terminator in its Term,
+  /// then setting \p SawTerminator.
   bool parseBlockItem(BasicBlock &BB, bool &SawTerminator);
 
-  // Grammar nonterminals.
+  // Grammar nonterminals. Each fills a default-constructed node in place.
   bool parsePath(Symbol &Out);
   bool parseType(const Type *&Out);
   bool parsePlace(Place &Out);
   bool parseOperand(Operand &Out);
+  bool parseConstant(ConstValue &Out);
   bool parseOperandList(OperandList &Out, TokKind Close);
   bool parseBlockRef(BlockId &Out);
   bool parseCallTargets(BlockId &Target, BlockId &Unwind);
-  /// Parses the right-hand side of "place =". Either an rvalue statement
-  /// (IsCall=false) or a call terminator (IsCall=true, Call filled in).
+  /// Parses the right-hand side of "place =" into \p RV, or, when it turns
+  /// out to be a call, into \p Call (a block's still-default terminator)
+  /// with \p IsCall set.
   bool parseAssignRhs(Rvalue &RV, Terminator &Call, bool &IsCall);
 
-  std::optional<BinOp> binOpFromName(std::string_view Name) const;
-  std::optional<UnOp> unOpFromName(std::string_view Name) const;
-
   Lexer Lex;
-  Token Tok;
+  std::vector<Token> Toks;
+  const Token *Tok = nullptr;
   std::optional<Error> Err;
-  Module M;
-  Function *CurFn = nullptr;
+  Module &M;
+  /// Names seen in this module, so a repeated one takes no interner lock.
+  SymbolCache Names;
   /// Reused buffer for multi-segment paths ("std::sync::Mutex").
   std::string PathScratch;
-  /// Reused buffer a block's statements grow in; the block itself gets an
-  /// exact-size copy (see parseBlock).
-  std::vector<Statement> StmtScratch;
+  /// Reused buffer for string literals with escapes.
+  std::string StrScratch;
+  /// Reused buffer for a signature's parameter types.
+  std::vector<const Type *> ParamTypes;
 };
 
 } // namespace rs::mir

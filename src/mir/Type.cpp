@@ -2,6 +2,7 @@
 
 #include "support/Hash.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace rs;
@@ -89,35 +90,55 @@ std::string Type::toString() const {
   return "?";
 }
 
-static uint64_t structuralHash(const Type &T, Type::Kind K, PrimKind Prim,
-                               bool Mut, const Type *Pointee,
-                               uint64_t ArrayLen,
-                               const std::vector<const Type *> &Args,
-                               Symbol Name) {
-  (void)T;
-  uint64_t H = fnv1a64U64(static_cast<uint64_t>(K));
-  H = fnv1a64U64(static_cast<uint64_t>(Prim), H);
-  H = fnv1a64U64(Mut ? 1 : 0, H);
-  H = fnv1a64U64(reinterpret_cast<uintptr_t>(Pointee), H);
-  H = fnv1a64U64(ArrayLen, H);
-  H = fnv1a64U64(Name.id(), H);
-  for (const Type *A : Args)
-    H = fnv1a64U64(reinterpret_cast<uintptr_t>(A), H);
-  return H;
-}
-
-const Type *TypeContext::intern(Type T) {
-  uint64_t H = structuralHash(T, T.K, T.Prim, T.Mut, T.Pointee, T.ArrayLen,
-                              T.Args, T.Name);
-  std::vector<std::unique_ptr<Type>> &Bucket = Interned[H];
-  for (const std::unique_ptr<Type> &Existing : Bucket)
-    if (Existing->K == T.K && Existing->Prim == T.Prim &&
-        Existing->Mut == T.Mut && Existing->Pointee == T.Pointee &&
-        Existing->ArrayLen == T.ArrayLen && Existing->Args == T.Args &&
-        Existing->Name == T.Name)
-      return Existing.get();
-  Bucket.push_back(std::unique_ptr<Type>(new Type(std::move(T))));
-  return Bucket.back().get();
+const Type *TypeContext::intern(const Key &C) {
+  // One multiply per field: the hash only places types in Index, within
+  // one process, so it need not be stable across hosts or runs.
+  uint64_t H = wordFold(wordFoldSeed(C.NumArgs),
+                        static_cast<uint64_t>(C.K) |
+                            static_cast<uint64_t>(C.Prim) << 8 |
+                            static_cast<uint64_t>(C.Mut) << 16 |
+                            static_cast<uint64_t>(C.Name.id()) << 32);
+  H = wordFold(H, reinterpret_cast<uintptr_t>(C.Pointee));
+  H = wordFold(H, C.ArrayLen);
+  for (size_t I = 0; I != C.NumArgs; ++I)
+    H = wordFold(H, reinterpret_cast<uintptr_t>(C.Args[I]));
+  H = wordFoldFinish(H);
+  if (2 * (Storage.size() + 1) > Index.size()) {
+    std::vector<std::pair<uint64_t, const Type *>> Old(
+        std::max<size_t>(32, 2 * Index.size()));
+    Old.swap(Index);
+    for (const auto &[OldH, OldT] : Old)
+      if (OldT)
+        for (size_t I = OldH;; ++I)
+          if (auto &Slot = Index[I & (Index.size() - 1)]; !Slot.second) {
+            Slot = {OldH, OldT};
+            break;
+          }
+  }
+  for (size_t I = H;; ++I) {
+    auto &[SlotH, Existing] = Index[I & (Index.size() - 1)];
+    if (!Existing)
+      break;
+    if (SlotH == H && Existing->K == C.K && Existing->Prim == C.Prim &&
+        Existing->Mut == C.Mut && Existing->Pointee == C.Pointee &&
+        Existing->ArrayLen == C.ArrayLen && Existing->Name == C.Name &&
+        std::equal(Existing->Args.begin(), Existing->Args.end(), C.Args,
+                   C.Args + C.NumArgs))
+      return Existing;
+  }
+  Type &T = Storage.emplace_back(Type::Passkey());
+  T.K = C.K;
+  T.Prim = C.Prim;
+  T.Mut = C.Mut;
+  T.Pointee = C.Pointee;
+  T.ArrayLen = C.ArrayLen;
+  T.Args.assign(C.Args, C.Args + C.NumArgs);
+  T.Name = C.Name;
+  for (size_t I = H;; ++I)
+    if (auto &Slot = Index[I & (Index.size() - 1)]; !Slot.second) {
+      Slot = {H, &T};
+      return &T;
+    }
 }
 
 const Type *TypeContext::getPrim(PrimKind K) {
@@ -125,55 +146,59 @@ const Type *TypeContext::getPrim(PrimKind K) {
   assert(Idx < NumPrimKinds && "unknown PrimKind");
   if (const Type *Cached = Prims[Idx])
     return Cached;
-  Type T;
-  T.K = Type::Kind::Prim;
-  T.Prim = K;
-  Prims[Idx] = intern(std::move(T));
+  Key C;
+  C.Prim = K;
+  Prims[Idx] = intern(C);
   return Prims[Idx];
 }
 
 const Type *TypeContext::getRef(const Type *Pointee, bool Mut) {
   assert(Pointee && "null pointee");
-  Type T;
-  T.K = Type::Kind::Ref;
-  T.Mut = Mut;
-  T.Pointee = Pointee;
-  return intern(std::move(T));
+  Key C;
+  C.K = Type::Kind::Ref;
+  C.Mut = Mut;
+  C.Pointee = Pointee;
+  return intern(C);
 }
 
 const Type *TypeContext::getRawPtr(const Type *Pointee, bool Mut) {
   assert(Pointee && "null pointee");
-  Type T;
-  T.K = Type::Kind::RawPtr;
-  T.Mut = Mut;
-  T.Pointee = Pointee;
-  return intern(std::move(T));
+  Key C;
+  C.K = Type::Kind::RawPtr;
+  C.Mut = Mut;
+  C.Pointee = Pointee;
+  return intern(C);
 }
 
 const Type *TypeContext::getTuple(std::vector<const Type *> Elems) {
-  Type T;
-  T.K = Type::Kind::Tuple;
-  T.Args = std::move(Elems);
-  if (T.Args.empty())
+  return getTuple(Elems.data(), Elems.size());
+}
+
+const Type *TypeContext::getTuple(const Type *const *Elems, size_t NumElems) {
+  if (NumElems == 0)
     return getPrim(PrimKind::Unit);
-  return intern(std::move(T));
+  Key C;
+  C.K = Type::Kind::Tuple;
+  C.Args = Elems;
+  C.NumArgs = NumElems;
+  return intern(C);
 }
 
 const Type *TypeContext::getArray(const Type *Elem, uint64_t Len) {
   assert(Elem && "null element type");
-  Type T;
-  T.K = Type::Kind::Array;
-  T.Pointee = Elem;
-  T.ArrayLen = Len;
-  return intern(std::move(T));
+  Key C;
+  C.K = Type::Kind::Array;
+  C.Pointee = Elem;
+  C.ArrayLen = Len;
+  return intern(C);
 }
 
 const Type *TypeContext::getSlice(const Type *Elem) {
   assert(Elem && "null element type");
-  Type T;
-  T.K = Type::Kind::Slice;
-  T.Pointee = Elem;
-  return intern(std::move(T));
+  Key C;
+  C.K = Type::Kind::Slice;
+  C.Pointee = Elem;
+  return intern(C);
 }
 
 const Type *TypeContext::getAdt(std::string_view Name,
@@ -182,10 +207,16 @@ const Type *TypeContext::getAdt(std::string_view Name,
 }
 
 const Type *TypeContext::getAdt(Symbol Name, std::vector<const Type *> Args) {
+  return getAdt(Name, Args.data(), Args.size());
+}
+
+const Type *TypeContext::getAdt(Symbol Name, const Type *const *Args,
+                                size_t NumArgs) {
   assert(!Name.empty() && "ADT needs a name");
-  Type T;
-  T.K = Type::Kind::Adt;
-  T.Name = Name;
-  T.Args = std::move(Args);
-  return intern(std::move(T));
+  Key C;
+  C.K = Type::Kind::Adt;
+  C.Name = Name;
+  C.Args = Args;
+  C.NumArgs = NumArgs;
+  return intern(C);
 }

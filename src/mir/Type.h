@@ -17,7 +17,8 @@
 /// Interning is structural: a candidate type hashes over its kind, scalar
 /// fields, interned child pointers, and name symbol — never over a rendered
 /// string — so getRef/getAdt on the hot parse path performs no allocation
-/// when the type already exists. Primitives come from a flat array.
+/// when the type already exists (the parser passes type arguments as a
+/// pointer and a count). Primitives come from a flat array.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,9 +28,8 @@
 #include "support/Symbol.h"
 
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace rs::mir {
@@ -62,6 +62,13 @@ const char *primKindName(PrimKind K);
 /// An interned RustLite type. Construct through TypeContext only.
 class Type {
 public:
+  /// Only TypeContext can make one, so only it can construct a Type.
+  class Passkey {
+    friend class TypeContext;
+    Passkey() = default;
+  };
+  explicit Type(Passkey) {}
+
   enum class Kind {
     Prim,    ///< A scalar; see prim().
     Ref,     ///< &T or &mut T.
@@ -105,7 +112,6 @@ public:
 
 private:
   friend class TypeContext;
-  Type() = default;
 
   Kind K = Kind::Prim;
   PrimKind Prim = PrimKind::Unit;
@@ -135,22 +141,39 @@ public:
   const Type *getRef(const Type *Pointee, bool Mut);
   const Type *getRawPtr(const Type *Pointee, bool Mut);
   const Type *getTuple(std::vector<const Type *> Elems);
+  const Type *getTuple(const Type *const *Elems, size_t NumElems);
   const Type *getArray(const Type *Elem, uint64_t Len);
   const Type *getSlice(const Type *Elem);
   const Type *getAdt(std::string_view Name,
                      std::vector<const Type *> Args = {});
   const Type *getAdt(Symbol Name, std::vector<const Type *> Args = {});
+  const Type *getAdt(Symbol Name, const Type *const *Args, size_t NumArgs);
 
 private:
-  const Type *intern(Type T);
+  /// The fields of a candidate type; a Type is built only when no interned
+  /// one matches.
+  struct Key {
+    Type::Kind K = Type::Kind::Prim;
+    PrimKind Prim = PrimKind::Unit;
+    bool Mut = false;
+    const Type *Pointee = nullptr;
+    uint64_t ArrayLen = 0;
+    const Type *const *Args = nullptr;
+    size_t NumArgs = 0;
+    Symbol Name;
+  };
+  const Type *intern(const Key &K);
 
   /// Primitives are a direct lookup — no hashing on the hottest path.
   const Type *Prims[NumPrimKinds] = {};
 
-  /// Structural-hash buckets; collisions resolved by full structural
-  /// comparison. Child pointers are already interned, so pointer identity
-  /// stands in for structural identity of subterms.
-  std::unordered_map<uint64_t, std::vector<std::unique_ptr<Type>>> Interned;
+  /// Every interned type; a deque keeps their addresses stable.
+  std::deque<Type> Storage;
+  /// Open-addressing index over Storage by structural hash, a power of two
+  /// in size and at most half full. Equal hashes are told apart by full
+  /// structural comparison. Child pointers are already interned, so
+  /// pointer identity stands in for structural identity of subterms.
+  std::vector<std::pair<uint64_t, const Type *>> Index;
 };
 
 } // namespace rs::mir

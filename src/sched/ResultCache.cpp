@@ -309,8 +309,14 @@ ResultCache::~ResultCache() {
     ::close(TmpFd);
 }
 
-std::optional<std::string> ResultCache::lookup(uint64_t Key) {
-  std::optional<BlobRef> Ref = find(Key, /*Report=*/true);
+uint64_t ResultCache::beginEpoch() {
+  std::lock_guard<std::mutex> Lock(M);
+  return ++Epoch;
+}
+
+std::optional<std::string> ResultCache::lookup(uint64_t Key,
+                                               uint64_t StoredBefore) {
+  std::optional<BlobRef> Ref = find(Key, /*Report=*/true, StoredBefore);
   if (!Ref)
     return std::nullopt;
   // A disk hit owns its envelope: strip the header in place.
@@ -320,11 +326,11 @@ std::optional<std::string> ResultCache::lookup(uint64_t Key) {
 }
 
 std::optional<ResultCache::BlobRef> ResultCache::lookupBlobRef(uint64_t Key) {
-  return find(Key, /*Report=*/false);
+  return find(Key, /*Report=*/false, ~uint64_t(0));
 }
 
-std::optional<ResultCache::BlobRef> ResultCache::find(uint64_t Key,
-                                                      bool Report) {
+std::optional<ResultCache::BlobRef>
+ResultCache::find(uint64_t Key, bool Report, uint64_t StoredBefore) {
   uint64_t Stats::*Hits = Report ? &Stats::Hits : &Stats::BlobHits;
   uint64_t Stats::*Misses = Report ? &Stats::Misses : &Stats::BlobMisses;
   uint64_t Stats::*DiskHits = Report ? &Stats::DiskHits : &Stats::BlobDiskHits;
@@ -333,17 +339,22 @@ std::optional<ResultCache::BlobRef> ResultCache::find(uint64_t Key,
   {
     std::lock_guard<std::mutex> Lock(M);
     auto It = Index.find(Key);
-    if (It != Index.end()) {
+    if (It != Index.end() && It->second->Epoch < StoredBefore) {
       Lru.splice(Lru.begin(), Lru, It->second); // Touch: move to front.
       ++(Counters.*Hits);
+      if (It->second->PromotedIn >= StoredBefore)
+        ++(Counters.*DiskHits);
       BlobRef R;
-      R.Owned = It->second->second; // Copy: the LRU entry may be evicted.
+      R.Owned = It->second->Payload; // Copy: the LRU entry may be evicted.
       R.Len = R.Owned.size();
       return R;
     }
-    if (!Opts.DiskDir.empty() && !DiskDisabledFlag) {
+    // A memory entry too new to count was stored this epoch, so it is the
+    // newest on disk too.
+    if (It == Index.end() && !Opts.DiskDir.empty() && !DiskDisabledFlag) {
       openDisk();
-      if (auto D = DiskIndex.find(Key); D != DiskIndex.end()) {
+      if (auto D = DiskIndex.find(Key);
+          D != DiskIndex.end() && D->second.Epoch < StoredBefore) {
         Loc = D->second;
         Fd = Loc.Seg == NewSegment ? TmpFd : Segments[Loc.Seg].Fd;
       }
@@ -385,7 +396,7 @@ std::optional<ResultCache::BlobRef> ResultCache::find(uint64_t Key,
   ++(Counters.*Hits);
   ++(Counters.*DiskHits);
   if (Report)
-    insertMemory(Key, std::move(Promoted));
+    insertMemory(Key, std::move(Promoted), Loc.Epoch, Epoch);
   return Ref;
 }
 
@@ -400,9 +411,11 @@ void ResultCache::retain(uint64_t Key) {
 
 void ResultCache::store(uint64_t Key, std::string_view Payload) {
   std::string Entry(Payload);
+  uint64_t StoredIn;
   {
     std::lock_guard<std::mutex> Lock(M);
-    insertMemory(Key, std::move(Entry));
+    StoredIn = Epoch;
+    insertMemory(Key, std::move(Entry), StoredIn);
   }
   if (Opts.DiskDir.empty() || diskDisabled())
     return;
@@ -433,7 +446,8 @@ void ResultCache::store(uint64_t Key, std::string_view Payload) {
   }
   std::lock_guard<std::mutex> Lock(M);
   if (!DiskDisabledFlag)
-    DiskIndex[Key] = DiskLoc{NewSegment, Off, Envelope.size(), false};
+    DiskIndex[Key] = DiskLoc{NewSegment, Off, Envelope.size(), false,
+                             StoredIn};
 }
 
 /// One write failure disables the layer for the rest of the run — a full
@@ -568,7 +582,7 @@ void ResultCache::seal() {
     if (!preadAll(Segments[Loc.Seg].Fd, Envelope.data(), Loc.Len, Loc.Off) ||
         !validEnvelope(Envelope, Key))
       continue;
-    Loc = DiskLoc{NewSegment, TmpEnd, Loc.Len, false};
+    Loc = DiskLoc{NewSegment, TmpEnd, Loc.Len, false, 0};
     TmpEnd += Envelope.size();
     Batch += Envelope;
     if (Batch.size() >= CopyBatchBytes) {
@@ -628,17 +642,20 @@ size_t ResultCache::memoryEntryCount() const {
 }
 
 /// Caller holds the mutex.
-void ResultCache::insertMemory(uint64_t Key, std::string Payload) {
+void ResultCache::insertMemory(uint64_t Key, std::string Payload,
+                               uint64_t Epoch, uint64_t PromotedIn) {
   auto It = Index.find(Key);
   if (It != Index.end()) {
-    It->second->second = std::move(Payload);
+    It->second->Payload = std::move(Payload);
+    It->second->Epoch = Epoch;
+    It->second->PromotedIn = PromotedIn;
     Lru.splice(Lru.begin(), Lru, It->second);
     return;
   }
-  Lru.emplace_front(Key, std::move(Payload));
+  Lru.push_front(MemoryEntry{Key, std::move(Payload), Epoch, PromotedIn});
   Index[Key] = Lru.begin();
   while (Opts.MaxMemoryEntries != 0 && Index.size() > Opts.MaxMemoryEntries) {
-    Index.erase(Lru.back().first);
+    Index.erase(Lru.back().Key);
     Lru.pop_back();
     ++Counters.Evictions;
   }

@@ -86,8 +86,10 @@ public:
   };
 
   /// Counters since construction. Reads that hit the disk layer count as
-  /// both a Hit and a DiskHit. Blob lookups (lookupBlobRef) keep their own
-  /// hit/miss counters so report-cache accounting — which feeds
+  /// both a Hit and a DiskHit, and so does a report read that asks for an
+  /// epoch (lookup's StoredBefore) and finds an entry that a disk hit of
+  /// that epoch brought into memory. Blob lookups (lookupBlobRef) keep
+  /// their own hit/miss counters so report-cache accounting — which feeds
   /// CorpusReport::Stats and several exactness tests — is unaffected by
   /// how many facts, summary and link-state probes a run makes. The
   /// remaining counters cover every entry.
@@ -114,9 +116,17 @@ public:
   ResultCache(const ResultCache &) = delete;
   ResultCache &operator=(const ResultCache &) = delete;
 
-  /// Returns the report payload stored under \p Key, or nullopt. A disk
-  /// hit is promoted into the memory layer. Thread-safe.
-  std::optional<std::string> lookup(uint64_t Key);
+  /// Starts a new epoch and returns its number. Entries stored from now on
+  /// carry it; a lookup can ask to see only entries from earlier epochs.
+  /// Thread-safe.
+  uint64_t beginEpoch();
+
+  /// Returns the report payload stored under \p Key, or nullopt. Only an
+  /// entry stored before epoch \p StoredBefore began counts; by default
+  /// every entry does. A disk hit is promoted into the memory layer.
+  /// Thread-safe.
+  std::optional<std::string> lookup(uint64_t Key,
+                                    uint64_t StoredBefore = ~uint64_t(0));
 
   /// Stores \p Payload under \p Key in both layers. Disk failures are
   /// counted, not raised — and the first write failure (disk full,
@@ -201,6 +211,7 @@ private:
     uint64_t Off = 0; ///< Offset of the envelope.
     uint64_t Len = 0; ///< Envelope length, header included.
     bool Read = false; ///< Served a hit or retained here (copy-forward).
+    uint64_t Epoch = 0; ///< When this instance stored it (0: before it).
   };
   static constexpr uint32_t NewSegment = ~uint32_t(0);
 
@@ -211,8 +222,10 @@ private:
   };
 
   /// The one read path: the memory layer, else the disk layer. \p Report
-  /// picks the report counters and promotes a disk hit into memory.
-  std::optional<BlobRef> find(uint64_t Key, bool Report);
+  /// picks the report counters and promotes a disk hit into memory. An
+  /// entry from epoch \p StoredBefore or later is a miss.
+  std::optional<BlobRef> find(uint64_t Key, bool Report,
+                              uint64_t StoredBefore);
   /// Recovers abandoned temporaries and reads the window's indexes on the
   /// first disk access. Caller holds M.
   void openDisk();
@@ -222,15 +235,26 @@ private:
   /// disables the disk layer with the run's single warning.
   void failStore();
   void seal();
-  void insertMemory(uint64_t Key, std::string Payload);
+  void insertMemory(uint64_t Key, std::string Payload, uint64_t Epoch,
+                    uint64_t PromotedIn = 0);
 
   Options Opts;
 
   mutable std::mutex M;
+  struct MemoryEntry {
+    uint64_t Key;
+    std::string Payload;
+    uint64_t Epoch; ///< See DiskLoc::Epoch.
+    /// The epoch a disk hit brought it into memory in (0: stored here).
+    /// A later hit in that epoch counts as a disk hit too, as it would
+    /// have been had it come first.
+    uint64_t PromotedIn = 0;
+  };
   /// LRU list, most-recent first; the map points into it.
-  std::list<std::pair<uint64_t, std::string>> Lru;
+  std::list<MemoryEntry> Lru;
   std::unordered_map<uint64_t, decltype(Lru)::iterator> Index;
   Stats Counters;
+  uint64_t Epoch = 0; ///< The current epoch (see beginEpoch).
   /// Set by the first disk write failure; gates both disk reads and
   /// writes from then on (guarded by M).
   bool DiskDisabledFlag = false;

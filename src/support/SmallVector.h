@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <new>
@@ -136,13 +137,13 @@ public:
     if (NewSize < Size) {
       for (size_t I = NewSize; I != Size; ++I)
         Data[I].~T();
-      Size = NewSize;
+      Size = static_cast<uint32_t>(NewSize);
       return;
     }
     reserve(NewSize);
     for (size_t I = Size; I != NewSize; ++I)
       new (Data + I) T();
-    Size = NewSize;
+    Size = static_cast<uint32_t>(NewSize);
   }
 
   iterator erase(const_iterator Pos) {
@@ -202,7 +203,7 @@ private:
     if (!isInline())
       ::operator delete(Data);
     Data = NewData;
-    Cap = NewCap;
+    Cap = static_cast<uint32_t>(NewCap);
   }
 
   void append(const SmallVector &Other) {
@@ -241,8 +242,9 @@ private:
 
   alignas(T) unsigned char Inline[N * sizeof(T)];
   T *Data = reinterpret_cast<T *>(Inline);
-  size_t Size = 0;
-  size_t Cap = N;
+  // 32-bit counts: MIR nodes hold several SmallVectors each.
+  uint32_t Size = 0;
+  uint32_t Cap = N;
 };
 
 } // namespace rs

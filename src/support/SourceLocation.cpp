@@ -14,11 +14,16 @@ const std::string &SourceLocation::file() const {
 const std::string *rs::internFileName(std::string_view Name) {
   // std::set never invalidates element addresses, so returned pointers stay
   // stable across later insertions; the mutex makes concurrent interning
-  // from parallel per-file analysis tasks safe.
+  // from parallel per-file analysis tasks safe. The transparent comparator
+  // finds a known name without building a std::string, so only a name's
+  // first sight allocates.
   static std::mutex PoolMutex;
-  static std::set<std::string> Pool; // Function-local: no static constructor.
+  static std::set<std::string, std::less<>> Pool; // No static constructor.
   std::lock_guard<std::mutex> Lock(PoolMutex);
-  return &*Pool.insert(std::string(Name)).first;
+  auto It = Pool.find(Name);
+  if (It == Pool.end())
+    It = Pool.emplace(Name).first;
+  return &*It;
 }
 
 std::string SourceLocation::toString() const {

@@ -93,3 +93,25 @@ const std::string &Symbol::str() const { return interner().str(Id); }
 std::string_view Symbol::view() const { return interner().str(Id); }
 
 uint32_t Symbol::poolSize() { return interner().size(); }
+
+Symbol SymbolCache::intern(std::string_view S) {
+  if (S.empty())
+    return Symbol();
+  uint32_t H = static_cast<uint32_t>(
+      wordFoldFinish(wordFoldBytes(wordFoldSeed(S.size()), S)));
+  for (unsigned I = H;; ++I) {
+    Slot &E = Slots[I % NumSlots];
+    if (E.Key.empty()) {
+      Symbol Sym = Symbol::intern(S);
+      if (4 * (Used + 1) <= 3 * NumSlots) {
+        E.Key = Sym.view();
+        E.Hash = H;
+        E.Sym = Sym;
+        ++Used;
+      }
+      return Sym;
+    }
+    if (E.Hash == H && E.Key == S)
+      return E.Sym;
+  }
+}

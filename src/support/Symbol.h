@@ -97,6 +97,26 @@ private:
   uint32_t Id = 0;
 };
 
+/// A memo in front of Symbol::intern for one owner, such as a parser: a
+/// fixed open-addressing table, so a name the owner has seen before costs
+/// a hash and a compare and takes no shard lock. Once the table is three
+/// quarters full, new names go straight to the global interner. Not
+/// thread-safe.
+class SymbolCache {
+public:
+  Symbol intern(std::string_view S);
+
+private:
+  static constexpr unsigned NumSlots = 256;
+  struct Slot {
+    std::string_view Key; ///< The interned spelling; empty when unused.
+    uint32_t Hash = 0;
+    Symbol Sym;
+  };
+  Slot Slots[NumSlots];
+  unsigned Used = 0;
+};
+
 } // namespace rs
 
 namespace std {

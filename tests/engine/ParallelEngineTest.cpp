@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <tuple>
 
 namespace fs = std::filesystem;
@@ -176,6 +177,47 @@ TEST(ParallelEngine, DiskCacheCarriesAcrossEngineInstances) {
   EXPECT_EQ(Warm, Cold);
   // Five unique clean contents (the duplicate clean file shares one entry).
   EXPECT_GE(WarmStats.DiskHits, 5u);
+  fs::remove_all(Dir);
+  fs::remove_all(CacheDir);
+}
+
+TEST(ParallelEngine, DuplicatePairStatsAreTheSameOnEveryRun) {
+  // clean_a.mir and clean_b_dup.mir share one report key. Their tasks run
+  // concurrently at jobs 4, yet every cold run and every warm run must
+  // count the pair the same way: a lookup sees only what was cached before
+  // the call began.
+  fs::path Dir = writeCorpus("par_dup_stats");
+  fs::path CacheDir = fs::path(testing::TempDir()) / "par_dup_stats_cache";
+  EngineOptions O;
+  O.Jobs = 4;
+  O.CacheDir = CacheDir.string();
+  auto Counts = [](const RunStats &S) {
+    return std::make_tuple(S.CacheHits, S.CacheMisses, S.DiskHits,
+                           S.CacheEvictions, S.CorruptEntries);
+  };
+  std::optional<decltype(Counts(RunStats()))> ColdFirst, WarmFirst;
+  std::string Json;
+  for (int Run = 0; Run != 20; ++Run) {
+    fs::remove_all(CacheDir);
+    RunStats Cold, Warm;
+    std::string ColdJson = runJson(O, Dir, &Cold);
+    std::string WarmJson = runJson(O, Dir, &Warm);
+    EXPECT_EQ(ColdJson, WarmJson);
+    if (Run == 0) {
+      ColdFirst = Counts(Cold);
+      WarmFirst = Counts(Warm);
+      Json = ColdJson;
+      // Both halves of the pair miss cold; both hit warm, from disk.
+      EXPECT_EQ(Cold.CacheHits, 0u) << Cold.renderLine();
+      EXPECT_EQ(Warm.CacheHits, Warm.DiskHits) << Warm.renderLine();
+      continue;
+    }
+    EXPECT_EQ(Counts(Cold), *ColdFirst) << "run " << Run << ": "
+                                        << Cold.renderLine();
+    EXPECT_EQ(Counts(Warm), *WarmFirst) << "run " << Run << ": "
+                                        << Warm.renderLine();
+    EXPECT_EQ(ColdJson, Json);
+  }
   fs::remove_all(Dir);
   fs::remove_all(CacheDir);
 }

@@ -338,3 +338,116 @@ TEST(ParserErrors, ErrorHasLocation) {
   EXPECT_EQ(R.error().location().line(), 3u);
   EXPECT_EQ(R.error().location().file(), "x.mir");
 }
+
+// --- Declaration order ------------------------------------------------------
+
+TEST(Parser, BlocksOutOfOrderGiveTheInOrderModule) {
+  const char *InOrder = "fn f(_1: bool) -> i32 {\n"
+                        "    let _2: i32;\n"
+                        "    bb0: {\n"
+                        "        StorageLive(_2);\n"
+                        "        switchInt(copy _1) -> "
+                        "[0: bb2, otherwise: bb1];\n"
+                        "    }\n"
+                        "    bb1: {\n"
+                        "        _0 = const 1_i32;\n"
+                        "        goto -> bb2;\n"
+                        "    }\n"
+                        "    bb2: {\n"
+                        "        return;\n"
+                        "    }\n"
+                        "}\n";
+  const char *Shuffled = "fn f(_1: bool) -> i32 {\n"
+                         "    let _2: i32;\n"
+                         "    bb1: {\n"
+                         "        _0 = const 1_i32;\n"
+                         "        goto -> bb2;\n"
+                         "    }\n"
+                         "    bb2: {\n"
+                         "        return;\n"
+                         "    }\n"
+                         "    bb0: {\n"
+                         "        StorageLive(_2);\n"
+                         "        switchInt(copy _1) -> "
+                         "[0: bb2, otherwise: bb1];\n"
+                         "    }\n"
+                         "}\n";
+  Module A = parseOk(InOrder);
+  Module B = parseOk(Shuffled);
+  EXPECT_EQ(B.toString(), A.toString());
+  const Function *F = B.findFunction("f");
+  ASSERT_NE(F, nullptr);
+  ASSERT_EQ(F->numBlocks(), 3u);
+  EXPECT_EQ(F->Blocks.capacity(), 3u);
+  // Each block keeps its own source location and exact-size statements.
+  EXPECT_EQ(F->Blocks[0].Term.K, Terminator::Kind::SwitchInt);
+  EXPECT_EQ(F->Blocks[0].Term.Loc.line(), 12u);
+  EXPECT_EQ(F->Blocks[1].Statements[0].Loc.line(), 4u);
+  for (const BasicBlock &BB : F->Blocks)
+    EXPECT_EQ(BB.Statements.capacity(), BB.Statements.size());
+}
+
+TEST(Parser, LocalsOutOfOrderGiveTheInOrderModule) {
+  const char *InOrder = "fn f() -> u8 {\n"
+                        "    let mut _0: u8;\n"
+                        "    let _1: i32;\n"
+                        "    let mut _2: Box<u8>;\n"
+                        "    let _3: [i32; 4];\n"
+                        "    bb0: { return; }\n"
+                        "}\n";
+  const char *Shuffled = "fn f() -> u8 {\n"
+                         "    let _3: [i32; 4];\n"
+                         "    let mut _2: Box<u8>;\n"
+                         "    let mut _0: u8;\n"
+                         "    let _1: i32;\n"
+                         "    bb0: { return; }\n"
+                         "}\n";
+  Module A = parseOk(InOrder);
+  Module B = parseOk(Shuffled);
+  EXPECT_EQ(B.toString(), A.toString());
+  const Function *F = B.findFunction("f");
+  ASSERT_NE(F, nullptr);
+  ASSERT_EQ(F->numLocals(), 4u);
+  EXPECT_EQ(F->Locals.capacity(), 4u);
+  EXPECT_TRUE(F->Locals[2].Mutable);
+  EXPECT_EQ(F->Locals[3].Ty->toString(), "[i32; 4]");
+}
+
+TEST(ParserErrors, DuplicateBlockTextAndLocation) {
+  // The duplicate is reported once its body has parsed, at the token that
+  // follows it.
+  EXPECT_EQ(parseErr("fn f() {\n"
+                     "    bb0: { goto -> bb1; }\n"
+                     "    bb1: { return; }\n"
+                     "    bb1: { return; }\n"
+                     "}\n"),
+            "<mir>:5:1: duplicate block bb1");
+  // Out of order, too.
+  EXPECT_EQ(parseErr("fn f() {\n"
+                     "    bb1: { return; }\n"
+                     "    bb1: { return; }\n"
+                     "    bb0: { goto -> bb1; }\n"
+                     "}\n"),
+            "<mir>:4:5: duplicate block bb1");
+}
+
+TEST(ParserErrors, OutOfOrderDeclarationsStillNeedEveryId) {
+  EXPECT_EQ(parseErr("fn f() {\n"
+                     "    let _3: i32;\n"
+                     "    let _1: i32;\n"
+                     "    bb0: { return; }\n"
+                     "}\n"),
+            "<mir>:4:5: function 'f' is missing a declaration for _2");
+  EXPECT_EQ(parseErr("fn f() {\n"
+                     "    bb2: { return; }\n"
+                     "    bb0: { goto -> bb2; }\n"
+                     "}\n"),
+            "<mir>:5:1: function 'f' is missing block bb1");
+  EXPECT_EQ(parseErr("fn f() {\n"
+                     "    let _2: i32;\n"
+                     "    let _1: i32;\n"
+                     "    let _2: u8;\n"
+                     "    bb0: { return; }\n"
+                     "}\n"),
+            "<mir>:5:5: duplicate declaration of _2");
+}
