@@ -19,6 +19,9 @@
 // point.
 //===----------------------------------------------------------------------===//
 
+#include "AllocCounter.h"
+#include "BenchRecord.h"
+
 #include "mir/Lexer.h"
 #include "mir/Parser.h"
 #include "mir/Verifier.h"
@@ -26,75 +29,15 @@
 #include "support/Json.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <filesystem>
-#include <new>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace fs = std::filesystem;
 using namespace rs;
-
-//===----------------------------------------------------------------------===//
-// Allocation counting: every global operator new bumps one counter.
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> Allocations{0};
-
-static void *countedAlloc(std::size_t Size) {
-  Allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
-    return P;
-  throw std::bad_alloc();
-}
-
-static void *countedAlignedAlloc(std::size_t Size, std::align_val_t Align) {
-  Allocations.fetch_add(1, std::memory_order_relaxed);
-  std::size_t A = static_cast<std::size_t>(Align);
-  std::size_t Rounded = (Size + A - 1) / A * A;
-  if (void *P = std::aligned_alloc(A, Rounded ? Rounded : A))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new(std::size_t Size) { return countedAlloc(Size); }
-void *operator new[](std::size_t Size) { return countedAlloc(Size); }
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  try {
-    return countedAlloc(Size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  try {
-    return countedAlloc(Size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void *operator new(std::size_t Size, std::align_val_t Align) {
-  return countedAlignedAlloc(Size, Align);
-}
-void *operator new[](std::size_t Size, std::align_val_t Align) {
-  return countedAlignedAlloc(Size, Align);
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::align_val_t) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, std::size_t, std::align_val_t) noexcept {
-  std::free(P);
-}
+using namespace rs::bench;
 
 namespace {
 
@@ -102,24 +45,6 @@ struct Input {
   std::string Path;
   std::string Text;
 };
-
-double threadCpuMs() {
-  timespec T;
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &T);
-  return static_cast<double>(T.tv_sec) * 1e3 +
-         static_cast<double>(T.tv_nsec) / 1e6;
-}
-
-/// Min over \p Reps rounds of \p Round, in milliseconds of CPU time.
-template <typename Fn> double minMs(unsigned Reps, Fn Round) {
-  double Best = 1e100;
-  for (unsigned R = 0; R != Reps; ++R) {
-    double T0 = threadCpuMs();
-    Round();
-    Best = std::min(Best, threadCpuMs() - T0);
-  }
-  return Best;
-}
 
 uint64_t lexAll(const std::vector<Input> &Inputs) {
   uint64_t Tokens = 0;
@@ -144,71 +69,6 @@ int usage() {
   std::fprintf(stderr, "usage: bench_parse [--reps N] [--out FILE] "
                        "[--key NAME] [DIR...]\n");
   return 2;
-}
-
-void writeValue(JsonWriter &W, const JsonValue &V) {
-  switch (V.kind()) {
-  case JsonValue::Kind::Null:
-    W.nullValue();
-    return;
-  case JsonValue::Kind::Bool:
-    W.value(V.asBool());
-    return;
-  case JsonValue::Kind::Int:
-    W.value(V.asInt());
-    return;
-  case JsonValue::Kind::Double:
-    W.value(V.asDouble());
-    return;
-  case JsonValue::Kind::String:
-    W.value(V.asString());
-    return;
-  case JsonValue::Kind::Array:
-    W.beginArray();
-    for (const JsonValue &E : V.elements())
-      writeValue(W, E);
-    W.endArray();
-    return;
-  case JsonValue::Kind::Object:
-    W.beginObject();
-    for (const auto &[K, M] : V.members()) {
-      W.key(K);
-      writeValue(W, M);
-    }
-    W.endObject();
-    return;
-  }
-}
-
-/// \p Run as the whole document, or, under \p Key, merged into the object
-/// already in \p Path.
-std::string document(const std::string &Path, const std::string &Key,
-                     const std::string &Run) {
-  if (Key.empty())
-    return Run + "\n";
-  std::string Old;
-  std::optional<JsonValue> Doc;
-  if (readFile(Path, Old) == ReadFileError::None)
-    Doc = JsonValue::parse(Old);
-  JsonWriter W;
-  W.beginObject();
-  bool Replaced = false;
-  if (Doc && Doc->isObject())
-    for (const auto &[K, M] : Doc->members()) {
-      W.key(K);
-      if (K == Key) {
-        writeValue(W, *JsonValue::parse(Run));
-        Replaced = true;
-      } else {
-        writeValue(W, M);
-      }
-    }
-  if (!Replaced) {
-    W.key(Key);
-    writeValue(W, *JsonValue::parse(Run));
-  }
-  W.endObject();
-  return W.str() + "\n";
 }
 
 } // namespace
@@ -280,19 +140,19 @@ int main(int argc, char **argv) {
   // sees only what a parse allocates for itself.
   uint64_t ParseErrors = parseAll(Inputs);
   uint64_t Tokens = lexAll(Inputs);
-  uint64_t Before = Allocations.load();
+  uint64_t Before = allocations();
   parseAll(Inputs);
-  uint64_t ParseAllocs = Allocations.load() - Before;
+  uint64_t ParseAllocs = allocations() - Before;
 
-  double LexMs = minMs(Reps, [&] { lexAll(Inputs); });
-  double ParseMs = minMs(Reps, [&] { parseAll(Inputs); });
+  double LexMs = minCpuMs(Reps, [&] { lexAll(Inputs); });
+  double ParseMs = minCpuMs(Reps, [&] { parseAll(Inputs); });
 
   std::vector<mir::ModuleParse> Parsed;
   Parsed.reserve(Inputs.size());
   for (const Input &In : Inputs)
     Parsed.push_back(mir::Parser::parseRecover(In.Text, In.Path));
   uint64_t VerifyErrors = 0;
-  double VerifyMs = minMs(Reps, [&] {
+  double VerifyMs = minCpuMs(Reps, [&] {
     VerifyErrors = 0;
     std::vector<Error> Errs;
     for (const mir::ModuleParse &P : Parsed) {
@@ -347,7 +207,9 @@ int main(int argc, char **argv) {
   std::printf("  lex    %8.2f ms\n  parse  %8.2f ms  (%.1f MB/s)\n"
               "  verify %8.2f ms\n  %.2f allocations per KB parsed\n",
               LexMs, ParseMs, MBps, VerifyMs, AllocsPerKB);
-  if (!writeFileAtomic(OutPath, document(OutPath, Key, W.str()))) {
+  std::string Doc =
+      Key.empty() ? W.str() + "\n" : mergeRecord(OutPath, {{Key, W.str()}});
+  if (!writeFileAtomic(OutPath, Doc)) {
     std::fprintf(stderr, "bench_parse: cannot write %s\n", OutPath.c_str());
     return 1;
   }

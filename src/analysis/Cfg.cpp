@@ -4,67 +4,121 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace rs::analysis;
 using namespace rs::mir;
 
 Cfg::Cfg(const Function &F, bool PruneConstantBranches) : Fn(F) {
   unsigned N = F.numBlocks();
-  Succs.resize(N);
-  Preds.resize(N);
-  Reachable.assign(N, false);
 
-  std::unique_ptr<ConstantBranches> CB;
+  std::optional<ConstantBranches> CB;
   if (PruneConstantBranches)
-    CB = std::make_unique<ConstantBranches>(F);
+    for (const BasicBlock &BB : F.Blocks)
+      if (BB.Term.K == Terminator::Kind::SwitchInt) {
+        CB.emplace(F);
+        break;
+      }
 
+  // The distinct successors of \p B, ascending, into \p Buf. Called twice
+  // per block (count, then fill), so the edges need no staging buffer.
   SuccList Buf;
-  for (BlockId B = 0; B != N; ++B) {
+  auto BlockSuccs = [&](BlockId B) {
+    Buf.clear();
     if (CB) {
       if (std::optional<BlockId> Taken = CB->resolvedTarget(B)) {
-        Succs[B].push_back(*Taken);
-        continue;
+        Buf.push_back(*Taken);
+        return;
       }
     }
-    Buf.clear();
     F.Blocks[B].Term.successors(Buf);
     // Deduplicate parallel edges so dataflow meets see each pred once.
     std::sort(Buf.begin(), Buf.end());
     Buf.erase(std::unique(Buf.begin(), Buf.end()), Buf.end());
-    Succs[B].assign(Buf.begin(), Buf.end());
-  }
-  for (BlockId B = 0; B != N; ++B)
-    for (BlockId S : Succs[B])
-      Preds[S].push_back(B);
+  };
 
-  // Iterative DFS from the entry to compute post-order; reverse it.
-  std::vector<BlockId> PostOrder;
-  std::vector<std::pair<BlockId, size_t>> Stack;
-  if (N != 0) {
-    Reachable[0] = true;
-    Stack.emplace_back(0, 0);
-    while (!Stack.empty()) {
-      auto &[B, NextSucc] = Stack.back();
-      if (NextSucc < Succs[B].size()) {
-        BlockId S = Succs[B][NextSucc++];
-        if (!Reachable[S]) {
-          Reachable[S] = true;
-          Stack.emplace_back(S, 0);
-        }
-        continue;
-      }
-      PostOrder.push_back(B);
-      Stack.pop_back();
+  size_t E = 0;
+  for (BlockId B = 0; B != N; ++B) {
+    BlockSuccs(B);
+    E += Buf.size();
+  }
+
+  // Layout: succ targets, pred targets, succ offsets, pred offsets, RPO,
+  // reachability bits, then 2N words of DFS scratch.
+  size_t ReachWords = (N + 31) / 32;
+  size_t Size = 2 * E + 2 * (size_t(N) + 1) + N + ReachWords + 2 * size_t(N);
+  Data.reset(new BlockId[Size]);
+  BlockId *Succ = Data.get();
+  BlockId *Pred = Succ + E;
+  BlockId *SOff = Pred + E;
+  BlockId *POff = SOff + N + 1;
+  BlockId *Order = POff + N + 1;
+  uint32_t *Reach = Order + N;
+  BlockId *Stack = Reach + ReachWords;
+  std::fill(POff, POff + N + 1, 0);
+  std::fill(Reach, Reach + ReachWords, 0);
+
+  // Successors, and the in-degree of every block in POff[S + 1].
+  size_t At = 0;
+  for (BlockId B = 0; B != N; ++B) {
+    SOff[B] = static_cast<BlockId>(At);
+    BlockSuccs(B);
+    for (BlockId S : Buf) {
+      Succ[At++] = S;
+      ++POff[S + 1];
     }
   }
-  Rpo.assign(PostOrder.rbegin(), PostOrder.rend());
+  SOff[N] = static_cast<BlockId>(At);
+  for (BlockId B = 0; B != N; ++B)
+    POff[B + 1] += POff[B];
+  // Predecessors in ascending block order: fill by walking B upwards, with
+  // the RPO slots as per-block cursors until the DFS below needs them.
+  std::copy(POff, POff + N, Order);
+  for (BlockId B = 0; B != N; ++B)
+    for (size_t I = SOff[B]; I != SOff[B + 1]; ++I)
+      Pred[Order[Succ[I]]++] = B;
+
+  // Iterative DFS from the entry: a stack of (block, next successor)
+  // pairs; blocks are appended to Order in post-order, then reversed.
+  size_t Done = 0;
+  if (N != 0) {
+    size_t Depth = 0;
+    auto Visit = [&](BlockId B) {
+      Reach[B / 32] |= uint32_t(1) << (B % 32);
+      Stack[2 * Depth] = B;
+      Stack[2 * Depth + 1] = SOff[B];
+      ++Depth;
+    };
+    Visit(0);
+    while (Depth != 0) {
+      BlockId B = Stack[2 * (Depth - 1)];
+      BlockId &Next = Stack[2 * (Depth - 1) + 1];
+      if (Next != SOff[B + 1]) {
+        BlockId S = Succ[Next++];
+        if (!((Reach[S / 32] >> (S % 32)) & 1))
+          Visit(S);
+        continue;
+      }
+      Order[Done++] = B;
+      --Depth;
+    }
+  }
+  std::reverse(Order, Order + Done);
+
+  Succs = Succ;
+  Preds = Pred;
+  SuccOff = SOff;
+  PredOff = POff;
+  Rpo = Order;
+  RpoSize = Done;
+  Reachable = Reach;
 }
 
 DominatorTree::DominatorTree(const Cfg &G) {
   unsigned N = G.numBlocks();
   Idom.assign(N, InvalidBlock);
   RpoIndex.assign(N, ~0u);
-  const std::vector<BlockId> &Rpo = G.reversePostOrder();
+  std::span<const BlockId> Rpo = G.reversePostOrder();
   for (unsigned I = 0; I != Rpo.size(); ++I)
     RpoIndex[Rpo[I]] = I;
   if (Rpo.empty())

@@ -10,6 +10,10 @@
 /// predecessor lists, reverse post-order, reachability, and a dominator tree
 /// (Cooper-Harvey-Kennedy).
 ///
+/// A Cfg makes one heap allocation: the edge lists are CSR arrays (offsets
+/// plus one flat target array per direction), stored with the reverse
+/// post-order and the reachability bits in a single buffer.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RUSTSIGHT_ANALYSIS_CFG_H
@@ -18,6 +22,7 @@
 #include "mir/Mir.h"
 
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace rs::analysis {
@@ -36,25 +41,38 @@ public:
   const mir::Function &function() const { return Fn; }
   unsigned numBlocks() const { return Fn.numBlocks(); }
 
-  const std::vector<mir::BlockId> &successors(mir::BlockId B) const {
-    return Succs[B];
+  /// Distinct successors of \p B, ascending.
+  std::span<const mir::BlockId> successors(mir::BlockId B) const {
+    return {Succs + SuccOff[B], Succs + SuccOff[B + 1]};
   }
-  const std::vector<mir::BlockId> &predecessors(mir::BlockId B) const {
-    return Preds[B];
+  /// Predecessors of \p B, ascending.
+  std::span<const mir::BlockId> predecessors(mir::BlockId B) const {
+    return {Preds + PredOff[B], Preds + PredOff[B + 1]};
   }
 
   /// Blocks in reverse post-order from the entry (unreachable blocks are
   /// excluded).
-  const std::vector<mir::BlockId> &reversePostOrder() const { return Rpo; }
+  std::span<const mir::BlockId> reversePostOrder() const {
+    return {Rpo, RpoSize};
+  }
 
-  bool isReachable(mir::BlockId B) const { return Reachable[B]; }
+  bool isReachable(mir::BlockId B) const {
+    return (Reachable[B / 32] >> (B % 32)) & 1;
+  }
 
 private:
   const mir::Function &Fn;
-  std::vector<std::vector<mir::BlockId>> Succs;
-  std::vector<std::vector<mir::BlockId>> Preds;
-  std::vector<mir::BlockId> Rpo;
-  std::vector<bool> Reachable;
+  /// The one buffer: successor targets, predecessor targets, the offsets
+  /// into both (numBlocks()+1 each), the reverse post-order and the
+  /// reachability bits.
+  std::unique_ptr<mir::BlockId[]> Data;
+  const mir::BlockId *Succs = nullptr;
+  const mir::BlockId *Preds = nullptr;
+  const mir::BlockId *SuccOff = nullptr;
+  const mir::BlockId *PredOff = nullptr;
+  const mir::BlockId *Rpo = nullptr;
+  size_t RpoSize = 0;
+  const uint32_t *Reachable = nullptr;
 };
 
 /// Immediate-dominator tree over a Cfg.

@@ -15,7 +15,8 @@ struct LocalFacts {
 
 } // namespace
 
-ConstantBranches::ConstantBranches(const Function &F) {
+ConstantBranches::ConstantBranches(const Function &F)
+    : Resolved(F.numBlocks(), InvalidBlock) {
   std::vector<LocalFacts> Facts(F.numLocals());
 
   auto NoteAssign = [&Facts](LocalId L, const Rvalue *RV) {
@@ -87,5 +88,6 @@ ConstantBranches::ConstantBranches(const Function &F) {
       }
     }
     Resolved[B] = Target;
+    ++NumResolved;
   }
 }

@@ -24,8 +24,8 @@
 
 #include "mir/Mir.h"
 
-#include <map>
 #include <optional>
+#include <vector>
 
 namespace rs::analysis {
 
@@ -37,15 +37,17 @@ public:
   /// If block \p B ends in a switchInt on a provably-constant value,
   /// returns the single successor it always takes.
   std::optional<mir::BlockId> resolvedTarget(mir::BlockId B) const {
-    auto It = Resolved.find(B);
-    return It == Resolved.end() ? std::nullopt
-                                : std::optional<mir::BlockId>(It->second);
+    if (Resolved[B] == mir::InvalidBlock)
+      return std::nullopt;
+    return Resolved[B];
   }
 
-  size_t numResolved() const { return Resolved.size(); }
+  size_t numResolved() const { return NumResolved; }
 
 private:
-  std::map<mir::BlockId, mir::BlockId> Resolved;
+  /// The taken successor by block, or InvalidBlock.
+  std::vector<mir::BlockId> Resolved;
+  size_t NumResolved = 0;
 };
 
 } // namespace rs::analysis

@@ -9,28 +9,29 @@ using namespace rs::mir;
 MemoryAnalysis::MemoryAnalysis(const Cfg &G, const Module &M,
                                const SummaryMap *Summaries, Budget *Bgt)
     : G(G), M(M), Objects(G.function()),
-      NumLocals(G.function().numLocals()), NumObjects(Objects.numObjects()) {
-  DeadBase = static_cast<size_t>(NumLocals) * NumObjects;
-  DroppedBase = DeadBase + NumObjects;
-  UninitBase = DroppedBase + NumObjects;
-  HeldShBase = UninitBase + NumObjects;
-  HeldExBase = HeldShBase + NumObjects;
+      NumLocals(G.function().numLocals()), NumObjects(Objects.numObjects()),
+      RowWords(words::forBits(NumObjects)) {
+  DeadRow = NumLocals;
+  DroppedRow = DeadRow + 1;
+  UninitRow = DroppedRow + 1;
+  HeldShRow = UninitRow + 1;
+  HeldExRow = HeldShRow + 1;
+  ScratchRow = HeldExRow + 1;
   resolveCallSites(Summaries);
   computeGuardLocals();
-  DF = std::make_unique<ForwardDataflow>(G, *this, Bgt);
+  DF.emplace(G, *this, Bgt);
 }
 
 void MemoryAnalysis::resolveCallSites(const SummaryMap *Summaries) {
   const Function &F = G.function();
-  BlockKind.assign(F.Blocks.size(), IntrinsicKind::None);
-  BlockSummary.assign(F.Blocks.size(), nullptr);
+  Calls.assign(F.Blocks.size(), CallSite());
   for (BlockId B = 0; B != F.Blocks.size(); ++B) {
     const Terminator &T = F.Blocks[B].Term;
     if (T.K != Terminator::Kind::Call)
       continue;
-    BlockKind[B] = classifyIntrinsic(T.Callee);
-    if (Summaries && BlockKind[B] == IntrinsicKind::None)
-      BlockSummary[B] = Summaries->find(T.Callee);
+    Calls[B].Kind = classifyIntrinsic(T.Callee);
+    if (Summaries && Calls[B].Kind == IntrinsicKind::None)
+      Calls[B].Summary = Summaries->find(T.Callee);
   }
 }
 
@@ -41,9 +42,11 @@ void MemoryAnalysis::computeGuardLocals() {
   for (BlockId B = 0; B != F.Blocks.size(); ++B) {
     const Terminator &T = F.Blocks[B].Term;
     if (T.K == Terminator::Kind::Call && T.HasDest && T.Dest.isLocal() &&
-        (isLockAcquire(BlockKind[B]) || isBorrowAcquire(BlockKind[B])))
+        (isLockAcquire(Calls[B].Kind) || isBorrowAcquire(Calls[B].Kind)))
       GuardLocals.set(T.Dest.Base);
   }
+  if (GuardLocals.none())
+    return;
   // Closure over direct copies/moves of guard values between locals.
   bool Changed = true;
   while (Changed) {
@@ -66,31 +69,18 @@ void MemoryAnalysis::computeGuardLocals() {
 }
 
 //===----------------------------------------------------------------------===//
-// Query helpers
+// Object-set helpers
 //===----------------------------------------------------------------------===//
 
-void MemoryAnalysis::pointees(const BitVec &State, LocalId L,
-                              std::vector<ObjId> &Out) const {
-  for (ObjId O = 0; O != NumObjects; ++O)
-    if (State.test(ptsBit(L, O)))
-      Out.push_back(O);
-}
+namespace {
 
-void MemoryAnalysis::clearPts(BitVec &State, LocalId L) const {
-  for (ObjId O = 0; O != NumObjects; ++O)
-    State.reset(ptsBit(L, O));
-}
+void setObj(uint64_t *Set, ObjId O) { Set[O / 64] |= uint64_t(1) << (O % 64); }
 
-void MemoryAnalysis::setPtsFromObjSet(BitVec &State, LocalId L,
-                                      const BitVec &Objs,
-                                      bool Additive) const {
-  if (!Additive)
-    clearPts(State, L);
-  Objs.forEach([&](size_t O) { State.set(ptsBit(L, static_cast<ObjId>(O))); });
-}
+} // namespace
 
-void MemoryAnalysis::placeValuePointees(const BitVec &State, const Place &P,
-                                        BitVec &Out) const {
+void MemoryAnalysis::placeValuePointeesInto(const uint64_t *St,
+                                            const Place &P,
+                                            uint64_t *Out) const {
   // Loading through a pointer reaches memory the analysis does not model
   // field-wise. The interior-pointer approximation: a pointer stored
   // inside an object points into that object's own graph, so the loaded
@@ -98,68 +88,43 @@ void MemoryAnalysis::placeValuePointees(const BitVec &State, const Place &P,
   // Figure 5 Queue::peek/pop chain resolve: the pointer loaded from the
   // queue aliases the queue's pointee, which pop later drops). With no
   // pointee information at all, fall back to "unknown".
-  if (P.hasDeref()) {
-    bool Any = false;
-    for (ObjId O = 0; O != NumObjects; ++O) {
-      if (State.test(ptsBit(P.Base, O))) {
-        Out.set(O);
-        Any = true;
-      }
-    }
-    if (!Any)
-      Out.set(Objects.unknown());
-    return;
-  }
-  for (ObjId O = 0; O != NumObjects; ++O)
-    if (State.test(ptsBit(P.Base, O)))
-      Out.set(O);
+  const uint64_t *Pts = row(St, P.Base);
+  words::orInto(Out, Pts, RowWords);
+  if (P.hasDeref() && !words::any(Pts, RowWords))
+    setObj(Out, Objects.unknown());
 }
 
-void MemoryAnalysis::placeTargetObjects(const BitVec &State, const Place &P,
-                                        BitVec &Out) const {
-  if (!P.hasDeref()) {
-    Out.set(Objects.localObject(P.Base));
-    return;
-  }
-  // The memory reached through the base pointer.
-  for (ObjId O = 0; O != NumObjects; ++O)
-    if (State.test(ptsBit(P.Base, O)))
-      Out.set(O);
-}
-
-void MemoryAnalysis::operandPointees(const BitVec &State, const Operand &Op,
-                                     BitVec &Out) const {
+void MemoryAnalysis::operandPointees(const uint64_t *St, const Operand &Op,
+                                     uint64_t *Out) const {
   if (!Op.isPlace())
     return;
-  placeValuePointees(State, Op.P, Out);
+  placeValuePointeesInto(St, Op.P, Out);
 }
 
-void MemoryAnalysis::rvaluePointees(const BitVec &State, const Rvalue &RV,
-                                    BitVec &Out) const {
+void MemoryAnalysis::rvaluePointees(const uint64_t *St, const Rvalue &RV,
+                                    uint64_t *Out) const {
   switch (RV.K) {
   case Rvalue::Kind::Use:
   case Rvalue::Kind::Cast:
-    operandPointees(State, RV.Ops[0], Out);
+    operandPointees(St, RV.Ops[0], Out);
     return;
   case Rvalue::Kind::Ref:
   case Rvalue::Kind::AddressOf:
     if (RV.P.hasDeref()) {
       // &(*p).field points into whatever p points to.
-      for (ObjId O = 0; O != NumObjects; ++O)
-        if (State.test(ptsBit(RV.P.Base, O)))
-          Out.set(O);
+      words::orInto(Out, row(St, RV.P.Base), RowWords);
     } else {
-      Out.set(Objects.localObject(RV.P.Base));
+      setObj(Out, Objects.localObject(RV.P.Base));
     }
     return;
   case Rvalue::Kind::BinaryOp:
     // Pointer arithmetic stays within the same allocation.
     if (RV.BOp == BinOp::Offset)
-      operandPointees(State, RV.Ops[0], Out);
+      operandPointees(St, RV.Ops[0], Out);
     return;
   case Rvalue::Kind::Aggregate:
     for (const Operand &Op : RV.Ops)
-      operandPointees(State, Op, Out);
+      operandPointees(St, Op, Out);
     return;
   case Rvalue::Kind::UnaryOp:
   case Rvalue::Kind::Discriminant:
@@ -168,35 +133,83 @@ void MemoryAnalysis::rvaluePointees(const BitVec &State, const Rvalue &RV,
   }
 }
 
+void MemoryAnalysis::lockRootsInto(const uint64_t *St, const Operand &LockArg,
+                                   uint64_t *Out) const {
+  if (!LockArg.isPlace()) {
+    setObj(Out, Objects.unknown());
+    return;
+  }
+  const Place &P = LockArg.P;
+  placeValuePointeesInto(St, P, Out);
+  if (words::any(Out, RowWords))
+    return;
+  // A lock held by value (e.g. Arc<Mutex<T>> or Mutex<T> local): the lock's
+  // identity is the argument's own object.
+  setObj(Out, P.isLocal() ? Objects.localObject(P.Base) : Objects.unknown());
+}
+
+void MemoryAnalysis::placeValuePointees(BitSpan State, const Place &P,
+                                        BitVec &Out) const {
+  assert(Out.size() == NumObjects && "object set of the wrong size");
+  placeValuePointeesInto(State.words(), P, Out.words());
+}
+
+void MemoryAnalysis::placeTargetObjects(BitSpan State, const Place &P,
+                                        BitVec &Out) const {
+  assert(Out.size() == NumObjects && "object set of the wrong size");
+  if (!P.hasDeref()) {
+    Out.set(Objects.localObject(P.Base));
+    return;
+  }
+  // The memory reached through the base pointer.
+  words::orInto(Out.words(), row(State.words(), P.Base), RowWords);
+}
+
+void MemoryAnalysis::lockRoots(BitSpan State, const Operand &LockArg,
+                               BitVec &Out) const {
+  assert(Out.size() == NumObjects && Out.none() && "want an empty set");
+  lockRootsInto(State.words(), LockArg, Out.words());
+}
+
 bool MemoryAnalysis::typeOwnsPointees(const Type *Ty) const {
   return rs::analysis::typeOwnsPointees(Ty, M);
 }
 
-void MemoryAnalysis::markDropped(BitVec &State, ObjId O) const {
-  State.set(DroppedBase + O);
-  State.set(UninitBase + O);
+void MemoryAnalysis::markDropped(BitRef State, ObjId O) const {
+  State.set(rowBit(DroppedRow, O));
+  State.set(rowBit(UninitRow, O));
 }
 
-void MemoryAnalysis::lockRoots(const BitVec &State, const Operand &LockArg,
-                               std::vector<ObjId> &Out) const {
-  if (!LockArg.isPlace()) {
-    Out.push_back(Objects.unknown());
-    return;
+void MemoryAnalysis::dropPointees(uint64_t *St, const Place &P) const {
+  // P's row alone: the value's pointees add at most the unknown object to
+  // it, and the place's targets nothing, and the unknown object is never
+  // dropped.
+  const uint64_t *Pts = row(St, P.Base);
+  uint64_t *Dropped = row(St, DroppedRow);
+  uint64_t *Uninit = row(St, UninitRow);
+  for (size_t I = 0; I != RowWords; ++I) {
+    uint64_t W = Pts[I];
+    if (I == Objects.unknown() / 64)
+      W &= ~(uint64_t(1) << (Objects.unknown() % 64));
+    Dropped[I] |= W;
+    Uninit[I] |= W;
   }
-  const Place &P = LockArg.P;
-  BitVec Objs(NumObjects);
-  placeValuePointees(State, P, Objs);
-  if (Objs.any()) {
-    Objs.forEach([&](size_t O) { Out.push_back(static_cast<ObjId>(O)); });
-    return;
-  }
-  // A lock held by value (e.g. Arc<Mutex<T>> or Mutex<T> local): the lock's
-  // identity is the argument's own object.
-  if (P.isLocal()) {
-    Out.push_back(Objects.localObject(P.Base));
-    return;
-  }
-  Out.push_back(Objects.unknown());
+}
+
+void MemoryAnalysis::releaseGuard(uint64_t *St, LocalId L) const {
+  const uint64_t *Pts = row(St, L);
+  words::andNotInto(row(St, HeldShRow), Pts, RowWords);
+  words::andNotInto(row(St, HeldExRow), Pts, RowWords);
+}
+
+void MemoryAnalysis::setPtsFromScratch(uint64_t *St, LocalId L,
+                                       bool Additive) const {
+  uint64_t *Scratch = row(St, ScratchRow);
+  if (Additive)
+    words::orInto(row(St, L), Scratch, RowWords);
+  else
+    words::copy(row(St, L), Scratch, RowWords);
+  words::clear(Scratch, RowWords);
 }
 
 //===----------------------------------------------------------------------===//
@@ -205,7 +218,8 @@ void MemoryAnalysis::lockRoots(const BitVec &State, const Operand &LockArg,
 
 BitVec MemoryAnalysis::initialState() const {
   const Function &F = G.function();
-  BitVec State(numBits());
+  // NumLocals points-to rows, five state rows and the scratch row.
+  BitVec State((ScratchRow + 1) * RowWords * 64);
   // Pointer parameters point at their pointee objects.
   for (LocalId P = 1; P <= F.NumArgs; ++P) {
     ObjId Pointee = Objects.paramPointee(P);
@@ -216,44 +230,38 @@ BitVec MemoryAnalysis::initialState() const {
   // uninitialized; parameters and their pointees are initialized.
   for (LocalId L = 0; L != NumLocals; ++L)
     if (!F.isArg(L))
-      State.set(UninitBase + Objects.localObject(L));
+      State.set(rowBit(UninitRow, Objects.localObject(L)));
   return State;
 }
 
 void MemoryAnalysis::applyMoveOperands(const OperandList &Ops,
-                                       BitVec &State) const {
+                                       BitRef State) const {
   for (const Operand &Op : Ops) {
     if (!Op.isMove() || !Op.P.isLocal())
       continue;
     // The value left this local; its storage now holds moved-out garbage.
-    State.set(UninitBase + Objects.localObject(Op.P.Base));
+    State.set(rowBit(UninitRow, Objects.localObject(Op.P.Base)));
   }
 }
 
 void MemoryAnalysis::transferStatement(const Statement &S,
-                                       BitVec &State) const {
+                                       BitRef State) const {
+  uint64_t *St = State.words();
   switch (S.K) {
   case Statement::Kind::StorageLive: {
     ObjId O = Objects.localObject(S.Local);
-    State.reset(DeadBase + O);
-    State.reset(DroppedBase + O);
-    State.set(UninitBase + O);
-    clearPts(State, S.Local);
+    State.reset(rowBit(DeadRow, O));
+    State.reset(rowBit(DroppedRow, O));
+    State.set(rowBit(UninitRow, O));
+    words::clear(row(St, S.Local), RowWords);
     return;
   }
   case Statement::Kind::StorageDead: {
-    ObjId O = Objects.localObject(S.Local);
-    State.set(DeadBase + O);
+    State.set(rowBit(DeadRow, Objects.localObject(S.Local)));
     // A dying guard releases its lock (scope-end release, the Rust
     // behaviour the paper's double-lock bugs hinge on).
-    if (GuardLocals.test(S.Local)) {
-      for (ObjId Q = 0; Q != NumObjects; ++Q) {
-        if (State.test(ptsBit(S.Local, Q))) {
-          State.reset(HeldShBase + Q);
-          State.reset(HeldExBase + Q);
-        }
-      }
-    }
+    if (GuardLocals.test(S.Local))
+      releaseGuard(St, S.Local);
     return;
   }
   case Statement::Kind::Nop:
@@ -263,74 +271,64 @@ void MemoryAnalysis::transferStatement(const Statement &S,
   }
 
   // Assignment.
-  BitVec Rhs(NumObjects);
-  rvaluePointees(State, S.RV, Rhs);
-  applyMoveOperands(S.RV.Ops, State);
-
   const Place &Dest = S.Dest;
-  if (Dest.isLocal()) {
-    ObjId O = Objects.localObject(Dest.Base);
-    setPtsFromObjSet(State, Dest.Base, Rhs, /*Additive=*/false);
-    State.reset(UninitBase + O);
-    State.reset(DroppedBase + O);
-    return;
-  }
   if (!Dest.hasDeref()) {
-    // Store into a field of a local: weak points-to update, but the local
-    // becomes (at least partially) initialized.
+    // The right-hand side's pointees go to the scratch row first: the
+    // destination row may be one of the rows they are read from.
+    rvaluePointees(St, S.RV, row(St, ScratchRow));
+    applyMoveOperands(S.RV.Ops, State);
+    // A store into a field of a local is a weak points-to update, but the
+    // local becomes (at least partially) initialized either way.
+    setPtsFromScratch(St, Dest.Base, /*Additive=*/!Dest.isLocal());
     ObjId O = Objects.localObject(Dest.Base);
-    setPtsFromObjSet(State, Dest.Base, Rhs, /*Additive=*/true);
-    State.reset(UninitBase + O);
-    State.reset(DroppedBase + O);
+    State.reset(rowBit(UninitRow, O));
+    State.reset(rowBit(DroppedRow, O));
     return;
   }
-  // Store through a pointer: strong update only with a unique known target.
-  BitVec Targets(NumObjects);
-  placeTargetObjects(State, Dest, Targets);
-  if (Targets.count() == 1 && !Targets.test(Objects.unknown())) {
-    Targets.forEach([&](size_t O) {
-      State.reset(UninitBase + O);
-      State.reset(DroppedBase + O);
+  // Store through a pointer: no points-to row changes, and a strong update
+  // of the target's state only with a unique known target.
+  applyMoveOperands(S.RV.Ops, State);
+  const uint64_t *Targets = row(St, Dest.Base);
+  if (words::count(Targets, RowWords) == 1 &&
+      !State.test(ptsBit(Dest.Base, Objects.unknown()))) {
+    words::forEach(Targets, RowWords, [&](size_t O) {
+      State.reset(rowBit(UninitRow, static_cast<ObjId>(O)));
+      State.reset(rowBit(DroppedRow, static_cast<ObjId>(O)));
     });
   }
 }
 
-void MemoryAnalysis::dropPlace(const Place &P, BitVec &State) const {
+void MemoryAnalysis::dropPlace(const Place &P, BitRef State) const {
   const Function &F = G.function();
+  uint64_t *St = State.words();
   if (P.isLocal()) {
     LocalId L = P.Base;
     ObjId O = Objects.localObject(L);
     // Dropping a guard releases the lock instead of invalidating memory
     // anyone may still reference.
     if (GuardLocals.test(L)) {
-      for (ObjId Q = 0; Q != NumObjects; ++Q) {
-        if (State.test(ptsBit(L, Q))) {
-          State.reset(HeldShBase + Q);
-          State.reset(HeldExBase + Q);
-        }
-      }
+      releaseGuard(St, L);
       markDropped(State, O);
       return;
     }
     markDropped(State, O);
     if (typeOwnsPointees(F.localType(L))) {
-      for (ObjId Q = 0; Q != NumObjects; ++Q)
-        if (State.test(ptsBit(L, Q)))
-          markDropped(State, Q);
+      const uint64_t *Pts = row(St, L);
+      words::orInto(row(St, DroppedRow), Pts, RowWords);
+      words::orInto(row(St, UninitRow), Pts, RowWords);
     }
     return;
   }
   // Dropping through a projection destroys the reached objects.
-  BitVec Targets(NumObjects);
-  placeTargetObjects(State, P, Targets);
-  Targets.forEach([&](size_t O) {
-    if (O != Objects.unknown())
-      markDropped(State, static_cast<ObjId>(O));
-  });
+  if (!P.hasDeref()) {
+    markDropped(State, Objects.localObject(P.Base));
+    return;
+  }
+  dropPointees(St, P);
 }
 
 void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
-                                  BitVec &State) const {
+                                  BitRef State) const {
   switch (T.K) {
   case Terminator::Kind::Goto:
   case Terminator::Kind::SwitchInt:
@@ -349,9 +347,10 @@ void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
   // Calls: argument moves happen on every edge; the destination is only
   // written on the return edge. Classification and summary were resolved
   // per block at construction.
+  uint64_t *St = State.words();
   BlockId B = blockOfTerminator(T);
-  IntrinsicKind Kind = BlockKind[B];
-  const FunctionSummary *Summary = BlockSummary[B];
+  IntrinsicKind Kind = Calls[B].Kind;
+  const FunctionSummary *Summary = Calls[B].Summary;
   bool IsReturnEdge = Succ == T.Target;
 
   // Effects on arguments.
@@ -362,23 +361,20 @@ void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
         dropPlace(Op.P, State);
     break;
   case IntrinsicKind::Dealloc:
-    if (!T.Args.empty() && T.Args[0].isPlace()) {
-      BitVec Objs(NumObjects);
-      placeValuePointees(State, T.Args[0].P, Objs);
-      Objs.forEach([&](size_t O) {
-        if (O != Objects.unknown())
-          markDropped(State, static_cast<ObjId>(O));
-      });
-    }
+    if (!T.Args.empty() && T.Args[0].isPlace())
+      dropPointees(St, T.Args[0].P);
     break;
   case IntrinsicKind::PtrWrite:
     if (!T.Args.empty() && T.Args[0].isPlace()) {
-      BitVec Objs(NumObjects);
-      placeValuePointees(State, T.Args[0].P, Objs);
-      if (Objs.count() == 1 && !Objs.test(Objects.unknown())) {
-        Objs.forEach([&](size_t O) {
-          State.reset(UninitBase + O);
-          State.reset(DroppedBase + O);
+      // The written object: the pointer's one known pointee. With no
+      // pointee the place's value set is {unknown}, so nothing is written.
+      LocalId L = T.Args[0].P.Base;
+      const uint64_t *Pts = row(St, L);
+      if (words::count(Pts, RowWords) == 1 &&
+          !State.test(ptsBit(L, Objects.unknown()))) {
+        words::forEach(Pts, RowWords, [&](size_t O) {
+          State.reset(rowBit(UninitRow, static_cast<ObjId>(O)));
+          State.reset(rowBit(DroppedRow, static_cast<ObjId>(O)));
         });
       }
     }
@@ -395,24 +391,19 @@ void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
       unsigned Param = static_cast<unsigned>(I) + 1;
       if (Param >= Summary->DropsParamPointee.size())
         break;
-      if (Summary->DropsParamPointee[Param] && T.Args[I].isPlace()) {
-        BitVec Objs(NumObjects);
-        placeValuePointees(State, T.Args[I].P, Objs);
-        Objs.forEach([&](size_t O) {
-          if (O != Objects.unknown())
-            markDropped(State, static_cast<ObjId>(O));
-        });
-      }
+      if (Summary->DropsParamPointee[Param] && T.Args[I].isPlace())
+        dropPointees(St, T.Args[I].P);
     }
   }
 
   if (!IsReturnEdge || !T.HasDest || !T.Dest.isLocal())
     return;
 
-  // Destination update on the return edge.
+  // Destination update on the return edge. The destination's new pointees
+  // are gathered in the scratch row.
   LocalId D = T.Dest.Base;
   ObjId DO = Objects.localObject(D);
-  BitVec DestPts(NumObjects);
+  uint64_t *DestPts = row(St, ScratchRow);
 
   switch (Kind) {
   case IntrinsicKind::BoxNew:
@@ -420,18 +411,18 @@ void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
   case IntrinsicKind::Alloc: {
     ObjId H = Objects.heapObject(B);
     assert(H != ~0u && "allocating call without a heap object");
-    DestPts.set(H);
+    setObj(DestPts, H);
     if (Kind == IntrinsicKind::Alloc)
-      State.set(UninitBase + H); // alloc() returns uninitialized memory.
+      State.set(rowBit(UninitRow, H)); // alloc() returns uninitialized memory.
     else {
-      State.reset(UninitBase + H);
-      State.reset(DroppedBase + H);
+      State.reset(rowBit(UninitRow, H));
+      State.reset(rowBit(DroppedRow, H));
     }
     break;
   }
   case IntrinsicKind::ArcClone:
     if (!T.Args.empty())
-      operandPointees(State, T.Args[0], DestPts);
+      operandPointees(St, T.Args[0], DestPts);
     break;
   case IntrinsicKind::MutexLock:
   case IntrinsicKind::RwLockRead:
@@ -440,19 +431,17 @@ void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
   case IntrinsicKind::RefCellBorrowMut: {
     // RefCell borrows follow the same shared/exclusive guard discipline
     // as RwLock; the held bits are keyed by the cell/lock root either way.
-    std::vector<ObjId> Roots;
+    // The guard points at the roots, which become held.
     if (!T.Args.empty())
-      lockRoots(State, T.Args[0], Roots);
+      lockRootsInto(St, T.Args[0], DestPts);
     bool Exclusive = isExclusiveAcquire(Kind) ||
                      Kind == IntrinsicKind::RefCellBorrowMut;
-    for (ObjId R : Roots) {
-      DestPts.set(R);
-      State.set((Exclusive ? HeldExBase : HeldShBase) + R);
-    }
+    words::orInto(row(St, Exclusive ? HeldExRow : HeldShRow), DestPts,
+                  RowWords);
     break;
   }
   case IntrinsicKind::PtrRead:
-    DestPts.set(Objects.unknown());
+    setObj(DestPts, Objects.unknown());
     break;
   case IntrinsicKind::None: {
     if (Summary) {
@@ -460,18 +449,18 @@ void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
         unsigned Param = static_cast<unsigned>(I) + 1;
         if (Param < Summary->ReturnAliasesParamPointee.size() &&
             Summary->ReturnAliasesParamPointee[Param])
-          operandPointees(State, T.Args[I], DestPts);
+          operandPointees(St, T.Args[I], DestPts);
       }
     } else {
       // Opaque call: the result may alias any pointer argument or be fresh.
       for (const Operand &Op : T.Args)
-        operandPointees(State, Op, DestPts);
+        operandPointees(St, Op, DestPts);
     }
     ObjId H = Objects.heapObject(B);
     if (H != ~0u) {
-      DestPts.set(H);
-      State.reset(UninitBase + H);
-      State.reset(DroppedBase + H);
+      setObj(DestPts, H);
+      State.reset(rowBit(UninitRow, H));
+      State.reset(rowBit(DroppedRow, H));
     }
     break;
   }
@@ -479,31 +468,32 @@ void MemoryAnalysis::transferEdge(const Terminator &T, BlockId Succ,
     break;
   }
 
-  setPtsFromObjSet(State, D, DestPts, /*Additive=*/false);
-  State.reset(UninitBase + DO);
-  State.reset(DroppedBase + DO);
+  setPtsFromScratch(St, D, /*Additive=*/false);
+  State.reset(rowBit(UninitRow, DO));
+  State.reset(rowBit(DroppedRow, DO));
 }
 
 std::vector<StatePoint> MemoryAnalysis::transitionSites(ObjEvent Event,
                                                         ObjId O) const {
-  size_t Bit;
+  size_t Row = DeadRow;
   switch (Event) {
   case ObjEvent::StorageDead:
-    Bit = DeadBase + O;
+    Row = DeadRow;
     break;
   case ObjEvent::Dropped:
-    Bit = DroppedBase + O;
+    Row = DroppedRow;
     break;
   case ObjEvent::Uninit:
-    Bit = UninitBase + O;
+    Row = UninitRow;
     break;
   case ObjEvent::HeldShared:
-    Bit = HeldShBase + O;
+    Row = HeldShRow;
     break;
   case ObjEvent::HeldExclusive:
-    Bit = HeldExBase + O;
+    Row = HeldExRow;
     break;
   }
+  size_t Bit = rowBit(Row, O);
 
   std::vector<StatePoint> Out;
   const mir::Function &F = G.function();
@@ -527,7 +517,7 @@ std::vector<StatePoint> MemoryAnalysis::transitionSites(ObjEvent Event,
     // The bit may flip on an outgoing edge (drops and lock acquisitions
     // live on call/drop terminators); report that once, at the terminator.
     for (mir::BlockId Succ : G.successors(B)) {
-      Edge = C.state();
+      Edge.assign(C.state());
       transferEdge(F.Blocks[B].Term, Succ, Edge);
       if (Edge.test(Bit)) {
         Out.push_back({B, F.Blocks[B].Statements.size(), F.Blocks[B].Term.Loc});

@@ -22,6 +22,19 @@
 /// or StorageDead ... for each pointer/reference, a points-to analysis
 /// maintains which variable it points to, including ownership moves."
 ///
+/// State layout: a state is a matrix of rows, each an object set with a
+/// stride of 64 * ceil(NumObjects / 64) bits, so every row starts on a word
+/// boundary. Row L (for each local L) is L's points-to set; the next five
+/// rows are the storage-dead, dropped, uninit, held-shared and
+/// held-exclusive sets; the last row is the transfer functions' scratch
+/// object set, all-zero between transfers. Clearing a points-to set,
+/// copying one set into another, releasing every lock a guard points to and
+/// dropping every pointee are therefore word loops over one or two rows,
+/// and a transfer allocates nothing: the object sets it builds live in the
+/// state's own scratch row. Query helpers that hand an object set to a
+/// caller fill a caller-owned BitVec of numObjects() bits (inline, so
+/// allocation-free, up to 64 objects).
+///
 /// Per-call-site facts that are invariant across the fixpoint — the callee's
 /// intrinsic classification and its interprocedural summary — are resolved
 /// once per block at construction, so the edge transfer (the hottest loop in
@@ -39,7 +52,7 @@
 #include "analysis/Summaries.h"
 #include "mir/Intrinsics.h"
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 namespace rs::analysis {
@@ -73,6 +86,9 @@ public:
   /// (dataflowConverged() == false, states under-approximate).
   MemoryAnalysis(const Cfg &G, const mir::Module &M,
                  const SummaryMap *Summaries = nullptr, Budget *Bgt = nullptr);
+  /// The solver keeps a reference to this analysis as its transfer.
+  MemoryAnalysis(const MemoryAnalysis &) = delete;
+  MemoryAnalysis &operator=(const MemoryAnalysis &) = delete;
 
   /// False when a budget stopped the fixpoint early (degraded results).
   bool dataflowConverged() const { return DF->converged(); }
@@ -91,50 +107,61 @@ public:
   /// table's *current* entry, so it stays correct while the interprocedural
   /// fixpoint refines summaries in place.
   const FunctionSummary *calleeSummary(mir::BlockId B) const {
-    return BlockSummary[B];
+    return Calls[B].Summary;
   }
 
   /// The intrinsic classification of the callee block \p B's terminator
   /// calls (IntrinsicKind::None for non-call terminators and for calls to
   /// non-intrinsics), resolved once at construction.
-  mir::IntrinsicKind calleeKind(mir::BlockId B) const { return BlockKind[B]; }
+  mir::IntrinsicKind calleeKind(mir::BlockId B) const { return Calls[B].Kind; }
 
-  // --- State queries (operate on a state BitVec from the dataflow) --------
+  // --- State queries (operate on a state from the dataflow) ---------------
 
-  bool pointsTo(const BitVec &State, mir::LocalId L, ObjId O) const {
+  bool pointsTo(BitSpan State, mir::LocalId L, ObjId O) const {
     return State.test(ptsBit(L, O));
   }
-  /// Appends every object \p L may point to.
-  void pointees(const BitVec &State, mir::LocalId L,
-                std::vector<ObjId> &Out) const;
-  bool mayBeStorageDead(const BitVec &State, ObjId O) const {
-    return State.test(DeadBase + O);
+  /// Calls \p F with every object \p L may point to, in increasing order.
+  template <typename Fn>
+  void forEachPointee(BitSpan State, mir::LocalId L, Fn F) const {
+    words::forEach(row(State.words(), L), RowWords,
+                   [&](size_t O) { F(static_cast<ObjId>(O)); });
   }
-  bool mayBeDropped(const BitVec &State, ObjId O) const {
-    return State.test(DroppedBase + O);
+  bool mayBeStorageDead(BitSpan State, ObjId O) const {
+    return State.test(rowBit(DeadRow, O));
   }
-  bool mayBeUninit(const BitVec &State, ObjId O) const {
-    return State.test(UninitBase + O);
+  bool mayBeDropped(BitSpan State, ObjId O) const {
+    return State.test(rowBit(DroppedRow, O));
   }
-  bool mayBeHeld(const BitVec &State, ObjId O, bool Exclusive) const {
-    return State.test((Exclusive ? HeldExBase : HeldShBase) + O);
+  bool mayBeUninit(BitSpan State, ObjId O) const {
+    return State.test(rowBit(UninitRow, O));
+  }
+  bool mayBeHeld(BitSpan State, ObjId O, bool Exclusive) const {
+    return State.test(rowBit(Exclusive ? HeldExRow : HeldShRow, O));
+  }
+  /// True if any exclusive lock may be held in \p State.
+  bool anyHeldExclusive(BitSpan State) const {
+    return words::any(row(State.words(), HeldExRow), RowWords);
   }
 
-  /// The objects a lock-acquisition call on \p LockArg locks: the pointees
-  /// of the argument if it is a pointer, otherwise the argument's own
-  /// object (a Mutex/Arc<Mutex> held by value).
-  void lockRoots(const BitVec &State, const mir::Operand &LockArg,
-                 std::vector<ObjId> &Out) const;
+  /// An empty object set (numObjects() bits) for the queries below.
+  BitVec objectSet() const { return BitVec(NumObjects); }
 
-  /// The objects the value stored at \p P may point to (e.g. the operand
-  /// pointees of "copy P").
-  void placeValuePointees(const BitVec &State, const mir::Place &P,
+  /// Adds to the empty set \p Out the objects a lock-acquisition call on
+  /// \p LockArg locks: the pointees of the argument if it is a pointer,
+  /// otherwise the argument's own object (a Mutex/Arc<Mutex> held by
+  /// value).
+  void lockRoots(BitSpan State, const mir::Operand &LockArg,
+                 BitVec &Out) const;
+
+  /// Adds to \p Out the objects the value stored at \p P may point to (e.g.
+  /// the operand pointees of "copy P").
+  void placeValuePointees(BitSpan State, const mir::Place &P,
                           BitVec &Out) const;
 
-  /// The objects the memory designated by \p P belongs to: the base local's
-  /// object for direct places, the base pointer's pointees when the place
-  /// dereferences.
-  void placeTargetObjects(const BitVec &State, const mir::Place &P,
+  /// Adds to \p Out the objects the memory designated by \p P belongs to:
+  /// the base local's object for direct places, the base pointer's pointees
+  /// when the place dereferences.
+  void placeTargetObjects(BitSpan State, const mir::Place &P,
                           BitVec &Out) const;
 
   /// Walks one block; detectors use this to inspect the state immediately
@@ -159,32 +186,44 @@ public:
 
   // --- ForwardTransfer implementation -------------------------------------
   BitVec initialState() const override;
-  void transferStatement(const mir::Statement &S, BitVec &State) const override;
+  void transferStatement(const mir::Statement &S, BitRef State) const override;
   void transferEdge(const mir::Terminator &T, mir::BlockId Succ,
-                    BitVec &State) const override;
+                    BitRef State) const override;
 
 private:
-  size_t ptsBit(mir::LocalId L, ObjId O) const {
-    return static_cast<size_t>(L) * NumObjects + O;
+  /// Row R of the state whose words start at \p St.
+  uint64_t *row(uint64_t *St, size_t R) const { return St + R * RowWords; }
+  const uint64_t *row(const uint64_t *St, size_t R) const {
+    return St + R * RowWords;
   }
-  size_t numBits() const {
-    return static_cast<size_t>(NumLocals) * NumObjects + 5 * NumObjects;
-  }
+  size_t rowBit(size_t R, ObjId O) const { return R * RowWords * 64 + O; }
+  size_t ptsBit(mir::LocalId L, ObjId O) const { return rowBit(L, O); }
 
-  void clearPts(BitVec &State, mir::LocalId L) const;
-  void setPtsFromObjSet(BitVec &State, mir::LocalId L, const BitVec &Objs,
-                        bool Additive) const;
-  void operandPointees(const BitVec &State, const mir::Operand &O,
-                       BitVec &Out) const;
-  void rvaluePointees(const BitVec &State, const mir::Rvalue &RV,
-                      BitVec &Out) const;
+  // The object-set helpers below work on raw rows: \p St is a state's
+  // words and \p Out an object set of RowWords words (a BitVec of
+  // numObjects() bits, or the state's scratch row).
+  void placeValuePointeesInto(const uint64_t *St, const mir::Place &P,
+                              uint64_t *Out) const;
+  void operandPointees(const uint64_t *St, const mir::Operand &O,
+                       uint64_t *Out) const;
+  void rvaluePointees(const uint64_t *St, const mir::Rvalue &RV,
+                      uint64_t *Out) const;
+  void lockRootsInto(const uint64_t *St, const mir::Operand &LockArg,
+                     uint64_t *Out) const;
+  /// Marks every pointee of \p P's base local dropped, the unknown object
+  /// excepted: a free of what the value at P (or the place *P) points to.
+  void dropPointees(uint64_t *St, const mir::Place &P) const;
+  /// Clears the held bits of every lock guard local \p L points to.
+  void releaseGuard(uint64_t *St, mir::LocalId L) const;
+  /// Replaces (or, with \p Additive, extends) \p L's points-to row with the
+  /// scratch row, then clears the scratch row.
+  void setPtsFromScratch(uint64_t *St, mir::LocalId L, bool Additive) const;
   /// True if dropping a value of type \p Ty destroys the objects it points
   /// to (Box and structs declared ": Drop").
   bool typeOwnsPointees(const mir::Type *Ty) const;
-  void markDropped(BitVec &State, ObjId O) const;
-  void applyMoveOperands(const mir::OperandList &Ops,
-                         BitVec &State) const;
-  void dropPlace(const mir::Place &P, BitVec &State) const;
+  void markDropped(BitRef State, ObjId O) const;
+  void applyMoveOperands(const mir::OperandList &Ops, BitRef State) const;
+  void dropPlace(const mir::Place &P, BitRef State) const;
   void computeGuardLocals();
   void resolveCallSites(const SummaryMap *Summaries);
 
@@ -206,12 +245,17 @@ private:
   ObjectTable Objects;
   unsigned NumLocals;
   unsigned NumObjects;
-  size_t DeadBase, DroppedBase, UninitBase, HeldShBase, HeldExBase;
+  size_t RowWords; ///< Words per row: ceil(NumObjects / 64).
+  /// The rows after the NumLocals points-to rows.
+  size_t DeadRow, DroppedRow, UninitRow, HeldShRow, HeldExRow, ScratchRow;
   /// Per-block callee classification/summary, resolved at construction.
-  std::vector<mir::IntrinsicKind> BlockKind;
-  std::vector<const FunctionSummary *> BlockSummary;
+  struct CallSite {
+    mir::IntrinsicKind Kind = mir::IntrinsicKind::None;
+    const FunctionSummary *Summary = nullptr;
+  };
+  std::vector<CallSite> Calls;
   BitVec GuardLocals; ///< One bit per local.
-  std::unique_ptr<ForwardDataflow> DF;
+  std::optional<ForwardDataflow> DF;
 };
 
 } // namespace rs::analysis

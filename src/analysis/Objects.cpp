@@ -18,55 +18,58 @@ bool rs::analysis::callMayAllocate(const Terminator &T) {
 }
 
 ObjectTable::ObjectTable(const Function &F) : Fn(F) {
+  unsigned NumArgs = F.NumArgs;
   Count = 1 + F.numLocals(); // Unknown + one object per local.
+  FirstPointee = Count;
 
-  ParamPointeeIds.assign(F.numLocals(), None);
-  for (LocalId P = 1; P <= F.NumArgs; ++P) {
+  // Sized for the most objects there can be, so the table never grows.
+  size_t HeapAt = size_t(NumArgs) + 1;
+  OwnersAt = HeapAt + F.numBlocks();
+  Table.assign(OwnersAt + NumArgs + F.numBlocks(), None);
+  for (LocalId P = 1; P <= NumArgs; ++P) {
     if (!F.localType(P)->isAnyPtr())
       continue;
-    ParamPointeeIds[P] = Count;
-    PointeeOwner[Count] = P;
+    Table[P] = Count;
+    Table[OwnersAt + (Count - FirstPointee)] = P;
     ++Count;
   }
 
-  HeapIds.assign(F.numBlocks(), None);
+  FirstHeap = Count;
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
     if (!callMayAllocate(F.Blocks[B].Term))
       continue;
-    HeapIds[B] = Count;
-    HeapBlock[Count] = B;
+    Table[HeapAt + B] = Count;
+    Table[OwnersAt + (Count - FirstPointee)] = B;
     ++Count;
   }
 }
 
 bool ObjectTable::isLocalObject(ObjId O, LocalId &L) const {
-  if (O < 1 || O >= 1 + Fn.numLocals())
+  if (O < 1 || O >= FirstPointee)
     return false;
   L = O - 1;
   return true;
 }
 
 ObjId ObjectTable::paramPointee(LocalId Param) const {
-  return Param < ParamPointeeIds.size() ? ParamPointeeIds[Param] : None;
+  return Param <= Fn.NumArgs ? Table[Param] : None;
 }
 
 bool ObjectTable::isParamPointee(ObjId O, LocalId &Param) const {
-  auto It = PointeeOwner.find(O);
-  if (It == PointeeOwner.end())
+  if (O < FirstPointee || O >= FirstHeap)
     return false;
-  Param = It->second;
+  Param = Table[OwnersAt + (O - FirstPointee)];
   return true;
 }
 
 ObjId ObjectTable::heapObject(BlockId B) const {
-  return B < HeapIds.size() ? HeapIds[B] : None;
+  return B < Fn.numBlocks() ? Table[Fn.NumArgs + 1 + B] : None;
 }
 
 bool ObjectTable::isHeapObject(ObjId O, BlockId &AllocBlock) const {
-  auto It = HeapBlock.find(O);
-  if (It == HeapBlock.end())
+  if (O < FirstHeap || O >= Count)
     return false;
-  AllocBlock = It->second;
+  AllocBlock = Table[OwnersAt + (O - FirstPointee)];
   return true;
 }
 

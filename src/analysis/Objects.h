@@ -14,6 +14,10 @@
 ///   - one object per pointer-typed parameter's pointee,
 ///   - one object per call site that may return a fresh heap allocation.
 ///
+/// Ids are dense in that order, so the kind of an object is a range test;
+/// the table is one vector holding both directions of the parameter and
+/// call-site mappings.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RUSTSIGHT_ANALYSIS_OBJECTS_H
@@ -22,7 +26,6 @@
 #include "mir/Intrinsics.h"
 #include "mir/Mir.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -70,10 +73,13 @@ private:
 
   const mir::Function &Fn;
   unsigned Count = 0;
-  std::vector<ObjId> ParamPointeeIds;        ///< Indexed by param local id.
-  std::vector<ObjId> HeapIds;                ///< Indexed by block id.
-  std::map<ObjId, mir::LocalId> PointeeOwner; ///< Reverse of ParamPointeeIds.
-  std::map<ObjId, mir::BlockId> HeapBlock;   ///< Reverse of HeapIds.
+  /// First parameter-pointee object; the heap objects start at FirstHeap.
+  ObjId FirstPointee = 0, FirstHeap = 0;
+  /// [0, NumArgs]: pointee object by parameter id (None if it has none);
+  /// then one heap object (or None) per block; then, from OwnersAt, the
+  /// parameter or block owning each object from FirstPointee on.
+  std::vector<uint32_t> Table;
+  size_t OwnersAt = 0;
 };
 
 /// True if a call returning into a destination may produce a fresh heap

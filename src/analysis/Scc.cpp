@@ -14,6 +14,9 @@ SccGraph::SccGraph(uint32_t NumNodes,
   constexpr uint32_t Undef = ~uint32_t(0);
 
   CompOf.assign(NumNodes, Undef);
+  Members.reserve(NumNodes);
+  CompStart.reserve(size_t(NumNodes) + 1);
+  CompStart.push_back(0);
   std::vector<uint32_t> Index(NumNodes, Undef);
   std::vector<uint32_t> LowLink(NumNodes, 0);
   std::vector<bool> OnStack(NumNodes, false);
@@ -53,24 +56,26 @@ SccGraph::SccGraph(uint32_t NumNodes,
         continue;
       // V is finished: fold its lowlink into the parent, emit if root.
       if (LowLink[V] == Index[V]) {
-        uint32_t C = static_cast<uint32_t>(Comps.size());
-        Comps.emplace_back();
+        uint32_t C = numComponents();
+        size_t Begin = Members.size();
         uint32_t W;
         do {
           W = Stack.back();
           Stack.pop_back();
           OnStack[W] = false;
           CompOf[W] = C;
-          Comps.back().push_back(W);
+          Members.push_back(W);
         } while (W != V);
-        std::sort(Comps.back().begin(), Comps.back().end());
+        std::sort(Members.begin() + Begin, Members.end());
+        size_t Size = Members.size() - Begin;
+        CompStart.push_back(static_cast<uint32_t>(Members.size()));
         bool SelfLoop = false;
-        if (Comps.back().size() == 1) {
-          uint32_t N = Comps.back().front();
+        if (Size == 1) {
+          uint32_t N = Members.back();
           SelfLoop = std::find(Succs[N].begin(), Succs[N].end(), N) !=
                      Succs[N].end();
         }
-        Recursive.push_back(Comps.back().size() > 1 || SelfLoop);
+        Recursive.push_back(Size > 1 || SelfLoop);
       }
       Dfs.pop_back();
       if (!Dfs.empty()) {

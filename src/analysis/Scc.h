@@ -22,6 +22,7 @@
 #define RUSTSIGHT_ANALYSIS_SCC_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace rs::analysis {
@@ -41,13 +42,15 @@ public:
   SccGraph(uint32_t NumNodes, const std::vector<std::vector<uint32_t>> &Succs);
 
   uint32_t numComponents() const {
-    return static_cast<uint32_t>(Comps.size());
+    return static_cast<uint32_t>(Recursive.size());
   }
 
   uint32_t componentOf(uint32_t Node) const { return CompOf[Node]; }
 
   /// Member nodes of component \p C, in ascending node id order.
-  const std::vector<uint32_t> &members(uint32_t C) const { return Comps[C]; }
+  std::span<const uint32_t> members(uint32_t C) const {
+    return {Members.data() + CompStart[C], Members.data() + CompStart[C + 1]};
+  }
 
   /// True when the component contains a cycle: more than one member, or a
   /// single member with a self edge. Recursive components need fixpoint
@@ -56,7 +59,10 @@ public:
 
 private:
   std::vector<uint32_t> CompOf;
-  std::vector<std::vector<uint32_t>> Comps;
+  /// Every node, grouped by component in component order (CSR: component
+  /// C's members are Members[CompStart[C], CompStart[C + 1])).
+  std::vector<uint32_t> Members;
+  std::vector<uint32_t> CompStart;
   std::vector<bool> Recursive;
 };
 

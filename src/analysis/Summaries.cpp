@@ -20,23 +20,33 @@ ModuleAnalysisCache::~ModuleAnalysisCache() = default;
 
 namespace {
 
-/// Computes one function's summary from its (already solved) memory
-/// analysis and the current summaries of its callees. Reads only each
-/// block's state before the terminator, which the solver keeps, so it
-/// applies no transfer; callee kinds and summaries come pre-resolved per
-/// block from \p MA.
-FunctionSummary summarizeFromAnalysis(const Function &F, const Cfg &G,
-                                      const MemoryAnalysis &MA) {
+/// Computes one function's summary into \p S from its (already solved)
+/// memory analysis and the current summaries of its callees. \p S is
+/// caller-owned scratch, reset here, so its vectors are reused across
+/// calls. Reads only each block's state before the terminator, which the
+/// solver keeps, so it applies no transfer; callee kinds and summaries come
+/// pre-resolved per block from \p MA.
+void summarizeFromAnalysis(const Function &F, const Cfg &G,
+                           const MemoryAnalysis &MA, FunctionSummary &S) {
   const ObjectTable &Objects = MA.objects();
-  FunctionSummary S(F.NumArgs);
-  ForwardCursor C = MA.cursor();
+  S.DropsParamPointee.assign(F.NumArgs + 1, false);
+  S.ReturnAliasesParamPointee.assign(F.NumArgs + 1, false);
+  S.AcquiresLockOnParam.assign(F.NumArgs + 1, LM_None);
+  BitVec Roots = MA.objectSet();
+  auto AddLockRoots = [&](BitSpan AtTerm, const Operand &Arg, uint8_t Mode) {
+    Roots.clear();
+    MA.lockRoots(AtTerm, Arg, Roots);
+    Roots.forEach([&](size_t R) {
+      if (LocalId P = paramRootOfObject(F, Objects, static_cast<ObjId>(R)))
+        S.AcquiresLockOnParam[P] |= Mode;
+    });
+  };
 
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
     if (!G.isReachable(B))
       continue;
     const BasicBlock &BB = F.Blocks[B];
-    C.seek(B);
-    const BitVec &AtTerm = C.stateAtTerminator();
+    BitSpan AtTerm = MA.dataflow().blockExit(B);
 
     // Effects visible at function exit.
     if (BB.Term.K == Terminator::Kind::Return) {
@@ -59,12 +69,8 @@ FunctionSummary summarizeFromAnalysis(const Function &F, const Cfg &G,
     if (isLockAcquire(Kind)) {
       if (BB.Term.Args.empty())
         continue;
-      std::vector<ObjId> Roots;
-      MA.lockRoots(AtTerm, BB.Term.Args[0], Roots);
-      uint8_t Mode = isExclusiveAcquire(Kind) ? LM_Exclusive : LM_Shared;
-      for (ObjId R : Roots)
-        if (LocalId P = paramRootOfObject(F, Objects, R))
-          S.AcquiresLockOnParam[P] |= Mode;
+      AddLockRoots(AtTerm, BB.Term.Args[0],
+                   isExclusiveAcquire(Kind) ? LM_Exclusive : LM_Shared);
       continue;
     }
     if (Kind != IntrinsicKind::None)
@@ -79,14 +85,9 @@ FunctionSummary summarizeFromAnalysis(const Function &F, const Cfg &G,
       uint8_t Mode = Callee->AcquiresLockOnParam[Param];
       if (Mode == LM_None || !BB.Term.Args[I].isPlace())
         continue;
-      std::vector<ObjId> Roots;
-      MA.lockRoots(AtTerm, BB.Term.Args[I], Roots);
-      for (ObjId R : Roots)
-        if (LocalId P = paramRootOfObject(F, Objects, R))
-          S.AcquiresLockOnParam[P] |= Mode;
+      AddLockRoots(AtTerm, BB.Term.Args[I], Mode);
     }
   }
-  return S;
 }
 
 /// Unions \p New into \p Acc; returns true if \p Acc grew. Vector sizes are
@@ -173,12 +174,14 @@ SummaryMap rs::analysis::computeSummaries(const Module &M, unsigned MaxRounds,
     return *Cache.Memory[F];
   };
 
-  // Returns true if F's summary grew.
+  // Returns true if F's summary grew. New is the scratch summary every
+  // summarization reuses.
+  FunctionSummary New;
   auto summarize = [&](FuncId F) -> bool {
     ++S.Summarizations;
     const Function &Fn = M.functions()[F];
     const MemoryAnalysis &MA = ensureAnalysis(F);
-    FunctionSummary New = summarizeFromAnalysis(Fn, *Cache.Cfgs[F], MA);
+    summarizeFromAnalysis(Fn, *Cache.Cfgs[F], MA, New);
     if (!mergeSummary(Table.byId(F), New))
       return false;
     LastChanged[F] = ++Epoch;
@@ -190,7 +193,7 @@ SummaryMap rs::analysis::computeSummaries(const Module &M, unsigned MaxRounds,
   std::vector<FuncId> Queue;
 
   for (uint32_t C = 0; C != Sccs.numComponents() && !OutOfBudget; ++C) {
-    const std::vector<uint32_t> &Members = Sccs.members(C);
+    std::span<const uint32_t> Members = Sccs.members(C);
     if (!Sccs.isRecursive(C)) {
       // Every callee's summary is already final: one pass suffices.
       if (Bgt && !Bgt->consume()) {
@@ -304,12 +307,13 @@ FunctionSummary referenceSummarize(const Function &F, const Module &M,
     if (isLockAcquire(Kind)) {
       if (BB.Term.Args.empty())
         continue;
-      std::vector<ObjId> Roots;
+      BitVec Roots = MA.objectSet();
       MA.lockRoots(AtTerm, BB.Term.Args[0], Roots);
       uint8_t Mode = isExclusiveAcquire(Kind) ? LM_Exclusive : LM_Shared;
-      for (ObjId R : Roots)
-        if (LocalId P = paramRootOfObject(F, Objects, R))
+      Roots.forEach([&](size_t R) {
+        if (LocalId P = paramRootOfObject(F, Objects, static_cast<ObjId>(R)))
           S.AcquiresLockOnParam[P] |= Mode;
+      });
       continue;
     }
     if (Kind != IntrinsicKind::None)
@@ -324,11 +328,12 @@ FunctionSummary referenceSummarize(const Function &F, const Module &M,
       uint8_t Mode = Callee->AcquiresLockOnParam[Param];
       if (Mode == LM_None || !BB.Term.Args[I].isPlace())
         continue;
-      std::vector<ObjId> Roots;
+      BitVec Roots = MA.objectSet();
       MA.lockRoots(AtTerm, BB.Term.Args[I], Roots);
-      for (ObjId R : Roots)
-        if (LocalId P = paramRootOfObject(F, Objects, R))
+      Roots.forEach([&](size_t R) {
+        if (LocalId P = paramRootOfObject(F, Objects, static_cast<ObjId>(R)))
           S.AcquiresLockOnParam[P] |= Mode;
+      });
     }
   }
   return S;

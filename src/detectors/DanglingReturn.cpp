@@ -15,26 +15,23 @@ using namespace rs::mir;
 
 void DanglingReturnDetector::run(AnalysisContext &Ctx,
                                  DiagnosticEngine &Diags) {
-  for (const auto &F : Ctx.module().functions()) {
-    const Cfg &G = Ctx.cfg(F);
-    const MemoryAnalysis &MA = Ctx.memory(F);
+  const Module &M = Ctx.module();
+  for (FuncId Id = 0; Id != M.numFunctions(); ++Id) {
+    const Function &F = M.func(Id);
+    const Cfg &G = Ctx.cfg(Id);
+    const MemoryAnalysis &MA = Ctx.memory(Id);
     const ObjectTable &Objects = MA.objects();
-    MemoryAnalysis::Cursor C = MA.cursor();
-    std::vector<ObjId> Pointees;
 
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       if (!G.isReachable(B) ||
           F.Blocks[B].Term.K != Terminator::Kind::Return)
         continue;
       size_t AtTerm = F.Blocks[B].Statements.size();
-      C.seek(B);
-      const BitVec &State = C.stateAtTerminator();
-      Pointees.clear();
-      MA.pointees(State, F.returnLocal(), Pointees);
-      for (ObjId O : Pointees) {
+      BitSpan State = MA.dataflow().blockExit(B);
+      MA.forEachPointee(State, F.returnLocal(), [&](ObjId O) {
         LocalId L = 0;
         if (!Objects.isLocalObject(O, L))
-          continue; // Heap and parameter pointees outlive the call.
+          return; // Heap and parameter pointees outlive the call.
         Diagnostic D(BugKind::DanglingReturn);
         D.Function = F.Name;
         D.Block = B;
@@ -66,7 +63,7 @@ void DanglingReturnDetector::run(AnalysisContext &Ctx,
                             "'s frame storage is gone once this return "
                             "executes");
         Diags.report(std::move(D));
-      }
+      });
     }
   }
 }

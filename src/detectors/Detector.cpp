@@ -28,19 +28,25 @@ AnalysisContext::AnalysisContext(const Module &M, const AnalysisLimits &Limits)
   }
 }
 
-AnalysisContext::PerFunction &AnalysisContext::entry(const Function &F) {
+rs::mir::FuncId AnalysisContext::idOf(const Function &F) const {
   analysis::FuncId Id = CG.idOf(F.Name);
-  assert(Id != analysis::InvalidFuncId && "function from a different module");
+  assert(Id != analysis::InvalidFuncId && &M.func(Id) == &F &&
+         "function from a different module");
+  return Id;
+}
+
+AnalysisContext::PerFunction &AnalysisContext::entry(rs::mir::FuncId Id) {
+  assert(Id < Cache.size() && "function ordinal out of range");
   PerFunction &E = Cache[Id];
   if (!E.G)
-    E.G = std::make_unique<Cfg>(F, /*PruneConstantBranches=*/true);
+    E.G = std::make_unique<Cfg>(M.func(Id), /*PruneConstantBranches=*/true);
   return E;
 }
 
-const Cfg &AnalysisContext::cfg(const Function &F) { return *entry(F).G; }
+const Cfg &AnalysisContext::cfg(rs::mir::FuncId Id) { return *entry(Id).G; }
 
-const MemoryAnalysis &AnalysisContext::memory(const Function &F) {
-  PerFunction &E = entry(F);
+const MemoryAnalysis &AnalysisContext::memory(rs::mir::FuncId Id) {
+  PerFunction &E = entry(Id);
   if (!E.MA) {
     Budget *Bgt = nullptr;
     if (Limits.MaxDataflowSteps != 0 || Limits.ContextBudget) {

@@ -64,12 +64,21 @@ public:
   const analysis::SummaryMap &summaries() const { return Summaries; }
   const analysis::CallGraph &callGraph() const { return CG; }
 
-  /// The (cached) CFG of \p F.
-  const analysis::Cfg &cfg(const mir::Function &F);
+  /// The (cached) CFG of the module's function with ordinal \p Id (its
+  /// position in Module::functions()).
+  const analysis::Cfg &cfg(mir::FuncId Id);
 
-  /// The (cached) memory analysis of \p F, computed with summaries. Under a
-  /// budget the result may be degraded; see memoryDegraded().
-  const analysis::MemoryAnalysis &memory(const mir::Function &F);
+  /// The (cached) memory analysis of function \p Id, computed with
+  /// summaries. Under a budget the result may be degraded; see
+  /// memoryDegraded().
+  const analysis::MemoryAnalysis &memory(mir::FuncId Id);
+
+  /// By-function forms of the above, for callers that hold a Function of
+  /// this module rather than its ordinal (a by-name lookup).
+  const analysis::Cfg &cfg(const mir::Function &F) { return cfg(idOf(F)); }
+  const analysis::MemoryAnalysis &memory(const mir::Function &F) {
+    return memory(idOf(F));
+  }
 
   // --- Degradation ladder introspection -----------------------------------
 
@@ -115,7 +124,8 @@ private:
   /// against the final summaries.
   std::vector<PerFunction> Cache;
 
-  PerFunction &entry(const mir::Function &F);
+  PerFunction &entry(mir::FuncId Id);
+  mir::FuncId idOf(const mir::Function &F) const;
 };
 
 /// Builds a labeled secondary span from an analysis program point.

@@ -24,7 +24,7 @@ namespace {
 /// Marks everywhere the still-held guard may have been acquired — the
 /// second program point of the paper's Figure 8 pattern.
 void addFirstAcquisitionSpans(Diagnostic &D, const MemoryAnalysis &MA,
-                              const BitVec &State, ObjId O,
+                              BitSpan State, ObjId O,
                               const std::string &LockName) {
   if (MA.mayBeHeld(State, O, /*Exclusive=*/true))
     addSpans(D, MA.transitionSites(ObjEvent::HeldExclusive, O),
@@ -43,7 +43,7 @@ void addFirstAcquisitionSpans(Diagnostic &D, const MemoryAnalysis &MA,
 void reportDoubleLock(const Function &F, BlockId B, size_t StmtIndex,
                       SourceLocation Loc, const std::string &LockName,
                       bool ViaCallee, const std::string &Callee,
-                      const MemoryAnalysis &MA, const BitVec &State, ObjId O,
+                      const MemoryAnalysis &MA, BitSpan State, ObjId O,
                       DiagnosticEngine &Diags,
                       const ExternalFunctionInfo *ExtCallee = nullptr,
                       unsigned ExtParam = 0) {
@@ -86,11 +86,13 @@ bool conflicts(uint8_t Mode, bool HeldShared, bool HeldExclusive) {
 void DoubleLockDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
   const SummaryMap &Summaries = Ctx.summaries();
 
-  for (const Function &F : Ctx.module().functions()) {
-    const Cfg &G = Ctx.cfg(F);
-    const MemoryAnalysis &MA = Ctx.memory(F);
+  const Module &M = Ctx.module();
+  for (FuncId Id = 0; Id != M.numFunctions(); ++Id) {
+    const Function &F = M.func(Id);
+    const Cfg &G = Ctx.cfg(Id);
+    const MemoryAnalysis &MA = Ctx.memory(Id);
     const ObjectTable &Objects = MA.objects();
-    MemoryAnalysis::Cursor C = MA.cursor();
+    BitVec Roots = MA.objectSet();
 
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       if (!G.isReachable(B))
@@ -106,19 +108,19 @@ void DoubleLockDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       if (isLockAcquire(Kind) || isBorrowAcquire(Kind)) {
         if (T.Args.empty())
           continue;
-        C.seek(B);
-        const BitVec &State = C.stateAtTerminator();
-        std::vector<ObjId> Roots;
+        BitSpan State = MA.dataflow().blockExit(B);
+        Roots.clear();
         MA.lockRoots(State, T.Args[0], Roots);
         bool Exclusive = isExclusiveAcquire(Kind) ||
                          Kind == IntrinsicKind::RefCellBorrowMut;
         uint8_t Mode = Exclusive ? LM_Exclusive : LM_Shared;
-        for (ObjId O : Roots) {
+        Roots.forEach([&](size_t Obj) {
+          ObjId O = static_cast<ObjId>(Obj);
           if (O == Objects.unknown())
-            continue;
+            return;
           if (!conflicts(Mode, MA.mayBeHeld(State, O, false),
                          MA.mayBeHeld(State, O, true)))
-            continue;
+            return;
           if (isBorrowAcquire(Kind)) {
             Diagnostic D(BugKind::BorrowConflict);
             D.Function = F.Name;
@@ -136,7 +138,7 @@ void DoubleLockDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
                              /*ViaCallee=*/false, T.Callee, MA, State, O,
                              Diags);
           }
-        }
+        });
         continue;
       }
 
@@ -147,8 +149,7 @@ void DoubleLockDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       if (!Found)
         continue;
       const FunctionSummary &S = *Found;
-      C.seek(B);
-      const BitVec &State = C.stateAtTerminator();
+      BitSpan State = MA.dataflow().blockExit(B);
       for (size_t I = 0; I != T.Args.size(); ++I) {
         unsigned Param = static_cast<unsigned>(I) + 1;
         if (Param >= S.AcquiresLockOnParam.size())
@@ -156,17 +157,18 @@ void DoubleLockDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
         uint8_t Mode = S.AcquiresLockOnParam[Param];
         if (Mode == LM_None || !T.Args[I].isPlace())
           continue;
-        std::vector<ObjId> Roots;
+        Roots.clear();
         MA.lockRoots(State, T.Args[I], Roots);
-        for (ObjId O : Roots) {
+        Roots.forEach([&](size_t Obj) {
+          ObjId O = static_cast<ObjId>(Obj);
           if (O == Objects.unknown())
-            continue;
+            return;
           if (conflicts(Mode, MA.mayBeHeld(State, O, false),
                         MA.mayBeHeld(State, O, true)))
             reportDoubleLock(F, B, AtTerm, T.Loc, Objects.name(O),
                              /*ViaCallee=*/true, T.Callee, MA, State, O,
                              Diags, Ctx.externalInfo(T.Callee), Param);
-        }
+        });
       }
     }
   }

@@ -35,26 +35,18 @@ bool isSyncSelfMethod(const Function &F, const Module &M,
   return true;
 }
 
-/// True if any exclusive lock may be held in \p State — a coarse "the writer
-/// synchronized somehow" test that keeps lock-protected methods quiet.
-bool anyExclusiveLockHeld(const MemoryAnalysis &MA, const BitVec &State) {
-  for (ObjId O = 0; O != MA.objects().numObjects(); ++O)
-    if (MA.mayBeHeld(State, O, /*Exclusive=*/true))
-      return true;
-  return false;
-}
-
 } // namespace
 
 void InteriorMutabilityDetector::run(AnalysisContext &Ctx,
                                      DiagnosticEngine &Diags) {
   const Module &M = Ctx.module();
-  for (const auto &F : M.functions()) {
+  for (FuncId Id = 0; Id != M.numFunctions(); ++Id) {
+    const Function &F = M.func(Id);
     std::string AdtName;
     if (!isSyncSelfMethod(F, M, AdtName))
       continue;
-    const Cfg &G = Ctx.cfg(F);
-    const MemoryAnalysis &MA = Ctx.memory(F);
+    const Cfg &G = Ctx.cfg(Id);
+    const MemoryAnalysis &MA = Ctx.memory(Id);
     const ObjectTable &Objects = MA.objects();
     ObjId SelfObj = Objects.paramPointee(1);
     if (SelfObj == ~0u)
@@ -83,6 +75,7 @@ void InteriorMutabilityDetector::run(AnalysisContext &Ctx,
     };
 
     MemoryAnalysis::Cursor C = MA.cursor();
+    BitVec Targets = MA.objectSet();
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       if (!G.isReachable(B))
         continue;
@@ -90,10 +83,11 @@ void InteriorMutabilityDetector::run(AnalysisContext &Ctx,
       while (!C.atTerminator()) {
         const Statement &S = C.statement();
         if (S.K == Statement::Kind::Assign && S.Dest.hasDeref()) {
-          BitVec Targets(Objects.numObjects());
+          Targets.clear();
           MA.placeTargetObjects(C.state(), S.Dest, Targets);
-          if (Targets.test(SelfObj) &&
-              !anyExclusiveLockHeld(MA, C.state()))
+          // Any exclusive lock held is a coarse "the writer synchronized
+          // somehow" test that keeps lock-protected methods quiet.
+          if (Targets.test(SelfObj) && !MA.anyHeldExclusive(C.state()))
             Report(B, C.index(), S.Loc,
                    "through " + S.Dest.toString());
         }
@@ -103,9 +97,9 @@ void InteriorMutabilityDetector::run(AnalysisContext &Ctx,
       const Terminator &T = F.Blocks[B].Term;
       if (MA.calleeKind(B) == IntrinsicKind::PtrWrite && !T.Args.empty() &&
           T.Args[0].isPlace()) {
-        BitVec Targets(Objects.numObjects());
+        Targets.clear();
         MA.placeValuePointees(C.state(), T.Args[0].P, Targets);
-        if (Targets.test(SelfObj) && !anyExclusiveLockHeld(MA, C.state()))
+        if (Targets.test(SelfObj) && !MA.anyHeldExclusive(C.state()))
           Report(B, C.index(), T.Loc, "via ptr::write");
       }
     }

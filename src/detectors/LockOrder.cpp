@@ -13,7 +13,7 @@
 #include "mir/Intrinsics.h"
 
 #include <functional>
-#include <map>
+#include <optional>
 #include <set>
 #include <tuple>
 
@@ -57,13 +57,15 @@ void addExternalAcquireSpan(Diagnostic &D, const OrderEdge &E) {
 
 /// Collects the param-rooted lock-order edges of one function, including
 /// acquisitions that happen inside module-defined callees (via summaries).
-std::vector<OrderEdge> collectEdges(AnalysisContext &Ctx, const Function &F) {
+std::vector<OrderEdge> collectEdges(AnalysisContext &Ctx, FuncId Id) {
   std::vector<OrderEdge> Edges;
-  const Cfg &G = Ctx.cfg(F);
-  const MemoryAnalysis &MA = Ctx.memory(F);
+  const Function &F = Ctx.module().func(Id);
+  const Cfg &G = Ctx.cfg(Id);
+  const MemoryAnalysis &MA = Ctx.memory(Id);
   const ObjectTable &Objects = MA.objects();
+  BitVec Roots = MA.objectSet();
 
-  auto HeldParams = [&](const BitVec &State) {
+  auto HeldParams = [&](BitSpan State) {
     std::vector<unsigned> Out;
     for (LocalId P = 1; P <= F.NumArgs; ++P) {
       ObjId Pointee = Objects.paramPointee(P);
@@ -79,7 +81,6 @@ std::vector<OrderEdge> collectEdges(AnalysisContext &Ctx, const Function &F) {
     return Out;
   };
 
-  MemoryAnalysis::Cursor C = MA.cursor();
   for (BlockId B = 0; B != F.numBlocks(); ++B) {
     if (!G.isReachable(B))
       continue;
@@ -97,14 +98,14 @@ std::vector<OrderEdge> collectEdges(AnalysisContext &Ctx, const Function &F) {
       unsigned ExtParam;
     };
     std::vector<Acq> Acquired;
-    C.seek(B);
-    const BitVec &State = C.stateAtTerminator();
+    BitSpan State = MA.dataflow().blockExit(B);
     if (isLockAcquire(Kind) && !T.Args.empty()) {
-      std::vector<ObjId> Roots;
+      Roots.clear();
       MA.lockRoots(State, T.Args[0], Roots);
-      for (ObjId O : Roots)
-        if (LocalId P = paramRootOfObject(F, Objects, O))
+      Roots.forEach([&](size_t O) {
+        if (LocalId P = paramRootOfObject(F, Objects, static_cast<ObjId>(O)))
           Acquired.push_back({P, nullptr, 0});
+      });
     } else if (Kind == IntrinsicKind::None) {
       if (const FunctionSummary *S = Ctx.summaries().find(T.Callee)) {
         const ExternalFunctionInfo *Ext = Ctx.externalInfo(T.Callee);
@@ -115,11 +116,13 @@ std::vector<OrderEdge> collectEdges(AnalysisContext &Ctx, const Function &F) {
           if (S->AcquiresLockOnParam[Param] == LM_None ||
               !T.Args[I].isPlace())
             continue;
-          std::vector<ObjId> Roots;
+          Roots.clear();
           MA.lockRoots(State, T.Args[I], Roots);
-          for (ObjId O : Roots)
-            if (LocalId P = paramRootOfObject(F, Objects, O))
+          Roots.forEach([&](size_t O) {
+            if (LocalId P =
+                    paramRootOfObject(F, Objects, static_cast<ObjId>(O)))
               Acquired.push_back({P, Ext, Param});
+          });
         }
       }
     }
@@ -142,26 +145,25 @@ void LockOrderDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
   // (they receive the same locks in the same order). Without any explicit
   // spawns, fall back to comparing every pair of functions (single-file
   // analyses and tests).
-  std::vector<std::vector<const Function *>> Groups;
+  const Module &M = Ctx.module();
+  std::vector<std::vector<FuncId>> Groups;
   const auto &SpawnGroups = Ctx.callGraph().spawnGroups();
   if (SpawnGroups.empty()) {
-    Groups.emplace_back();
-    for (const Function &F : Ctx.module().functions())
-      Groups.back().push_back(&F);
+    Groups.emplace_back(M.numFunctions());
+    for (FuncId Id = 0; Id != M.numFunctions(); ++Id)
+      Groups.back()[Id] = Id;
   } else {
-    for (const auto &[Spawner, Threads] : SpawnGroups) {
-      Groups.emplace_back();
-      for (FuncId T : Threads)
-        Groups.back().push_back(&Ctx.callGraph().function(T));
-    }
+    for (const auto &[Spawner, Threads] : SpawnGroups)
+      Groups.push_back(Threads);
   }
 
-  std::map<const Function *, std::vector<OrderEdge>> EdgesByFn;
-  auto EdgesOf = [&](const Function *F) -> const std::vector<OrderEdge> & {
-    auto It = EdgesByFn.find(F);
-    if (It == EdgesByFn.end())
-      It = EdgesByFn.emplace(F, collectEdges(Ctx, *F)).first;
-    return It->second;
+  // Each function's edges, collected on first use (by ordinal).
+  std::vector<std::optional<std::vector<OrderEdge>>> EdgesById(
+      M.numFunctions());
+  auto EdgesOf = [&](FuncId Id) -> const std::vector<OrderEdge> & {
+    if (!EdgesById[Id])
+      EdgesById[Id] = collectEdges(Ctx, Id);
+    return *EdgesById[Id];
   };
 
   // A cycle in the union lock-order graph whose edges come from at least
@@ -176,9 +178,9 @@ void LockOrderDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       const OrderEdge *Site;
     };
     std::vector<GEdge> Edges;
-    for (const Function *F : Threads)
-      for (const OrderEdge &E : EdgesOf(F))
-        Edges.push_back({E.Held, E.Acquired, F, &E});
+    for (FuncId Id : Threads)
+      for (const OrderEdge &E : EdgesOf(Id))
+        Edges.push_back({E.Held, E.Acquired, &M.func(Id), &E});
     if (Edges.empty())
       continue;
 

@@ -59,11 +59,13 @@ void addUninitOriginSpans(Diagnostic &D, const MemoryAnalysis &MA, ObjId O,
 
 void InvalidFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
   const Module &M = Ctx.module();
-  for (const auto &F : M.functions()) {
-    const Cfg &G = Ctx.cfg(F);
-    const MemoryAnalysis &MA = Ctx.memory(F);
+  for (FuncId Id = 0; Id != M.numFunctions(); ++Id) {
+    const Function &F = M.func(Id);
+    const Cfg &G = Ctx.cfg(Id);
+    const MemoryAnalysis &MA = Ctx.memory(Id);
     const ObjectTable &Objects = MA.objects();
     MemoryAnalysis::Cursor C = MA.cursor();
+    BitVec Targets = MA.objectSet();
 
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       if (!G.isReachable(B))
@@ -77,7 +79,7 @@ void InvalidFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
         if (S.K == Statement::Kind::Assign && S.Dest.hasDeref()) {
           const Type *Pointee = pointeeType(F, S.Dest);
           if (Pointee && typeNeedsDrop(Pointee, M)) {
-            BitVec Targets(Objects.numObjects());
+            Targets.clear();
             MA.placeTargetObjects(C.state(), S.Dest, Targets);
             Targets.forEach([&](size_t O) {
               if (O == Objects.unknown())
@@ -134,9 +136,10 @@ void InvalidFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
 
 void DoubleFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
   const Module &M = Ctx.module();
-  for (const auto &F : M.functions()) {
-    const Cfg &G = Ctx.cfg(F);
-    const MemoryAnalysis &MA = Ctx.memory(F);
+  for (FuncId Id = 0; Id != M.numFunctions(); ++Id) {
+    const Function &F = M.func(Id);
+    const Cfg &G = Ctx.cfg(Id);
+    const MemoryAnalysis &MA = Ctx.memory(Id);
     const ObjectTable &Objects = MA.objects();
 
     // Ownership duplications created by ptr::read: (duplicate local,
@@ -149,15 +152,13 @@ void DoubleFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       SourceLocation Loc;
     };
     std::vector<Duplication> Dups;
-    MemoryAnalysis::Cursor C = MA.cursor();
 
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       if (!G.isReachable(B))
         continue;
       const Terminator &T = F.Blocks[B].Term;
       size_t AtTerm = F.Blocks[B].Statements.size();
-      C.seek(B);
-      const BitVec &State = C.stateAtTerminator();
+      BitSpan State = MA.dataflow().blockExit(B);
 
       // Direct double drop.
       const Place *Dropped = nullptr;
@@ -186,7 +187,7 @@ void DoubleFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       // Record ptr::read duplications.
       if (MA.calleeKind(B) == IntrinsicKind::PtrRead && T.HasDest &&
           T.Dest.isLocal() && !T.Args.empty() && T.Args[0].isPlace()) {
-        BitVec Sources(Objects.numObjects());
+        BitVec Sources = MA.objectSet();
         MA.placeValuePointees(State, T.Args[0].P, Sources);
         Sources.forEach([&](size_t O) {
           if (O != Objects.unknown())
@@ -202,8 +203,7 @@ void DoubleFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
       if (!G.isReachable(B) ||
           F.Blocks[B].Term.K != Terminator::Kind::Return)
         continue;
-      C.seek(B);
-      const BitVec &State = C.stateAtTerminator();
+      BitSpan State = MA.dataflow().blockExit(B);
       for (const Duplication &Dup : Dups) {
         if (MA.mayBeDropped(State, Objects.localObject(Dup.Dest)) &&
             MA.mayBeDropped(State, Dup.Source)) {
@@ -232,17 +232,20 @@ void DoubleFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
 //===----------------------------------------------------------------------===//
 
 void UninitReadDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
-  for (const auto &F : Ctx.module().functions()) {
-    const Cfg &G = Ctx.cfg(F);
-    const MemoryAnalysis &MA = Ctx.memory(F);
+  const Module &M = Ctx.module();
+  for (FuncId Id = 0; Id != M.numFunctions(); ++Id) {
+    const Function &F = M.func(Id);
+    const Cfg &G = Ctx.cfg(Id);
+    const MemoryAnalysis &MA = Ctx.memory(Id);
     const ObjectTable &Objects = MA.objects();
+    BitVec Targets = MA.objectSet();
 
-    auto Check = [&](const BitVec &State, const std::vector<PlaceUse> &Uses,
-                     BlockId B, size_t StmtIndex, SourceLocation Loc) {
+    auto Check = [&](BitSpan State, const PlaceUses &Uses, BlockId B,
+                     size_t StmtIndex, SourceLocation Loc) {
       for (const PlaceUse &U : Uses) {
         if (U.IsWrite || !U.P->hasDeref())
           continue;
-        BitVec Targets(Objects.numObjects());
+        Targets.clear();
         MA.placeTargetObjects(State, *U.P, Targets);
         // Report only when every known target is possibly-uninitialized:
         // a deliberately conservative rule to keep false positives low.
@@ -278,7 +281,7 @@ void UninitReadDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
     };
 
     MemoryAnalysis::Cursor C = MA.cursor();
-    std::vector<PlaceUse> Uses;
+    PlaceUses Uses;
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       if (!G.isReachable(B))
         continue;

@@ -3,12 +3,12 @@
 using namespace rs::detectors;
 using namespace rs::mir;
 
-static void addOperand(const Operand &O, std::vector<PlaceUse> &Out) {
+static void addOperand(const Operand &O, PlaceUses &Out) {
   if (O.isPlace())
     Out.push_back({&O.P, /*IsWrite=*/false});
 }
 
-static void addRvalue(const Rvalue &RV, std::vector<PlaceUse> &Out) {
+static void addRvalue(const Rvalue &RV, PlaceUses &Out) {
   for (const Operand &O : RV.Ops)
     addOperand(O, Out);
   switch (RV.K) {
@@ -24,7 +24,7 @@ static void addRvalue(const Rvalue &RV, std::vector<PlaceUse> &Out) {
 }
 
 void rs::detectors::collectUses(const Statement &S,
-                                std::vector<PlaceUse> &Out) {
+                                PlaceUses &Out) {
   if (S.K != Statement::Kind::Assign)
     return;
   addRvalue(S.RV, Out);
@@ -32,7 +32,7 @@ void rs::detectors::collectUses(const Statement &S,
 }
 
 void rs::detectors::collectUses(const Terminator &T,
-                                std::vector<PlaceUse> &Out) {
+                                PlaceUses &Out) {
   switch (T.K) {
   case Terminator::Kind::SwitchInt:
   case Terminator::Kind::Assert:
@@ -49,7 +49,7 @@ void rs::detectors::collectUses(const Terminator &T,
   }
 }
 
-bool rs::detectors::anyDerefUse(const std::vector<PlaceUse> &Uses) {
+bool rs::detectors::anyDerefUse(const PlaceUses &Uses) {
   for (const PlaceUse &U : Uses)
     if (U.P->hasDeref())
       return true;

@@ -15,8 +15,7 @@
 #define RUSTSIGHT_DETECTORS_PLACEUSES_H
 
 #include "mir/Mir.h"
-
-#include <vector>
+#include "support/SmallVector.h"
 
 namespace rs::detectors {
 
@@ -27,17 +26,21 @@ struct PlaceUse {
   bool IsWrite;
 };
 
+/// The places one statement or terminator touches; inline for the common
+/// sizes, so collecting them allocates nothing.
+using PlaceUses = SmallVector<PlaceUse, 8>;
+
 /// Appends the places read or written by \p S (drop subjects excluded —
 /// callers handle drops explicitly).
-void collectUses(const mir::Statement &S, std::vector<PlaceUse> &Out);
+void collectUses(const mir::Statement &S, PlaceUses &Out);
 
 /// Appends the places read or written by terminator \p T.
-void collectUses(const mir::Terminator &T, std::vector<PlaceUse> &Out);
+void collectUses(const mir::Terminator &T, PlaceUses &Out);
 
 /// True if some use in \p Uses dereferences its place: the only points the
 /// pointer-safety detectors check, so the only ones whose memory state they
 /// need to read.
-bool anyDerefUse(const std::vector<PlaceUse> &Uses);
+bool anyDerefUse(const PlaceUses &Uses);
 
 } // namespace rs::detectors
 

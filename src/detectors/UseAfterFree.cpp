@@ -51,18 +51,16 @@ void addExternalDropSpans(AnalysisContext &Ctx, Diagnostic &D,
 /// Checks every dereferencing access in \p Uses against the memory state in
 /// \p State.
 void checkUses(AnalysisContext &Ctx, const MemoryAnalysis &MA,
-               const BitVec &State, const std::vector<PlaceUse> &Uses,
-               const Function &F, BlockId B, size_t StmtIndex,
-               SourceLocation Loc, DiagnosticEngine &Diags) {
+               BitSpan State, const PlaceUses &Uses, const Function &F,
+               BlockId B, size_t StmtIndex, SourceLocation Loc,
+               DiagnosticEngine &Diags) {
   const ObjectTable &Objects = MA.objects();
   for (const PlaceUse &U : Uses) {
     if (!U.P->hasDeref())
       continue;
-    std::vector<ObjId> Roots;
-    MA.pointees(State, U.P->Base, Roots);
-    for (ObjId O : Roots) {
+    MA.forEachPointee(State, U.P->Base, [&](ObjId O) {
       if (O == Objects.unknown())
-        continue;
+        return;
       const char *Why = nullptr;
       ObjEvent DeathEvent = ObjEvent::Dropped;
       if (MA.mayBeDropped(State, O)) {
@@ -72,7 +70,7 @@ void checkUses(AnalysisContext &Ctx, const MemoryAnalysis &MA,
         DeathEvent = ObjEvent::StorageDead;
       }
       if (!Why)
-        continue;
+        return;
       Diagnostic D(BugKind::UseAfterFree);
       D.Function = F.Name;
       D.Block = B;
@@ -94,20 +92,22 @@ void checkUses(AnalysisContext &Ctx, const MemoryAnalysis &MA,
         D.Notes.push_back("the target is already dead on entry to this "
                           "function along every flagged path");
       Diags.report(std::move(D));
-    }
+    });
   }
 }
 
 } // namespace
 
 void UseAfterFreeDetector::run(AnalysisContext &Ctx, DiagnosticEngine &Diags) {
-  for (const Function &F : Ctx.module().functions()) {
+  const Module &M = Ctx.module();
+  for (FuncId Id = 0; Id != M.numFunctions(); ++Id) {
+    const Function &F = M.func(Id);
     if (FocusOnUnsafe && !functionTouchesUnsafeMemory(F))
       continue; // Suggestion 5: safe code unrelated to unsafe is skipped.
-    const Cfg &G = Ctx.cfg(F);
-    const MemoryAnalysis &MA = Ctx.memory(F);
+    const Cfg &G = Ctx.cfg(Id);
+    const MemoryAnalysis &MA = Ctx.memory(Id);
     MemoryAnalysis::Cursor C = MA.cursor();
-    std::vector<PlaceUse> Uses;
+    PlaceUses Uses;
     for (BlockId B = 0; B != F.numBlocks(); ++B) {
       if (!G.isReachable(B))
         continue;

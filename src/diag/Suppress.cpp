@@ -109,22 +109,29 @@ void scanLine(std::string_view LineText, unsigned LineNo,
 } // namespace
 
 SuppressionSet rs::diag::scanSuppressions(std::string_view Source) {
+  // Most sources carry no marker at all: search the whole text for one,
+  // and count newlines only up to each hit's line.
   SuppressionSet Out;
   unsigned LineNo = 1;
-  size_t Start = 0;
-  while (Start <= Source.size()) {
-    size_t Nl = Source.find('\n', Start);
+  size_t Counted = 0; ///< Newlines before this offset are in LineNo.
+  size_t Hit = Source.find(Marker);
+  while (Hit != std::string_view::npos) {
+    size_t PrevNl = Source.rfind('\n', Hit);
+    size_t LineStart = PrevNl == std::string_view::npos ? 0 : PrevNl + 1;
+    LineNo += static_cast<unsigned>(std::count(
+        Source.begin() + Counted, Source.begin() + LineStart, '\n'));
+    Counted = LineStart;
+    size_t Nl = Source.find('\n', Hit);
     std::string_view Line =
-        Nl == std::string_view::npos ? Source.substr(Start)
-                                     : Source.substr(Start, Nl - Start);
+        Nl == std::string_view::npos ? Source.substr(LineStart)
+                                     : Source.substr(LineStart, Nl - LineStart);
     if (!Line.empty() && Line.back() == '\r')
       Line.remove_suffix(1);
-    if (Line.find(Marker) != std::string_view::npos)
-      scanLine(Line, LineNo, Out);
+    // One scan per line, however many markers it holds.
+    scanLine(Line, LineNo, Out);
     if (Nl == std::string_view::npos)
       break;
-    Start = Nl + 1;
-    ++LineNo;
+    Hit = Source.find(Marker, Nl + 1);
   }
   return Out;
 }

@@ -238,9 +238,17 @@ struct AnalysisEngine::LoadedFile {
   uint64_t Fp = 0;
   bool Read = false;   ///< Source holds the bytes; else Report is final.
   bool Loaded = false; ///< The module step ran.
-  std::optional<mir::Module> M;
-  /// M parsed without recovery: only such a module joins the link.
+  /// The parse, built in place and never moved (moving a Module
+  /// allocates); its module counts only once it passed verification.
+  std::unique_ptr<mir::ModuleParse> Parsed;
+  bool Verified = false;
+  /// The module parsed without recovery: only such a module joins the link.
   bool Clean = false;
+
+  /// The verified module, or null.
+  const mir::Module *module() const {
+    return Verified ? &Parsed->M : nullptr;
+  }
 };
 
 /// The containment boundary: runs \p Body and turns any escaping exception
@@ -330,7 +338,9 @@ void AnalysisEngine::loadModule(LoadedFile &L) {
   contained(R, [&] {
     if (fault::shouldFail("engine.parse"))
       throw std::runtime_error("injected fault at probe engine.parse");
-    mir::ModuleParse P = mir::Parser::parseRecover(L.Source, Path);
+    L.Parsed = std::make_unique<mir::ModuleParse>();
+    mir::ModuleParse &P = *L.Parsed;
+    mir::Parser::parseRecoverInto(L.Source, Path, P);
     for (const Error &E : P.Errors)
       R.ParseErrors.push_back(errorDiagnostic(diag::RuleId::ParseError, E));
     R.ItemsDropped = P.ItemsDropped;
@@ -356,8 +366,10 @@ void AnalysisEngine::loadModule(LoadedFile &L) {
     // A recovered parse dropped items that a linked summary must not
     // pretend to cover.
     L.Clean = P.Errors.empty();
-    L.M = std::move(P.M);
+    L.Verified = true;
   });
+  if (!L.Verified)
+    L.Parsed.reset();
 }
 
 std::optional<analysis::ModuleFacts>
@@ -386,7 +398,7 @@ AnalysisEngine::linkFacts(LoadedFile &L) {
   if (!L.Clean)
     return std::nullopt;
   analysis::ModuleFacts Facts =
-      analysis::collectModuleFacts(*L.M, L.Report.Path);
+      analysis::collectModuleFacts(*L.module(), L.Report.Path);
   if (persists())
     Cache->storeBlob(factsCacheKey(L.Fp),
                      analysis::serializeModuleFacts(Facts));
@@ -429,10 +441,10 @@ FileReport AnalysisEngine::analyze(LoadedFile &L,
     ++*Runs;
   loadModule(L);
   FileReport R = std::move(L.Report);
-  if (!L.M)
+  if (!L.module())
     return R;
   contained(R, [&] {
-    runDetectors(*L.M, R, Env);
+    runDetectors(*L.module(), R, Env);
     applySuppressions(L.Source, R);
   });
   // Only clean results are cached: degraded/skipped outcomes depend on
@@ -468,7 +480,7 @@ AnalysisEngine::summarizeFileForLink(const std::string &Path,
   loadModule(L);
   if (!L.Clean)
     return std::nullopt;
-  return summarizeContained(&*L.M, ModuleIdx, Env, Opts);
+  return summarizeContained(L.module(), ModuleIdx, Env, Opts);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1151,8 +1163,8 @@ AnalysisEngine::analyzeCorpus(const std::vector<corpus::CorpusInput> &Inputs,
               L = read(Inputs[Input]);
               loadModule(*L);
             }
-            Out[K] = summarizeContained(L->Clean ? &*L->M : nullptr, Idx,
-                                        Env, Opts);
+            Out[K] = summarizeContained(L->Clean ? L->module() : nullptr,
+                                        Idx, Env, Opts);
           });
           return Out;
         };

@@ -145,6 +145,12 @@ Result<Module> Parser::parse(std::string_view Buffer,
 ModuleParse Parser::parseRecover(std::string_view Buffer,
                                  std::string_view FileName) {
   ModuleParse Out;
+  parseRecoverInto(Buffer, FileName, Out);
+  return Out;
+}
+
+void Parser::parseRecoverInto(std::string_view Buffer,
+                              std::string_view FileName, ModuleParse &Out) {
   Parser P(Buffer, FileName, Out.M);
   while (!P.Tok->is(TokKind::Eof)) {
     if (P.parseItem())
@@ -154,7 +160,6 @@ ModuleParse Parser::parseRecover(std::string_view Buffer,
     P.Err.reset();
     P.recoverToItemBoundary();
   }
-  return Out;
 }
 
 void Parser::recoverToItemBoundary() {

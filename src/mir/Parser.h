@@ -83,6 +83,11 @@ public:
   static ModuleParse parseRecover(std::string_view Buffer,
                                   std::string_view FileName = "<mir>");
 
+  /// parseRecover into a caller-owned, freshly constructed \p Out, so the
+  /// module is built where it will stay (moving a Module allocates).
+  static void parseRecoverInto(std::string_view Buffer,
+                               std::string_view FileName, ModuleParse &Out);
+
 private:
   /// A parser that adds the buffer's items to \p M.
   Parser(std::string_view Buffer, std::string_view FileName, Module &M);

@@ -114,5 +114,7 @@ TEST(ConstantBranches, PrunedCfgMarksDeadArmUnreachable) {
   Cfg Pruned(F, /*PruneConstantBranches=*/true);
   EXPECT_FALSE(Pruned.isReachable(1));
   EXPECT_TRUE(Pruned.isReachable(2));
-  EXPECT_EQ(Pruned.successors(0), (std::vector<BlockId>{2}));
+  EXPECT_EQ(std::vector<BlockId>(Pruned.successors(0).begin(),
+                                  Pruned.successors(0).end()),
+            (std::vector<BlockId>{2}));
 }

@@ -175,14 +175,14 @@ public:
 
   BitVec initialState() const override { return BitVec(NumLocals); }
 
-  void transferStatement(const Statement &S, BitVec &State) const override {
+  void transferStatement(const Statement &S, BitRef State) const override {
     ++Calls[&S];
     ++Total;
     if (S.K == Statement::Kind::Assign && S.Dest.Projs.empty())
       State.set(S.Dest.Base);
   }
 
-  void transferEdge(const Terminator &, BlockId, BitVec &) const override {}
+  void transferEdge(const Terminator &, BlockId, BitRef) const override {}
 
   mutable std::map<const Statement *, unsigned> Calls;
   mutable unsigned Total = 0;

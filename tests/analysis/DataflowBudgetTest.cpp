@@ -54,12 +54,12 @@ public:
 
   BitVec initialState() const override { return BitVec(NumLocals); }
 
-  void transferStatement(const Statement &S, BitVec &State) const override {
+  void transferStatement(const Statement &S, BitRef State) const override {
     if (S.K == Statement::Kind::Assign && S.Dest.Projs.empty())
       State.set(S.Dest.Base);
   }
 
-  void transferEdge(const Terminator &, BlockId, BitVec &) const override {}
+  void transferEdge(const Terminator &, BlockId, BitRef) const override {}
 
 private:
   size_t NumLocals;

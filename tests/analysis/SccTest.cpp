@@ -13,6 +13,11 @@ namespace {
 
 using Adj = std::vector<std::vector<uint32_t>>;
 
+/// Members are a span into the graph; copy them out to compare.
+std::vector<uint32_t> ids(std::span<const uint32_t> S) {
+  return {S.begin(), S.end()};
+}
+
 /// Every cross-component edge must point from a higher-numbered component
 /// to a lower-numbered one (reverse topological order).
 void expectReverseTopological(const SccGraph &S, const Adj &Succs) {
@@ -33,7 +38,7 @@ TEST(Scc, EmptyGraph) {
 TEST(Scc, SingleNodeNoEdge) {
   SccGraph S(1, {{}});
   ASSERT_EQ(S.numComponents(), 1u);
-  EXPECT_EQ(S.members(0), std::vector<uint32_t>{0});
+  EXPECT_EQ(ids(S.members(0)), std::vector<uint32_t>{0});
   EXPECT_FALSE(S.isRecursive(0));
 }
 
@@ -67,7 +72,7 @@ TEST(Scc, MutualRecursionCollapses) {
   uint32_t Cycle = S.componentOf(0);
   EXPECT_TRUE(S.isRecursive(Cycle));
   EXPECT_FALSE(S.isRecursive(S.componentOf(2)));
-  EXPECT_EQ(S.members(Cycle), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(ids(S.members(Cycle)), (std::vector<uint32_t>{0, 1}));
   expectReverseTopological(S, Succs);
 }
 
@@ -93,7 +98,7 @@ TEST(Scc, CycleWithTail) {
   EXPECT_EQ(S.componentOf(1), Cycle);
   EXPECT_EQ(S.componentOf(2), Cycle);
   EXPECT_TRUE(S.isRecursive(Cycle));
-  EXPECT_EQ(S.members(Cycle), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(ids(S.members(Cycle)), (std::vector<uint32_t>{0, 1, 2}));
   EXPECT_EQ(S.componentOf(4), 0u);
   EXPECT_EQ(S.componentOf(3), 1u);
   EXPECT_EQ(Cycle, 2u);
@@ -117,7 +122,7 @@ TEST(Scc, DeterministicAcrossRuns) {
   for (uint32_t N = 0; N != 6; ++N)
     EXPECT_EQ(A.componentOf(N), B.componentOf(N));
   for (uint32_t C = 0; C != A.numComponents(); ++C) {
-    EXPECT_EQ(A.members(C), B.members(C));
+    EXPECT_EQ(ids(A.members(C)), ids(B.members(C)));
     EXPECT_EQ(A.isRecursive(C), B.isRecursive(C));
   }
 }

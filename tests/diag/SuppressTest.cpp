@@ -91,3 +91,48 @@ TEST(Suppress, CrlfAndUnclosedListsAreTolerated) {
       scanSuppressions("x; // rustsight-allow(double-free\r\ny;\r\n");
   EXPECT_TRUE(S.allows(RuleId::DoubleFree, 1));
 }
+
+TEST(Suppress, MarkerOnTheFirstLine) {
+  SuppressionSet S =
+      scanSuppressions("// rustsight-allow(double-free)\nx;\ny;\n");
+  ASSERT_EQ(S.ByLine.size(), 1u);
+  EXPECT_EQ(S.ByLine.count(1u), 1u);
+  EXPECT_TRUE(S.allows(RuleId::DoubleFree, 2));
+  EXPECT_FALSE(S.allows(RuleId::DoubleFree, 3));
+}
+
+TEST(Suppress, CrlfLinesKeepTheirNumbersAndFixedLines) {
+  SuppressionSet S = scanSuppressions(
+      "a;\r\nb;\r\nx; // rustsight-allow(double-lock, bogus)\r\ny;\r\n");
+  ASSERT_EQ(S.ByLine.size(), 1u);
+  EXPECT_TRUE(S.allows(RuleId::DoubleLock, 3));
+  EXPECT_FALSE(S.allows(RuleId::DoubleLock, 2));
+  ASSERT_EQ(S.Unknown.size(), 1u);
+  EXPECT_EQ(S.Unknown[0].Line, 3u);
+  EXPECT_EQ(S.Unknown[0].Token, "bogus");
+  // The carriage return is not part of the line the fix rewrites.
+  EXPECT_EQ(S.Unknown[0].FixedLine, "x; // rustsight-allow(double-lock)");
+}
+
+TEST(Suppress, MarkerOnALastLineWithoutNewline) {
+  SuppressionSet S =
+      scanSuppressions("a;\nb;\nx; // rustsight-allow(use-after-free)");
+  ASSERT_EQ(S.ByLine.size(), 1u);
+  EXPECT_TRUE(S.allows(RuleId::UseAfterFree, 3));
+  EXPECT_FALSE(S.allows(RuleId::UseAfterFree, 2));
+}
+
+TEST(Suppress, TwoMarkersOnOneLineScanTheLineOnce) {
+  // The line is scanned once: its first allow list after the comment
+  // opener counts, and the next line's marker keeps its own number.
+  SuppressionSet S = scanSuppressions(
+      "x; // rustsight-allow(double-free) rustsight-allow(double-lock)\n"
+      "y;\n"
+      "z; // rustsight-allow(use-after-free)\n");
+  ASSERT_EQ(S.ByLine.size(), 2u);
+  ASSERT_EQ(S.ByLine.at(1u).size(), 1u);
+  EXPECT_EQ(S.ByLine.at(1u)[0], RuleId::DoubleFree);
+  EXPECT_FALSE(S.allows(RuleId::DoubleLock, 1));
+  EXPECT_TRUE(S.allows(RuleId::UseAfterFree, 3));
+  EXPECT_TRUE(S.Unknown.empty());
+}

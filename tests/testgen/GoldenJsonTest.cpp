@@ -13,8 +13,13 @@
 //   ./build/examples/rustsight check --json --jobs 1 --no-cache \
 //       --max-dataflow-iters 4 examples/mir/*.mir tests/mir/regress/*.mir \
 //       > tests/golden/check_budget.json || true
+// (tools/regen_goldens.sh also writes tests/golden/wide_check.json, from
+// tests/mir/wide, and tests/golden/eval_budget3.json, from examples/mir/eval
+// with --max-dataflow-iters 3, with the same flags.)
 
+#include "analysis/Objects.h"
 #include "engine/Engine.h"
+#include "mir/Parser.h"
 #include "testgen/Scorecard.h"
 
 #include <gtest/gtest.h>
@@ -84,6 +89,64 @@ TEST(GoldenJsonTest, BudgetDegradedCheckJsonIsPinned) {
     engine::CorpusReport Report = E.analyzeCorpus(Paths);
     EXPECT_EQ(Report.renderJson() + "\n",
               slurp("tests/golden/check_budget.json"));
+  });
+}
+
+/// The check --json report over \p Paths, as the CLI renders it with
+/// --jobs 1 --no-cache (and \p MaxDataflowIters, 0 for none).
+std::string renderCheck(std::vector<std::string> Paths,
+                        uint64_t MaxDataflowIters = 0) {
+  engine::EngineOptions Opts;
+  Opts.Jobs = 1;
+  Opts.UseCache = false;
+  Opts.MaxDataflowIters = MaxDataflowIters;
+  engine::AnalysisEngine E(Opts);
+  return E.analyzeCorpus(Paths).renderJson() + "\n";
+}
+
+// Functions with 63, 64, 65 and 130 abstract objects carrying each bug
+// pattern and its benign twin (tools/gen_wide_mir.py): their points-to
+// rows end just inside, exactly at, and past one 64-bit word, and span
+// three words, so the report pins the multi-word row layout.
+TEST(GoldenJsonTest, WideObjectCheckJsonIsPinned) {
+  atRepoRoot([] {
+    EXPECT_EQ(renderCheck({"tests/mir/wide"}),
+              slurp("tests/golden/wide_check.json"));
+  });
+}
+
+// The fixtures really have the object counts their names promise.
+TEST(GoldenJsonTest, WideObjectFixturesHaveTheirObjectCounts) {
+  atRepoRoot([] {
+    unsigned Checked = 0;
+    for (const fs::directory_entry &E :
+         fs::directory_iterator("tests/mir/wide")) {
+      std::string Text = slurp(E.path());
+      auto R = mir::Parser::parse(Text);
+      ASSERT_TRUE(R) << E.path();
+      mir::Module M = R.take();
+      for (const mir::Function &F : M.functions()) {
+        std::string_view Name = F.Name;
+        size_t Us = Name.rfind('_');
+        bool Pattern = Name.find("_bug_") != std::string_view::npos ||
+                       Name.find("_ok_") != std::string_view::npos;
+        if (Name.substr(0, 5) != "wide_" || !Pattern)
+          continue;
+        unsigned Want = std::stoul(std::string(Name.substr(Us + 1)));
+        EXPECT_EQ(analysis::ObjectTable(F).numObjects(), Want) << Name;
+        ++Checked;
+      }
+    }
+    EXPECT_EQ(Checked, 40u);
+  });
+}
+
+// A dataflow budget of three block updates per function over the eval
+// corpus: pins the degraded path's states along with the multi-word ones.
+TEST(GoldenJsonTest, TightBudgetEvalCheckJsonIsPinned) {
+  atRepoRoot([] {
+    EXPECT_EQ(renderCheck({"examples/mir/eval"}, /*MaxDataflowIters=*/3),
+              slurp("tests/golden/eval_budget3.json"));
   });
 }
 

@@ -43,6 +43,11 @@ run_check tests/golden/regress_check.json tests/mir/regress/*.mir
 # A dataflow budget that stops most solves mid-way: pins degraded output.
 run_check tests/golden/check_budget.json --max-dataflow-iters 4 \
   examples/mir/*.mir tests/mir/regress/*.mir
+# Functions whose points-to rows span one to three 64-bit words.
+run_check tests/golden/wide_check.json tests/mir/wide
+# A budget of three block updates per function over the eval corpus.
+run_check tests/golden/eval_budget3.json --max-dataflow-iters 3 \
+  examples/mir/eval
 "$RUSTSIGHT" eval --json examples/mir/eval > tests/golden/eval.json
 
 # The paper-vs-reproduced rows each Section 7 bench prints before timing;
@@ -52,4 +57,5 @@ for b in sec7_detectors sec7_ablation; do
 done
 
 echo "regenerated: tests/golden/{check,regress_check,check_budget,eval}.json," \
+  "tests/golden/{wide_check,eval_budget3}.json," \
   "tests/golden/sec7_{detectors,ablation}.txt"
