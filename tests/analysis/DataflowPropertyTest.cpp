@@ -131,6 +131,59 @@ TEST_P(DataflowSweep, DominatorsMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DataflowSweep,
                          ::testing::Values(101, 202, 303, 404));
 
+namespace {
+
+/// Entering block S sets bit S % size(), so on a chain bb0 -> ... -> bbN
+/// block B's in- and exit state is {1, ..., B} modulo the state size.
+class EnterSetsBlockBit : public ForwardTransfer {
+public:
+  explicit EnterSetsBlockBit(size_t Bits) : Bits(Bits) {}
+  BitVec initialState() const override { return BitVec(Bits); }
+  void transferStatement(const Statement &, BitRef) const override {}
+  void transferEdge(const Terminator &, BlockId Succ,
+                    BitRef State) const override {
+    State.set(Succ % Bits);
+  }
+
+private:
+  size_t Bits;
+};
+
+Module chainModule(unsigned Blocks) {
+  std::string Src = "fn chain() {\n";
+  for (unsigned B = 0; B + 1 < Blocks; ++B)
+    Src += "    bb" + std::to_string(B) + ": { goto -> bb" +
+           std::to_string(B + 1) + "; }\n";
+  Src += "    bb" + std::to_string(Blocks - 1) + ": { return; }\n}\n";
+  auto R = Parser::parse(Src);
+  EXPECT_TRUE(R) << (R ? "" : R.error().toString());
+  return R.take();
+}
+
+} // namespace
+
+// The solver's states span several slabs once they pass 32 KB: 402 states
+// of 16 words fill two slabs, and states of 4,688 words take one slab each.
+// Every kept state must still read back as its own block's.
+TEST(ForwardDataflow, StatesAcrossSlabs) {
+  for (auto [Blocks, Bits] : {std::pair<unsigned, size_t>{4, 5},
+                              {200, 1000},
+                              {20, 300000}}) {
+    Module M = chainModule(Blocks);
+    const Function &F = M.functions()[0];
+    Cfg G(F);
+    EnterSetsBlockBit T(Bits);
+    ForwardDataflow DF(G, T);
+    BitVec Want(Bits);
+    for (BlockId B = 0; B != Blocks; ++B) {
+      if (B != 0)
+        Want.set(B % Bits);
+      EXPECT_EQ(DF.blockIn(B), Want) << Bits << " bits, bb" << B;
+      EXPECT_EQ(DF.blockExit(B), Want) << Bits << " bits, bb" << B;
+    }
+  }
+}
+
 class RoundTripSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RoundTripSweep, CorpusPrintParseFixpoint) {
